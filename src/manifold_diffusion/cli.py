@@ -47,6 +47,7 @@ def _resolve_config(args) -> dict:
         val = getattr(args, key.replace("-", "_"), None)
         if val is not None:
             cfg[key] = val
+    cfg.setdefault("activation", "linear")
     cfg.setdefault("seed", 0)
     return cfg
 
@@ -60,7 +61,7 @@ def _validate_config(cfg: dict) -> None:
         raise ValueError(f"config field beta = p/d = {beta} outside (0, 1]")
     if float(cfg.get("rho", 1.0)) <= 0:
         raise ValueError("config field rho must be positive")
-    act = cfg.get("activation", "linear")
+    act = cfg["activation"]
     if act not in ("linear", "tanh", "relu", "sigmoid"):
         raise ValueError(f"config field activation unknown: {act!r}")
 
@@ -124,7 +125,7 @@ def cmd_speciation(args) -> int:
 
 
 def _collapse_method(cfg: dict) -> str:
-    if cfg.get("activation", "linear") == "linear":
+    if cfg["activation"] == "linear":
         if cfg.get("ensemble", "deterministic_isometry") == "deterministic_isometry":
             return "linear_isometry_closed_form"
         return "linear_rmt"
@@ -143,7 +144,7 @@ def cmd_collapse(args) -> int:
     elif method == "linear_rmt":
         result = C.collapse_time_linear_rmt(alpha, beta)
     else:
-        act = make_activation(cfg.get("activation", "tanh"))
+        act = make_activation(cfg["activation"])
         params = (float(cfg.get("m", 1.0)), float(cfg.get("rho", 1.0)), beta, act)
         result = C.collapse_time_glm(params, alpha, n_outer=args.nodes,
                                      grid_points=args.grid_points)
@@ -194,7 +195,7 @@ def cmd_free_energy(args) -> int:
     cfg = _resolve_config(args)
     _validate_config(cfg)
     beta = int(cfg["p"]) / int(cfg["d"])
-    act = make_activation(cfg.get("activation", "linear"))
+    act = make_activation(cfg["activation"])
     params = (float(cfg.get("m", 1.0)), float(cfg.get("rho", 1.0)), beta, act)
     ts = np.linspace(args.t_min, args.t_max, args.t_points)
     out = _out_dir(args)

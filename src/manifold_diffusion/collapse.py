@@ -131,7 +131,6 @@ class FreeEnergyResult:
     q_star: float
     r_star: float
     f_star: float
-    rounds: int
     stationarity_residual: float
     boundary: bool
 
@@ -212,7 +211,7 @@ def f_star(t: float, model_or_params, n_outer: int = 24, n_inner: int = 96,
         resid = float("nan")
         boundary = True
     return FreeEnergyResult(t=t, q_star=float(q_star), r_star=float(r_star),
-                            f_star=float(f_val), rounds=2,
+                            f_star=float(f_val),
                             stationarity_residual=float(resid),
                             boundary=boundary)
 

@@ -1,13 +1,14 @@
-"""Forward OU process, empirical score, and backward Euler-Maruyama sampler.
+"""Forward OU process, empirical score, and the backward Euler-Maruyama stepper.
 
 Forward process: dX = -X dt + sqrt(2) dW, so X_t | X_0 ~ N(a_t X_0, h_t I_d)
 with a_t = e^{-t}, h_t = 1 - e^{-2t}.  The generative (backward) process is
 
     -dY = (Y + 2 s(Y, t)) dt + sqrt(2) dW,
 
-integrated with decreasing t.  The empirical score s is the gradient of the
-log of a Gaussian kernel sum over the training samples, computed with
-max-subtracted exponentials so it is stable for any inputs.
+integrated with decreasing t by ``advance``, the one Euler-Maruyama stepper of
+the package.  The empirical score s is the gradient of the log of a Gaussian
+kernel sum over the training samples, computed with max-subtracted
+exponentials so it is stable for any inputs.
 """
 from __future__ import annotations
 
@@ -110,6 +111,35 @@ class TrajectoryRecord:
     score_mode: str = "empirical"
 
 
+def advance(y: np.ndarray, t_from: float, t_to: float, dt: float, drift,
+            noise_var: float, rng: np.random.Generator,
+            keep_path: bool = False):
+    """Euler-Maruyama steps of -dY = drift(Y, t) dt + sqrt(noise_var) dW.
+
+    Steps of ``dt`` run from ``t_from`` down to ``t_to``, the last one
+    shortened to land on ``t_to``.  Returns Y at ``t_to``, or the arrays
+    (times, states) from the start on when ``keep_path`` is set.
+    """
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    t = float(t_from)
+    times, states = [t], [y]
+    k = 0
+    while t > t_to + 1e-12:
+        step = min(dt, t - t_to)
+        y = y + drift(y, t) * step + np.sqrt(noise_var * step) * rng.standard_normal(y.shape)
+        t -= step
+        k += 1
+        if not np.all(np.isfinite(y)):
+            raise FloatingPointError(f"non-finite state at step {k}, t = {t:.6g}")
+        if keep_path:
+            times.append(t)
+            states.append(y)
+    if keep_path:
+        return np.array(times), np.array(states)
+    return y
+
+
 def backward_integrate(start: np.ndarray, T: float, t_min: float, dt: float,
                        score, seed: int,
                        score_mode: str = "empirical") -> TrajectoryRecord:
@@ -121,29 +151,14 @@ def backward_integrate(start: np.ndarray, T: float, t_min: float, dt: float,
     """
     if not T > t_min > 0:
         raise ValueError("require T > t_min > 0")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    rng = _rng(seed)
-    y = np.array(start, dtype=float, copy=True)
-    times = [float(T)]
-    states = [y.copy()]
-    t = float(T)
-    k = 0
-    while t > t_min + 1e-12:
-        step = min(dt, t - t_min)
+
+    def drift(y, t):
         s = score(y, t)
-        if isinstance(s, tuple):
-            s = s[0]
-        y = y + (y + 2.0 * s) * step + np.sqrt(2.0 * step) * rng.standard_normal(y.shape)
-        t -= step
-        k += 1
-        if not np.all(np.isfinite(y)):
-            raise FloatingPointError(
-                f"non-finite state at step {k}, t = {t:.6g}")
-        times.append(t)
-        states.append(y.copy())
-    return TrajectoryRecord(times=np.array(times), states=np.array(states),
-                            seed=seed, score_mode=score_mode)
+        return y + 2.0 * (s[0] if isinstance(s, tuple) else s)
+
+    times, states = advance(np.array(start, dtype=float), T, t_min, dt, drift,
+                            2.0, _rng(seed), keep_path=True)
+    return TrajectoryRecord(times, states, seed, score_mode)
 
 
 def trajectory_to_csv(rec: TrajectoryRecord, path, coords=None) -> None:

@@ -3,7 +3,8 @@
 Four protocols: clone-agreement speciation, the planted-vs-bulk partition
 crossing that locates memorization, Monte-Carlo estimation of the GLM free
 energy, and the tilted-partition identity behind the condensation argument.
-All runs are reproducible bit-for-bit from their seeds.
+The clone trajectories step with ``diffusion.advance``.  All runs are
+reproducible bit-for-bit from their seeds.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diffusion import EmpiricalScore, schedule
+from .diffusion import EmpiricalScore, advance, schedule
 from .model import Dataset, ManifoldModel, _rng, model_to_config, sample_dataset
 from .speciation import GammaFunctions, lambdas
 
@@ -91,20 +92,6 @@ def partition_split(x: np.ndarray, t: float, dataset: Dataset,
 # ---------------------------------------------------------------------------
 # speciation by cloning
 
-def _em_advance(y: np.ndarray, t_from: float, t_to: float, dt: float,
-                score: EmpiricalScore, rng: np.random.Generator) -> np.ndarray:
-    """Advance a batch of backward trajectories from t_from down to t_to."""
-    t = t_from
-    while t > t_to + 1e-12:
-        step = min(dt, t - t_to)
-        s, _ = score(y, t)
-        y = y + (y + 2.0 * s) * step + np.sqrt(2.0 * step) * rng.standard_normal(y.shape)
-        if not np.all(np.isfinite(y)):
-            raise FloatingPointError(f"non-finite trajectory state at t={t:.4g}")
-        t -= step
-    return y
-
-
 def _pairwise_agreement(signs: np.ndarray) -> np.ndarray:
     """Mean pairwise sign agreement per row of a (n_traj, n_clones) array."""
     k = signs.shape[1]
@@ -147,14 +134,17 @@ def speciation_experiment(model: ManifoldModel, n_data: int,
     rng = _rng(seed + 1)
     mh = model_hash(model)
 
+    def drift(y, t):
+        return y + 2.0 * score(y, t)[0]
+
     y = rng.standard_normal((n_traj, model.d))
     t_prev = t_start
     records = []
     for t in t_grid:
-        y = _em_advance(y, t_prev, t, dt, score, rng)
+        y = advance(y, t_prev, t, dt, drift, 2.0, rng)
         t_prev = t
         clones = np.repeat(y, n_clones, axis=0)
-        ends = _em_advance(clones, t, t_min, dt, score, rng)
+        ends = advance(clones, t, t_min, dt, drift, 2.0, rng)
         signs = np.sign(ends @ direction).reshape(n_traj, n_clones)
         agree = _pairwise_agreement(signs)
         records.append(ExperimentRecord(
@@ -180,7 +170,7 @@ def threshold_crossing(records: list[ExperimentRecord],
     above = vs >= level
     if not above.any():
         raise ValueError("statistic never reaches the threshold; widen the grid")
-    if above.all():
+    if above[0]:
         return float(ts[0])
     k = int(np.argmax(above))  # first grid point at/above the level
     t0, t1 = ts[k - 1], ts[k]

@@ -8,7 +8,7 @@ lambda_j = f_j^T mu / sqrt(p), rolling in the potential
     V(q, t) = q^2 / 2 - 2 S log cosh(e^{-t} q),      S = sum_j Gamma0(lambda_j)^2.
 
 Speciation happens when the curvature of V at the origin changes sign:
-t_S = log(2 S) / 2.
+t_S = log(2 S) / 2.  The commitment SDE for q steps with ``diffusion.advance``.
 """
 from __future__ import annotations
 
@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .activations import Activation
+from .diffusion import advance
 from .model import ManifoldModel, _rng
 from .quadrature import std_normal_nodes
 
@@ -193,32 +194,25 @@ def potential_curvature_at_zero(t: float, gamma0_sq_sum: float) -> float:
 
 def reduced_sde_simulate(t_start: float, t_end: float, dt: float,
                          gamma0_sq_sum: float, n_traj: int, seed: int,
-                         q0: float = 0.0):
+                         q0: float | np.ndarray = 0.0):
     """Backward Euler-Maruyama ensemble of the reduced scalar coordinate.
 
     -dq = [-q + 2 e^{-t} S tanh(e^{-t} q)] dt + dw~, where the rescaled
     Wiener increment has variance 2 S dt (the scalar coordinate is the image
     of the ambient sqrt(2) dW under x -> sum_j x_j Gamma0(lambda_j)).
+    ``q0`` is one start value or an (n_traj,) array of them.
 
     Returns (times, Q) with Q of shape (n_steps + 1, n_traj).
     """
     if not t_start > t_end > 0:
         raise ValueError("require t_start > t_end > 0")
-    rng = _rng(seed)
     s = float(gamma0_sq_sum)
-    noise_scale = np.sqrt(2.0 * s * dt)
-    q = np.full(n_traj, float(q0))
-    t = float(t_start)
-    times = [t]
-    path = [q.copy()]
-    while t > t_end + 1e-12:
-        step = min(dt, t - t_end)
-        drift = -q + 2.0 * np.exp(-t) * s * np.tanh(np.exp(-t) * q)
-        q = q + drift * step + np.sqrt(step / dt) * noise_scale * rng.standard_normal(n_traj)
-        t -= step
-        times.append(t)
-        path.append(q.copy())
-    return np.array(times), np.array(path)
+
+    def drift(q, t):
+        return -q + 2.0 * np.exp(-t) * s * np.tanh(np.exp(-t) * q)
+
+    return advance(np.full(n_traj, q0, dtype=float), t_start, t_end, dt,
+                   drift, 2.0 * s, _rng(seed), keep_path=True)
 
 
 def score_tail_term(x: np.ndarray, model: ManifoldModel,

@@ -169,19 +169,18 @@ def _reduced_agreement_records(s, t_grid, n_traj, n_clones, seed,
     One trunk of ``n_traj`` reduced trajectories runs down from
     ``t_start`` (where q has forgotten its start); at each grid time every
     trajectory spawns ``n_clones`` continuations down to ``t_min``,
-    classified by the sign of q.
+    classified by the sign of q; all clones of one grid time run as one
+    ensemble.
     """
     times, trunk = reduced_sde_simulate(t_start, t_grid[-1], dt, s, n_traj,
                                         seed)
     records = []
     for k, t in enumerate(t_grid):
         q_t = trunk[int(np.argmin(np.abs(times - t)))]
-        signs = np.array([
-            np.sign(reduced_sde_simulate(t, t_min, dt, s, n_clones,
-                                         seed=seed * 10**6 + k * n_traj + i + 1,
-                                         q0=q)[1][-1])
-            for i, q in enumerate(q_t)])
-        agree = _pairwise_agreement(signs)
+        ends = reduced_sde_simulate(t, t_min, dt, s, n_traj * n_clones,
+                                    seed=seed * 10**6 + k + 1,
+                                    q0=np.repeat(q_t, n_clones))[1][-1]
+        agree = _pairwise_agreement(np.sign(ends).reshape(n_traj, n_clones))
         records.append(ExperimentRecord(
             kind="reduced_speciation_agreement", t=float(t),
             value=float(agree.mean()),

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from manifold_diffusion import cli
+from manifold_diffusion import cli, collapse_time_linear_rmt
 
 
 def run(tmp_path, *argv):
@@ -63,6 +63,18 @@ def test_collapse_command_glm_for_nonlinear(tmp_path):
     out = json.loads((tmp_path / "collapse.json").read_text())
     assert out["method"] == "glm_general"
     assert 0.0 < out["t_C"] < 0.2
+
+
+def test_collapse_command_glm_defaults_to_linear(tmp_path):
+    # with no --activation the GLM route solves the model's default linear
+    # activation, so it lands on the gaussian-F RMT time
+    assert run(tmp_path, "collapse", "--d", "40", "--p", "20", "--alpha", "0.5",
+               "--method", "glm_general") == 0
+    out = json.loads((tmp_path / "collapse.json").read_text())
+    rmt = collapse_time_linear_rmt(0.5, 0.5).t_c
+    assert out["t_C"] == pytest.approx(rmt, abs=1e-6)
+    manifest = json.loads((tmp_path / "collapse.manifest.json").read_text())
+    assert manifest["resolved_config"]["activation"] == "linear"
 
 
 def test_collapse_sweep_writes_all_methods(tmp_path):

@@ -87,6 +87,8 @@ def test_speciation_experiment_validates_inputs():
         speciation_experiment(mdl, 16, [0.5, 1.0], 2, 2, seed=0)
     with pytest.raises(ValueError, match="two clones"):
         speciation_experiment(mdl, 16, [1.0, 0.5], 2, 1, seed=0)
+    with pytest.raises(ValueError, match="dt must be positive"):
+        speciation_experiment(mdl, 16, [1.0, 0.5], 2, 2, seed=0, dt=0.0)
 
 
 def test_threshold_crossing_interpolates():
@@ -94,6 +96,10 @@ def test_threshold_crossing_interpolates():
     # linear interpolation between (1.0, 0.9) and (0.5, 1.0) at level 0.95
     assert threshold_crossing(recs) == pytest.approx(0.75)
     assert threshold_crossing(recs, level=0.4) == 2.0
+    # the first grid value is already above the level: the largest t is
+    # the first grid time, never a time outside the grid
+    dip = [_record(2.0, 0.96), _record(1.5, 0.90), _record(1.0, 0.97)]
+    assert threshold_crossing(dip) == 2.0
     with pytest.raises(ValueError, match="never reaches"):
         threshold_crossing(recs, level=1.01)
 

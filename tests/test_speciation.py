@@ -153,6 +153,26 @@ def test_reduced_sde_shapes_and_reproducibility():
     assert np.array_equal(q, q2)
     with pytest.raises(ValueError):
         reduced_sde_simulate(0.5, 2.0, 0.05, 10.0, 8, seed=3)
+    with pytest.raises(ValueError, match="dt must be positive"):
+        reduced_sde_simulate(2.0, 0.5, 0.0, 10.0, 8, seed=3)
+
+
+def test_reduced_sde_accepts_array_start():
+    _, q = reduced_sde_simulate(1.0, 0.5, 0.05, 10.0, 6, seed=4, q0=2.5)
+    _, q_full = reduced_sde_simulate(1.0, 0.5, 0.05, 10.0, 6, seed=4,
+                                     q0=np.full(6, 2.5))
+    assert np.array_equal(q, q_full)
+    starts = np.array([-3.0, -1.0, 0.0, 0.5, 1.0, 3.0])
+    _, q = reduced_sde_simulate(1.0, 0.5, 0.05, 10.0, 6, seed=4, q0=starts)
+    assert np.array_equal(q[0], starts)
+    with pytest.raises(ValueError):
+        reduced_sde_simulate(1.0, 0.5, 0.05, 10.0, 6, seed=4, q0=starts[:4])
+
+
+def test_reduced_sde_reports_divergence():
+    # noise variance 2 S overflows to inf: the step index is in the message
+    with pytest.raises(FloatingPointError, match="non-finite state at step 1"):
+        reduced_sde_simulate(1.0, 0.5, 0.1, 1e308, 4, seed=0)
 
 
 def test_reduced_sde_splits_symmetrically_below_transition():
