@@ -22,7 +22,7 @@ from . import collapse as C
 from . import experiments as E
 from . import speciation as S
 from .activations import make_activation
-from .model import make_model, model_from_config, model_to_config, sample_dataset
+from .model import model_from_config, sample_count, sample_dataset
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -226,6 +226,9 @@ def cmd_exp_speciation(args) -> int:
     summary = {
         "t_S_empirical": _try(lambda: E.threshold_crossing(records)),
         "t_S_theory": S.speciation_time_finite(model, gf),
+        # the first grid time is already at the level: t_S_empirical is a
+        # lower bound on the crossing, not an estimate of it
+        "t_S_empirical_censored": bool(records[0].value >= 0.95),
     }
     _write_json(out / "exp_speciation.json", summary)
     _write_manifest(out, "exp_speciation", cfg,
@@ -234,10 +237,28 @@ def cmd_exp_speciation(args) -> int:
     return EXIT_OK
 
 
+def _crossing_sample_count(cfg: dict, d: int, n_data: int | None) -> int:
+    """Sample count of exp-collapse: e^{alpha d} when alpha is resolved.
+
+    Without alpha the default is 22026 (about e^10).  A given ``n_data``
+    that disagrees with a resolved alpha is rejected, since the data and
+    the theory would then be at two different alphas.
+    """
+    if "alpha" not in cfg:
+        return 22026 if n_data is None else n_data
+    n_alpha = sample_count(float(cfg["alpha"]), d)
+    if n_data is not None and n_data != n_alpha:
+        raise ValueError(
+            f"--n-data {n_data} disagrees with alpha = {cfg['alpha']}: "
+            f"e^(alpha d) at d = {d} is {n_alpha}")
+    return n_alpha
+
+
 def cmd_exp_collapse(args) -> int:
     cfg = _resolve_config(args)
     model = _model_from(cfg)
-    dataset = sample_dataset(model, args.n_data, int(cfg["seed"]))
+    n_data = _crossing_sample_count(cfg, model.d, args.n_data)
+    dataset = sample_dataset(model, n_data, int(cfg["seed"]))
     t_grid = np.linspace(args.t_max, args.t_min, args.t_points)
     records = E.collapse_crossing_experiment(model, dataset, t_grid,
                                              args.n_noise, int(cfg["seed"]) + 1)
@@ -245,7 +266,7 @@ def cmd_exp_collapse(args) -> int:
     csv_path = out / "exp_collapse.csv"
     E.records_to_csv(records, csv_path)
     method = _collapse_method(cfg)
-    alpha = float(cfg.get("alpha", np.log(args.n_data) / model.d))
+    alpha = float(cfg.get("alpha", np.log(n_data) / model.d))
     if method == "linear_isometry_closed_form":
         theory = C.collapse_time_linear_isometry(alpha, model.beta)
     elif method == "linear_rmt":
@@ -394,7 +415,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("exp-collapse", help="log Z1/Z2 crossing experiment")
     _add_model_flags(p)
-    p.add_argument("--n-data", type=int, default=22026)
+    p.add_argument("--n-data", type=int,
+                   help="default e^(alpha d) when alpha is given, else 22026")
     p.add_argument("--n-noise", type=int, default=200)
     p.add_argument("--t-min", type=float, default=0.05)
     p.add_argument("--t-max", type=float, default=0.6)

@@ -50,9 +50,14 @@ def forward_sample(x0: np.ndarray, t: float, noise_seed: int) -> np.ndarray:
 class EmpiricalScore:
     """Score of the Gaussian-kernel density over a fixed dataset.
 
-    Evaluation is O(n d) per point; squared distances are expanded as
-    ||x||^2 - 2 a <x, x_i> + a^2 ||x_i||^2 with the sample norms cached.
-    Instances are read-only and safe to share across workers.
+    The score is a softmax over the n samples of the log kernel weights
+    -||x - a_t x_i||^2 / (2 h_t), evaluated in O(n d) per point with the
+    sample norms cached.  Each call builds one (B, n) buffer holding the
+    log weights without the row term ||x||^2 / (2 h_t), which cancels in the
+    softmax; the exponentials are taken in place, the weighted mean is
+    normalised on the (B, d) result, and the row term is restored in the
+    log-normalizer only.  Instances are read-only and safe to share across
+    workers.
     """
 
     def __init__(self, data: Dataset | np.ndarray):
@@ -62,16 +67,25 @@ class EmpiricalScore:
         self.samples = X
         self._sq_norms = np.einsum("ij,ij->i", X, X)
 
+    def _shifted_log_weights(self, x: np.ndarray, sch: DiffusionSchedule) -> np.ndarray:
+        """(a/h) <x, x_i> - (a^2 / 2h) ||x_i||^2 as one (B, n) buffer.
+
+        This is the log kernel weight plus ||x||^2 / (2 h).  The (B, d)
+        operand is scaled rather than the (B, n) product.
+        """
+        g = (x * (sch.a / sch.h)) @ self.samples.T
+        g -= (sch.a * sch.a / (2.0 * sch.h)) * self._sq_norms
+        return g
+
     def log_weights(self, x: np.ndarray, t: float) -> np.ndarray:
         """Unnormalized log kernel weights -||x - a_t x_i||^2 / (2 h_t)."""
         if t <= 0:
             raise ValueError("empirical score requires t > 0")
         sch = schedule(t)
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        sq = (np.einsum("bj,bj->b", x, x)[:, None]
-              - 2.0 * sch.a * (x @ self.samples.T)
-              + sch.a ** 2 * self._sq_norms[None, :])
-        return -sq / (2.0 * sch.h)
+        g = self._shifted_log_weights(x, sch)
+        g -= (np.einsum("bj,bj->b", x, x) / (2.0 * sch.h))[:, None]
+        return g
 
     def __call__(self, x: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
         """Return (score, log-normalizer) at one point or a batch of points.
@@ -79,17 +93,19 @@ class EmpiricalScore:
         score = (a_t sum_i w_i x_i - x) / h_t with w_i the softmax of the log
         kernel weights; the log-normalizer is logsumexp of those weights.
         """
+        if t <= 0:
+            raise ValueError("empirical score requires t > 0")
         x_in = np.asarray(x, dtype=float)
         single = x_in.ndim == 1
         x2 = np.atleast_2d(x_in)
         sch = schedule(t)
-        lw = self.log_weights(x2, t)
-        m = lw.max(axis=1, keepdims=True)
-        e = np.exp(lw - m)
-        z = e.sum(axis=1, keepdims=True)
-        w = e / z
-        score = (sch.a * (w @ self.samples) - x2) / sch.h
-        logz = (m + np.log(z)).ravel()
+        g = self._shifted_log_weights(x2, sch)
+        m = g.max(axis=1, keepdims=True)
+        g -= m
+        np.exp(g, out=g)
+        z = g.sum(axis=1, keepdims=True)
+        score = (sch.a * ((g @ self.samples) / z) - x2) / sch.h
+        logz = (m + np.log(z)).ravel() - np.einsum("bj,bj->b", x2, x2) / (2.0 * sch.h)
         if single:
             return score[0], float(logz[0])
         return score, logz

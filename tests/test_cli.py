@@ -6,6 +6,7 @@ import json
 import pytest
 
 from manifold_diffusion import cli, collapse_time_linear_rmt
+from manifold_diffusion.model import sample_dataset
 
 
 def run(tmp_path, *argv):
@@ -122,6 +123,34 @@ def test_exp_collapse_command(tmp_path):
     assert isinstance(out["t_C_empirical"], (float, str))
 
 
+def test_exp_collapse_derives_n_data_from_alpha(tmp_path, monkeypatch):
+    sampled = []
+
+    def recording_sample_dataset(model, n, seed):
+        sampled.append(n)
+        return sample_dataset(model, n, seed)
+
+    monkeypatch.setattr(cli, "sample_dataset", recording_sample_dataset)
+    # e^(0.25 * 20) = 148.4: the sample count follows alpha, not 22026
+    assert run(tmp_path, "exp-collapse", "--d", "20", "--p", "10",
+               "--alpha", "0.25", "--n-noise", "10", "--t-min", "0.05",
+               "--t-max", "1.2", "--t-points", "3") == 0
+    # without alpha the default stays 22026 and alpha is read off n
+    assert run(tmp_path, "exp-collapse", "--d", "20", "--p", "10",
+               "--n-noise", "2", "--t-points", "2") == 0
+    assert sampled == [148, 22026]
+
+
+def test_exp_collapse_rejects_n_data_disagreeing_with_alpha(tmp_path, capsys):
+    assert run(tmp_path, "exp-collapse", "--d", "20", "--p", "10",
+               "--alpha", "0.25", "--n-data", "150", "--n-noise", "10",
+               "--t-points", "3") == cli.EXIT_CONFIG
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config"
+    assert "150" in err["message"] and "148" in err["message"]
+    assert not (tmp_path / "exp_collapse.csv").exists()
+
+
 def test_exp_speciation_command(tmp_path):
     assert run(tmp_path, "exp-speciation", "--d", "8", "--p", "4",
                "--n-data", "64", "--n-traj", "3", "--n-clones", "4",
@@ -132,6 +161,7 @@ def test_exp_speciation_command(tmp_path):
     assert len(rows) == 2
     summary = json.loads((tmp_path / "exp_speciation.json").read_text())
     assert "t_S_theory" in summary
+    assert isinstance(summary["t_S_empirical_censored"], bool)
 
 
 def test_manifest_records_output_hashes(tmp_path):

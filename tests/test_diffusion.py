@@ -47,6 +47,16 @@ def test_score_matches_brute_force_softmax():
         s_ref, logz_ref = _brute_force_score(x, t, samples)
         assert np.allclose(s, s_ref, atol=1e-10)
         assert logz == pytest.approx(logz_ref, abs=1e-10)
+    # a batch, down to small times: the per-row ||x||^2 / 2h term dropped
+    # from the kernel's buffer must come back in each row's log-normalizer
+    batch = rng.standard_normal((6, 7))
+    for t in (0.011, 0.05, 0.5):
+        s, logz = EmpiricalScore(samples)(batch, t)
+        assert s.shape == (6, 7) and logz.shape == (6,)
+        for row, s_row, logz_row in zip(batch, s, logz):
+            s_ref, logz_ref = _brute_force_score(row, t, samples)
+            assert np.allclose(s_row, s_ref, atol=1e-10)
+            assert logz_row == pytest.approx(logz_ref, abs=1e-10)
 
 
 def test_score_single_sample_is_gaussian_score():

@@ -13,7 +13,7 @@ from manifold_diffusion.experiments import (ExperimentRecord, PartitionSplit,
                                             speciation_experiment,
                                             threshold_crossing,
                                             tilted_log_partition)
-from manifold_diffusion.model import make_model, sample_dataset
+from manifold_diffusion.model import _rng, make_model, sample_dataset
 
 
 def _record(t, value, **kw):
@@ -115,6 +115,26 @@ def test_collapse_crossing_experiment_and_sign_change():
     assert vals[0] < 0 < vals[-1]
     t_cross = sign_change_time(recs)
     assert 0.05 < t_cross < 1.2
+
+
+def test_collapse_crossing_values_match_explicit_differences():
+    mdl = make_model(d=20, p=10, alpha=0.25)
+    ds = sample_dataset(mdl, 150, seed=3)
+    t_grid = np.linspace(1.2, 0.05, 8)
+    recs = collapse_crossing_experiment(mdl, ds, t_grid, n_noise=40, seed=7)
+    rng = _rng(7)  # the experiment's noise stream
+    x1 = ds.ambient[0]
+    for t, rec in zip(t_grid, recs):
+        sch = schedule(t)
+        x = sch.a * x1 + np.sqrt(sch.h) * rng.standard_normal((40, mdl.d))
+        diff = x[:, None, :] - sch.a * ds.ambient[None, :, :]
+        lw = -np.einsum("bij,bij->bi", diff, diff) / (2.0 * sch.h)
+        gap = (lw[:, 0] - logsumexp(lw[:, 1:], axis=1)) / mdl.d
+        assert rec.value == pytest.approx(gap.mean(), abs=1e-12)
+    # with the planted column masked there is nothing left to sum
+    one = sample_dataset(mdl, 1, seed=3)
+    with pytest.raises(ValueError, match="two samples"):
+        collapse_crossing_experiment(mdl, one, [0.5, 0.1], n_noise=4, seed=7)
 
 
 def test_collapse_crossing_flags_one_sided_grids():
