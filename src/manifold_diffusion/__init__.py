@@ -3,7 +3,8 @@ manifold Gaussian-mixture data: theory evaluators plus desk-scale
 stochastic experiments."""
 
 from .activations import Activation, make_activation
-from .collapse import (CollapseResult, FreeEnergyResult, collapse_time_glm,
+from .collapse import (CollapseResult, FreeEnergyResult, collapse_method,
+                       collapse_time, collapse_time_glm,
                        collapse_time_linear_isometry, collapse_time_linear_rmt,
                        f_rs, f_star, logdet_isometry, mp_h, mp_logdet, psi,
                        psi_big, psi_big_linear, psi_quadrature_check)

@@ -320,3 +320,41 @@ def collapse_time_linear_rmt(alpha: float, beta: float,
     t_c = _bisect_time(residual, t_tol=t_tol)
     return CollapseResult(t_c=t_c, method="linear_rmt",
                           residual=abs(residual(t_c)))
+
+
+# ---------------------------------------------------------------------------
+# one dispatcher over the three routes
+
+def collapse_method(model: ManifoldModel) -> str:
+    """The route for a model: the isometry closed form or the
+    Marchenko-Pastur log-determinant for a linear activation (by ensemble),
+    the GLM free-energy solve otherwise."""
+    if model.activation.kind != "linear":
+        return "glm_general"
+    if model.embedding.ensemble == "deterministic_isometry":
+        return "linear_isometry_closed_form"
+    return "linear_rmt"
+
+
+def collapse_time(method: str | None, alpha: float, model_or_params,
+                  **solver) -> CollapseResult:
+    """Collapse time by the named route; ``None`` takes `collapse_method`.
+
+    ``solver`` (n_outer, n_inner, grid_points, t_tol) is passed to the GLM
+    solve only.  The linear routes take beta alone and are rejected for a
+    non-linear activation, whose data they do not describe.
+    """
+    if method is None:
+        method = collapse_method(model_or_params)
+    if method == "glm_general":
+        return collapse_time_glm(model_or_params, alpha, **solver)
+    _, _, beta, activation = _collapse_params(model_or_params)
+    if method not in ("linear_isometry_closed_form", "linear_rmt"):
+        raise ValueError(f"unknown collapse method: {method!r}")
+    if activation.kind != "linear":
+        raise ValueError(f"method {method} needs a linear activation, "
+                         f"got {activation.kind!r}")
+    if method == "linear_rmt":
+        return collapse_time_linear_rmt(alpha, beta)
+    return CollapseResult(t_c=collapse_time_linear_isometry(alpha, beta),
+                          method=method, residual=0.0)

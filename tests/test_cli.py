@@ -2,11 +2,13 @@
 import csv
 import hashlib
 import json
+import math
 
 import pytest
 
-from manifold_diffusion import cli, collapse_time_linear_rmt
-from manifold_diffusion.model import sample_dataset
+from manifold_diffusion import (cli, collapse_time_glm,
+                                collapse_time_linear_rmt, f_star)
+from manifold_diffusion.model import model_from_config, sample_dataset
 
 
 def run(tmp_path, *argv):
@@ -78,6 +80,67 @@ def test_collapse_command_glm_defaults_to_linear(tmp_path):
     assert manifest["resolved_config"]["activation"] == "linear"
 
 
+def test_collapse_rejects_unknown_ensemble(tmp_path, capsys):
+    assert run(tmp_path, "collapse", "--d", "16", "--p", "8", "--alpha", "0.5",
+               "--ensemble", "bogus") == cli.EXIT_CONFIG
+    assert "ensemble" in json.loads(capsys.readouterr().err)["message"]
+    assert not (tmp_path / "collapse.json").exists()
+
+
+def test_collapse_rejects_linear_method_for_nonlinear_activation(tmp_path,
+                                                                 capsys):
+    assert run(tmp_path, "collapse", "--d", "16", "--p", "8", "--alpha", "0.5",
+               "--activation", "tanh", "--method", "linear_rmt") == cli.EXIT_CONFIG
+    assert "linear activation" in json.loads(capsys.readouterr().err)["message"]
+    assert not (tmp_path / "collapse.json").exists()
+
+
+def test_collapse_and_free_energy_take_m_from_config_mu(tmp_path):
+    spec = {"d": 16, "p": 8, "alpha": 0.5, "mu": [2.0] * 8, "activation": "tanh"}
+    cfg = tmp_path / "model.json"
+    cfg.write_text(json.dumps(spec))
+    model = model_from_config(spec)
+    assert run(tmp_path, "collapse", "--config", str(cfg), "--nodes", "10",
+               "--grid-points", "48") == 0
+    out = json.loads((tmp_path / "collapse.json").read_text())
+    assert out["t_C"] == collapse_time_glm(model, 0.5, n_outer=10,
+                                           grid_points=48).t_c
+
+    assert run(tmp_path, "free-energy", "--config", str(cfg), "--t-min", "0.5",
+               "--t-max", "0.5", "--t-points", "1", "--nodes", "8") == 0
+    with open(tmp_path / "free_energy.csv") as fh:
+        [row] = list(csv.DictReader(fh))
+    assert float(row["f_star [per latent dim]"]) == f_star(0.5, model,
+                                                           n_outer=8).f_star
+
+
+def test_collapse_sweep_honours_config_rho_and_m(tmp_path):
+    def sweep(sub, *extra):
+        out = tmp_path / sub
+        assert cli.main(["collapse-sweep", "--beta-min", "0.5", "--beta-max",
+                         "0.5", "--beta-points", "1", "--activations", "tanh",
+                         *extra, "--output-dir", str(out)]) == 0
+        with open(out / "collapse_sweep.csv") as fh:
+            rows = {r["method_or_activation"]: r["t_C [backward time]"]
+                    for r in csv.DictReader(fh)}
+        return rows, json.loads((out / "collapse_sweep.manifest.json").read_text())
+
+    default, _ = sweep("default")
+    flags, manifest = sweep("flags", "--rho", "2", "--m", "0.5")
+    assert (manifest["resolved_config"]["rho"],
+            manifest["resolved_config"]["m"]) == (2.0, 0.5)
+    assert flags["tanh"] != default["tanh"]
+    for method in ("linear_isometry_closed_form", "linear_rmt"):
+        assert flags[method] == default[method]
+
+    cfg = tmp_path / "model.json"
+    cfg.write_text(json.dumps({"rho": 2.0, "m": 0.5}))
+    assert sweep("config", "--config", str(cfg))[0] == flags
+
+    cfg.write_text(json.dumps({"mu": [2.0] * 8}))
+    assert run(tmp_path, "collapse-sweep", "--config", str(cfg)) == cli.EXIT_CONFIG
+
+
 def test_collapse_sweep_writes_all_methods(tmp_path):
     assert run(tmp_path, "collapse-sweep", "--beta-min", "0.2",
                "--beta-max", "0.8", "--beta-points", "2",
@@ -135,10 +198,16 @@ def test_exp_collapse_derives_n_data_from_alpha(tmp_path, monkeypatch):
     assert run(tmp_path, "exp-collapse", "--d", "20", "--p", "10",
                "--alpha", "0.25", "--n-noise", "10", "--t-min", "0.05",
                "--t-max", "1.2", "--t-points", "3") == 0
+    manifest = tmp_path / "exp_collapse.manifest.json"
+    cfg = json.loads(manifest.read_text())["resolved_config"]
+    assert (cfg["n_data"], cfg["alpha"]) == (148, 0.25)
     # without alpha the default stays 22026 and alpha is read off n
     assert run(tmp_path, "exp-collapse", "--d", "20", "--p", "10",
                "--n-noise", "2", "--t-points", "2") == 0
     assert sampled == [148, 22026]
+    cfg = json.loads(manifest.read_text())["resolved_config"]
+    assert cfg["n_data"] == 22026
+    assert cfg["alpha"] == pytest.approx(math.log(22026) / 20, rel=1e-15)
 
 
 def test_exp_collapse_rejects_n_data_disagreeing_with_alpha(tmp_path, capsys):
@@ -208,3 +277,4 @@ def test_validate_command_passes(tmp_path, capsys):
     lines = [l for l in out.strip().splitlines() if l]
     assert len(lines) == 4
     assert all(l.startswith("PASS") for l in lines)
+    assert all(" gap " in l for l in lines)

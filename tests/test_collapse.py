@@ -3,13 +3,15 @@ import numpy as np
 import pytest
 
 from manifold_diffusion.activations import make_activation
-from manifold_diffusion.collapse import (collapse_time_glm,
+from manifold_diffusion.collapse import (collapse_method, collapse_time,
+                                         collapse_time_glm,
                                          collapse_time_linear_isometry,
                                          collapse_time_linear_rmt, f_rs,
                                          f_star, golden_section_max,
                                          logdet_isometry, mp_h, mp_logdet,
                                          psi, psi_big, psi_big_linear,
                                          psi_quadrature_check)
+from manifold_diffusion.model import make_model
 
 LINEAR = make_activation("linear")
 TANH = make_activation("tanh")
@@ -182,3 +184,22 @@ def test_glm_tanh_collapse_time_runs():
 def test_glm_rejects_nonpositive_alpha():
     with pytest.raises(ValueError):
         collapse_time_glm((1.0, 1.0, 0.5, LINEAR), 0.0)
+
+
+def test_dispatcher_routes_and_rejects_misread_inputs():
+    iso = make_model(16, 8)
+    gauss = make_model(16, 8, ensemble="gaussian_iid")
+    assert collapse_method(iso) == "linear_isometry_closed_form"
+    assert collapse_method(gauss) == "linear_rmt"
+    assert collapse_method(make_model(16, 8, activation="tanh")) == "glm_general"
+
+    assert collapse_time(None, 0.5, iso).t_c == collapse_time_linear_isometry(0.5, 0.5)
+    assert collapse_time(None, 0.5, gauss) == collapse_time_linear_rmt(0.5, 0.5)
+    params = (1.0, 1.0, 0.5, LINEAR)
+    assert (collapse_time("glm_general", 0.5, params, grid_points=48)
+            == collapse_time_glm(params, 0.5, grid_points=48))
+
+    with pytest.raises(ValueError, match="unknown collapse method"):
+        collapse_time("closed_form", 0.5, params)
+    with pytest.raises(ValueError, match="linear activation"):
+        collapse_time("linear_rmt", 0.5, (1.0, 1.0, 0.5, TANH))
