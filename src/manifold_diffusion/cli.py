@@ -17,7 +17,9 @@ import time
 from pathlib import Path
 
 import numpy as np
+import scipy
 
+from . import __version__
 from . import collapse as C
 from . import experiments as E
 from . import speciation as S
@@ -36,6 +38,9 @@ _DEFAULTS = {"rho": 1.0, "m": 1.0, "activation": "linear",
              "ensemble": "deterministic_isometry", "seed": 0}
 _KNOWN = {"activation": ("linear", "tanh", "relu", "sigmoid"),
           "ensemble": ("deterministic_isometry", "gaussian_iid")}
+# the thread counts BLAS and OpenMP read at start-up; unset means the
+# library picks one per core
+_THREAD_ENV = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS")
 
 
 def _out_dir(args) -> Path:
@@ -82,6 +87,9 @@ def _write_manifest(out_dir: Path, name: str, cfg: dict, outputs: list[Path]) ->
             str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in outputs
         },
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+        "versions": {"manifold_diffusion": __version__,
+                     "numpy": np.__version__, "scipy": scipy.__version__},
+        "thread_env": {k: os.environ.get(k) for k in _THREAD_ENV},
     }
     _write_json(out_dir / f"{name}.manifest.json", manifest)
 

@@ -100,6 +100,14 @@ def psi_big(q: float, t: float, m: float, rho: float, activation,
     average over w of the channel likelihood
     exp(-(Y0 - a_t phi(sqrt(q) V + sqrt(m^2 + rho - q) w))^2 / (2 h_t))
     divided by sqrt(2 pi h_t), accumulated in log space.
+
+    Each factor is evaluated only on the nodes it depends on: the signal
+    a_t phi(.) of Y0 on the n_outer^2 nodes of (V, W), the noise
+    sqrt(h_t) Z on the n_outer nodes of Z, and a_t phi(.) of the inner
+    average on the n_outer x n_inner nodes of (V, w).  Only the exponent
+    spans the full (V, W, Z, w) grid, built once by broadcasting and
+    reduced in place.  The result equals the tensor-grid evaluation bit for
+    bit.
     """
     c = m * m + rho
     if not 0.0 <= q <= c + 1e-12:
@@ -110,13 +118,19 @@ def psi_big(q: float, t: float, m: float, rho: float, activation,
     a = np.exp(-t)
     h = -np.expm1(-2.0 * t)
     sq, sres = np.sqrt(q), np.sqrt(max(c - q, 0.0))
-    (V, W, Z), w_out = std_normal_grid(n_outer, 3)
-    y0 = a * activation(sq * V + sres * W) + np.sqrt(h) * Z
+    z, w = std_normal_nodes(n_outer)
     wn, w_in = std_normal_nodes(n_inner)
-    phi_w = activation(sq * V[:, None] + sres * wn[None, :])
-    expo = -((y0[:, None] - a * phi_w) ** 2) / (2.0 * h)
+    signal = a * activation(sq * z[:, None] + sres * z[None, :])   # (V, W)
+    y0 = signal[:, :, None] + np.sqrt(h) * z                       # (V, W, Z)
+    a_phi_w = a * activation(sq * z[:, None] + sres * wn[None, :])  # (V, w)
+    expo = (y0[:, :, :, None] - a_phi_w[:, None, None, :]).reshape(-1, n_inner)
+    np.square(expo, out=expo)
+    expo /= -2.0 * h
     mx = expo.max(axis=1, keepdims=True)
-    log_inner = mx.ravel() + np.log(np.exp(expo - mx) @ w_in)
+    expo -= mx
+    np.exp(expo, out=expo)
+    log_inner = mx.ravel() + np.log(expo @ w_in)
+    w_out = np.multiply.outer(np.multiply.outer(w, w), w).ravel()
     return float(w_out @ log_inner) - 0.5 * np.log(2.0 * np.pi * h)
 
 
@@ -195,8 +209,7 @@ def f_star(t: float, model_or_params, n_outer: int = 24, n_inner: int = 96,
     q_star, f_val = golden_section_max(g, lo, hi, tol=1e-9 * max(c, 1.0))
     boundary = False
     # keep whichever of {interior refinement, grid boundary} wins
-    for qb in (qs[0], qs[-1]):
-        fb = g(qb)
+    for qb, fb in ((qs[0], vals[0]), (qs[-1], vals[-1])):
         if fb > f_val:
             q_star, f_val, boundary = qb, fb, True
     r_star = _r_star(q_star, m, rho)
@@ -252,22 +265,35 @@ def collapse_time_glm(model_or_params, alpha: float, n_outer: int = 24,
         raise ValueError("alpha must be positive")
     m, rho, beta, activation = _collapse_params(model_or_params)
     params = (m, rho, beta, activation)
+    # brentq evaluates its bracket ends again and returns a time it has
+    # evaluated, so each time's f_star is solved once and then read back
+    seen: dict[float, float] = {}
 
     def residual(t: float) -> float:
-        h = -np.expm1(-2.0 * t)
-        fs = f_star(t, params, n_outer, n_inner, grid_points).f_star
-        return alpha + 0.5 * np.log(2.0 * np.pi * h) + beta * fs + 0.5
+        if t not in seen:
+            h = -np.expm1(-2.0 * t)
+            fs = f_star(t, params, n_outer, n_inner, grid_points).f_star
+            seen[t] = alpha + 0.5 * np.log(2.0 * np.pi * h) + beta * fs + 0.5
+        return seen[t]
 
     t_c = _bisect_time(residual, t_tol=t_tol)
     return CollapseResult(t_c=t_c, method="glm_general",
                           residual=abs(residual(t_c)))
 
 
-def collapse_time_linear_isometry(alpha: float, beta: float) -> float:
-    """Closed form t_C = log(1 + (e^{2 alpha / beta} - 1)^{-1}) / 2."""
+def collapse_time_linear_isometry(alpha: float, beta: float, *,
+                                  rho: float = 1.0) -> float:
+    """Closed form t_C = log(1 + rho (e^{2 alpha / beta} - 1)^{-1}) / 2.
+
+    The data covariance is rho F F^T / p, so t_C solves
+    alpha = logdet_isometry(rho eta_t, beta) / 2; the center m is rank one
+    and drops out.
+    """
     if alpha <= 0 or not 0 < beta <= 1:
         raise ValueError("require alpha > 0 and 0 < beta <= 1")
-    return 0.5 * np.log1p(1.0 / np.expm1(2.0 * alpha / beta))
+    if rho <= 0:
+        raise ValueError("rho must be positive")
+    return 0.5 * np.log1p(rho / np.expm1(2.0 * alpha / beta))
 
 
 def logdet_isometry(eta: float, beta: float) -> float:
@@ -303,19 +329,22 @@ def mp_logdet(eta: float, beta: float) -> float:
             - 0.25 * beta / eta * hval)
 
 
-def collapse_time_linear_rmt(alpha: float, beta: float,
-                             t_tol: float = 1e-6) -> CollapseResult:
+def collapse_time_linear_rmt(alpha: float, beta: float, t_tol: float = 1e-6,
+                             *, rho: float = 1.0) -> CollapseResult:
     """Collapse time for a linear manifold with gaussian F.
 
-    Solves alpha - mp_logdet(eta_t, beta) / 2 = 0; eta_t decreases with t so
-    the residual is increasing and bisection applies directly.
+    Solves alpha - mp_logdet(rho eta_t, beta) / 2 = 0, the log-determinant
+    of the data covariance rho F F^T / p; eta_t decreases with t so the
+    residual is increasing and bisection applies directly.
     """
     if alpha <= 0 or not 0 < beta <= 1:
         raise ValueError("require alpha > 0 and 0 < beta <= 1")
+    if rho <= 0:
+        raise ValueError("rho must be positive")
 
     def residual(t: float) -> float:
         eta = np.exp(-2.0 * t) / (-np.expm1(-2.0 * t))
-        return alpha - 0.5 * mp_logdet(eta, beta)
+        return alpha - 0.5 * mp_logdet(rho * eta, beta)
 
     t_c = _bisect_time(residual, t_tol=t_tol)
     return CollapseResult(t_c=t_c, method="linear_rmt",
@@ -341,20 +370,21 @@ def collapse_time(method: str | None, alpha: float, model_or_params,
     """Collapse time by the named route; ``None`` takes `collapse_method`.
 
     ``solver`` (n_outer, n_inner, grid_points, t_tol) is passed to the GLM
-    solve only.  The linear routes take beta alone and are rejected for a
-    non-linear activation, whose data they do not describe.
+    solve only.  The linear routes take beta and rho (m is a rank-one shift
+    and drops out) and are rejected for a non-linear activation, whose data
+    they do not describe.
     """
     if method is None:
         method = collapse_method(model_or_params)
     if method == "glm_general":
         return collapse_time_glm(model_or_params, alpha, **solver)
-    _, _, beta, activation = _collapse_params(model_or_params)
+    _, rho, beta, activation = _collapse_params(model_or_params)
     if method not in ("linear_isometry_closed_form", "linear_rmt"):
         raise ValueError(f"unknown collapse method: {method!r}")
     if activation.kind != "linear":
         raise ValueError(f"method {method} needs a linear activation, "
                          f"got {activation.kind!r}")
     if method == "linear_rmt":
-        return collapse_time_linear_rmt(alpha, beta)
-    return CollapseResult(t_c=collapse_time_linear_isometry(alpha, beta),
-                          method=method, residual=0.0)
+        return collapse_time_linear_rmt(alpha, beta, rho=rho)
+    t_c = collapse_time_linear_isometry(alpha, beta, rho=rho)
+    return CollapseResult(t_c=t_c, method=method, residual=0.0)

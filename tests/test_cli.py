@@ -4,9 +4,11 @@ import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
+import scipy
 
-from manifold_diffusion import (cli, collapse_time_glm,
+from manifold_diffusion import (__version__, cli, collapse_time_glm,
                                 collapse_time_linear_rmt, f_star)
 from manifold_diffusion.model import model_from_config, sample_dataset
 
@@ -130,8 +132,14 @@ def test_collapse_sweep_honours_config_rho_and_m(tmp_path):
     assert (manifest["resolved_config"]["rho"],
             manifest["resolved_config"]["m"]) == (2.0, 0.5)
     assert flags["tanh"] != default["tanh"]
+    # the linear routes take the covariance scale rho; the center m is a
+    # rank-one shift of the data and leaves them unchanged
+    m_only, _ = sweep("m_only", "--m", "0.5")
     for method in ("linear_isometry_closed_form", "linear_rmt"):
-        assert flags[method] == default[method]
+        assert flags[method] != default[method]
+        assert m_only[method] == default[method]
+    assert float(flags["linear_rmt"]) == collapse_time_linear_rmt(
+        0.5, 0.5, rho=2.0).t_c
 
     cfg = tmp_path / "model.json"
     cfg.write_text(json.dumps({"rho": 2.0, "m": 0.5}))
@@ -241,6 +249,18 @@ def test_manifest_records_output_hashes(tmp_path):
     [(path, digest)] = manifest["outputs"].items()
     with open(path, "rb") as fh:
         assert hashlib.sha256(fh.read()).hexdigest() == digest
+
+
+def test_manifest_records_versions_and_thread_env(tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    run(tmp_path, "speciation", "--d", "16", "--p", "8")
+    manifest = json.loads((tmp_path / "speciation.manifest.json").read_text())
+    assert manifest["versions"] == {"manifold_diffusion": __version__,
+                                    "numpy": np.__version__,
+                                    "scipy": scipy.__version__}
+    assert manifest["thread_env"] == {"OMP_NUM_THREADS": None,
+                                      "OPENBLAS_NUM_THREADS": "1"}
 
 
 def test_config_file_with_flag_override(tmp_path):

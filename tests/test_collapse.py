@@ -1,6 +1,7 @@
 """Collapse-time theory: replica functional, optimizers, spectral shortcuts."""
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from manifold_diffusion.activations import make_activation
 from manifold_diffusion.collapse import (collapse_method, collapse_time,
@@ -12,6 +13,7 @@ from manifold_diffusion.collapse import (collapse_method, collapse_time,
                                          psi, psi_big, psi_big_linear,
                                          psi_quadrature_check)
 from manifold_diffusion.model import make_model
+from manifold_diffusion.quadrature import std_normal_grid, std_normal_nodes
 
 LINEAR = make_activation("linear")
 TANH = make_activation("tanh")
@@ -45,6 +47,43 @@ def test_psi_integral_route_matches_closed_form(r, m, rho):
 def test_psi_big_linear_quadrature_matches_closed_form(q, t):
     assert psi_big(q, t, 1.0, 1.0, LINEAR) == pytest.approx(
         psi_big_linear(q, t, 1.0, 1.0), abs=1e-6)
+
+
+def _psi_big_tensor_grid(q, t, m, rho, activation, n_outer, n_inner):
+    """Psi with every factor evaluated on the full (V, W, Z) x w grid."""
+    c = m * m + rho
+    q = min(q, c)
+    a = np.exp(-t)
+    h = -np.expm1(-2.0 * t)
+    sq, sres = np.sqrt(q), np.sqrt(max(c - q, 0.0))
+    (V, W, Z), w_out = std_normal_grid(n_outer, 3)
+    y0 = a * activation(sq * V + sres * W) + np.sqrt(h) * Z
+    wn, w_in = std_normal_nodes(n_inner)
+    phi_w = activation(sq * V[:, None] + sres * wn[None, :])
+    expo = -((y0[:, None] - a * phi_w) ** 2) / (2.0 * h)
+    mx = expo.max(axis=1, keepdims=True)
+    log_inner = mx.ravel() + np.log(np.exp(expo - mx) @ w_in)
+    return float(w_out @ log_inner) - 0.5 * np.log(2.0 * np.pi * h)
+
+
+@pytest.mark.parametrize("kind", ["tanh", "relu", "sigmoid", "linear"])
+@pytest.mark.parametrize("n_outer,n_inner", [(10, 48), (24, 96)])
+def test_psi_big_equals_tensor_grid_reference(kind, n_outer, n_inner):
+    # the factored evaluation does the same float operations per grid point
+    act = make_activation(kind)
+    m, rho = 1.3, 0.7
+    c = m * m + rho
+    for q in (0.0, 0.5 * c, c * (1.0 - 1e-9)):
+        for t in (1e-4, 0.3, 3.0):
+            assert (psi_big(q, t, m, rho, act, n_outer, n_inner)
+                    == _psi_big_tensor_grid(q, t, m, rho, act, n_outer,
+                                            n_inner))
+
+
+def test_psi_big_quadrature_error_at_default_nodes():
+    coarse = psi_big(0.7, 0.3, 1.0, 1.0, TANH, n_outer=24)
+    fine = psi_big(0.7, 0.3, 1.0, 1.0, TANH, n_outer=48)
+    assert abs(coarse - fine) <= 2e-6
 
 
 def test_psi_big_increases_with_overlap():
@@ -115,6 +154,8 @@ def test_isometry_collapse_time_domain():
         collapse_time_linear_isometry(0.0, 0.5)
     with pytest.raises(ValueError):
         collapse_time_linear_isometry(1.0, 1.5)
+    with pytest.raises(ValueError):
+        collapse_time_linear_isometry(1.0, 0.5, rho=0.0)
 
 
 def test_mp_h_special_values():
@@ -171,6 +212,34 @@ def test_glm_linear_agrees_with_rmt():
     glm = collapse_time_glm((1.0, 1.0, 0.5, LINEAR), 0.5).t_c
     rmt = collapse_time_linear_rmt(0.5, 0.5).t_c
     assert abs(glm - rmt) < 1e-3
+
+
+@pytest.mark.parametrize("m,rho", [(0.3, 1.7), (2.0, 0.5)])
+def test_linear_routes_follow_rho(m, rho):
+    # the RMT route is the GLM free energy of a linear gaussian-F model in
+    # closed form, at any (m, rho); both roots are found to t_tol 1e-6
+    glm = collapse_time_glm((m, rho, 0.5, LINEAR), 0.5).t_c
+    rmt = collapse_time_linear_rmt(0.5, 0.5, rho=rho).t_c
+    assert abs(glm - rmt) < 1e-6
+    assert collapse_time("linear_rmt", 0.5, (m, rho, 0.5, LINEAR)).t_c == rmt
+
+    # the isometry closed form against a slogdet root of the covariance
+    # rho F F^T / p of a drawn isometric F
+    d, p = 100, 50
+    F = make_model(d=d, p=p).embedding.entries
+    gram = rho * F @ F.T / p
+    eye = np.eye(d)
+
+    def residual(t):
+        eta = np.exp(-2.0 * t) / -np.expm1(-2.0 * t)
+        return 0.5 - 0.5 * np.linalg.slogdet(eta * gram + eye)[1] / d
+
+    root = brentq(residual, 1e-4, 5.0, xtol=1e-15, rtol=4 * np.finfo(float).eps)
+    iso = collapse_time_linear_isometry(0.5, 0.5, rho=rho)
+    assert abs(iso - root) < 1e-10
+    assert collapse_time("linear_isometry_closed_form", 0.5,
+                         (m, rho, 0.5, LINEAR)).t_c == iso
+    assert abs(iso - collapse_time_linear_isometry(0.5, 0.5)) > 1e-2
 
 
 def test_glm_tanh_collapse_time_runs():
