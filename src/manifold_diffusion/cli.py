@@ -79,7 +79,9 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _write_manifest(out_dir: Path, name: str, cfg: dict, outputs: list[Path]) -> None:
+def _write_manifest(out_dir: Path, name: str, cfg: dict, outputs: list[Path],
+                    **extra) -> None:
+    """Write ``<name>.manifest.json``; ``extra`` adds top-level entries."""
     manifest = {
         "command": name,
         "resolved_config": cfg,
@@ -90,6 +92,7 @@ def _write_manifest(out_dir: Path, name: str, cfg: dict, outputs: list[Path]) ->
         "versions": {"manifold_diffusion": __version__,
                      "numpy": np.__version__, "scipy": scipy.__version__},
         "thread_env": {k: os.environ.get(k) for k in _THREAD_ENV},
+        **extra,
     }
     _write_json(out_dir / f"{name}.manifest.json", manifest)
 
@@ -144,7 +147,9 @@ def cmd_collapse(args) -> int:
     result = C.collapse_time(args.method, model.alpha, model,
                              n_outer=args.nodes, grid_points=args.grid_points)
     payload = {"t_C": result.t_c, "method": result.method,
-               "residual": result.residual}
+               "residual": result.residual,
+               "f_star_solves": result.f_star_solves,
+               "psi_evaluations": result.psi_evaluations}
     return _report(_out_dir(args), "collapse", cfg, payload)
 
 
@@ -157,6 +162,11 @@ def cmd_collapse_sweep(args) -> int:
     names = [a.strip() for a in args.activations.split(",")]
     acts = [make_activation(a) for a in names if a and a != "linear"]
     betas = np.linspace(args.beta_min, args.beta_max, args.beta_points)
+    # the GLM rows' solver settings; a t_C at or below t_tol is only
+    # resolved to the time bracket
+    solver = {"n_outer": args.nodes, "n_inner": 48,
+              "grid_points": args.grid_points, "t_tol": 1e-4}
+    glm_rows = []
     out = _out_dir(args)
     path = out / "collapse_sweep.csv"
     with open(path, "w", newline="") as fh:
@@ -168,13 +178,18 @@ def cmd_collapse_sweep(args) -> int:
                 writer.writerow([beta, res.t_c, method])
             for act in acts:
                 res = C.collapse_time("glm_general", alpha,
-                                      (m, rho, float(beta), act),
-                                      n_outer=args.nodes, n_inner=48,
-                                      grid_points=args.grid_points, t_tol=1e-4)
+                                      (m, rho, float(beta), act), **solver)
                 writer.writerow([beta, res.t_c, act.kind])
-    _write_manifest(out, "collapse_sweep", {**cfg, "betas": betas.tolist(),
-                                            "activations": args.activations},
-                    [path])
+                glm_rows.append({
+                    "beta": float(beta), "activation": act.kind,
+                    "t_C": res.t_c,
+                    "resolution_limited": res.t_c <= solver["t_tol"],
+                    "f_star_solves": res.f_star_solves,
+                    "psi_evaluations": res.psi_evaluations})
+    _write_manifest(out, "collapse_sweep",
+                    {**cfg, "betas": betas.tolist(),
+                     "activations": args.activations, "glm_solver": solver},
+                    [path], glm_rows=glm_rows)
     print(f"wrote {path}")
     return EXIT_OK
 

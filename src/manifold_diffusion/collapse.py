@@ -11,11 +11,12 @@ Gaussian F:
     f_star(t) = sup_{q in [0, rho + m^2]} inf_{r >= 0} [ psi(r)
                 + Psi(q) / beta - r q / 2 ].
 
-psi has the closed form r (m^2 + rho)/2 - log(1 + r rho)/2; Psi is a nested
-Gaussian-channel log-evidence evaluated by Gauss-Hermite quadrature (closed
-form for a linear activation).  For data in a hyperplane two shortcuts are
-provided: a deterministic-isometry closed form and a Marchenko-Pastur
-log-determinant for random F.
+psi has the closed form r (m^2 + rho)/2 - log(1 + r rho)/2, and so has its
+inf over r; Psi is a nested Gaussian-channel log-evidence evaluated by
+Gauss-Hermite quadrature (closed form for a linear activation).  The sup
+over q refines a grid maximum with Brent's bounded method.  For data in a
+hyperplane two shortcuts are provided: a deterministic-isometry closed
+form and a Marchenko-Pastur log-determinant for random F.
 """
 from __future__ import annotations
 
@@ -23,31 +24,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
+from scipy.optimize import brentq, minimize_scalar
 
 from .model import ManifoldModel
 from .quadrature import std_normal_grid, std_normal_nodes
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def golden_section_max(f, a: float, b: float, tol: float = 1e-9):
-    """Golden-section search for the maximum of a unimodal f on [a, b]."""
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
-
 
 # ---------------------------------------------------------------------------
 # scalar pieces of the replica functional
@@ -147,19 +127,20 @@ class FreeEnergyResult:
     f_star: float
     stationarity_residual: float
     boundary: bool
+    psi_evaluations: int = 0  # grid, optimizer and stationarity Psi calls
 
 
 def _r_star(q: float, m: float, rho: float) -> float:
-    """inf over r of psi(r) - r q / 2 via the monotone stationarity equation."""
-    if _psi_prime(0.0, m, rho) - 0.5 * q >= 0.0:
-        return 0.0
-    hi = 1.0
-    while _psi_prime(hi, m, rho) - 0.5 * q < 0.0:
-        hi *= 2.0
-        if hi > 1e12:
-            raise ArithmeticError("r stationarity bracket failure")
-    return float(brentq(lambda r: _psi_prime(r, m, rho) - 0.5 * q, 0.0, hi,
-                        xtol=1e-14, rtol=1e-14))
+    """inf over r >= 0 of psi(r) - r q / 2, the root of psi'(r) = q / 2.
+
+    psi' increases from m^2 / 2 at r = 0 towards (m^2 + rho) / 2, so the
+    root is (q - m^2) / (rho (m^2 + rho - q)) for q > m^2 and the minimizer
+    is r = 0 otherwise; for q >= m^2 + rho the inf is -inf.
+    """
+    c = m * m + rho
+    if q >= c:
+        raise ArithmeticError(f"no inner minimizer at q = {q} >= rho + m^2 = {c}")
+    return max(q - m * m, 0.0) / (rho * (c - q))
 
 
 def f_rs(q: float, r: float, t: float, model_or_params,
@@ -184,10 +165,13 @@ def f_star(t: float, model_or_params, n_outer: int = 24, n_inner: int = 96,
            grid_points: int = 64) -> FreeEnergyResult:
     """Solve sup_q inf_r f_RS at time t.
 
-    The inner inf is a one-dimensional root of the monotone derivative of
-    psi; the outer sup runs golden-section refinement around the best point
-    of a bracketing grid.  The value diverges to -inf at q = rho + m^2, so
-    the grid stops just inside the boundary.
+    The inner inf is in closed form (`_r_star`); the outer sup refines the
+    best point of a bracketing grid with Brent's bounded minimizer
+    (parabolic interpolation with golden-section fallback, Brent 1973; xatol
+    1e-9 max(c, 1), plus scipy's sqrt(eps) times the distance c - q), and
+    keeps a grid end if that is higher.  The value diverges to -inf at
+    q = c = rho + m^2, so the grid stops just inside the boundary.
+    ``psi_evaluations`` counts every Psi evaluation of the solve.
     """
     m, rho, beta, activation = _collapse_params(model_or_params)
     c = m * m + rho
@@ -206,7 +190,15 @@ def f_star(t: float, model_or_params, n_outer: int = 24, n_inner: int = 96,
     k = int(np.argmax(vals))
     lo = qs[max(k - 1, 0)]
     hi = qs[min(k + 1, grid_points - 1)]
-    q_star, f_val = golden_section_max(g, lo, hi, tol=1e-9 * max(c, 1.0))
+    # searched in u = c - q: the bounded method adds sqrt(eps) |u| to xatol,
+    # which then shrinks with the peak's width as q_star nears c
+    opt = minimize_scalar(lambda u: -g(c - u), bounds=(c - hi, c - lo),
+                          method="bounded",
+                          options={"xatol": 1e-9 * max(c, 1.0)})
+    if not opt.success:
+        raise ArithmeticError(f"sup over q at t = {t}: {opt.message}")
+    q_star, f_val = c - opt.x, -opt.fun
+    psi_evaluations = grid_points + opt.nfev
     boundary = False
     # keep whichever of {interior refinement, grid boundary} wins
     for qb, fb in ((qs[0], vals[0]), (qs[-1], vals[-1])):
@@ -220,13 +212,15 @@ def f_star(t: float, model_or_params, n_outer: int = 24, n_inner: int = 96,
                  - f_rs(q_star - eps, r_star, t, (m, rho, beta, activation), n_outer, n_inner)) / (2 * eps)
         df_dr = (psi(r_star + eps, m, rho) - psi(r_star - eps, m, rho)) / (2 * eps) - 0.5 * q_star
         resid = max(abs(df_dq), abs(df_dr))
+        psi_evaluations += 2
     else:
         resid = float("nan")
         boundary = True
     return FreeEnergyResult(t=t, q_star=float(q_star), r_star=float(r_star),
                             f_star=float(f_val),
                             stationarity_residual=float(resid),
-                            boundary=boundary)
+                            boundary=boundary,
+                            psi_evaluations=psi_evaluations)
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +231,9 @@ class CollapseResult:
     t_c: float
     method: str  # "glm_general" | "linear_isometry_closed_form" | "linear_rmt"
     residual: float
+    # work of the GLM route; 0 on the linear routes, which solve no f_star
+    f_star_solves: int = 0
+    psi_evaluations: int = 0
 
 
 def _bisect_time(residual, t_lo: float = 1e-3, t_hi: float = 5.0,
@@ -268,17 +265,21 @@ def collapse_time_glm(model_or_params, alpha: float, n_outer: int = 24,
     # brentq evaluates its bracket ends again and returns a time it has
     # evaluated, so each time's f_star is solved once and then read back
     seen: dict[float, float] = {}
+    psi_evaluations = 0
 
     def residual(t: float) -> float:
+        nonlocal psi_evaluations
         if t not in seen:
             h = -np.expm1(-2.0 * t)
-            fs = f_star(t, params, n_outer, n_inner, grid_points).f_star
-            seen[t] = alpha + 0.5 * np.log(2.0 * np.pi * h) + beta * fs + 0.5
+            fs = f_star(t, params, n_outer, n_inner, grid_points)
+            psi_evaluations += fs.psi_evaluations
+            seen[t] = alpha + 0.5 * np.log(2.0 * np.pi * h) + beta * fs.f_star + 0.5
         return seen[t]
 
     t_c = _bisect_time(residual, t_tol=t_tol)
     return CollapseResult(t_c=t_c, method="glm_general",
-                          residual=abs(residual(t_c)))
+                          residual=abs(residual(t_c)), f_star_solves=len(seen),
+                          psi_evaluations=psi_evaluations)
 
 
 def collapse_time_linear_isometry(alpha: float, beta: float, *,

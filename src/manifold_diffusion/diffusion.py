@@ -18,6 +18,9 @@ import numpy as np
 
 from .model import Dataset, _rng
 
+# most rows of one score tile; the kernel's buffer is at most (256, n)
+_TILE_ROWS = 256
+
 
 @dataclass(frozen=True)
 class DiffusionSchedule:
@@ -52,12 +55,17 @@ class EmpiricalScore:
 
     The score is a softmax over the n samples of the log kernel weights
     -||x - a_t x_i||^2 / (2 h_t), evaluated in O(n d) per point with the
-    sample norms cached.  Each call builds one (B, n) buffer holding the
-    log weights without the row term ||x||^2 / (2 h_t), which cancels in the
-    softmax; the exponentials are taken in place, the weighted mean is
-    normalised on the (B, d) result, and the row term is restored in the
-    log-normalizer only.  Instances are read-only and safe to share across
-    workers.
+    sample norms cached.  A call walks the batch in balanced tiles of at
+    most 256 rows and reuses one (rows, n) buffer holding a tile's log weights
+    without the row term ||x||^2 / (2 h_t), which cancels in the softmax;
+    the exponentials are taken in place, the weighted mean is normalised on
+    the (rows, d) result, and the row term is restored in the log-normalizer
+    only.  The tiles are balanced, so none is a single row (a GEMV, which
+    rounds differently), and each row gets the arithmetic of an untiled
+    call wherever the BLAS rounds a row of a product the same at any row
+    count (OpenBLAS does outside its small-matrix kernels, i.e. once a
+    tile's rows x n x d passes about 1e6).  Instances are read-only and
+    safe to share across workers.
     """
 
     def __init__(self, data: Dataset | np.ndarray):
@@ -67,13 +75,15 @@ class EmpiricalScore:
         self.samples = X
         self._sq_norms = np.einsum("ij,ij->i", X, X)
 
-    def _shifted_log_weights(self, x: np.ndarray, sch: DiffusionSchedule) -> np.ndarray:
+    def _shifted_log_weights(self, x: np.ndarray, sch: DiffusionSchedule,
+                             out: np.ndarray | None = None) -> np.ndarray:
         """(a/h) <x, x_i> - (a^2 / 2h) ||x_i||^2 as one (B, n) buffer.
 
         This is the log kernel weight plus ||x||^2 / (2 h).  The (B, d)
-        operand is scaled rather than the (B, n) product.
+        operand is scaled rather than the (B, n) product.  ``out`` is an
+        optional (B, n) buffer to write into.
         """
-        g = (x * (sch.a / sch.h)) @ self.samples.T
+        g = np.matmul(x * (sch.a / sch.h), self.samples.T, out=out)
         g -= (sch.a * sch.a / (2.0 * sch.h)) * self._sq_norms
         return g
 
@@ -99,13 +109,22 @@ class EmpiricalScore:
         single = x_in.ndim == 1
         x2 = np.atleast_2d(x_in)
         sch = schedule(t)
-        g = self._shifted_log_weights(x2, sch)
-        m = g.max(axis=1, keepdims=True)
-        g -= m
-        np.exp(g, out=g)
-        z = g.sum(axis=1, keepdims=True)
-        score = (sch.a * ((g @ self.samples) / z) - x2) / sch.h
-        logz = (m + np.log(z)).ravel() - np.einsum("bj,bj->b", x2, x2) / (2.0 * sch.h)
+        b = x2.shape[0]
+        if b == 0:
+            raise ValueError("empty batch")
+        rows = -(-b // -(-b // _TILE_ROWS))  # ceil(b / ceil(b / 256))
+        buf = np.empty((rows, self.samples.shape[0]))
+        score, logz = np.empty(x2.shape), np.empty(b)
+        for lo in range(0, b, rows):
+            xs = x2[lo:lo + rows]
+            g = self._shifted_log_weights(xs, sch, out=buf[:len(xs)])
+            m = g.max(axis=1, keepdims=True)
+            g -= m
+            np.exp(g, out=g)
+            z = g.sum(axis=1, keepdims=True)
+            score[lo:lo + rows] = (sch.a * ((g @ self.samples) / z) - xs) / sch.h
+            logz[lo:lo + rows] = ((m + np.log(z)).ravel()
+                                  - np.einsum("bj,bj->b", xs, xs) / (2.0 * sch.h))
         if single:
             return score[0], float(logz[0])
         return score, logz

@@ -49,6 +49,7 @@ def test_collapse_command_dispatches_on_model(tmp_path):
                "--alpha", "0.5") == 0
     out = json.loads((tmp_path / "collapse.json").read_text())
     assert out["method"] == "linear_isometry_closed_form"
+    assert (out["f_star_solves"], out["psi_evaluations"]) == (0, 0)
 
     assert run(tmp_path, "collapse", "--d", "16", "--p", "8", "--alpha", "0.5",
                "--ensemble", "gaussian_iid") == 0
@@ -68,6 +69,12 @@ def test_collapse_command_glm_for_nonlinear(tmp_path):
     out = json.loads((tmp_path / "collapse.json").read_text())
     assert out["method"] == "glm_general"
     assert 0.0 < out["t_C"] < 0.2
+    model = model_from_config({"d": 16, "p": 8, "alpha": 0.5,
+                               "activation": "tanh"})
+    res = collapse_time_glm(model, 0.5, n_outer=10, grid_points=48)
+    assert (out["f_star_solves"], out["psi_evaluations"]) == (
+        res.f_star_solves, res.psi_evaluations)
+    assert out["psi_evaluations"] > 48 * out["f_star_solves"]
 
 
 def test_collapse_command_glm_defaults_to_linear(tmp_path):
@@ -158,6 +165,19 @@ def test_collapse_sweep_writes_all_methods(tmp_path):
     methods = {r["method_or_activation"] for r in rows}
     assert methods == {"linear_isometry_closed_form", "linear_rmt", "tanh"}
     assert len(rows) == 2 * 3
+
+    # the manifest says how each GLM row was solved
+    manifest = json.loads((tmp_path / "collapse_sweep.manifest.json").read_text())
+    assert manifest["resolved_config"]["glm_solver"] == {
+        "n_outer": 10, "n_inner": 48, "grid_points": 48, "t_tol": 1e-4}
+    glm = [r for r in rows if r["method_or_activation"] == "tanh"]
+    assert len(manifest["glm_rows"]) == len(glm)
+    for entry, row in zip(manifest["glm_rows"], glm):
+        assert (entry["beta"], entry["activation"]) == (float(row["beta"]), "tanh")
+        assert entry["t_C"] == float(row["t_C [backward time]"])
+        assert entry["resolution_limited"] == (entry["t_C"] <= 1e-4)
+        assert entry["f_star_solves"] > 0
+        assert entry["psi_evaluations"] > 48 * entry["f_star_solves"]
 
 
 def test_free_energy_command(tmp_path):

@@ -3,30 +3,25 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+import manifold_diffusion.collapse as collapse_mod
 from manifold_diffusion.activations import make_activation
-from manifold_diffusion.collapse import (collapse_method, collapse_time,
-                                         collapse_time_glm,
+from manifold_diffusion.collapse import (_psi_prime, _r_star, collapse_method,
+                                         collapse_time, collapse_time_glm,
                                          collapse_time_linear_isometry,
                                          collapse_time_linear_rmt, f_rs,
-                                         f_star, golden_section_max,
-                                         logdet_isometry, mp_h, mp_logdet,
-                                         psi, psi_big, psi_big_linear,
-                                         psi_quadrature_check)
+                                         f_star, logdet_isometry, mp_h,
+                                         mp_logdet, psi, psi_big,
+                                         psi_big_linear, psi_quadrature_check)
 from manifold_diffusion.model import make_model
 from manifold_diffusion.quadrature import std_normal_grid, std_normal_nodes
 
 LINEAR = make_activation("linear")
 TANH = make_activation("tanh")
+RELU = make_activation("relu")
 
 # log(1 + 1/(e^2 - 1)) / 2, frozen from a 30-digit evaluation
 T_C_ISO_1_1 = 0.072706728934430
 T_C_ISO_QUARTER_HALF = 0.229337572693541
-
-
-def test_golden_section_finds_quadratic_maximum():
-    x, fx = golden_section_max(lambda x: -(x - 0.3) ** 2, 0.0, 1.0, tol=1e-10)
-    assert x == pytest.approx(0.3, abs=1e-8)
-    assert fx == pytest.approx(0.0, abs=1e-15)
 
 
 def test_psi_closed_form_and_domain():
@@ -113,7 +108,57 @@ def test_f_star_stationarity_and_inner_minimizer():
         # analytic inner minimizer: r* = (q - m^2) / (rho (c - q)) for q > m^2
         if res.q_star > m * m:
             expected = (res.q_star - m * m) / (rho * (c - res.q_star))
-            assert res.r_star == pytest.approx(expected, rel=1e-6)
+            assert res.r_star == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("m,rho", [(1.0, 1.0), (0.3, 1.7), (2.0, 0.5)])
+def test_r_star_is_the_closed_form_inner_minimizer(m, rho):
+    c = m * m + rho
+    for q in np.linspace(m * m, c, 41)[1:-1].tolist() + [c * (1.0 - 1e-9)]:
+        r = _r_star(q, m, rho)
+        assert r > 0.0
+        assert abs(_psi_prime(r, m, rho) - 0.5 * q) <= 1e-14
+    for q in (0.0, 0.5 * m * m, m * m):
+        assert _r_star(q, m, rho) == 0.0
+    with pytest.raises(ArithmeticError):
+        _r_star(c, m, rho)
+
+
+def _inf_over_r(q, big, m, rho, beta):
+    """inf_r f_RS(q, r) given Psi(q) = big."""
+    r = _r_star(q, m, rho)
+    return psi(r, m, rho) + big / beta - 0.5 * r * q
+
+
+@pytest.mark.parametrize("act", [TANH, RELU], ids=["tanh", "relu"])
+@pytest.mark.parametrize("t", [0.01, 0.3, 1.0])
+def test_f_star_is_at_least_a_dense_probe_maximum(act, t):
+    m, rho, beta = 1.0, 1.0, 0.5
+    c = m * m + rho
+    res = f_star(t, (m, rho, beta, act), n_outer=10, n_inner=48,
+                 grid_points=48)
+    probe = [_inf_over_r(q, psi_big(q, t, m, rho, act, 10, 48), m, rho, beta)
+             for q in np.linspace(0.0, c * (1.0 - 1e-9), 2001)]
+    assert res.f_star >= max(probe) - 1e-12
+
+
+@pytest.mark.parametrize("t", [1e-5, 1e-4])
+def test_f_star_resolves_a_peak_next_to_the_boundary(t):
+    # at small t the maximiser sits within about t of q = c, on a peak of
+    # that width; a probe zooming in on it by 2001-point grids bounds the sup
+    m, rho, beta = 1.0, 1.0, 0.1
+    c = m * m + rho
+    lo, hi, best = c - 1e-2, c * (1.0 - 1e-9), -np.inf
+    for _ in range(4):
+        qs = np.linspace(lo, hi, 2001)
+        vals = [_inf_over_r(q, psi_big_linear(q, t, m, rho), m, rho, beta)
+                for q in qs]
+        k = int(np.argmax(vals))
+        best = max(best, vals[k])
+        lo, hi = qs[max(k - 2, 0)], qs[min(k + 2, 2000)]
+    res = f_star(t, (m, rho, beta, LINEAR))
+    assert c - res.q_star < 10 * t
+    assert res.f_star >= best - 1e-9
 
 
 def test_f_star_is_supremum_over_probed_points():
@@ -248,6 +293,62 @@ def test_glm_tanh_collapse_time_runs():
     assert res.method == "glm_general"
     assert 0.0 < res.t_c < 0.2
     assert res.residual < 1e-3
+
+
+# collapse-sweep's nine GLM solves (alpha 0.5, m = rho = 1, n_outer 10,
+# n_inner 48, 48 grid points, t_tol 1e-4), as computed with golden-section
+# refinement of the sup over q; the sigmoid row at beta 0.1 is the floor
+# of the time bracket, below t_tol
+SWEEP_T_C = {
+    (0.1, "relu"): 0.00013056068922129353,
+    (0.1, "tanh"): 8.230807211145149e-05,
+    (0.1, "sigmoid"): 3.90625e-06,
+    (0.5, "relu"): 0.038959947003853294,
+    (0.5, "tanh"): 0.031261517253589596,
+    (0.5, "sigmoid"): 0.004173314761018372,
+    (0.9, "relu"): 0.053480002607240854,
+    (0.9, "tanh"): 0.045498030801772546,
+    (0.9, "sigmoid"): 0.006392855890054083,
+}
+
+
+def test_glm_sweep_rows_stay_at_pinned_values():
+    for beta in np.linspace(0.1, 0.9, 3):
+        for kind in ("relu", "tanh", "sigmoid"):
+            res = collapse_time("glm_general", 0.5,
+                                (1.0, 1.0, float(beta), make_activation(kind)),
+                                n_outer=10, n_inner=48, grid_points=48,
+                                t_tol=1e-4)
+            assert abs(res.t_c - SWEEP_T_C[round(beta, 9), kind]) <= 1e-9
+
+
+def test_psi_evaluations_count_every_psi_big_call(monkeypatch):
+    calls = {"psi_big": 0, "f_star": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(collapse_mod, "psi_big",
+                        counted("psi_big", collapse_mod.psi_big))
+    params = (1.0, 1.0, 0.5, TANH)
+    res = f_star(0.3, params, n_outer=10, n_inner=48, grid_points=48)
+    assert not res.boundary  # the two stationarity calls are counted too
+    assert res.psi_evaluations == calls["psi_big"] > 48
+
+    monkeypatch.setattr(collapse_mod, "f_star",
+                        counted("f_star", collapse_mod.f_star))
+    calls.update(psi_big=0, f_star=0)
+    res = collapse_time_glm(params, 0.5, n_outer=10, n_inner=48,
+                            grid_points=48, t_tol=1e-4)
+    assert res.psi_evaluations == calls["psi_big"] > 0
+    assert res.f_star_solves == calls["f_star"] > 0
+
+    for method in ("linear_isometry_closed_form", "linear_rmt"):
+        res = collapse_time(method, 0.5, (1.0, 1.0, 0.5, LINEAR))
+        assert (res.f_star_solves, res.psi_evaluations) == (0, 0)
 
 
 def test_glm_rejects_nonpositive_alpha():

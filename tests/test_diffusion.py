@@ -98,6 +98,39 @@ def test_score_batch_matches_loop():
         assert logz_batch[i] == pytest.approx(logz_i)
 
 
+def _untiled_score(samples, x, t):
+    """The kernel on one (B, n) buffer, the arithmetic of every score row."""
+    sch = schedule(t)
+    g = (x * (sch.a / sch.h)) @ samples.T
+    g -= (sch.a * sch.a / (2.0 * sch.h)) * np.einsum("ij,ij->i", samples, samples)
+    m = g.max(axis=1, keepdims=True)
+    g -= m
+    np.exp(g, out=g)
+    z = g.sum(axis=1, keepdims=True)
+    score = (sch.a * ((g @ samples) / z) - x) / sch.h
+    logz = (m + np.log(z)).ravel() - np.einsum("bj,bj->b", x, x) / (2.0 * sch.h)
+    return score, logz
+
+
+@pytest.mark.parametrize("b", [2, 255, 256, 257, 513, 1000])
+def test_tiled_score_equals_untiled_kernel(b):
+    # tiles of at least 129 rows; n d is large enough that the BLAS takes
+    # its general kernel for a tile and for the whole batch alike
+    rng = np.random.default_rng(b)
+    samples = rng.standard_normal((1024, 32))
+    x = rng.standard_normal((b, 32))
+    score = EmpiricalScore(samples)
+    for t in (0.011, 0.3, 10.0):
+        s, logz = score(x, t)
+        s_ref, logz_ref = _untiled_score(samples, x, t)
+        assert np.array_equal(s, s_ref) and np.array_equal(logz, logz_ref)
+
+
+def test_score_rejects_empty_batch():
+    with pytest.raises(ValueError, match="empty batch"):
+        EmpiricalScore(np.ones((3, 2)))(np.empty((0, 2)), 0.5)
+
+
 def test_score_stable_for_extreme_inputs():
     samples = np.random.default_rng(0).standard_normal((10, 4))
     score = EmpiricalScore(samples)
