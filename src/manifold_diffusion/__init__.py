@@ -9,8 +9,7 @@ from .collapse import (CollapseResult, FreeEnergyResult, collapse_method,
                        f_rs, f_star, logdet_isometry, mp_h, mp_logdet, psi,
                        psi_big, psi_big_linear, psi_quadrature_check)
 from .diffusion import (DiffusionSchedule, EmpiricalScore, TrajectoryRecord,
-                        backward_integrate, empirical_score, forward_sample,
-                        schedule)
+                        backward_integrate, forward_sample, schedule)
 from .model import (Dataset, EmbeddingMatrix, ManifoldModel, build_embedding,
                     load_model_config, make_model, model_from_config,
                     model_to_config, sample_count, sample_dataset,

@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -98,13 +99,24 @@ def _write_manifest(out_dir: Path, name: str, cfg: dict, outputs: list[Path],
 
 
 def _report(out_dir: Path, name: str, cfg: dict, summary: dict,
-            outputs=()) -> int:
-    """Write ``<name>.json``, the manifest over it and ``outputs``, and echo it."""
+            outputs=(), **extra) -> int:
+    """Write ``<name>.json``, the manifest over it and ``outputs``, and echo it.
+
+    ``extra`` adds top-level manifest entries, as in `_write_manifest`.
+    """
     path = out_dir / f"{name}.json"
     _write_json(path, summary)
-    _write_manifest(out_dir, name, cfg, [*outputs, path])
+    _write_manifest(out_dir, name, cfg, [*outputs, path], **extra)
     print(json.dumps(summary, indent=2))
     return EXIT_OK
+
+
+@contextmanager
+def _phase(timings: dict, name: str):
+    """Record the wall time of the ``with`` body as ``timings[name]``, in seconds."""
+    start = time.perf_counter()
+    yield
+    timings[name] = time.perf_counter() - start
 
 
 # ---------------------------------------------------------------------------
@@ -216,21 +228,29 @@ def cmd_exp_speciation(args) -> int:
     cfg = _run_config(args)
     model = model_from_config(cfg)
     t_grid = np.linspace(args.t_max, args.t_min, args.t_points)
-    records = E.speciation_experiment(model, args.n_data, t_grid,
-                                      args.n_traj, args.n_clones,
-                                      int(cfg["seed"]), dt=args.dt)
+    timings = {}
+    with _phase(timings, "dataset"):
+        dataset = sample_dataset(model, args.n_data, int(cfg["seed"]))
+    with _phase(timings, "experiment"):
+        records = E.speciation_experiment(model, args.n_data, t_grid,
+                                          args.n_traj, args.n_clones,
+                                          int(cfg["seed"]), dt=args.dt,
+                                          dataset=dataset)
     out = _out_dir(args)
     csv_path = out / "exp_speciation.csv"
     E.records_to_csv(records, csv_path)
-    gf = S.GammaFunctions(model.activation, model.rho)
+    with _phase(timings, "theory"):
+        gf = S.GammaFunctions(model.activation, model.rho)
+        t_s_theory = S.speciation_time_finite(model, gf)
     summary = {
         "t_S_empirical": _try(lambda: E.threshold_crossing(records)),
-        "t_S_theory": S.speciation_time_finite(model, gf),
+        "t_S_theory": t_s_theory,
         # the first grid time is already at the level: t_S_empirical is a
         # lower bound on the crossing, not an estimate of it
         "t_S_empirical_censored": bool(records[0].value >= 0.95),
     }
-    return _report(out, "exp_speciation", cfg, summary, [csv_path])
+    return _report(out, "exp_speciation", cfg, summary, [csv_path],
+                   timings=timings)
 
 
 def _crossing_sample(cfg: dict, n_data: int | None) -> tuple[int, float]:
@@ -256,18 +276,24 @@ def cmd_exp_collapse(args) -> int:
     cfg = _run_config(args)
     cfg["n_data"], cfg["alpha"] = _crossing_sample(cfg, args.n_data)
     model = model_from_config(cfg)
-    dataset = sample_dataset(model, cfg["n_data"], int(cfg["seed"]))
     t_grid = np.linspace(args.t_max, args.t_min, args.t_points)
-    records = E.collapse_crossing_experiment(model, dataset, t_grid,
-                                             args.n_noise, int(cfg["seed"]) + 1)
+    timings = {}
+    with _phase(timings, "dataset"):
+        dataset = sample_dataset(model, cfg["n_data"], int(cfg["seed"]))
+    with _phase(timings, "experiment"):
+        records = E.collapse_crossing_experiment(model, dataset, t_grid,
+                                                 args.n_noise, int(cfg["seed"]) + 1)
     out = _out_dir(args)
     csv_path = out / "exp_collapse.csv"
     E.records_to_csv(records, csv_path)
-    theory = C.collapse_time(None, model.alpha, model, n_outer=12, n_inner=48,
-                             t_tol=1e-4)
+    with _phase(timings, "theory"):
+        theory = C.collapse_time(None, model.alpha, model, n_outer=12,
+                                 n_inner=48, t_tol=1e-4)
     summary = {"t_C_empirical": _try(lambda: E.sign_change_time(records)),
                "t_C_theory": theory.t_c, "method": theory.method}
-    return _report(out, "exp_collapse", cfg, summary, [csv_path])
+    return _report(out, "exp_collapse", cfg, summary, [csv_path],
+                   timings=timings, f_star_solves=theory.f_star_solves,
+                   psi_evaluations=theory.psi_evaluations)
 
 
 def cmd_exp_free_energy(args) -> int:

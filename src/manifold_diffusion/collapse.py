@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
+from .diffusion import _shifted_exp
 from .model import ManifoldModel
 from .quadrature import std_normal_grid, std_normal_nodes
 
@@ -86,8 +87,9 @@ def psi_big(q: float, t: float, m: float, rho: float, activation,
     sqrt(h_t) Z on the n_outer nodes of Z, and a_t phi(.) of the inner
     average on the n_outer x n_inner nodes of (V, w).  Only the exponent
     spans the full (V, W, Z, w) grid, built once by broadcasting and
-    reduced in place.  The result equals the tensor-grid evaluation bit for
-    bit.
+    reduced in place, its max-shifted exponents floored at -700 so that exp
+    stays on its fast path (``diffusion._shifted_exp``).  The result equals
+    the tensor-grid evaluation bit for bit.
     """
     c = m * m + rho
     if not 0.0 <= q <= c + 1e-12:
@@ -107,9 +109,7 @@ def psi_big(q: float, t: float, m: float, rho: float, activation,
     np.square(expo, out=expo)
     expo /= -2.0 * h
     mx = expo.max(axis=1, keepdims=True)
-    expo -= mx
-    np.exp(expo, out=expo)
-    log_inner = mx.ravel() + np.log(expo @ w_in)
+    log_inner = mx.ravel() + np.log(_shifted_exp(expo, mx) @ w_in)
     w_out = np.multiply.outer(np.multiply.outer(w, w), w).ravel()
     return float(w_out @ log_inner) - 0.5 * np.log(2.0 * np.pi * h)
 

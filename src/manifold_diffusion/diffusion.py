@@ -18,8 +18,28 @@ import numpy as np
 
 from .model import Dataset, _rng
 
-# most rows of one score tile; the kernel's buffer is at most (256, n)
+# most rows of one score tile and most sample columns of one block: the
+# kernel's buffer is at most (256, 8192), i.e. 16 MiB, whatever n is
 _TILE_ROWS = 256
+_BLOCK_COLS = 8192
+# exponents are floored here before exp: below about -708 numpy's float64 exp
+# leaves its vector path (the results turn subnormal) and runs 10-70x slower.
+# Every term the floor lifts is below e^-700 ~ 1e-304 relative to the largest
+# term, which is exactly 1, so a sum over n <= 10^7 terms moves by at most
+# 1e-297 relative.
+_EXP_FLOOR = -700.0
+
+
+def _shifted_exp(a: np.ndarray, m: np.ndarray, floor: bool = True) -> np.ndarray:
+    """exp(max(a - m, _EXP_FLOOR)) in place; returns ``a``.
+
+    ``floor=False`` skips the floor pass, for a caller that knows no
+    exponent lies below it.
+    """
+    a -= m
+    if floor:
+        np.maximum(a, _EXP_FLOOR, out=a)
+    return np.exp(a, out=a)
 
 
 @dataclass(frozen=True)
@@ -55,17 +75,25 @@ class EmpiricalScore:
 
     The score is a softmax over the n samples of the log kernel weights
     -||x - a_t x_i||^2 / (2 h_t), evaluated in O(n d) per point with the
-    sample norms cached.  A call walks the batch in balanced tiles of at
-    most 256 rows and reuses one (rows, n) buffer holding a tile's log weights
-    without the row term ||x||^2 / (2 h_t), which cancels in the softmax;
-    the exponentials are taken in place, the weighted mean is normalised on
-    the (rows, d) result, and the row term is restored in the log-normalizer
-    only.  The tiles are balanced, so none is a single row (a GEMV, which
-    rounds differently), and each row gets the arithmetic of an untiled
-    call wherever the BLAS rounds a row of a product the same at any row
-    count (OpenBLAS does outside its small-matrix kernels, i.e. once a
-    tile's rows x n x d passes about 1e6).  Instances are read-only and
-    safe to share across workers.
+    sample norms cached.  The score and ``log_partition`` share one loop:
+    it walks the batch in balanced tiles of at most 256 rows and, within a
+    tile, the samples in blocks of at most 8192 columns through one
+    (rows, block) buffer, so memory does not grow with n.  A block's log
+    weights are held without the row term ||x||^2 / (2 h_t), which cancels
+    in the softmax; an online logsumexp (Milakov & Gimelshein 2018) keeps
+    each row's running max, rescales its running sum and weighted sample
+    sum when the max grows, and takes the exponentials in place with the
+    exponent floored at -700 (see ``_EXP_FLOOR``) wherever a bound on the
+    block's log weights lets one fall below it.  The weighted mean is
+    normalised on the (rows, d) result and the row term is restored in the
+    log-normalizer only.  With n <= 8192 there is one block and the
+    arithmetic is that of a single softmax over all samples.  The tiles are
+    balanced, so none is a single row (a GEMV, which rounds differently),
+    and each row gets the arithmetic of an untiled call wherever the BLAS
+    rounds a row of a product the same at any row count (OpenBLAS does
+    outside its small-matrix kernels, i.e. once a tile's rows x n x d
+    passes about 1e6).  Instances are read-only and safe to share across
+    workers.
     """
 
     def __init__(self, data: Dataset | np.ndarray):
@@ -76,19 +104,24 @@ class EmpiricalScore:
         self._sq_norms = np.einsum("ij,ij->i", X, X)
 
     def _shifted_log_weights(self, x: np.ndarray, sch: DiffusionSchedule,
+                             cols: slice = slice(None),
                              out: np.ndarray | None = None) -> np.ndarray:
-        """(a/h) <x, x_i> - (a^2 / 2h) ||x_i||^2 as one (B, n) buffer.
+        """(a/h) <x, x_i> - (a^2 / 2h) ||x_i||^2 for the samples in ``cols``.
 
         This is the log kernel weight plus ||x||^2 / (2 h).  The (B, d)
         operand is scaled rather than the (B, n) product.  ``out`` is an
-        optional (B, n) buffer to write into.
+        optional (B, columns) buffer to write into.
         """
-        g = np.matmul(x * (sch.a / sch.h), self.samples.T, out=out)
-        g -= (sch.a * sch.a / (2.0 * sch.h)) * self._sq_norms
+        g = np.matmul(x * (sch.a / sch.h), self.samples[cols].T, out=out)
+        g -= (sch.a * sch.a / (2.0 * sch.h)) * self._sq_norms[cols]
         return g
 
     def log_weights(self, x: np.ndarray, t: float) -> np.ndarray:
-        """Unnormalized log kernel weights -||x - a_t x_i||^2 / (2 h_t)."""
+        """Unnormalized log kernel weights -||x - a_t x_i||^2 / (2 h_t).
+
+        This builds the whole (B, n) matrix; ``log_partition`` reduces it
+        block by block instead.
+        """
         if t <= 0:
             raise ValueError("empirical score requires t > 0")
         sch = schedule(t)
@@ -97,43 +130,102 @@ class EmpiricalScore:
         g -= (np.einsum("bj,bj->b", x, x) / (2.0 * sch.h))[:, None]
         return g
 
+    def _blocks(self, keep: np.ndarray | None) -> list:
+        """(columns, kept mask or None when all are kept, largest sample
+        norm) of each block.
+
+        A block without a kept sample is left out: its running max would
+        stay -inf, and exp(-inf - (-inf)) is NaN.
+        """
+        n = self.samples.shape[0]
+        blocks = []
+        for lo in range(0, n, _BLOCK_COLS):
+            cols = slice(lo, min(lo + _BLOCK_COLS, n))
+            kept = None if keep is None else keep[cols]
+            if kept is not None and not kept.any():
+                continue
+            radius = np.sqrt(self._sq_norms[cols].max())
+            blocks.append((cols, None if kept is None or kept.all() else kept, radius))
+        return blocks
+
+    def _reduce(self, x: np.ndarray, t: float, keep: np.ndarray | None,
+                with_score: bool) -> tuple[np.ndarray | None, np.ndarray]:
+        """(score or None, log-normalizer) of each row of the (B, d) batch x.
+
+        Both are taken over the samples selected by the boolean ``keep``
+        (all when None).  The excluded samples are dropped from a block's
+        log weights before its max, so they can neither set the shift nor
+        be lifted to e^-700 by the floor.
+        """
+        if t <= 0:
+            raise ValueError("empirical score requires t > 0")
+        sch = schedule(t)
+        b, d = x.shape
+        if b == 0:
+            raise ValueError("empty batch")
+        blocks = self._blocks(keep)
+        rows = -(-b // -(-b // _TILE_ROWS))  # ceil(b / ceil(b / 256))
+        buf = np.empty(rows * min(self.samples.shape[0], _BLOCK_COLS))
+        score = np.empty(x.shape) if with_score else None
+        logz = np.empty(b)
+        for lo in range(0, b, rows):
+            xs = x[lo:lo + rows]
+            r = len(xs)
+            sq = np.einsum("bj,bj->b", xs, xs)
+            xnorm = np.sqrt(sq)[:, None]
+            m = np.full((r, 1), -np.inf)
+            z = np.zeros((r, 1))
+            wsum = np.zeros((r, d))
+            for cols, kept, radius in blocks:
+                w = cols.stop - cols.start
+                g = self._shifted_log_weights(xs, sch, cols, out=buf[:r * w].reshape(r, w))
+                samples = self.samples[cols]
+                if kept is not None:
+                    g, samples = g.compress(kept, axis=1), samples[kept]
+                m_new = np.maximum(m, g.max(axis=1, keepdims=True))
+                # by Cauchy-Schwarz each shifted log weight of the block is
+                # at least -(a/h)|x| R - (a^2/2h) R^2, R its largest sample
+                # norm; within 700 of the row max the floor is a no-op
+                low = -radius * (sch.a / sch.h * xnorm + sch.a * sch.a / (2.0 * sch.h) * radius)
+                _shifted_exp(g, m_new, floor=bool(np.any(low - m_new < _EXP_FLOOR)))
+                rescale = np.exp(m - m_new)  # 0 on a tile's first block
+                z = z * rescale + g.sum(axis=1, keepdims=True)
+                if with_score:
+                    wsum = wsum * rescale + g @ samples
+                m = m_new
+            if with_score:
+                score[lo:lo + r] = (sch.a * (wsum / z) - xs) / sch.h
+            logz[lo:lo + r] = (m + np.log(z)).ravel() - sq / (2.0 * sch.h)
+        return score, logz
+
     def __call__(self, x: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
         """Return (score, log-normalizer) at one point or a batch of points.
 
         score = (a_t sum_i w_i x_i - x) / h_t with w_i the softmax of the log
         kernel weights; the log-normalizer is logsumexp of those weights.
         """
-        if t <= 0:
-            raise ValueError("empirical score requires t > 0")
         x_in = np.asarray(x, dtype=float)
-        single = x_in.ndim == 1
-        x2 = np.atleast_2d(x_in)
-        sch = schedule(t)
-        b = x2.shape[0]
-        if b == 0:
-            raise ValueError("empty batch")
-        rows = -(-b // -(-b // _TILE_ROWS))  # ceil(b / ceil(b / 256))
-        buf = np.empty((rows, self.samples.shape[0]))
-        score, logz = np.empty(x2.shape), np.empty(b)
-        for lo in range(0, b, rows):
-            xs = x2[lo:lo + rows]
-            g = self._shifted_log_weights(xs, sch, out=buf[:len(xs)])
-            m = g.max(axis=1, keepdims=True)
-            g -= m
-            np.exp(g, out=g)
-            z = g.sum(axis=1, keepdims=True)
-            score[lo:lo + rows] = (sch.a * ((g @ self.samples) / z) - xs) / sch.h
-            logz[lo:lo + rows] = ((m + np.log(z)).ravel()
-                                  - np.einsum("bj,bj->b", xs, xs) / (2.0 * sch.h))
-        if single:
+        score, logz = self._reduce(np.atleast_2d(x_in), t, None, True)
+        if x_in.ndim == 1:
             return score[0], float(logz[0])
         return score, logz
 
+    def log_partition(self, x: np.ndarray, t: float,
+                      keep: np.ndarray | None = None) -> np.ndarray | float:
+        """logsumexp of the log kernel weights over the samples in ``keep``.
 
-def empirical_score(x: np.ndarray, t: float,
-                    data: Dataset | np.ndarray) -> tuple[np.ndarray, float]:
-    """One-shot form of :class:`EmpiricalScore` (no norm caching reuse)."""
-    return EmpiricalScore(data)(x, t)
+        ``keep`` is a boolean mask over the n samples (all when None).  A
+        single point gives a float, a (B, d) batch a (B,) array.
+        """
+        if keep is not None:
+            keep = np.asarray(keep)
+            if keep.dtype != bool or keep.shape != self._sq_norms.shape:
+                raise ValueError("keep must be a boolean mask over the samples")
+            if not keep.any():
+                raise ValueError("keep selects no sample")
+        x_in = np.asarray(x, dtype=float)
+        _, logz = self._reduce(np.atleast_2d(x_in), t, keep, False)
+        return float(logz[0]) if x_in.ndim == 1 else logz
 
 
 @dataclass(frozen=True)

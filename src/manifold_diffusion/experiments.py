@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diffusion import EmpiricalScore, advance, schedule
+from .diffusion import EmpiricalScore, _shifted_exp, advance, schedule
 from .model import Dataset, ManifoldModel, _rng, model_to_config, sample_dataset
 from .speciation import GammaFunctions, lambdas
 
@@ -65,31 +65,29 @@ class PartitionSplit:
 
 def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
     """Row-wise logsumexp of a 2-D array, reduced in place: ``a`` is overwritten."""
-    m = a.max(axis=1)
-    a -= m[:, None]
-    np.exp(a, out=a)
-    return m + np.log(a.sum(axis=1))
+    m = a.max(axis=1, keepdims=True)
+    return m.ravel() + np.log(_shifted_exp(a, m).sum(axis=1))
 
 
 def partition_split(x: np.ndarray, t: float, dataset: Dataset,
                     planted_index: int = 0,
                     score: EmpiricalScore | None = None) -> PartitionSplit:
     """Split the kernel log-partition into planted / same-class / other-class."""
+    x = np.atleast_2d(x)
+    if x.shape[0] != 1:
+        raise ValueError("partition_split expects a single point")
     if score is None:
         score = EmpiricalScore(dataset)
-    lw = score.log_weights(np.atleast_2d(x), t)
-    if lw.shape[0] != 1:
-        raise ValueError("partition_split expects a single point")
-    lw = lw[0]
     labels = dataset.labels
-    planted_label = labels[planted_index]
-    same = (labels == planted_label)
+    planted = np.zeros(dataset.n, dtype=bool)
+    planted[planted_index] = True
+    same = labels == labels[planted_index]
+    other = ~same
     same[planted_index] = False
-    other = labels != planted_label
     return PartitionSplit(
-        log_z1=float(lw[planted_index]),
-        log_z2_plus=float(_logsumexp_rows(lw[None, same])[0]),
-        log_z2_minus=float(_logsumexp_rows(lw[None, other])[0]))
+        log_z1=float(score.log_partition(x, t, keep=planted)[0]),
+        log_z2_plus=float(score.log_partition(x, t, keep=same)[0]),
+        log_z2_minus=float(score.log_partition(x, t, keep=other)[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +104,8 @@ def _pairwise_agreement(signs: np.ndarray) -> np.ndarray:
 def speciation_experiment(model: ManifoldModel, n_data: int,
                           t_grid, n_traj: int, n_clones: int, seed: int,
                           dt: float = 0.02, t_min: float = 0.01,
-                          t_start: float = 10.0) -> list[ExperimentRecord]:
+                          t_start: float = 10.0,
+                          dataset: Dataset | None = None) -> list[ExperimentRecord]:
     """Clone-agreement measurement of the speciation transition.
 
     Backward trajectories run from N(0, I_d); at each grid time each
@@ -121,6 +120,9 @@ def speciation_experiment(model: ManifoldModel, n_data: int,
     curvature of V(q, t) only just changes sign and the agreement is about
     0.7, so its 0.95 crossing lies about one time unit below t_S (about 1.1
     against t_S = 2.08 for the isometric linear model at d=64, p=32, m=1).
+
+    The training set is ``dataset`` when given (it must hold ``n_data``
+    samples) and ``sample_dataset(model, n_data, seed)`` otherwise.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(np.diff(t_grid) >= 0):
@@ -132,7 +134,10 @@ def speciation_experiment(model: ManifoldModel, n_data: int,
     if np.linalg.norm(direction) == 0:
         raise ValueError("degenerate classifier: Gamma0 projection vanishes")
 
-    dataset = sample_dataset(model, n_data, seed)
+    if dataset is None:
+        dataset = sample_dataset(model, n_data, seed)
+    elif dataset.n != n_data:
+        raise ValueError(f"dataset has {dataset.n} samples, n_data is {n_data}")
     score = EmpiricalScore(dataset)
     rng = _rng(seed + 1)
     mh = model_hash(model)
@@ -190,8 +195,9 @@ def collapse_crossing_experiment(model: ManifoldModel, dataset: Dataset,
     """Mean of (log Z1 - log Z2) / d along the forward trajectory of x_1.
 
     Z1 is the planted sample's kernel weight and Z2 the sum over all other
-    samples.  Each grid time builds one (n_noise, n) log-weight buffer and
-    reduces it in place.
+    samples, both from ``EmpiricalScore.log_partition`` with a mask (Z1's
+    computes only the planted sample's block).  The samples are reduced in
+    blocks, so memory grows with the block size, not with n_noise x n.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(np.diff(t_grid) >= 0):
@@ -200,17 +206,16 @@ def collapse_crossing_experiment(model: ManifoldModel, dataset: Dataset,
         raise ValueError("collapse crossing needs at least two samples")
     score = EmpiricalScore(dataset)
     x1 = dataset.ambient[planted_index]
+    planted = np.zeros(dataset.n, dtype=bool)
+    planted[planted_index] = True
     rng = _rng(seed)
     mh = model_hash(model)
     records = []
     for t in t_grid:
         sch = schedule(float(t))
         x = sch.a * x1[None, :] + np.sqrt(sch.h) * rng.standard_normal((n_noise, model.d))
-        lw = score.log_weights(x, float(t))
-        log_z1 = lw[:, planted_index].copy()
-        lw[:, planted_index] = -np.inf
-        gap = (log_z1 - _logsumexp_rows(lw)) / model.d
-        del lw  # release the buffer before the next grid time allocates one
+        gap = (score.log_partition(x, float(t), keep=planted)
+               - score.log_partition(x, float(t), keep=~planted)) / model.d
         records.append(ExperimentRecord(
             kind="logZ_gap", t=float(t), value=float(gap.mean()),
             stderr=float(gap.std(ddof=1) / np.sqrt(n_noise)) if n_noise > 1 else 0.0,

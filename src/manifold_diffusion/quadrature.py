@@ -47,22 +47,3 @@ def std_normal_grid(n: int, dims: int) -> tuple[list[np.ndarray], np.ndarray]:
         weights = np.multiply.outer(weights, w)
     return [g.ravel() for g in grids], weights.ravel()
 
-
-def converged_expectation(f, start_nodes: int = 64, tol: float = 1e-10,
-                          max_nodes: int = 2048) -> float:
-    """Standard-normal expectation of ``f`` with node-doubling convergence.
-
-    ``f`` must accept a vector of evaluation points.  Doubles the node count
-    until two successive estimates differ by less than ``tol``.
-    """
-    z, w = std_normal_nodes(start_nodes)
-    est = float(w @ f(z))
-    n = start_nodes
-    while n < max_nodes:
-        n *= 2
-        z, w = std_normal_nodes(n)
-        new = float(w @ f(z))
-        if abs(new - est) < tol:
-            return new
-        est = new
-    return est

@@ -212,6 +212,21 @@ def test_exp_collapse_command(tmp_path):
     out = json.loads((tmp_path / "exp_collapse.json").read_text())
     assert out["method"] == "linear_isometry_closed_form"
     assert isinstance(out["t_C_empirical"], (float, str))
+    manifest = json.loads((tmp_path / "exp_collapse.manifest.json").read_text())
+    assert set(manifest["timings"]) == {"dataset", "experiment", "theory"}
+    assert all(v >= 0 for v in manifest["timings"].values())
+    # the linear closed form solves no f_star
+    assert (manifest["f_star_solves"], manifest["psi_evaluations"]) == (0, 0)
+
+
+def test_exp_collapse_manifest_records_theory_work(tmp_path):
+    assert run(tmp_path, "exp-collapse", "--d", "20", "--p", "10",
+               "--activation", "tanh", "--alpha", "0.25", "--n-noise", "10",
+               "--t-min", "0.05", "--t-max", "1.2", "--t-points", "3") == 0
+    manifest = json.loads((tmp_path / "exp_collapse.manifest.json").read_text())
+    assert manifest["f_star_solves"] > 0
+    assert manifest["psi_evaluations"] > manifest["f_star_solves"]
+    assert manifest["timings"]["theory"] > 0
 
 
 def test_exp_collapse_derives_n_data_from_alpha(tmp_path, monkeypatch):
@@ -259,6 +274,9 @@ def test_exp_speciation_command(tmp_path):
     summary = json.loads((tmp_path / "exp_speciation.json").read_text())
     assert "t_S_theory" in summary
     assert isinstance(summary["t_S_empirical_censored"], bool)
+    manifest = json.loads((tmp_path / "exp_speciation.manifest.json").read_text())
+    assert set(manifest["timings"]) == {"dataset", "experiment", "theory"}
+    assert all(v >= 0 for v in manifest["timings"].values())
 
 
 def test_manifest_records_output_hashes(tmp_path):

@@ -3,10 +3,10 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
+from manifold_diffusion import diffusion
 from manifold_diffusion.diffusion import (EmpiricalScore, backward_integrate,
-                                          empirical_score, forward_sample,
-                                          schedule, trajectory_to_csv)
-from manifold_diffusion.model import make_model, sample_dataset
+                                          forward_sample, schedule,
+                                          trajectory_to_csv)
 
 
 def test_schedule_identities():
@@ -126,6 +126,119 @@ def test_tiled_score_equals_untiled_kernel(b):
         assert np.array_equal(s, s_ref) and np.array_equal(logz, logz_ref)
 
 
+def test_floored_tile_equals_unfloored_kernel_at_small_time():
+    # at t = 0.011 most shifted exponents lie below -745, where exp
+    # underflows to 0; the kernel floors them at -700 instead, and the
+    # result must not move by a bit
+    rng = np.random.default_rng(11)
+    samples = rng.standard_normal((4096, 64))
+    x = schedule(0.011).a * samples[:300] + 0.1 * rng.standard_normal((300, 64))
+    score = EmpiricalScore(samples)
+    lw = score.log_weights(x, 0.011)
+    assert np.mean(lw - lw.max(axis=1, keepdims=True) < -745) > 0.9
+    s, logz = score(x, 0.011)
+    s_ref, logz_ref = _untiled_score(samples, x, 0.011)
+    assert np.array_equal(s, s_ref) and np.array_equal(logz, logz_ref)
+
+
+def test_floor_pass_skipped_only_where_no_exponent_needs_it(monkeypatch):
+    # the kernel skips the floor when its Cauchy-Schwarz bound says no
+    # shifted exponent of the block lies below -700; the bound must hold
+    calls = []
+    real = diffusion._shifted_exp
+
+    def checked(a, m, floor=True):
+        calls.append(floor)
+        if not floor:
+            assert (a - m).min() >= diffusion._EXP_FLOOR
+        return real(a, m, floor)
+
+    monkeypatch.setattr(diffusion, "_shifted_exp", checked)
+    monkeypatch.setattr(diffusion, "_BLOCK_COLS", 64)
+    rng = np.random.default_rng(12)
+    samples = rng.standard_normal((160, 16))
+    samples[::16] *= 6  # far samples make the bound's norm term matter
+    score = EmpiricalScore(samples)
+    for t in (3.0, 0.5):
+        score(rng.standard_normal((4, 16)), t)
+    assert calls and not any(calls)
+    calls.clear()
+    for t in np.geomspace(0.001, 1.0, 40):
+        score(_batch_near(samples, [3, 100], t, seed=3), t)
+    assert any(calls) and not all(calls)
+
+
+def _batch_near(samples, idx, t, seed):
+    """Points near a_t x_i for the sample rows ``idx``, plus one far point."""
+    rng = np.random.default_rng(seed)
+    sch = schedule(t)
+    near = sch.a * samples[idx] + np.sqrt(sch.h) * rng.standard_normal((len(idx), samples.shape[1]))
+    return np.vstack([near, rng.standard_normal(samples.shape[1])])
+
+
+def test_blocked_kernel_matches_one_block(monkeypatch):
+    # n = 2.5 blocks; points near samples of the first, second and last
+    # block make the running max move up across blocks
+    rng = np.random.default_rng(5)
+    samples = rng.standard_normal((160, 6))
+    score = EmpiricalScore(samples)
+    keep = rng.random(160) < 0.6
+    for t in (0.011, 0.05, 0.5, 3.0):
+        x = _batch_near(samples, [3, 100, 150, 70], t, seed=int(100 * t))
+        monkeypatch.setattr(diffusion, "_BLOCK_COLS", 8192)
+        s_one, logz_one = score(x, t)
+        part_one = score.log_partition(x, t, keep=keep)
+        monkeypatch.setattr(diffusion, "_BLOCK_COLS", 64)
+        s, logz = score(x, t)
+        assert np.allclose(s, s_one, rtol=1e-12, atol=1e-12)
+        assert np.allclose(logz, logz_one, rtol=1e-12, atol=0)
+        assert np.allclose(score.log_partition(x, t), logz_one, rtol=1e-12, atol=0)
+        assert np.allclose(score.log_partition(x, t, keep=keep), part_one,
+                           rtol=1e-12, atol=0)
+        lw = score.log_weights(x, t)
+        assert np.allclose(part_one, logsumexp(lw[:, keep], axis=1), rtol=1e-12, atol=0)
+
+
+def test_log_partition_keep_without_first_block(monkeypatch):
+    # the leading blocks hold no kept sample: they are skipped, not
+    # reduced to exp(-inf - (-inf)) = NaN
+    monkeypatch.setattr(diffusion, "_BLOCK_COLS", 64)
+    rng = np.random.default_rng(6)
+    samples = rng.standard_normal((160, 6))
+    score = EmpiricalScore(samples)
+    keep = np.zeros(160, dtype=bool)
+    keep[[130, 131, 155]] = True
+    x = _batch_near(samples, [0, 131], 0.02, seed=1)
+    got = score.log_partition(x, 0.02, keep=keep)
+    lw = score.log_weights(x, 0.02)
+    assert np.all(np.isfinite(got))
+    assert np.allclose(got, logsumexp(lw[:, keep], axis=1), rtol=1e-12, atol=0)
+    assert score.log_partition(x[0], 0.02, keep=keep) == got[0]
+    with pytest.raises(ValueError, match="no sample"):
+        score.log_partition(x, 0.02, keep=np.zeros(160, dtype=bool))
+    with pytest.raises(ValueError, match="boolean mask"):
+        score.log_partition(x, 0.02, keep=np.arange(160))
+
+
+def test_log_partition_memory_grows_with_block_not_n():
+    import tracemalloc
+
+    rng = np.random.default_rng(7)
+    samples = rng.standard_normal((200_000, 4))
+    score = EmpiricalScore(samples)
+    x = rng.standard_normal((200, 4))
+    keep = np.ones(200_000, dtype=bool)
+    keep[0] = False
+    tracemalloc.start()
+    try:
+        score.log_partition(x, 0.3, keep=keep)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the (B, n) log weights would take 320 MB
+    assert peak < 3 * 200 * diffusion._BLOCK_COLS * 8
+
+
 def test_score_rejects_empty_batch():
     with pytest.raises(ValueError, match="empty batch"):
         EmpiricalScore(np.ones((3, 2)))(np.empty((0, 2)), 0.5)
@@ -146,15 +259,6 @@ def test_score_requires_positive_time_and_valid_data():
         EmpiricalScore(np.empty((0, 2)))
     with pytest.raises(ValueError):
         EmpiricalScore(np.ones(3))
-
-
-def test_one_shot_wrapper_agrees_with_class():
-    mdl = make_model(d=6, p=3)
-    ds = sample_dataset(mdl, 12, seed=0)
-    x = np.zeros(6)
-    s1, z1 = empirical_score(x, 0.3, ds)
-    s2, z2 = EmpiricalScore(ds)(x, 0.3)
-    assert np.allclose(s1, s2) and z1 == z2
 
 
 def test_backward_integrator_preserves_stationary_gaussian():

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
+from manifold_diffusion import diffusion
 from manifold_diffusion.diffusion import EmpiricalScore, schedule
 from manifold_diffusion.experiments import (ExperimentRecord, PartitionSplit,
                                             collapse_crossing_experiment,
@@ -135,6 +136,35 @@ def test_collapse_crossing_values_match_explicit_differences():
     one = sample_dataset(mdl, 1, seed=3)
     with pytest.raises(ValueError, match="two samples"):
         collapse_crossing_experiment(mdl, one, [0.5, 0.1], n_noise=4, seed=7)
+
+
+def test_collapse_crossing_gap_where_planted_term_dominates(monkeypatch):
+    # at t = 0.02 and d = 128 the planted weight exceeds every other one by
+    # more than the exp floor: were it in the bulk's max shift, the floor
+    # would lift every bulk term to e^-700 of it.  Three blocks, the
+    # planted sample in the first one.
+    monkeypatch.setattr(diffusion, "_BLOCK_COLS", 64)
+    mdl = make_model(d=128, p=64, alpha=0.05)
+    ds = sample_dataset(mdl, 150, seed=3)
+    t = 0.02
+    [rec] = collapse_crossing_experiment(mdl, ds, [t], n_noise=40, seed=7)
+    sch = schedule(t)
+    x = sch.a * ds.ambient[0] + np.sqrt(sch.h) * _rng(7).standard_normal((40, mdl.d))
+    diff = x[:, None, :] - sch.a * ds.ambient[None, :, :]
+    lw = -np.einsum("bij,bij->bi", diff, diff) / (2.0 * sch.h)
+    assert np.all(lw[:, 0] - lw[:, 1:].max(axis=1) > 700)
+    gap = (lw[:, 0] - logsumexp(lw[:, 1:], axis=1)) / mdl.d
+    assert rec.value == pytest.approx(gap.mean(), abs=1e-12)
+
+
+def test_speciation_experiment_takes_a_drawn_dataset():
+    mdl = make_model(d=8, p=4, seed=1)
+    kw = dict(t_grid=[2.0, 0.8], n_traj=3, n_clones=3, seed=5, dt=0.05,
+              t_start=4.0)
+    drawn = speciation_experiment(mdl, 64, dataset=sample_dataset(mdl, 64, 5), **kw)
+    assert drawn == speciation_experiment(mdl, 64, **kw)
+    with pytest.raises(ValueError, match="n_data"):
+        speciation_experiment(mdl, 32, dataset=sample_dataset(mdl, 64, 5), **kw)
 
 
 def test_collapse_crossing_flags_one_sided_grids():

@@ -3,8 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from manifold_diffusion.quadrature import (converged_expectation,
-                                           std_normal_grid, std_normal_nodes)
+from manifold_diffusion.quadrature import std_normal_grid, std_normal_nodes
 
 
 def test_nodes_reproduce_low_moments():
@@ -51,14 +50,3 @@ def test_grid_three_dimensional():
     assert a.shape == (8**3,)
     assert abs(w @ (a**2 + b**2 + c**2) - 3.0) < 1e-11
 
-
-def test_converged_expectation_analytic_value():
-    # E[cos(u)] = e^{-1/2}
-    val = converged_expectation(np.cos, start_nodes=8)
-    assert val == pytest.approx(np.exp(-0.5), abs=1e-12)
-
-
-def test_converged_expectation_handles_sharp_integrand():
-    # E[|u|] = sqrt(2/pi) converges slowly; node doubling must help
-    val = converged_expectation(np.abs, start_nodes=64, tol=1e-8)
-    assert val == pytest.approx(np.sqrt(2.0 / np.pi), abs=1e-3)
