@@ -9,7 +9,7 @@ Run:  python3 demos/collapse_sweep_demo.py
 """
 import numpy as np
 
-from manifold_diffusion import (collapse_time_glm,
+from manifold_diffusion import (TheoryParams, collapse_time_glm,
                                 collapse_time_linear_isometry,
                                 collapse_time_linear_rmt, make_activation)
 
@@ -25,9 +25,9 @@ for beta in betas:
     rmt = collapse_time_linear_rmt(alpha, beta).t_c
     row = [f"{beta:6.2f}", f"{iso:10.5f}", f"{rmt:11.5f}"]
     for act in acts.values():
-        t_c = collapse_time_glm((1.0, 1.0, float(beta), act), alpha,
-                                n_outer=10, n_inner=48, grid_points=48,
-                                t_tol=1e-4).t_c
+        params = TheoryParams(1.0, 1.0, float(beta), act)
+        t_c = collapse_time_glm(params, alpha, n_outer=10, n_inner=48,
+                                grid_points=48, t_tol=1e-4).t_c
         row.append(f"{t_c:10.5f}")
     print(" ".join(row))
 

@@ -10,9 +10,11 @@ Run:  python3 demos/free_energy_demo.py
 """
 import numpy as np
 
-from manifold_diffusion import f_star, free_energy_mc, make_activation, make_model
+from manifold_diffusion import (TheoryParams, f_star, free_energy_mc,
+                                make_activation, make_model)
 
-params = (1.0, 1.0, 0.5, make_activation("linear"))  # (m, rho, beta, phi)
+params = TheoryParams(m=1.0, rho=1.0, beta=0.5,
+                      activation=make_activation("linear"))
 print("sup-inf free energy along the backward clock (linear channel):")
 print(f"{'t':>6} {'q*':>8} {'r*':>10} {'f*':>10}")
 for t in (0.1, 0.25, 0.5, 1.0, 1.5, 2.0):

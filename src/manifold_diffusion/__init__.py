@@ -10,15 +10,14 @@ from .collapse import (CollapseResult, FreeEnergyResult, collapse_method,
                        psi_big, psi_big_linear, psi_quadrature_check)
 from .diffusion import (DiffusionSchedule, EmpiricalScore, TrajectoryRecord,
                         backward_integrate, forward_sample, schedule)
-from .model import (Dataset, EmbeddingMatrix, ManifoldModel, build_embedding,
-                    load_model_config, make_model, model_from_config,
-                    model_to_config, sample_count, sample_dataset,
-                    save_model_config)
+from .model import (Dataset, EmbeddingMatrix, ManifoldModel, TheoryParams,
+                    build_embedding, load_model_config, make_model,
+                    model_from_config, model_to_config, sample_count,
+                    sample_dataset, save_model_config)
 from .speciation import (GammaFunctions, GepConstants, gamma0_sq_sum,
-                         gamma_eval, gep_constants, lambdas, potential,
+                         gep_constants, lambdas, potential,
                          potential_curvature_at_zero, reduced_sde_simulate,
-                         score_tail_term, speciation_time_asymptotic,
-                         speciation_time_finite)
+                         speciation_time_asymptotic, speciation_time_finite)
 from .experiments import (ExperimentRecord, PartitionSplit,
                           collapse_crossing_experiment, free_energy_mc,
                           model_hash, partition_split, rem_derivative_check,

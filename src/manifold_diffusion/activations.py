@@ -45,6 +45,16 @@ def _check_odd(fn: Callable) -> None:
         raise ValueError("activation declared odd but phi(-y) != -phi(y)")
 
 
+# (fn, is_odd) of each named activation; one function object per name, so
+# that two activations of the same name compare and hash equal
+_BUILTIN = {
+    "linear": (lambda y: y, True),
+    "tanh": (np.tanh, True),
+    "relu": (lambda y: np.maximum(y, 0.0), False),
+    "sigmoid": (lambda y: 1.0 / (1.0 + np.exp(-y)), False),
+}
+
+
 def make_activation(kind: str, fn: Callable | None = None,
                     is_odd: bool | None = None) -> Activation:
     """Build one of the named activations, or register a custom one.
@@ -52,14 +62,8 @@ def make_activation(kind: str, fn: Callable | None = None,
     Custom activations are checked for polynomial growth and, when flagged
     odd, for numerical oddness on a grid.
     """
-    builtin = {
-        "linear": (lambda y: y, True),
-        "tanh": (np.tanh, True),
-        "relu": (lambda y: np.maximum(y, 0.0), False),
-        "sigmoid": (lambda y: 1.0 / (1.0 + np.exp(-y)), False),
-    }
-    if kind in builtin:
-        f, odd = builtin[kind]
+    if kind in _BUILTIN:
+        f, odd = _BUILTIN[kind]
         return Activation(kind=kind, fn=f, is_odd=odd)
     if kind != "custom":
         raise ValueError(f"unknown activation kind: {kind!r}")

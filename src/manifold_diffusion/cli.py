@@ -25,7 +25,8 @@ from . import collapse as C
 from . import experiments as E
 from . import speciation as S
 from .activations import make_activation
-from .model import model_from_config, sample_count, sample_dataset
+from .model import (ENSEMBLES, TheoryParams, model_from_config, sample_count,
+                    sample_dataset)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -38,7 +39,7 @@ _MODEL_KEYS = ("d", "p", "alpha", "rho", "m", "activation", "ensemble", "seed")
 _DEFAULTS = {"rho": 1.0, "m": 1.0, "activation": "linear",
              "ensemble": "deterministic_isometry", "seed": 0}
 _KNOWN = {"activation": ("linear", "tanh", "relu", "sigmoid"),
-          "ensemble": ("deterministic_isometry", "gaussian_iid")}
+          "ensemble": ENSEMBLES}
 # the thread counts BLAS and OpenMP read at start-up; unset means the
 # library picks one per core
 _THREAD_ENV = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS")
@@ -55,8 +56,8 @@ def _run_config(args, model: bool = True, **defaults) -> dict:
     """The run's one resolved and validated config.
 
     Flags override the ``--config`` file, which overrides the command's
-    ``defaults`` and then `_DEFAULTS`.  ``model`` says the command builds a
-    d x p model, so d and p are required.
+    ``defaults`` and then `_DEFAULTS`.  ``model`` says the command reads a
+    d x p model (drawn, or as its `TheoryParams`), so d and p are required.
     """
     cfg = {**_DEFAULTS, **defaults}
     if args.config:
@@ -70,6 +71,8 @@ def _run_config(args, model: bool = True, **defaults) -> dict:
                 f"config field d/p invalid: need d >= p >= 1, got d={d}, p={p}")
     if float(cfg["rho"]) <= 0:
         raise ValueError("config field rho must be positive")
+    if float(cfg.get("alpha", 1.0)) <= 0:
+        raise ValueError("config field alpha must be positive")
     for key, known in _KNOWN.items():
         if cfg[key] not in known:
             raise ValueError(f"config field {key} unknown: {cfg[key]!r}")
@@ -155,8 +158,8 @@ def cmd_speciation(args) -> int:
 
 def cmd_collapse(args) -> int:
     cfg = _run_config(args, alpha=1.0)
-    model = model_from_config(cfg)
-    result = C.collapse_time(args.method, model.alpha, model,
+    result = C.collapse_time(args.method, float(cfg["alpha"]),
+                             TheoryParams.from_config(cfg),
                              n_outer=args.nodes, grid_points=args.grid_points)
     payload = {"t_C": result.t_c, "method": result.method,
                "residual": result.residual,
@@ -186,11 +189,13 @@ def cmd_collapse_sweep(args) -> int:
         writer.writerow(["beta", "t_C [backward time]", "method_or_activation"])
         for beta in betas:
             for method in ("linear_isometry_closed_form", "linear_rmt"):
-                res = C.collapse_time(method, alpha, (m, rho, beta, lin))
+                res = C.collapse_time(method, alpha,
+                                      TheoryParams(m, rho, beta, lin))
                 writer.writerow([beta, res.t_c, method])
             for act in acts:
                 res = C.collapse_time("glm_general", alpha,
-                                      (m, rho, float(beta), act), **solver)
+                                      TheoryParams(m, rho, float(beta), act),
+                                      **solver)
                 writer.writerow([beta, res.t_c, act.kind])
                 glm_rows.append({
                     "beta": float(beta), "activation": act.kind,
@@ -208,7 +213,7 @@ def cmd_collapse_sweep(args) -> int:
 
 def cmd_free_energy(args) -> int:
     cfg = _run_config(args)
-    model = model_from_config(cfg)
+    params = TheoryParams.from_config(cfg)
     ts = np.linspace(args.t_min, args.t_max, args.t_points)
     out = _out_dir(args)
     path = out / "free_energy.csv"
@@ -217,7 +222,7 @@ def cmd_free_energy(args) -> int:
         writer.writerow(["t [backward time]", "q_star", "r_star",
                          "f_star [per latent dim]"])
         for t in ts:
-            res = C.f_star(float(t), model, n_outer=args.nodes)
+            res = C.f_star(float(t), params, n_outer=args.nodes)
             writer.writerow([t, res.q_star, res.r_star, res.f_star])
     _write_manifest(out, "free_energy", cfg, [path])
     print(f"wrote {path}")
@@ -287,8 +292,8 @@ def cmd_exp_collapse(args) -> int:
     csv_path = out / "exp_collapse.csv"
     E.records_to_csv(records, csv_path)
     with _phase(timings, "theory"):
-        theory = C.collapse_time(None, model.alpha, model, n_outer=12,
-                                 n_inner=48, t_tol=1e-4)
+        theory = C.collapse_time(None, model.alpha, model.theory_params,
+                                 n_outer=12, n_inner=48, t_tol=1e-4)
     summary = {"t_C_empirical": _try(lambda: E.sign_change_time(records)),
                "t_C_theory": theory.t_c, "method": theory.method}
     return _report(out, "exp_collapse", cfg, summary, [csv_path],
@@ -330,7 +335,7 @@ def _try(fn):
 
 def cmd_validate(args) -> int:
     lin = make_activation("linear")
-    glm = C.collapse_time_glm((1.0, 1.0, 0.5, lin), 0.5).t_c
+    glm = C.collapse_time_glm(TheoryParams(1.0, 1.0, 0.5, lin), 0.5).t_c
     rmt = C.collapse_time_linear_rmt(0.5, 0.5).t_c
 
     rng = np.random.default_rng(0)

@@ -16,7 +16,8 @@ inf over r; Psi is a nested Gaussian-channel log-evidence evaluated by
 Gauss-Hermite quadrature (closed form for a linear activation).  The sup
 over q refines a grid maximum with Brent's bounded method.  For data in a
 hyperplane two shortcuts are provided: a deterministic-isometry closed
-form and a Marchenko-Pastur log-determinant for random F.
+form and a Marchenko-Pastur log-determinant for random F.  Every route
+reads the data model through a `model.TheoryParams` record.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
 from .diffusion import _shifted_exp
-from .model import ManifoldModel
+from .model import TheoryParams
 from .quadrature import std_normal_grid, std_normal_nodes
 
 # ---------------------------------------------------------------------------
@@ -143,26 +144,19 @@ def _r_star(q: float, m: float, rho: float) -> float:
     return max(q - m * m, 0.0) / (rho * (c - q))
 
 
-def f_rs(q: float, r: float, t: float, model_or_params,
+def f_rs(q: float, r: float, t: float, params: TheoryParams,
          n_outer: int = 24, n_inner: int = 96) -> float:
     """f_RS(q, r) = psi(r) + Psi(q) / beta - r q / 2."""
-    m, rho, beta, activation = _collapse_params(model_or_params)
-    if activation.kind == "linear":
+    m, rho = params.m, params.rho
+    if params.activation.kind == "linear":
         big = psi_big_linear(q, t, m, rho)
     else:
-        big = psi_big(q, t, m, rho, activation, n_outer, n_inner)
-    return psi(r, m, rho) + big / beta - 0.5 * r * q
+        big = psi_big(q, t, m, rho, params.activation, n_outer, n_inner)
+    return psi(r, m, rho) + big / params.beta - 0.5 * r * q
 
 
-def _collapse_params(model_or_params):
-    if isinstance(model_or_params, ManifoldModel):
-        mdl = model_or_params
-        return mdl.m, mdl.rho, mdl.beta, mdl.activation
-    return model_or_params  # (m, rho, beta, activation)
-
-
-def f_star(t: float, model_or_params, n_outer: int = 24, n_inner: int = 96,
-           grid_points: int = 64) -> FreeEnergyResult:
+def f_star(t: float, params: TheoryParams, n_outer: int = 24,
+           n_inner: int = 96, grid_points: int = 64) -> FreeEnergyResult:
     """Solve sup_q inf_r f_RS at time t.
 
     The inner inf is in closed form (`_r_star`); the outer sup refines the
@@ -173,7 +167,8 @@ def f_star(t: float, model_or_params, n_outer: int = 24, n_inner: int = 96,
     q = c = rho + m^2, so the grid stops just inside the boundary.
     ``psi_evaluations`` counts every Psi evaluation of the solve.
     """
-    m, rho, beta, activation = _collapse_params(model_or_params)
+    m, rho, beta = params.m, params.rho, params.beta
+    activation = params.activation
     c = m * m + rho
 
     if activation.kind == "linear":
@@ -208,8 +203,8 @@ def f_star(t: float, model_or_params, n_outer: int = 24, n_inner: int = 96,
 
     eps = 1e-5 * max(c, 1.0)
     if eps < q_star < c - eps and r_star > eps:
-        df_dq = (f_rs(q_star + eps, r_star, t, (m, rho, beta, activation), n_outer, n_inner)
-                 - f_rs(q_star - eps, r_star, t, (m, rho, beta, activation), n_outer, n_inner)) / (2 * eps)
+        df_dq = (f_rs(q_star + eps, r_star, t, params, n_outer, n_inner)
+                 - f_rs(q_star - eps, r_star, t, params, n_outer, n_inner)) / (2 * eps)
         df_dr = (psi(r_star + eps, m, rho) - psi(r_star - eps, m, rho)) / (2 * eps) - 0.5 * q_star
         resid = max(abs(df_dq), abs(df_dr))
         psi_evaluations += 2
@@ -254,14 +249,19 @@ def _bisect_time(residual, t_lo: float = 1e-3, t_hi: float = 5.0,
     return float(brentq(residual, lo, hi, xtol=t_tol))
 
 
-def collapse_time_glm(model_or_params, alpha: float, n_outer: int = 24,
+def collapse_time_glm(params: TheoryParams, alpha: float, n_outer: int = 24,
                       n_inner: int = 96, grid_points: int = 64,
                       t_tol: float = 1e-6) -> CollapseResult:
-    """Solve alpha + log(2 pi h_t)/2 + beta f_star(t) = -1/2 for t."""
+    """Solve alpha + log(2 pi h_t)/2 + beta f_star(t) = -1/2 for t.
+
+    A bare (m, rho, beta, activation) tuple, which
+    ``perfbench/make_reference.py`` passes, is validated into a record.
+    """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    m, rho, beta, activation = _collapse_params(model_or_params)
-    params = (m, rho, beta, activation)
+    if not isinstance(params, TheoryParams):
+        params = TheoryParams(*params)
+    beta = params.beta
     # brentq evaluates its bracket ends again and returns a time it has
     # evaluated, so each time's f_star is solved once and then read back
     seen: dict[float, float] = {}
@@ -355,18 +355,18 @@ def collapse_time_linear_rmt(alpha: float, beta: float, t_tol: float = 1e-6,
 # ---------------------------------------------------------------------------
 # one dispatcher over the three routes
 
-def collapse_method(model: ManifoldModel) -> str:
-    """The route for a model: the isometry closed form or the
+def collapse_method(params: TheoryParams) -> str:
+    """The route for a record: the isometry closed form or the
     Marchenko-Pastur log-determinant for a linear activation (by ensemble),
     the GLM free-energy solve otherwise."""
-    if model.activation.kind != "linear":
+    if params.activation.kind != "linear":
         return "glm_general"
-    if model.embedding.ensemble == "deterministic_isometry":
+    if params.ensemble == "deterministic_isometry":
         return "linear_isometry_closed_form"
     return "linear_rmt"
 
 
-def collapse_time(method: str | None, alpha: float, model_or_params,
+def collapse_time(method: str | None, alpha: float, params: TheoryParams,
                   **solver) -> CollapseResult:
     """Collapse time by the named route; ``None`` takes `collapse_method`.
 
@@ -376,16 +376,15 @@ def collapse_time(method: str | None, alpha: float, model_or_params,
     they do not describe.
     """
     if method is None:
-        method = collapse_method(model_or_params)
+        method = collapse_method(params)
     if method == "glm_general":
-        return collapse_time_glm(model_or_params, alpha, **solver)
-    _, rho, beta, activation = _collapse_params(model_or_params)
+        return collapse_time_glm(params, alpha, **solver)
     if method not in ("linear_isometry_closed_form", "linear_rmt"):
         raise ValueError(f"unknown collapse method: {method!r}")
-    if activation.kind != "linear":
+    if params.activation.kind != "linear":
         raise ValueError(f"method {method} needs a linear activation, "
-                         f"got {activation.kind!r}")
+                         f"got {params.activation.kind!r}")
     if method == "linear_rmt":
-        return collapse_time_linear_rmt(alpha, beta, rho=rho)
-    t_c = collapse_time_linear_isometry(alpha, beta, rho=rho)
+        return collapse_time_linear_rmt(alpha, params.beta, rho=params.rho)
+    t_c = collapse_time_linear_isometry(alpha, params.beta, rho=params.rho)
     return CollapseResult(t_c=t_c, method=method, residual=0.0)

@@ -235,7 +235,6 @@ class TrajectoryRecord:
     times: np.ndarray
     states: np.ndarray  # (K+1, d) or (K+1, B, d) for a batch
     seed: int
-    score_mode: str = "empirical"
 
 
 def advance(y: np.ndarray, t_from: float, t_to: float, dt: float, drift,
@@ -268,8 +267,7 @@ def advance(y: np.ndarray, t_from: float, t_to: float, dt: float, drift,
 
 
 def backward_integrate(start: np.ndarray, T: float, t_min: float, dt: float,
-                       score, seed: int,
-                       score_mode: str = "empirical") -> TrajectoryRecord:
+                       score, seed: int) -> TrajectoryRecord:
     """Euler-Maruyama discretization of the backward SDE from T down to t_min.
 
     ``score`` is any callable (x, t) -> score or (score, aux); a batch of
@@ -285,19 +283,4 @@ def backward_integrate(start: np.ndarray, T: float, t_min: float, dt: float,
 
     times, states = advance(np.array(start, dtype=float), T, t_min, dt, drift,
                             2.0, _rng(seed), keep_path=True)
-    return TrajectoryRecord(times, states, seed, score_mode)
-
-
-def trajectory_to_csv(rec: TrajectoryRecord, path, coords=None) -> None:
-    """Write (time, coordinates) rows; ``coords`` selects a column subset."""
-    import csv
-
-    states = rec.states
-    if states.ndim == 3:
-        raise ValueError("CSV export expects a single trajectory, not a batch")
-    idx = list(range(states.shape[1])) if coords is None else list(coords)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time"] + [f"y_{j}" for j in idx])
-        for t, row in zip(rec.times, states):
-            writer.writerow([t, *row[idx]])
+    return TrajectoryRecord(times, states, seed)

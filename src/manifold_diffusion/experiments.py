@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diffusion import EmpiricalScore, _shifted_exp, advance, schedule
+from .diffusion import EmpiricalScore, advance, schedule
 from .model import Dataset, ManifoldModel, _rng, model_to_config, sample_dataset
 from .speciation import GammaFunctions, lambdas
 
@@ -61,12 +61,6 @@ class PartitionSplit:
         m = max(self.log_z2_plus, self.log_z2_minus)
         return float(m + np.log(np.exp(self.log_z2_plus - m)
                                 + np.exp(self.log_z2_minus - m)))
-
-
-def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
-    """Row-wise logsumexp of a 2-D array, reduced in place: ``a`` is overwritten."""
-    m = a.max(axis=1, keepdims=True)
-    return m.ravel() + np.log(_shifted_exp(a, m).sum(axis=1))
 
 
 def partition_split(x: np.ndarray, t: float, dataset: Dataset,
@@ -315,19 +309,24 @@ def rem_derivative_check(model: ManifoldModel, t: float, n_rep: int,
 def tilted_log_partition(model: ManifoldModel, dataset: Dataset, t: float,
                          lam: float, n_noise: int, seed: int,
                          planted_index: int = 0) -> float:
-    """(1/d) E_x log sum_{i >= 2, same class} exp(-lam ||x - a_t x_i||^2 / 2 h_t)."""
+    """(1/d) E_x log sum_{i >= 2, same class} exp(-lam ||x - a_t x_i||^2 / 2 h_t).
+
+    lam ||x - a_t x_i||^2 = ||s x - a_t s x_i||^2 with s = sqrt(lam), so the
+    sum is the untilted log partition of the scaled points over the scaled
+    samples, reduced block by block.
+    """
     if lam <= 0:
         raise ValueError("tilt parameter must be positive")
     sch = schedule(t)
-    score = EmpiricalScore(dataset)
+    s = np.sqrt(lam)
+    score = EmpiricalScore(s * dataset.ambient)
     labels = dataset.labels
     same = labels == labels[planted_index]
     same[planted_index] = False
     rng = _rng(seed)
     x1 = dataset.ambient[planted_index]
     x = sch.a * x1[None, :] + np.sqrt(sch.h) * rng.standard_normal((n_noise, model.d))
-    lw = lam * score.log_weights(x, t)[:, same]
-    return float(_logsumexp_rows(lw).mean() / model.d)
+    return float(score.log_partition(s * x, t, keep=same).mean() / model.d)
 
 
 def records_to_csv(records: list[ExperimentRecord], path) -> None:

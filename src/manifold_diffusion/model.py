@@ -6,7 +6,6 @@ manifold embedded in d dimensions (p <= d).
 """
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -15,7 +14,6 @@ import numpy as np
 
 from .activations import Activation, make_activation
 
-_ISOMETRY_TOL = 1e-12
 MAX_SAMPLES = 10_000_000
 
 
@@ -29,7 +27,7 @@ class EmbeddingMatrix:
     """d x p embedding F with row access f_j."""
 
     entries: np.ndarray
-    ensemble: str  # "gaussian_iid" | "deterministic_isometry"
+    ensemble: str  # one of ENSEMBLES
 
     def __post_init__(self):
         F = np.asarray(self.entries, dtype=float)
@@ -56,6 +54,9 @@ class EmbeddingMatrix:
         return self.entries[j]
 
 
+ENSEMBLES = ("deterministic_isometry", "gaussian_iid")
+
+
 def build_embedding(d: int, p: int, ensemble: str, seed: int) -> EmbeddingMatrix:
     """Draw F of the requested ensemble.
 
@@ -73,6 +74,40 @@ def build_embedding(d: int, p: int, ensemble: str, seed: int) -> EmbeddingMatrix
         Q, _ = np.linalg.qr(G)
         return EmbeddingMatrix(entries=Q * np.sqrt(p), ensemble=ensemble)
     raise ValueError(f"unknown ensemble: {ensemble!r}")
+
+
+@dataclass(frozen=True)
+class TheoryParams:
+    """The scalars of the data model that the collapse theory reads.
+
+    The GLM free energy and the linear closed forms see the embedding only
+    through beta = p / d and its ensemble, never through the drawn F.  Build
+    one from a model (`ManifoldModel.theory_params`) or from a config
+    (`from_config`, which draws no embedding).  Records are hashable.
+    """
+
+    m: float  # center scale ||mu|| / sqrt(p)
+    rho: float
+    beta: float
+    activation: Activation
+    ensemble: str = "deterministic_isometry"
+
+    def __post_init__(self):
+        if not self.rho > 0:
+            raise ValueError("rho must be positive")
+        if not 0 < self.beta <= 1:
+            raise ValueError(f"beta = p/d must lie in (0, 1], got {self.beta}")
+        if self.ensemble not in ENSEMBLES:
+            raise ValueError(f"unknown ensemble: {self.ensemble!r}")
+
+    @classmethod
+    def from_config(cls, cfg: dict) -> TheoryParams:
+        """The record of ``model_from_config(cfg).theory_params``, without F."""
+        d, p = int(cfg["d"]), int(cfg["p"])
+        return cls(m=float(np.linalg.norm(_center(cfg)) / np.sqrt(p)),
+                   rho=float(cfg.get("rho", 1.0)), beta=p / d,
+                   activation=make_activation(cfg.get("activation", "linear")),
+                   ensemble=cfg.get("ensemble", "deterministic_isometry"))
 
 
 @dataclass(frozen=True)
@@ -109,6 +144,11 @@ class ManifoldModel:
     def m(self) -> float:
         """Normalized center scale ||mu|| / sqrt(p)."""
         return float(np.linalg.norm(self.mu) / np.sqrt(self.p))
+
+    @property
+    def theory_params(self) -> TheoryParams:
+        return TheoryParams(self.m, self.rho, self.beta, self.activation,
+                            self.embedding.ensemble)
 
     @property
     def mu_tilde(self) -> np.ndarray:
@@ -201,21 +241,28 @@ def model_to_config(model: ManifoldModel) -> dict:
     return cfg
 
 
+def _center(cfg: dict) -> np.ndarray:
+    """The latent center of a config: ``mu_file``, ``mu`` or m * ones(p)."""
+    p = int(cfg["p"])
+    mu = cfg.get("mu")
+    if cfg.get("mu_file") is not None:
+        mu = np.loadtxt(cfg["mu_file"])
+    if mu is None:
+        return float(cfg.get("m", 1.0)) * np.ones(p)
+    mu = np.asarray(mu, float).reshape(-1)
+    if mu.shape != (p,):
+        raise ValueError(f"mu must have length p={p}")
+    return mu
+
+
 def model_from_config(cfg: dict, seed: int = 0) -> ManifoldModel:
-    cfg = dict(cfg)
-    mu = cfg.pop("mu", None)
-    mu_file = cfg.pop("mu_file", None)
-    if mu_file is not None:
-        mu = np.loadtxt(mu_file)
-    seed = cfg.pop("seed", seed)
     return make_model(
         d=int(cfg["d"]), p=int(cfg["p"]),
         alpha=float(cfg.get("alpha", 1.0)), rho=float(cfg.get("rho", 1.0)),
-        m=float(cfg.get("m", 1.0)),
-        mu=None if mu is None else np.asarray(mu, float),
+        mu=_center(cfg),
         activation=cfg.get("activation", "linear"),
         ensemble=cfg.get("ensemble", "deterministic_isometry"),
-        seed=int(seed))
+        seed=int(cfg.get("seed", seed)))
 
 
 def save_model_config(model: ManifoldModel, path: str | Path,
@@ -227,16 +274,3 @@ def save_model_config(model: ManifoldModel, path: str | Path,
 
 def load_model_config(path: str | Path) -> ManifoldModel:
     return model_from_config(json.loads(Path(path).read_text()))
-
-
-def dataset_to_csv(ds: Dataset, path: str | Path) -> None:
-    """One row per sample: label, latent coordinates, ambient coordinates."""
-    p = ds.latents.shape[1]
-    d = ds.ambient.shape[1]
-    header = (["label"] + [f"xi_{k}" for k in range(p)]
-              + [f"x_{k}" for k in range(d)])
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(ds.n):
-            writer.writerow([int(ds.labels[i]), *ds.latents[i], *ds.ambient[i]])

@@ -72,17 +72,6 @@ class GammaFunctions:
         return float(out[0]) if np.isscalar(y) or np.ndim(y) == 0 else out
 
 
-def gamma_eval(which: int, y, gf: GammaFunctions):
-    """Dispatch on which in {0, 1, 2} (2 meaning Gamma^(2))."""
-    if which == 0:
-        return gf.gamma0(y)
-    if which == 1:
-        return gf.gamma1(y)
-    if which == 2:
-        return gf.gamma2(y)
-    raise ValueError("which must be 0, 1 or 2")
-
-
 @dataclass(frozen=True)
 class GepConstants:
     """Gaussian-equivalence constants of Gamma0."""
@@ -213,28 +202,3 @@ def reduced_sde_simulate(t_start: float, t_end: float, dt: float,
 
     return advance(np.full(n_traj, q0, dtype=float), t_start, t_end, dt,
                    drift, 2.0 * s, _rng(seed), keep_path=True)
-
-
-def score_tail_term(x: np.ndarray, model: ManifoldModel,
-                    gf: GammaFunctions | None = None,
-                    h_t: float = 1.0) -> np.ndarray:
-    """Diagnostic e^{-2t} score correction, excluded from the reduced dynamics.
-
-    Component j is x_j (Gamma2(l_j) - Gamma0(l_j)^2) / h^2 plus
-    4 sum_{l != j} x_l theta_{jl} Gamma1(l_j) Gamma1(l_l) / h^2, with
-    theta_{jl} = f_j^T f_l / p.  Used only to confirm these terms are
-    subdominant around t_S.
-    """
-    if gf is None:
-        gf = GammaFunctions(model.activation, model.rho)
-    x = np.asarray(x, dtype=float)
-    lam = lambdas(model)
-    g0 = gf.gamma0(lam)
-    g1 = gf.gamma1(lam)
-    g2 = gf.gamma2(lam)
-    F = model.embedding.entries
-    theta = F @ F.T / model.p
-    diag = x * (g2 - g0 ** 2)
-    xg1 = x * g1
-    cross = 4.0 * g1 * (theta @ xg1 - np.diag(theta) * xg1)
-    return (diag + cross) / h_t ** 2

@@ -26,7 +26,8 @@ from manifold_diffusion.experiments import (ExperimentRecord,
                                             sign_change_time,
                                             speciation_experiment,
                                             threshold_crossing)
-from manifold_diffusion.model import make_model, sample_count, sample_dataset
+from manifold_diffusion.model import (TheoryParams, make_model, sample_count,
+                                      sample_dataset)
 from manifold_diffusion.speciation import (GammaFunctions, gamma0_sq_sum,
                                            gep_constants, potential,
                                            potential_curvature_at_zero,
@@ -76,7 +77,7 @@ def test_criterion_02_glm_path_consistency_linear():
     pts = [(a, b) for a in (0.25, 0.5, 1.0) for b in (0.25, 0.5, 1.0)]
     gap_iso = gap_rmt = 0.0
     for alpha, beta in pts:
-        glm = collapse_time_glm((1.0, 1.0, beta, LINEAR), alpha,
+        glm = collapse_time_glm(TheoryParams(1.0, 1.0, beta, LINEAR), alpha,
                                 t_tol=1e-7).t_c
         gap_rmt = max(gap_rmt,
                       abs(glm - collapse_time_linear_rmt(alpha, beta,

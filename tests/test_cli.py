@@ -10,6 +10,7 @@ import scipy
 
 from manifold_diffusion import (__version__, cli, collapse_time_glm,
                                 collapse_time_linear_rmt, f_star)
+from manifold_diffusion import model as model_mod
 from manifold_diffusion.model import model_from_config, sample_dataset
 
 
@@ -71,7 +72,8 @@ def test_collapse_command_glm_for_nonlinear(tmp_path):
     assert 0.0 < out["t_C"] < 0.2
     model = model_from_config({"d": 16, "p": 8, "alpha": 0.5,
                                "activation": "tanh"})
-    res = collapse_time_glm(model, 0.5, n_outer=10, grid_points=48)
+    res = collapse_time_glm(model.theory_params, 0.5, n_outer=10,
+                            grid_points=48)
     assert (out["f_star_solves"], out["psi_evaluations"]) == (
         res.f_star_solves, res.psi_evaluations)
     assert out["psi_evaluations"] > 48 * out["f_star_solves"]
@@ -108,19 +110,41 @@ def test_collapse_and_free_energy_take_m_from_config_mu(tmp_path):
     spec = {"d": 16, "p": 8, "alpha": 0.5, "mu": [2.0] * 8, "activation": "tanh"}
     cfg = tmp_path / "model.json"
     cfg.write_text(json.dumps(spec))
-    model = model_from_config(spec)
+    params = model_from_config(spec).theory_params
     assert run(tmp_path, "collapse", "--config", str(cfg), "--nodes", "10",
                "--grid-points", "48") == 0
     out = json.loads((tmp_path / "collapse.json").read_text())
-    assert out["t_C"] == collapse_time_glm(model, 0.5, n_outer=10,
+    assert out["t_C"] == collapse_time_glm(params, 0.5, n_outer=10,
                                            grid_points=48).t_c
 
     assert run(tmp_path, "free-energy", "--config", str(cfg), "--t-min", "0.5",
                "--t-max", "0.5", "--t-points", "1", "--nodes", "8") == 0
     with open(tmp_path / "free_energy.csv") as fh:
         [row] = list(csv.DictReader(fh))
-    assert float(row["f_star [per latent dim]"]) == f_star(0.5, model,
+    assert float(row["f_star [per latent dim]"]) == f_star(0.5, params,
                                                            n_outer=8).f_star
+
+
+def test_collapse_and_free_energy_draw_no_embedding(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("embedding drawn")
+
+    monkeypatch.setattr(model_mod, "build_embedding", refuse)
+    with pytest.raises(AssertionError):
+        model_from_config({"d": 4, "p": 2})
+    for route in ("linear_isometry_closed_form", "linear_rmt", "glm_general"):
+        assert run(tmp_path, "collapse", "--d", "2000", "--p", "1000",
+                   "--alpha", "0.5", "--method", route, "--nodes", "8",
+                   "--grid-points", "48") == 0
+    assert run(tmp_path, "free-energy", "--d", "16", "--p", "8",
+               "--activation", "tanh", "--t-points", "2", "--nodes", "8") == 0
+    # without a model the config is still validated
+    cfg = tmp_path / "model.json"
+    cfg.write_text(json.dumps({"d": 16, "p": 8, "mu": [1.0] * 4}))
+    for argv in (["collapse", "--config", str(cfg)],
+                 ["free-energy", "--config", str(cfg)],
+                 ["free-energy", "--d", "16", "--p", "8", "--alpha", "-1"]):
+        assert run(tmp_path, *argv) == cli.EXIT_CONFIG
 
 
 def test_collapse_sweep_honours_config_rho_and_m(tmp_path):

@@ -12,7 +12,7 @@ from manifold_diffusion.collapse import (_psi_prime, _r_star, collapse_method,
                                          f_star, logdet_isometry, mp_h,
                                          mp_logdet, psi, psi_big,
                                          psi_big_linear, psi_quadrature_check)
-from manifold_diffusion.model import make_model
+from manifold_diffusion.model import TheoryParams, make_model
 from manifold_diffusion.quadrature import std_normal_grid, std_normal_nodes
 
 LINEAR = make_activation("linear")
@@ -98,7 +98,7 @@ def test_psi_big_domain_errors():
 
 
 def test_f_star_stationarity_and_inner_minimizer():
-    params = (1.0, 1.0, 0.5, LINEAR)
+    params = TheoryParams(1.0, 1.0, 0.5, LINEAR)
     res = f_star(0.3, params)
     m, rho = 1.0, 1.0
     c = m * m + rho
@@ -135,7 +135,7 @@ def _inf_over_r(q, big, m, rho, beta):
 def test_f_star_is_at_least_a_dense_probe_maximum(act, t):
     m, rho, beta = 1.0, 1.0, 0.5
     c = m * m + rho
-    res = f_star(t, (m, rho, beta, act), n_outer=10, n_inner=48,
+    res = f_star(t, TheoryParams(m, rho, beta, act), n_outer=10, n_inner=48,
                  grid_points=48)
     probe = [_inf_over_r(q, psi_big(q, t, m, rho, act, 10, 48), m, rho, beta)
              for q in np.linspace(0.0, c * (1.0 - 1e-9), 2001)]
@@ -156,13 +156,13 @@ def test_f_star_resolves_a_peak_next_to_the_boundary(t):
         k = int(np.argmax(vals))
         best = max(best, vals[k])
         lo, hi = qs[max(k - 2, 0)], qs[min(k + 2, 2000)]
-    res = f_star(t, (m, rho, beta, LINEAR))
+    res = f_star(t, TheoryParams(m, rho, beta, LINEAR))
     assert c - res.q_star < 10 * t
     assert res.f_star >= best - 1e-9
 
 
 def test_f_star_is_supremum_over_probed_points():
-    params = (1.0, 1.0, 0.5, LINEAR)
+    params = TheoryParams(1.0, 1.0, 0.5, LINEAR)
     res = f_star(0.4, params)
     for q in (0.1, 0.9, 1.5, 1.9):
         r = max((q - 1.0) / (1.0 * (2.0 - q)), 0.0)
@@ -170,13 +170,13 @@ def test_f_star_is_supremum_over_probed_points():
 
 
 def test_f_star_decreases_with_time():
-    params = (1.0, 1.0, 0.5, LINEAR)
+    params = TheoryParams(1.0, 1.0, 0.5, LINEAR)
     vals = [f_star(t, params).f_star for t in (0.1, 0.5, 1.5)]
     assert vals[0] > vals[1] > vals[2]
 
 
 def test_f_star_finite_near_zero_time():
-    res = f_star(0.02, (1.0, 1.0, 0.5, LINEAR))
+    res = f_star(0.02, TheoryParams(1.0, 1.0, 0.5, LINEAR))
     assert np.isfinite(res.f_star)
 
 
@@ -254,7 +254,7 @@ def test_rmt_reports_unbracketed_root():
 
 
 def test_glm_linear_agrees_with_rmt():
-    glm = collapse_time_glm((1.0, 1.0, 0.5, LINEAR), 0.5).t_c
+    glm = collapse_time_glm(TheoryParams(1.0, 1.0, 0.5, LINEAR), 0.5).t_c
     rmt = collapse_time_linear_rmt(0.5, 0.5).t_c
     assert abs(glm - rmt) < 1e-3
 
@@ -263,10 +263,11 @@ def test_glm_linear_agrees_with_rmt():
 def test_linear_routes_follow_rho(m, rho):
     # the RMT route is the GLM free energy of a linear gaussian-F model in
     # closed form, at any (m, rho); both roots are found to t_tol 1e-6
-    glm = collapse_time_glm((m, rho, 0.5, LINEAR), 0.5).t_c
+    glm = collapse_time_glm(TheoryParams(m, rho, 0.5, LINEAR), 0.5).t_c
     rmt = collapse_time_linear_rmt(0.5, 0.5, rho=rho).t_c
     assert abs(glm - rmt) < 1e-6
-    assert collapse_time("linear_rmt", 0.5, (m, rho, 0.5, LINEAR)).t_c == rmt
+    assert collapse_time("linear_rmt", 0.5,
+                         TheoryParams(m, rho, 0.5, LINEAR)).t_c == rmt
 
     # the isometry closed form against a slogdet root of the covariance
     # rho F F^T / p of a drawn isometric F
@@ -283,13 +284,13 @@ def test_linear_routes_follow_rho(m, rho):
     iso = collapse_time_linear_isometry(0.5, 0.5, rho=rho)
     assert abs(iso - root) < 1e-10
     assert collapse_time("linear_isometry_closed_form", 0.5,
-                         (m, rho, 0.5, LINEAR)).t_c == iso
+                         TheoryParams(m, rho, 0.5, LINEAR)).t_c == iso
     assert abs(iso - collapse_time_linear_isometry(0.5, 0.5)) > 1e-2
 
 
 def test_glm_tanh_collapse_time_runs():
-    res = collapse_time_glm((1.0, 1.0, 0.5, TANH), 0.5, n_outer=10,
-                            n_inner=48, grid_points=48, t_tol=1e-4)
+    res = collapse_time_glm(TheoryParams(1.0, 1.0, 0.5, TANH), 0.5,
+                            n_outer=10, n_inner=48, grid_points=48, t_tol=1e-4)
     assert res.method == "glm_general"
     assert 0.0 < res.t_c < 0.2
     assert res.residual < 1e-3
@@ -316,7 +317,8 @@ def test_glm_sweep_rows_stay_at_pinned_values():
     for beta in np.linspace(0.1, 0.9, 3):
         for kind in ("relu", "tanh", "sigmoid"):
             res = collapse_time("glm_general", 0.5,
-                                (1.0, 1.0, float(beta), make_activation(kind)),
+                                TheoryParams(1.0, 1.0, float(beta),
+                                             make_activation(kind)),
                                 n_outer=10, n_inner=48, grid_points=48,
                                 t_tol=1e-4)
             assert abs(res.t_c - SWEEP_T_C[round(beta, 9), kind]) <= 1e-9
@@ -333,7 +335,7 @@ def test_psi_evaluations_count_every_psi_big_call(monkeypatch):
 
     monkeypatch.setattr(collapse_mod, "psi_big",
                         counted("psi_big", collapse_mod.psi_big))
-    params = (1.0, 1.0, 0.5, TANH)
+    params = TheoryParams(1.0, 1.0, 0.5, TANH)
     res = f_star(0.3, params, n_outer=10, n_inner=48, grid_points=48)
     assert not res.boundary  # the two stationarity calls are counted too
     assert res.psi_evaluations == calls["psi_big"] > 48
@@ -347,29 +349,44 @@ def test_psi_evaluations_count_every_psi_big_call(monkeypatch):
     assert res.f_star_solves == calls["f_star"] > 0
 
     for method in ("linear_isometry_closed_form", "linear_rmt"):
-        res = collapse_time(method, 0.5, (1.0, 1.0, 0.5, LINEAR))
+        res = collapse_time(method, 0.5, TheoryParams(1.0, 1.0, 0.5, LINEAR))
         assert (res.f_star_solves, res.psi_evaluations) == (0, 0)
 
 
 def test_glm_rejects_nonpositive_alpha():
     with pytest.raises(ValueError):
-        collapse_time_glm((1.0, 1.0, 0.5, LINEAR), 0.0)
+        collapse_time_glm(TheoryParams(1.0, 1.0, 0.5, LINEAR), 0.0)
+
+
+def test_glm_validates_a_bare_tuple():
+    # a bare (m, rho, beta, activation) tuple becomes a validated record
+    with pytest.raises(ValueError, match="beta"):
+        collapse_time_glm((1.0, 1.0, 3.0, LINEAR), 0.5)
+    with pytest.raises(ValueError, match="rho"):
+        collapse_time_glm((1.0, -0.5, 0.5, LINEAR), 0.5)
+
+
+def test_dispatcher_takes_a_record_without_a_model():
+    params = TheoryParams(0.3, 1.7, 0.5, LINEAR, ensemble="gaussian_iid")
+    res = collapse_time(None, 0.5, params)
+    assert res == collapse_time_linear_rmt(0.5, 0.5, rho=1.7)
 
 
 def test_dispatcher_routes_and_rejects_misread_inputs():
-    iso = make_model(16, 8)
-    gauss = make_model(16, 8, ensemble="gaussian_iid")
+    iso = make_model(16, 8).theory_params
+    gauss = make_model(16, 8, ensemble="gaussian_iid").theory_params
     assert collapse_method(iso) == "linear_isometry_closed_form"
     assert collapse_method(gauss) == "linear_rmt"
-    assert collapse_method(make_model(16, 8, activation="tanh")) == "glm_general"
+    assert (collapse_method(make_model(16, 8, activation="tanh").theory_params)
+            == "glm_general")
 
     assert collapse_time(None, 0.5, iso).t_c == collapse_time_linear_isometry(0.5, 0.5)
     assert collapse_time(None, 0.5, gauss) == collapse_time_linear_rmt(0.5, 0.5)
-    params = (1.0, 1.0, 0.5, LINEAR)
+    params = TheoryParams(1.0, 1.0, 0.5, LINEAR)
     assert (collapse_time("glm_general", 0.5, params, grid_points=48)
             == collapse_time_glm(params, 0.5, grid_points=48))
 
     with pytest.raises(ValueError, match="unknown collapse method"):
         collapse_time("closed_form", 0.5, params)
     with pytest.raises(ValueError, match="linear activation"):
-        collapse_time("linear_rmt", 0.5, (1.0, 1.0, 0.5, TANH))
+        collapse_time("linear_rmt", 0.5, TheoryParams(1.0, 1.0, 0.5, TANH))

@@ -5,8 +5,7 @@ from scipy.special import logsumexp
 
 from manifold_diffusion import diffusion
 from manifold_diffusion.diffusion import (EmpiricalScore, backward_integrate,
-                                          forward_sample, schedule,
-                                          trajectory_to_csv)
+                                          forward_sample, schedule)
 
 
 def test_schedule_identities():
@@ -266,7 +265,7 @@ def test_backward_integrator_preserves_stationary_gaussian():
     # -y and N(0, I) is invariant; the ensemble variance must stay near 1
     start = np.random.default_rng(1).standard_normal((2000, 2))
     rec = backward_integrate(start, T=3.0, t_min=0.01, dt=0.01,
-                             score=lambda y, t: -y, seed=8, score_mode="exact")
+                             score=lambda y, t: -y, seed=8)
     assert rec.states[-1].var() == pytest.approx(1.0, abs=0.1)
     assert abs(rec.states[-1].mean()) < 0.1
 
@@ -305,17 +304,3 @@ def test_backward_integrator_reports_divergence():
             pytest.raises(FloatingPointError, match="non-finite state at step"):
         backward_integrate(np.ones(2), T=2.0, t_min=0.01, dt=0.1,
                            score=lambda y, t: 1e160 * y**3, seed=0)
-
-
-def test_trajectory_csv_export(tmp_path):
-    rec = backward_integrate(np.zeros(4), T=0.5, t_min=0.1, dt=0.1,
-                             score=lambda y, t: -y, seed=2)
-    path = tmp_path / "traj.csv"
-    trajectory_to_csv(rec, path, coords=[0, 2])
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "time,y_0,y_2"
-    assert len(lines) == len(rec.times) + 1
-    batch = backward_integrate(np.zeros((3, 4)), T=0.5, t_min=0.1, dt=0.1,
-                               score=lambda y, t: -y, seed=2)
-    with pytest.raises(ValueError, match="single trajectory"):
-        trajectory_to_csv(batch, tmp_path / "b.csv")

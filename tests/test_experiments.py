@@ -224,6 +224,27 @@ def test_tilted_log_partition_decreases_with_tilt():
         tilted_log_partition(mdl, ds, 0.4, lam=0.0, n_noise=10, seed=0)
 
 
+@pytest.mark.parametrize("lam", [0.5, 2.0])
+@pytest.mark.parametrize("block_cols", [8192, 64])
+def test_tilted_log_partition_equals_explicit_logsumexp(monkeypatch, lam,
+                                                        block_cols):
+    monkeypatch.setattr(diffusion, "_BLOCK_COLS", block_cols)
+    mdl = make_model(d=12, p=6, alpha=0.25, activation="tanh")
+    ds = sample_dataset(mdl, 300, seed=5)
+    t, n_noise, seed = 0.3, 30, 2
+    got = tilted_log_partition(mdl, ds, t, lam=lam, n_noise=n_noise, seed=seed)
+    # the same noise draw, with the tilted log weights written out
+    sch = schedule(t)
+    x = (sch.a * ds.ambient[0]
+         + np.sqrt(sch.h) * _rng(seed).standard_normal((n_noise, mdl.d)))
+    same = ds.labels == ds.labels[0]
+    same[0] = False
+    diff = x[:, None, :] - sch.a * ds.ambient[None, same, :]
+    lw = -np.einsum("bij,bij->bi", diff, diff) / (2.0 * sch.h)
+    want = logsumexp(lam * lw, axis=1).mean() / mdl.d
+    assert abs(got - want) <= 1e-12 * abs(want)
+
+
 def test_records_to_csv(tmp_path):
     recs = [_record(1.0, 0.5), _record(0.5, 0.9, flags=("a", "b"))]
     path = tmp_path / "records.csv"

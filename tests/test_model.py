@@ -4,8 +4,9 @@ import json
 import numpy as np
 import pytest
 
-from manifold_diffusion.model import (Dataset, EmbeddingMatrix, build_embedding,
-                                      dataset_to_csv, load_model_config,
+from manifold_diffusion.activations import make_activation
+from manifold_diffusion.model import (Dataset, EmbeddingMatrix, TheoryParams,
+                                      build_embedding, load_model_config,
                                       make_model, model_from_config,
                                       model_to_config, sample_count,
                                       sample_dataset, save_model_config)
@@ -138,12 +139,43 @@ def test_config_explicit_mu_and_mu_file(tmp_path):
     assert np.allclose(loaded.mu, mu)
 
 
-def test_dataset_to_csv(tmp_path):
-    mdl = make_model(d=4, p=2)
-    ds = sample_dataset(mdl, 5, seed=1)
-    path = tmp_path / "data.csv"
-    dataset_to_csv(ds, path)
-    lines = path.read_text().strip().splitlines()
-    assert len(lines) == 6
-    assert lines[0].split(",")[0] == "label"
-    assert len(lines[1].split(",")) == 1 + 2 + 4
+def test_theory_params_reject_invalid_values():
+    lin = make_activation("linear")
+    for rho in (0.0, -0.5):
+        with pytest.raises(ValueError, match="rho"):
+            TheoryParams(1.0, rho, 0.5, lin)
+    for beta in (0.0, 3.0):
+        with pytest.raises(ValueError, match="beta"):
+            TheoryParams(1.0, 1.0, beta, lin)
+    with pytest.raises(ValueError, match="ensemble"):
+        TheoryParams(1.0, 1.0, 0.5, lin, ensemble="haar")
+
+
+def test_theory_params_are_hashable_records():
+    a = TheoryParams(1.0, 1.0, 0.5, make_activation("linear"))
+    b = TheoryParams(1.0, 1.0, 0.5, make_activation("linear"))
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b, TheoryParams(1.0, 1.0, 0.25, a.activation)}) == 2
+
+
+@pytest.mark.parametrize("cfg", [
+    {"d": 16, "p": 8},
+    {"d": 16, "p": 8, "m": 1.3, "rho": 0.7, "activation": "tanh",
+     "ensemble": "gaussian_iid"},
+    {"d": 8, "p": 4, "mu": [0.5, 1.0, 1.5, 2.0], "m": 9.0},
+])
+def test_theory_params_from_config_match_the_model(cfg):
+    params = TheoryParams.from_config(cfg)
+    assert params == model_from_config(cfg).theory_params
+    # m is read off the center vector, as the model reads it
+    mu = np.asarray(cfg.get("mu", cfg.get("m", 1.0) * np.ones(cfg["p"])))
+    assert params.m == float(np.linalg.norm(mu) / np.sqrt(cfg["p"]))
+
+
+def test_theory_params_from_config_rejects_a_misread_center(tmp_path):
+    with pytest.raises(ValueError, match="length p=4"):
+        TheoryParams.from_config({"d": 8, "p": 4, "mu": [1.0, 2.0]})
+    mu_path = tmp_path / "mu.txt"
+    np.savetxt(mu_path, [1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="length p=4"):
+        TheoryParams.from_config({"d": 8, "p": 4, "mu_file": str(mu_path)})

@@ -5,11 +5,10 @@ from hypothesis import given, strategies as st
 
 from manifold_diffusion.model import make_model
 from manifold_diffusion.speciation import (GammaFunctions, GepConstants,
-                                           gamma0_sq_sum, gamma_eval,
-                                           gep_constants, lambdas, potential,
+                                           gamma0_sq_sum, gep_constants,
+                                           lambdas, potential,
                                            potential_curvature_at_zero,
                                            reduced_sde_simulate,
-                                           score_tail_term,
                                            speciation_time_asymptotic,
                                            speciation_time_finite)
 from manifold_diffusion.activations import make_activation
@@ -51,15 +50,6 @@ def test_gamma_scalar_and_vector_calls_agree():
     vec = gf.gamma0(ys)
     assert isinstance(gf.gamma0(0.3), float)
     assert gf.gamma0(0.3) == pytest.approx(vec[0])
-
-
-def test_gamma_eval_dispatch():
-    gf = GammaFunctions(make_activation("linear"), rho=1.0)
-    assert gamma_eval(0, 2.0, gf) == pytest.approx(2.0)
-    assert gamma_eval(1, 2.0, gf) == pytest.approx(1.0)
-    assert gamma_eval(2, 2.0, gf) == pytest.approx(5.0)
-    with pytest.raises(ValueError):
-        gamma_eval(3, 2.0, gf)
 
 
 def test_gamma_rejects_bad_rho():
@@ -184,14 +174,3 @@ def test_reduced_sde_splits_symmetrically_below_transition():
     assert 0.35 < frac_plus < 0.65
     # well below t_S the ensemble sits in the two wells, far from the origin
     assert np.abs(final).mean() > np.sqrt(2 * s)
-
-
-def test_score_tail_term_linear_closed_form():
-    mdl = make_model(d=6, p=3, rho=0.8, seed=2)
-    x = np.arange(1.0, 7.0)
-    rho = mdl.rho
-    F = mdl.embedding.entries
-    theta = F @ F.T / mdl.p
-    # linear phi: Gamma2 - Gamma0^2 = rho and Gamma1 = sqrt(rho)
-    expected = x * rho + 4.0 * rho * (theta @ x - np.diag(theta) * x)
-    assert np.allclose(score_tail_term(x, mdl), expected, atol=1e-10)
