@@ -7,9 +7,9 @@ from .collapse import (CollapseResult, FreeEnergyResult, collapse_method,
                        collapse_time, collapse_time_glm,
                        collapse_time_linear_isometry, collapse_time_linear_rmt,
                        f_rs, f_star, logdet_isometry, mp_h, mp_logdet, psi,
-                       psi_big, psi_big_linear, psi_quadrature_check)
-from .diffusion import (DiffusionSchedule, EmpiricalScore, TrajectoryRecord,
-                        backward_integrate, forward_sample, schedule)
+                       psi_big, psi_big_linear, psi_quadrature_check,
+                       stationarity_residual)
+from .diffusion import DiffusionSchedule, EmpiricalScore, schedule
 from .model import (Dataset, EmbeddingMatrix, ManifoldModel, TheoryParams,
                     build_embedding, load_model_config, make_model,
                     model_from_config, model_to_config, sample_count,

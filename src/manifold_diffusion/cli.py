@@ -25,6 +25,7 @@ from . import collapse as C
 from . import experiments as E
 from . import speciation as S
 from .activations import make_activation
+from .diffusion import EmpiricalScore
 from .model import (ENSEMBLES, TheoryParams, model_from_config, sample_count,
                     sample_dataset)
 
@@ -237,10 +238,11 @@ def cmd_exp_speciation(args) -> int:
     with _phase(timings, "dataset"):
         dataset = sample_dataset(model, args.n_data, int(cfg["seed"]))
     with _phase(timings, "experiment"):
+        score = EmpiricalScore(dataset)
         records = E.speciation_experiment(model, args.n_data, t_grid,
                                           args.n_traj, args.n_clones,
                                           int(cfg["seed"]), dt=args.dt,
-                                          dataset=dataset)
+                                          dataset=dataset, score=score)
     out = _out_dir(args)
     csv_path = out / "exp_speciation.csv"
     E.records_to_csv(records, csv_path)
@@ -255,7 +257,7 @@ def cmd_exp_speciation(args) -> int:
         "t_S_empirical_censored": bool(records[0].value >= 0.95),
     }
     return _report(out, "exp_speciation", cfg, summary, [csv_path],
-                   timings=timings)
+                   timings=timings, score_rank=score.rank)
 
 
 def _crossing_sample(cfg: dict, n_data: int | None) -> tuple[int, float]:
@@ -286,8 +288,10 @@ def cmd_exp_collapse(args) -> int:
     with _phase(timings, "dataset"):
         dataset = sample_dataset(model, cfg["n_data"], int(cfg["seed"]))
     with _phase(timings, "experiment"):
+        score = EmpiricalScore(dataset)
         records = E.collapse_crossing_experiment(model, dataset, t_grid,
-                                                 args.n_noise, int(cfg["seed"]) + 1)
+                                                 args.n_noise, int(cfg["seed"]) + 1,
+                                                 score=score)
     out = _out_dir(args)
     csv_path = out / "exp_collapse.csv"
     E.records_to_csv(records, csv_path)
@@ -298,7 +302,7 @@ def cmd_exp_collapse(args) -> int:
                "t_C_theory": theory.t_c, "method": theory.method}
     return _report(out, "exp_collapse", cfg, summary, [csv_path],
                    timings=timings, f_star_solves=theory.f_star_solves,
-                   psi_evaluations=theory.psi_evaluations)
+                   psi_evaluations=theory.psi_evaluations, score_rank=score.rank)
 
 
 def cmd_exp_free_energy(args) -> int:

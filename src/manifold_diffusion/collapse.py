@@ -126,9 +126,8 @@ class FreeEnergyResult:
     q_star: float
     r_star: float
     f_star: float
-    stationarity_residual: float
     boundary: bool
-    psi_evaluations: int = 0  # grid, optimizer and stationarity Psi calls
+    psi_evaluations: int = 0  # grid and optimizer Psi calls
 
 
 def _r_star(q: float, m: float, rho: float) -> float:
@@ -200,22 +199,36 @@ def f_star(t: float, params: TheoryParams, n_outer: int = 24,
         if fb > f_val:
             q_star, f_val, boundary = qb, fb, True
     r_star = _r_star(q_star, m, rho)
-
-    eps = 1e-5 * max(c, 1.0)
-    if eps < q_star < c - eps and r_star > eps:
-        df_dq = (f_rs(q_star + eps, r_star, t, params, n_outer, n_inner)
-                 - f_rs(q_star - eps, r_star, t, params, n_outer, n_inner)) / (2 * eps)
-        df_dr = (psi(r_star + eps, m, rho) - psi(r_star - eps, m, rho)) / (2 * eps) - 0.5 * q_star
-        resid = max(abs(df_dq), abs(df_dr))
-        psi_evaluations += 2
-    else:
-        resid = float("nan")
+    # an optimizer within a difference step of an edge is not interior
+    eps = _stationarity_step(c)
+    if not (eps < q_star < c - eps and r_star > eps):
         boundary = True
     return FreeEnergyResult(t=t, q_star=float(q_star), r_star=float(r_star),
-                            f_star=float(f_val),
-                            stationarity_residual=float(resid),
-                            boundary=boundary,
+                            f_star=float(f_val), boundary=boundary,
                             psi_evaluations=psi_evaluations)
+
+
+def _stationarity_step(c: float) -> float:
+    return 1e-5 * max(c, 1.0)
+
+
+def stationarity_residual(res: FreeEnergyResult, params: TheoryParams,
+                          n_outer: int = 24, n_inner: int = 96) -> float:
+    """max(|df_RS/dq|, |df_RS/dr|) at the optimizer of an ``f_star`` solve.
+
+    Central differences of step 1e-5 max(c, 1), two Psi evaluations; NaN
+    for a ``boundary`` optimizer, where f_RS need not be stationary.  Pass
+    the quadrature sizes the solve used.
+    """
+    if res.boundary:
+        return float("nan")
+    m, rho = params.m, params.rho
+    q, r, t = res.q_star, res.r_star, res.t
+    eps = _stationarity_step(m * m + rho)
+    df_dq = (f_rs(q + eps, r, t, params, n_outer, n_inner)
+             - f_rs(q - eps, r, t, params, n_outer, n_inner)) / (2 * eps)
+    df_dr = (psi(r + eps, m, rho) - psi(r - eps, m, rho)) / (2 * eps) - 0.5 * q
+    return float(max(abs(df_dq), abs(df_dr)))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,9 @@ with a_t = e^{-t}, h_t = 1 - e^{-2t}.  The generative (backward) process is
 integrated with decreasing t by ``advance``, the one Euler-Maruyama stepper of
 the package.  The empirical score s is the gradient of the log of a Gaussian
 kernel sum over the training samples, computed with max-subtracted
-exponentials so it is stable for any inputs.
+exponentials so it is stable for any inputs.  It reads the samples only
+through <x, x_i> and sum_i w_i x_i, so when the samples span r < d
+dimensions (linear-manifold data: r = p) its kernel runs on r coordinates.
 """
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Dataset, _rng
+from .model import Dataset
 
 # most rows of one score tile and most sample columns of one block: the
 # kernel's buffer is at most (256, 8192), i.e. 16 MiB, whatever n is
@@ -28,6 +30,14 @@ _BLOCK_COLS = 8192
 # term, which is exactly 1, so a sum over n <= 10^7 terms moves by at most
 # 1e-297 relative.
 _EXP_FLOOR = -700.0
+# Gram eigenvalues at most this fraction of the largest count as zero.  At
+# n 4096, d 64 and 256, both ensembles: linear data's null eigenvalues are
+# roundoff (<= 1.3e-16 of the largest) and its others >= 6e-4; tanh, relu
+# and sigmoid data are full rank, down to 2e-6 (sigmoid).
+_RANK_RTOL = 1e-12
+# the span is used only if no sample lies off it by more than this fraction
+# of the largest sample norm (the same linear data: <= 1.1e-14)
+_SPAN_RTOL = 1e-13
 
 
 def _shifted_exp(a: np.ndarray, m: np.ndarray, floor: bool = True) -> np.ndarray:
@@ -40,6 +50,26 @@ def _shifted_exp(a: np.ndarray, m: np.ndarray, floor: bool = True) -> np.ndarray
     if floor:
         np.maximum(a, _EXP_FLOOR, out=a)
     return np.exp(a, out=a)
+
+
+def _sample_span(X: np.ndarray, sq_norms: np.ndarray) -> np.ndarray | None:
+    """Orthonormal (d, r) basis of the span of the rows of X, or None.
+
+    The rank r is read off the d x d Gram matrix X^T X, so no (n, d) copy
+    of X is made.  None when r = d, or when some sample lies off the span
+    by more than ``_SPAN_RTOL`` of the largest sample norm.  A sample's
+    distance to the span is the norm of its part along the dropped
+    eigenvectors, taken over blocks of samples.
+    """
+    lam, vecs = np.linalg.eigh(X.T @ X)
+    null = lam <= _RANK_RTOL * lam[-1]
+    if not null.any():
+        return None
+    off = vecs[:, null]
+    worst = max(np.einsum("ij,ij->i", p, p).max()
+                for p in (X[lo:lo + _BLOCK_COLS] @ off
+                          for lo in range(0, X.shape[0], _BLOCK_COLS)))
+    return vecs[:, ~null] if worst <= _SPAN_RTOL ** 2 * sq_norms.max() else None
 
 
 @dataclass(frozen=True)
@@ -62,20 +92,21 @@ def schedule(t: float) -> DiffusionSchedule:
     return DiffusionSchedule(t=float(t), a=float(a), h=float(-np.expm1(-2.0 * t)))
 
 
-def forward_sample(x0: np.ndarray, t: float, noise_seed: int) -> np.ndarray:
-    """One draw of X_t | X_0 = x0, i.e. a_t x0 + sqrt(h_t) z."""
-    sch = schedule(t)
-    rng = _rng(noise_seed)
-    x0 = np.asarray(x0, dtype=float)
-    return sch.a * x0 + np.sqrt(sch.h) * rng.standard_normal(x0.shape)
-
-
 class EmpiricalScore:
     """Score of the Gaussian-kernel density over a fixed dataset.
 
     The score is a softmax over the n samples of the log kernel weights
-    -||x - a_t x_i||^2 / (2 h_t), evaluated in O(n d) per point with the
-    sample norms cached.  The score and ``log_partition`` share one loop:
+    -||x - a_t x_i||^2 / (2 h_t), evaluated in O(n r) per point with the
+    sample norms cached, r = ``rank``.  The log weights need only
+    <x, x_i> = <V^T x, c_i> and ||x_i||^2, with V an orthonormal basis of
+    the samples' span and c_i = V^T x_i, and the weighted mean is
+    (sum_i w_i c_i) V^T.  So when the samples span r < d dimensions, as on a
+    linear manifold, the kernel runs on their r coordinates; the rank comes
+    from the d x d Gram matrix (eigenvalues below 1e-12 of the largest are
+    dropped), and the span is used only once a blocked pass has shown every
+    sample within 1e-13 of the largest sample norm of it.  Otherwise r = d
+    and the kernel runs on the samples themselves, with the arithmetic of an
+    ambient kernel.  The score and ``log_partition`` share one loop:
     it walks the batch in balanced tiles of at most 256 rows and, within a
     tile, the samples in blocks of at most 8192 columns through one
     (rows, block) buffer, so memory does not grow with n.  A block's log
@@ -85,7 +116,7 @@ class EmpiricalScore:
     sum when the max grows, and takes the exponentials in place with the
     exponent floored at -700 (see ``_EXP_FLOOR``) wherever a bound on the
     block's log weights lets one fall below it.  The weighted mean is
-    normalised on the (rows, d) result and the row term is restored in the
+    normalised on the (rows, r) result and the row term is restored in the
     log-normalizer only.  With n <= 8192 there is one block and the
     arithmetic is that of a single softmax over all samples.  The tiles are
     balanced, so none is a single row (a GEMV, which rounds differently),
@@ -102,17 +133,31 @@ class EmpiricalScore:
             raise ValueError("dataset must be a non-empty (n, d) array")
         self.samples = X
         self._sq_norms = np.einsum("ij,ij->i", X, X)
+        self._basis = _sample_span(X, self._sq_norms)
+        # the kernel's samples: their coordinates in the basis, or X itself
+        self._coords = X if self._basis is None else X @ self._basis
 
-    def _shifted_log_weights(self, x: np.ndarray, sch: DiffusionSchedule,
+    @property
+    def rank(self) -> int:
+        """Number of coordinates the kernel runs on: the samples' rank if
+        they lie in a proper subspace of R^d, else d."""
+        return self._coords.shape[1]
+
+    def _coordinates(self, x: np.ndarray) -> np.ndarray:
+        """The (B, d) batch in the kernel's coordinates, V^T x."""
+        return x if self._basis is None else x @ self._basis
+
+    def _shifted_log_weights(self, xc: np.ndarray, sch: DiffusionSchedule,
                              cols: slice = slice(None),
                              out: np.ndarray | None = None) -> np.ndarray:
         """(a/h) <x, x_i> - (a^2 / 2h) ||x_i||^2 for the samples in ``cols``.
 
-        This is the log kernel weight plus ||x||^2 / (2 h).  The (B, d)
+        This is the log kernel weight plus ||x||^2 / (2 h).  ``xc`` is the
+        batch in the kernel's coordinates (`_coordinates`).  The (B, r)
         operand is scaled rather than the (B, n) product.  ``out`` is an
         optional (B, columns) buffer to write into.
         """
-        g = np.matmul(x * (sch.a / sch.h), self.samples[cols].T, out=out)
+        g = np.matmul(xc * (sch.a / sch.h), self._coords[cols].T, out=out)
         g -= (sch.a * sch.a / (2.0 * sch.h)) * self._sq_norms[cols]
         return g
 
@@ -126,7 +171,7 @@ class EmpiricalScore:
             raise ValueError("empirical score requires t > 0")
         sch = schedule(t)
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        g = self._shifted_log_weights(x, sch)
+        g = self._shifted_log_weights(self._coordinates(x), sch)
         g -= (np.einsum("bj,bj->b", x, x) / (2.0 * sch.h))[:, None]
         return g
 
@@ -160,32 +205,34 @@ class EmpiricalScore:
         if t <= 0:
             raise ValueError("empirical score requires t > 0")
         sch = schedule(t)
-        b, d = x.shape
+        b = x.shape[0]
         if b == 0:
             raise ValueError("empty batch")
+        xc = self._coordinates(x)
         blocks = self._blocks(keep)
         rows = -(-b // -(-b // _TILE_ROWS))  # ceil(b / ceil(b / 256))
         buf = np.empty(rows * min(self.samples.shape[0], _BLOCK_COLS))
         score = np.empty(x.shape) if with_score else None
         logz = np.empty(b)
         for lo in range(0, b, rows):
-            xs = x[lo:lo + rows]
+            xs, cs = x[lo:lo + rows], xc[lo:lo + rows]
             r = len(xs)
             sq = np.einsum("bj,bj->b", xs, xs)
             xnorm = np.sqrt(sq)[:, None]
             m = np.full((r, 1), -np.inf)
             z = np.zeros((r, 1))
-            wsum = np.zeros((r, d))
+            wsum = np.zeros((r, self.rank))
             for cols, kept, radius in blocks:
                 w = cols.stop - cols.start
-                g = self._shifted_log_weights(xs, sch, cols, out=buf[:r * w].reshape(r, w))
-                samples = self.samples[cols]
+                g = self._shifted_log_weights(cs, sch, cols, out=buf[:r * w].reshape(r, w))
+                samples = self._coords[cols]
                 if kept is not None:
                     g, samples = g.compress(kept, axis=1), samples[kept]
                 m_new = np.maximum(m, g.max(axis=1, keepdims=True))
                 # by Cauchy-Schwarz each shifted log weight of the block is
                 # at least -(a/h)|x| R - (a^2/2h) R^2, R its largest sample
-                # norm; within 700 of the row max the floor is a no-op
+                # norm (|V^T x| <= |x|); within 700 of the row max the floor
+                # is a no-op
                 low = -radius * (sch.a / sch.h * xnorm + sch.a * sch.a / (2.0 * sch.h) * radius)
                 _shifted_exp(g, m_new, floor=bool(np.any(low - m_new < _EXP_FLOOR)))
                 rescale = np.exp(m - m_new)  # 0 on a tile's first block
@@ -194,7 +241,10 @@ class EmpiricalScore:
                     wsum = wsum * rescale + g @ samples
                 m = m_new
             if with_score:
-                score[lo:lo + r] = (sch.a * (wsum / z) - xs) / sch.h
+                mean = wsum / z
+                if self._basis is not None:
+                    mean = mean @ self._basis.T
+                score[lo:lo + r] = (sch.a * mean - xs) / sch.h
             logz[lo:lo + r] = (m + np.log(z)).ravel() - sq / (2.0 * sch.h)
         return score, logz
 
@@ -228,15 +278,6 @@ class EmpiricalScore:
         return float(logz[0]) if x_in.ndim == 1 else logz
 
 
-@dataclass(frozen=True)
-class TrajectoryRecord:
-    """Backward trajectory on a strictly decreasing time grid."""
-
-    times: np.ndarray
-    states: np.ndarray  # (K+1, d) or (K+1, B, d) for a batch
-    seed: int
-
-
 def advance(y: np.ndarray, t_from: float, t_to: float, dt: float, drift,
             noise_var: float, rng: np.random.Generator,
             keep_path: bool = False):
@@ -264,23 +305,3 @@ def advance(y: np.ndarray, t_from: float, t_to: float, dt: float, drift,
     if keep_path:
         return np.array(times), np.array(states)
     return y
-
-
-def backward_integrate(start: np.ndarray, T: float, t_min: float, dt: float,
-                       score, seed: int) -> TrajectoryRecord:
-    """Euler-Maruyama discretization of the backward SDE from T down to t_min.
-
-    ``score`` is any callable (x, t) -> score or (score, aux); a batch of
-    trajectories integrates in lockstep when ``start`` has shape (B, d).
-    The last step is shortened to land exactly on t_min.
-    """
-    if not T > t_min > 0:
-        raise ValueError("require T > t_min > 0")
-
-    def drift(y, t):
-        s = score(y, t)
-        return y + 2.0 * (s[0] if isinstance(s, tuple) else s)
-
-    times, states = advance(np.array(start, dtype=float), T, t_min, dt, drift,
-                            2.0, _rng(seed), keep_path=True)
-    return TrajectoryRecord(times, states, seed)

@@ -99,7 +99,8 @@ def speciation_experiment(model: ManifoldModel, n_data: int,
                           t_grid, n_traj: int, n_clones: int, seed: int,
                           dt: float = 0.02, t_min: float = 0.01,
                           t_start: float = 10.0,
-                          dataset: Dataset | None = None) -> list[ExperimentRecord]:
+                          dataset: Dataset | None = None,
+                          score: EmpiricalScore | None = None) -> list[ExperimentRecord]:
     """Clone-agreement measurement of the speciation transition.
 
     Backward trajectories run from N(0, I_d); at each grid time each
@@ -116,7 +117,9 @@ def speciation_experiment(model: ManifoldModel, n_data: int,
     against t_S = 2.08 for the isometric linear model at d=64, p=32, m=1).
 
     The training set is ``dataset`` when given (it must hold ``n_data``
-    samples) and ``sample_dataset(model, n_data, seed)`` otherwise.
+    samples) and ``sample_dataset(model, n_data, seed)`` otherwise; the
+    clones are driven by ``score``, the kernel over it, built here when
+    None.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(np.diff(t_grid) >= 0):
@@ -132,7 +135,8 @@ def speciation_experiment(model: ManifoldModel, n_data: int,
         dataset = sample_dataset(model, n_data, seed)
     elif dataset.n != n_data:
         raise ValueError(f"dataset has {dataset.n} samples, n_data is {n_data}")
-    score = EmpiricalScore(dataset)
+    if score is None:
+        score = EmpiricalScore(dataset)
     rng = _rng(seed + 1)
     mh = model_hash(model)
 
@@ -185,20 +189,23 @@ def threshold_crossing(records: list[ExperimentRecord],
 
 def collapse_crossing_experiment(model: ManifoldModel, dataset: Dataset,
                                  t_grid, n_noise: int, seed: int,
-                                 planted_index: int = 0) -> list[ExperimentRecord]:
+                                 planted_index: int = 0,
+                                 score: EmpiricalScore | None = None) -> list[ExperimentRecord]:
     """Mean of (log Z1 - log Z2) / d along the forward trajectory of x_1.
 
     Z1 is the planted sample's kernel weight and Z2 the sum over all other
     samples, both from ``EmpiricalScore.log_partition`` with a mask (Z1's
     computes only the planted sample's block).  The samples are reduced in
     blocks, so memory grows with the block size, not with n_noise x n.
+    ``score`` is the kernel over ``dataset``, built here when None.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(np.diff(t_grid) >= 0):
         raise ValueError("t_grid must be strictly decreasing")
     if dataset.n < 2:
         raise ValueError("collapse crossing needs at least two samples")
-    score = EmpiricalScore(dataset)
+    if score is None:
+        score = EmpiricalScore(dataset)
     x1 = dataset.ambient[planted_index]
     planted = np.zeros(dataset.n, dtype=bool)
     planted[planted_index] = True

@@ -241,6 +241,7 @@ def test_exp_collapse_command(tmp_path):
     assert all(v >= 0 for v in manifest["timings"].values())
     # the linear closed form solves no f_star
     assert (manifest["f_star_solves"], manifest["psi_evaluations"]) == (0, 0)
+    assert manifest["score_rank"] == 10  # linear data spans p dimensions
 
 
 def test_exp_collapse_manifest_records_theory_work(tmp_path):
@@ -251,6 +252,7 @@ def test_exp_collapse_manifest_records_theory_work(tmp_path):
     assert manifest["f_star_solves"] > 0
     assert manifest["psi_evaluations"] > manifest["f_star_solves"]
     assert manifest["timings"]["theory"] > 0
+    assert manifest["score_rank"] == 20
 
 
 def test_exp_collapse_derives_n_data_from_alpha(tmp_path, monkeypatch):
@@ -301,6 +303,17 @@ def test_exp_speciation_command(tmp_path):
     manifest = json.loads((tmp_path / "exp_speciation.manifest.json").read_text())
     assert set(manifest["timings"]) == {"dataset", "experiment", "theory"}
     assert all(v >= 0 for v in manifest["timings"].values())
+
+
+@pytest.mark.parametrize("activation,rank", [("linear", 32), ("tanh", 64)])
+def test_exp_speciation_manifest_records_score_rank(tmp_path, activation, rank):
+    # the kernel runs on the p coordinates of linear data, on all d otherwise
+    assert run(tmp_path, "exp-speciation", "--d", "64", "--p", "32",
+               "--activation", activation, "--n-data", "128", "--n-traj", "2",
+               "--n-clones", "2", "--t-min", "0.5", "--t-max", "1.0",
+               "--t-points", "2", "--dt", "0.1") == 0
+    manifest = json.loads((tmp_path / "exp_speciation.manifest.json").read_text())
+    assert manifest["score_rank"] == rank
 
 
 def test_manifest_records_output_hashes(tmp_path):

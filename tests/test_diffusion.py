@@ -4,8 +4,8 @@ import pytest
 from scipy.special import logsumexp
 
 from manifold_diffusion import diffusion
-from manifold_diffusion.diffusion import (EmpiricalScore, backward_integrate,
-                                          forward_sample, schedule)
+from manifold_diffusion.diffusion import EmpiricalScore, advance, schedule
+from manifold_diffusion.model import make_model, sample_dataset
 
 
 def test_schedule_identities():
@@ -17,15 +17,6 @@ def test_schedule_identities():
     assert schedule(0.0).h == 0.0
     with pytest.raises(ValueError):
         schedule(-0.1)
-
-
-def test_forward_sample_statistics_and_reproducibility():
-    x0 = np.zeros(20_000)
-    t = 0.7
-    x = forward_sample(x0, t, noise_seed=4)
-    assert x.mean() == pytest.approx(0.0, abs=0.02)
-    assert x.var() == pytest.approx(schedule(t).h, abs=0.02)
-    assert np.array_equal(x, forward_sample(x0, t, noise_seed=4))
 
 
 def _brute_force_score(x, t, samples):
@@ -238,6 +229,61 @@ def test_log_partition_memory_grows_with_block_not_n():
     assert peak < 3 * 200 * diffusion._BLOCK_COLS * 8
 
 
+def _span_data(kind):
+    if kind == "few_samples":  # n < d: any 6 points span 6 dimensions
+        return np.random.default_rng(9).standard_normal((6, 16)), 6
+    model = make_model(16, 8, ensemble=kind, seed=2)
+    return sample_dataset(model, 300, seed=3).ambient, 8
+
+
+@pytest.mark.parametrize("kind", ["deterministic_isometry", "gaussian_iid", "few_samples"])
+def test_score_on_the_samples_span_matches_explicit_differences(kind, monkeypatch):
+    # the kernel runs on the samples' r coordinates; query points carry a
+    # component off the span, which only the row term ||x||^2 / 2h sees
+    monkeypatch.setattr(diffusion, "_BLOCK_COLS", 64)
+    samples, rank = _span_data(kind)
+    score = EmpiricalScore(samples)
+    assert score.rank == rank and score.samples is samples
+    rng = np.random.default_rng(4)
+    keep = rng.random(len(samples)) < 0.5
+    keep[0] = True
+    for t in (0.011, 0.3, 3.0):
+        sch = schedule(t)
+        idx = rng.integers(0, len(samples), 5)
+        x = sch.a * samples[idx] + np.sqrt(sch.h) * rng.standard_normal((5, 16))
+        x = np.vstack([x, 3.0 * rng.standard_normal(16)])
+        s, logz = score(x, t)
+        for row, s_row, logz_row in zip(x, s, logz):
+            s_ref, logz_ref = _brute_force_score(row, t, samples)
+            assert np.linalg.norm(s_row - s_ref) <= 1e-12 * np.linalg.norm(s_ref)
+            assert logz_row == pytest.approx(logz_ref, rel=1e-12, abs=0)
+        diff = x[:, None, :] - sch.a * samples[None, :, :]
+        lw = -np.einsum("bij,bij->bi", diff, diff) / (2.0 * sch.h)
+        assert np.allclose(score.log_partition(x, t, keep=keep),
+                           logsumexp(lw[:, keep], axis=1), rtol=1e-12, atol=0)
+        assert np.allclose(score.log_weights(x, t), lw, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("data", ["tanh", "linear_noise_1e-3", "linear_noise_1e-6"])
+def test_full_rank_data_keeps_the_ambient_kernel(data):
+    # tanh data spans R^d; so does linear data plus isotropic noise.  At
+    # 1e-3 the noise's Gram eigenvalues pass the rank cut; at 1e-6 they
+    # fall below it (about 5e-14 of the largest), and the check of each
+    # sample's residual off the span rejects it
+    model = make_model(32, 16, activation=data.split("_")[0], seed=1)
+    samples = sample_dataset(model, 1024, seed=1).ambient
+    if data != "tanh":
+        noise = float(data.rsplit("_", 1)[1])
+        samples = samples + noise * np.random.default_rng(2).standard_normal(samples.shape)
+    score = EmpiricalScore(samples)
+    assert score.rank == 32
+    x = np.random.default_rng(3).standard_normal((300, 32))
+    for t in (0.011, 0.3, 3.0):
+        s, logz = score(x, t)
+        s_ref, logz_ref = _untiled_score(samples, x, t)
+        assert np.array_equal(s, s_ref) and np.array_equal(logz, logz_ref)
+
+
 def test_score_rejects_empty_batch():
     with pytest.raises(ValueError, match="empty batch"):
         EmpiricalScore(np.ones((3, 2)))(np.empty((0, 2)), 0.5)
@@ -260,47 +306,45 @@ def test_score_requires_positive_time_and_valid_data():
         EmpiricalScore(np.ones(3))
 
 
+def _backward(start, T, t_min, dt, score, seed):
+    """(times, states) of -dY = (Y + 2 s(Y, t)) dt + sqrt(2) dW from T down to t_min."""
+    return advance(np.array(start, dtype=float), T, t_min, dt,
+                   lambda y, t: y + 2.0 * score(y, t), 2.0,
+                   np.random.default_rng(seed), keep_path=True)
+
+
 def test_backward_integrator_preserves_stationary_gaussian():
     # with the exact standard-normal score s(y) = -y the backward drift is
     # -y and N(0, I) is invariant; the ensemble variance must stay near 1
     start = np.random.default_rng(1).standard_normal((2000, 2))
-    rec = backward_integrate(start, T=3.0, t_min=0.01, dt=0.01,
-                             score=lambda y, t: -y, seed=8)
-    assert rec.states[-1].var() == pytest.approx(1.0, abs=0.1)
-    assert abs(rec.states[-1].mean()) < 0.1
+    _, states = _backward(start, T=3.0, t_min=0.01, dt=0.01,
+                          score=lambda y, t: -y, seed=8)
+    assert states[-1].var() == pytest.approx(1.0, abs=0.1)
+    assert abs(states[-1].mean()) < 0.1
 
 
 def test_backward_integrator_grid_and_reproducibility():
     start = np.zeros(3)
-    rec = backward_integrate(start, T=1.0, t_min=0.1, dt=0.07,
-                             score=lambda y, t: -y, seed=5)
-    assert rec.times[0] == 1.0
-    assert rec.times[-1] == pytest.approx(0.1)
-    assert np.all(np.diff(rec.times) < 0)
-    rec2 = backward_integrate(start, T=1.0, t_min=0.1, dt=0.07,
+    times, states = _backward(start, T=1.0, t_min=0.1, dt=0.07,
                               score=lambda y, t: -y, seed=5)
-    assert np.array_equal(rec.states, rec2.states)
-
-
-def test_backward_integrator_accepts_tuple_returning_score():
-    start = np.zeros(2)
-    rec = backward_integrate(start, T=0.5, t_min=0.1, dt=0.1,
-                             score=lambda y, t: (-y, 0.0), seed=1)
-    assert np.all(np.isfinite(rec.states))
+    assert times[0] == 1.0
+    assert times[-1] == pytest.approx(0.1)
+    assert np.all(np.diff(times) < 0)
+    _, states2 = _backward(start, T=1.0, t_min=0.1, dt=0.07,
+                           score=lambda y, t: -y, seed=5)
+    assert np.array_equal(states, states2)
 
 
 def test_backward_integrator_validates_times():
-    with pytest.raises(ValueError):
-        backward_integrate(np.zeros(2), T=0.1, t_min=0.5, dt=0.01,
-                           score=lambda y, t: -y, seed=0)
-    with pytest.raises(ValueError):
-        backward_integrate(np.zeros(2), T=1.0, t_min=0.5, dt=-0.1,
-                           score=lambda y, t: -y, seed=0)
+    for dt in (0.0, -0.1):
+        with pytest.raises(ValueError, match="dt must be positive"):
+            _backward(np.zeros(2), T=1.0, t_min=0.5, dt=dt,
+                      score=lambda y, t: -y, seed=0)
 
 
 def test_backward_integrator_reports_divergence():
     # an unstable score blows the state up; the step index is in the message
     with np.errstate(over="ignore"), \
             pytest.raises(FloatingPointError, match="non-finite state at step"):
-        backward_integrate(np.ones(2), T=2.0, t_min=0.01, dt=0.1,
-                           score=lambda y, t: 1e160 * y**3, seed=0)
+        _backward(np.ones(2), T=2.0, t_min=0.01, dt=0.1,
+                  score=lambda y, t: 1e160 * y**3, seed=0)
