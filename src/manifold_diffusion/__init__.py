@@ -11,9 +11,8 @@ from .collapse import (CollapseResult, FreeEnergyResult, collapse_method,
                        stationarity_residual)
 from .diffusion import DiffusionSchedule, EmpiricalScore, schedule
 from .model import (Dataset, EmbeddingMatrix, ManifoldModel, TheoryParams,
-                    build_embedding, load_model_config, make_model,
-                    model_from_config, model_to_config, sample_count,
-                    sample_dataset, save_model_config)
+                    build_embedding, make_model, model_from_config,
+                    model_to_config, sample_count, sample_dataset)
 from .speciation import (GammaFunctions, GepConstants, gamma0_sq_sum,
                          gep_constants, lambdas, potential,
                          potential_curvature_at_zero, reduced_sde_simulate,

@@ -159,14 +159,16 @@ def cmd_speciation(args) -> int:
 
 def cmd_collapse(args) -> int:
     cfg = _run_config(args, alpha=1.0)
-    result = C.collapse_time(args.method, float(cfg["alpha"]),
-                             TheoryParams.from_config(cfg),
-                             n_outer=args.nodes, grid_points=args.grid_points)
+    timings = {}
+    with _phase(timings, "theory"):
+        result = C.collapse_time(args.method, float(cfg["alpha"]),
+                                 TheoryParams.from_config(cfg),
+                                 n_outer=args.nodes, grid_points=args.grid_points)
     payload = {"t_C": result.t_c, "method": result.method,
                "residual": result.residual,
                "f_star_solves": result.f_star_solves,
                "psi_evaluations": result.psi_evaluations}
-    return _report(_out_dir(args), "collapse", cfg, payload)
+    return _report(_out_dir(args), "collapse", cfg, payload, timings=timings)
 
 
 def cmd_collapse_sweep(args) -> int:
@@ -194,16 +196,19 @@ def cmd_collapse_sweep(args) -> int:
                                       TheoryParams(m, rho, beta, lin))
                 writer.writerow([beta, res.t_c, method])
             for act in acts:
-                res = C.collapse_time("glm_general", alpha,
-                                      TheoryParams(m, rho, float(beta), act),
-                                      **solver)
+                timings = {}
+                with _phase(timings, "solve"):
+                    res = C.collapse_time("glm_general", alpha,
+                                          TheoryParams(m, rho, float(beta), act),
+                                          **solver)
                 writer.writerow([beta, res.t_c, act.kind])
                 glm_rows.append({
                     "beta": float(beta), "activation": act.kind,
                     "t_C": res.t_c,
                     "resolution_limited": res.t_c <= solver["t_tol"],
                     "f_star_solves": res.f_star_solves,
-                    "psi_evaluations": res.psi_evaluations})
+                    "psi_evaluations": res.psi_evaluations,
+                    "solve_s": timings["solve"]})
     _write_manifest(out, "collapse_sweep",
                     {**cfg, "betas": betas.tolist(),
                      "activations": args.activations, "glm_solver": solver},
@@ -222,10 +227,12 @@ def cmd_free_energy(args) -> int:
         writer = csv.writer(fh)
         writer.writerow(["t [backward time]", "q_star", "r_star",
                          "f_star [per latent dim]"])
-        for t in ts:
-            res = C.f_star(float(t), params, n_outer=args.nodes)
-            writer.writerow([t, res.q_star, res.r_star, res.f_star])
-    _write_manifest(out, "free_energy", cfg, [path])
+        timings = {}
+        with _phase(timings, "theory"):
+            for t in ts:
+                res = C.f_star(float(t), params, n_outer=args.nodes)
+                writer.writerow([t, res.q_star, res.r_star, res.f_star])
+    _write_manifest(out, "free_energy", cfg, [path], timings=timings)
     print(f"wrote {path}")
     return EXIT_OK
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
-from .diffusion import _shifted_exp
+from .diffusion import _EXP_FLOOR
 from .model import TheoryParams
 from .quadrature import std_normal_grid, std_normal_nodes
 
@@ -83,14 +83,21 @@ def psi_big(q: float, t: float, m: float, rho: float, activation,
     exp(-(Y0 - a_t phi(sqrt(q) V + sqrt(m^2 + rho - q) w))^2 / (2 h_t))
     divided by sqrt(2 pi h_t), accumulated in log space.
 
-    Each factor is evaluated only on the nodes it depends on: the signal
-    a_t phi(.) of Y0 on the n_outer^2 nodes of (V, W), the noise
-    sqrt(h_t) Z on the n_outer nodes of Z, and a_t phi(.) of the inner
-    average on the n_outer x n_inner nodes of (V, w).  Only the exponent
-    spans the full (V, W, Z, w) grid, built once by broadcasting and
-    reduced in place, its max-shifted exponents floored at -700 so that exp
-    stays on its fast path (``diffusion._shifted_exp``).  The result equals
-    the tensor-grid evaluation bit for bit.
+    Each factor is evaluated only on the nodes it depends on, and both are
+    scaled by 1 / sqrt(2 h_t) there: Y0 on the (V, W Z) grid, shape
+    (n_outer, n_outer^2), and the inner prediction P = a_t phi(.) on the
+    (w, V) grid, shape (n_inner, n_outer).  The squared distances
+    D = (Y0 - P)^2 span the grid inner-node-major, D[w, V, W Z], so the
+    inner extremum is an elementwise min over n_inner contiguous rows and
+    the inner average is the product w_in @ exp(min - D).  Every exponent
+    min - D is at least -(max |Y0| + max |P|)^2; only when that bound falls
+    below -700 are the exponents floored there, so that exp stays on its
+    fast path (see ``diffusion._EXP_FLOOR``).  The operands are scaled and
+    the sums taken in another order than in a tensor-grid evaluation of
+    every factor on the full (V, W, Z) x w grid, so the two agree to
+    roundoff, not to the bit: at most 1.3e-14 relative over tanh, relu,
+    sigmoid and linear, n_outer x n_inner 10 x 48, 12 x 48 and 24 x 96,
+    three (m, rho), q from 0 to c (1 - 1e-9) and t from 4e-6 to 5.
     """
     c = m * m + rho
     if not 0.0 <= q <= c + 1e-12:
@@ -98,19 +105,23 @@ def psi_big(q: float, t: float, m: float, rho: float, activation,
     if t <= 0:
         raise ValueError("t must be positive")
     q = min(q, c)
-    a = np.exp(-t)
     h = -np.expm1(-2.0 * t)
+    scale = np.exp(-t) / np.sqrt(2.0 * h)  # a_t / sqrt(2 h_t)
     sq, sres = np.sqrt(q), np.sqrt(max(c - q, 0.0))
     z, w = std_normal_nodes(n_outer)
     wn, w_in = std_normal_nodes(n_inner)
-    signal = a * activation(sq * z[:, None] + sres * z[None, :])   # (V, W)
-    y0 = signal[:, :, None] + np.sqrt(h) * z                       # (V, W, Z)
-    a_phi_w = a * activation(sq * z[:, None] + sres * wn[None, :])  # (V, w)
-    expo = (y0[:, :, :, None] - a_phi_w[:, None, None, :]).reshape(-1, n_inner)
-    np.square(expo, out=expo)
-    expo /= -2.0 * h
-    mx = expo.max(axis=1, keepdims=True)
-    log_inner = mx.ravel() + np.log(_shifted_exp(expo, mx) @ w_in)
+    signal = scale * activation(sq * z[:, None] + sres * z[None, :])  # (V, W)
+    # sqrt(h_t) Z / sqrt(2 h_t) = Z / sqrt(2)
+    y0 = (signal[:, :, None] + np.sqrt(0.5) * z).reshape(n_outer, -1)  # (V, W Z)
+    pred = scale * activation(sq * z[None, :] + sres * wn[:, None])   # (w, V)
+    dist = y0 - pred[:, :, None]                                      # (w, V, W Z)
+    np.square(dist, out=dist)
+    mn = dist.min(axis=0)
+    expo = np.subtract(mn, dist, out=dist)
+    if (np.abs(y0).max() + np.abs(pred).max()) ** 2 > -_EXP_FLOOR:
+        np.maximum(expo, _EXP_FLOOR, out=expo)
+    np.exp(expo, out=expo)
+    log_inner = np.log(w_in @ expo.reshape(n_inner, -1)) - mn.ravel()
     w_out = np.multiply.outer(np.multiply.outer(w, w), w).ravel()
     return float(w_out @ log_inner) - 0.5 * np.log(2.0 * np.pi * h)
 

@@ -193,11 +193,12 @@ def collapse_crossing_experiment(model: ManifoldModel, dataset: Dataset,
                                  score: EmpiricalScore | None = None) -> list[ExperimentRecord]:
     """Mean of (log Z1 - log Z2) / d along the forward trajectory of x_1.
 
-    Z1 is the planted sample's kernel weight and Z2 the sum over all other
-    samples, both from ``EmpiricalScore.log_partition`` with a mask (Z1's
-    computes only the planted sample's block).  The samples are reduced in
-    blocks, so memory grows with the block size, not with n_noise x n.
-    ``score`` is the kernel over ``dataset``, built here when None.
+    Z1 is the planted sample's kernel weight, log Z1 = -||x - a x_1||^2 /
+    (2 h) from the explicit difference, and Z2 the sum over all other
+    samples from ``EmpiricalScore.log_partition`` with a mask.  Those
+    samples are reduced in blocks, so memory grows with the block size, not
+    with n_noise x n.  ``score`` is the kernel over ``dataset``, built here
+    when None.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(np.diff(t_grid) >= 0):
@@ -207,16 +208,17 @@ def collapse_crossing_experiment(model: ManifoldModel, dataset: Dataset,
     if score is None:
         score = EmpiricalScore(dataset)
     x1 = dataset.ambient[planted_index]
-    planted = np.zeros(dataset.n, dtype=bool)
-    planted[planted_index] = True
+    others = np.ones(dataset.n, dtype=bool)
+    others[planted_index] = False
     rng = _rng(seed)
     mh = model_hash(model)
     records = []
     for t in t_grid:
         sch = schedule(float(t))
         x = sch.a * x1[None, :] + np.sqrt(sch.h) * rng.standard_normal((n_noise, model.d))
-        gap = (score.log_partition(x, float(t), keep=planted)
-               - score.log_partition(x, float(t), keep=~planted)) / model.d
+        diff = x - sch.a * x1
+        log_z1 = -np.einsum("bj,bj->b", diff, diff) / (2.0 * sch.h)
+        gap = (log_z1 - score.log_partition(x, float(t), keep=others)) / model.d
         records.append(ExperimentRecord(
             kind="logZ_gap", t=float(t), value=float(gap.mean()),
             stderr=float(gap.std(ddof=1) / np.sqrt(n_noise)) if n_noise > 1 else 0.0,

@@ -6,9 +6,7 @@ manifold embedded in d dimensions (p <= d).
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -263,14 +261,3 @@ def model_from_config(cfg: dict, seed: int = 0) -> ManifoldModel:
         activation=cfg.get("activation", "linear"),
         ensemble=cfg.get("ensemble", "deterministic_isometry"),
         seed=int(cfg.get("seed", seed)))
-
-
-def save_model_config(model: ManifoldModel, path: str | Path,
-                      seed: int = 0) -> None:
-    cfg = model_to_config(model)
-    cfg["seed"] = seed
-    Path(path).write_text(json.dumps(cfg, indent=2) + "\n")
-
-
-def load_model_config(path: str | Path) -> ManifoldModel:
-    return model_from_config(json.loads(Path(path).read_text()))

@@ -77,6 +77,9 @@ def test_collapse_command_glm_for_nonlinear(tmp_path):
     assert (out["f_star_solves"], out["psi_evaluations"]) == (
         res.f_star_solves, res.psi_evaluations)
     assert out["psi_evaluations"] > 48 * out["f_star_solves"]
+    manifest = json.loads((tmp_path / "collapse.manifest.json").read_text())
+    assert set(manifest["timings"]) == {"theory"}
+    assert manifest["timings"]["theory"] >= 0
 
 
 def test_collapse_command_glm_defaults_to_linear(tmp_path):
@@ -202,6 +205,7 @@ def test_collapse_sweep_writes_all_methods(tmp_path):
         assert entry["resolution_limited"] == (entry["t_C"] <= 1e-4)
         assert entry["f_star_solves"] > 0
         assert entry["psi_evaluations"] > 48 * entry["f_star_solves"]
+        assert entry["solve_s"] >= 0
 
 
 def test_free_energy_command(tmp_path):
@@ -212,6 +216,9 @@ def test_free_energy_command(tmp_path):
     assert len(rows) == 3
     fs = [float(r["f_star [per latent dim]"]) for r in rows]
     assert fs[0] > fs[-1]
+    manifest = json.loads((tmp_path / "free_energy.manifest.json").read_text())
+    assert set(manifest["timings"]) == {"theory"}
+    assert manifest["timings"]["theory"] >= 0
 
 
 def test_exp_rem_command(tmp_path):

@@ -157,6 +157,23 @@ def test_collapse_crossing_gap_where_planted_term_dominates(monkeypatch):
     assert rec.value == pytest.approx(gap.mean(), abs=1e-12)
 
 
+@pytest.mark.parametrize("t", [0.011, 0.3, 1.0])
+def test_collapse_crossing_planted_term_equals_explicit_logsumexp(t):
+    # Z2 is taken by the same masked log_partition call as the experiment's,
+    # so the gap isolates log Z1: a logsumexp over the single planted weight
+    mdl = make_model(d=20, p=10, alpha=0.25)
+    ds = sample_dataset(mdl, 150, seed=3)
+    [rec] = collapse_crossing_experiment(mdl, ds, [t], n_noise=40, seed=7)
+    sch = schedule(t)
+    x = sch.a * ds.ambient[0] + np.sqrt(sch.h) * _rng(7).standard_normal((40, mdl.d))
+    diff = x[:, None, :] - sch.a * ds.ambient[None, :1, :]
+    log_z1 = logsumexp(-np.einsum("bij,bij->bi", diff, diff) / (2.0 * sch.h), axis=1)
+    others = np.arange(ds.n) != 0
+    log_z2 = EmpiricalScore(ds).log_partition(x, t, keep=others)
+    want = ((log_z1 - log_z2) / mdl.d).mean()
+    assert abs(rec.value - want) <= 1e-13 * max(1.0, abs(want))
+
+
 def test_speciation_experiment_takes_a_drawn_dataset():
     mdl = make_model(d=8, p=4, seed=1)
     kw = dict(t_grid=[2.0, 0.8], n_traj=3, n_clones=3, seed=5, dt=0.05,
