@@ -128,25 +128,28 @@ def _phase(timings: dict, name: str):
 
 def cmd_speciation(args) -> int:
     cfg = _run_config(args)
-    model = model_from_config(cfg)
-    gf = S.GammaFunctions(model.activation, model.rho)
-    gep = S.gep_constants(gf)
-    s = S.gamma0_sq_sum(model, gf)
-    result = {
-        "t_S_finite": S.speciation_time_finite(model, gf),
-        "t_S_asymptotic": S.speciation_time_asymptotic(
-            model.beta, model.d, model.mu_tilde_norm_sq, gep,
-            ensemble=model.embedding.ensemble),
-        "rho1": gep.rho1,
-        "rho_star_sq": gep.rho_star_sq,
-        "gamma0_sq_sum": s,
-    }
+    timings = {}
+    with _phase(timings, "model"):
+        model = model_from_config(cfg)
+    with _phase(timings, "theory"):
+        gf = S.GammaFunctions(model.activation, model.rho)
+        gep = S.gep_constants(gf)
+        s = S.gamma0_sq_sum(model, gf)
+        result = {
+            "t_S_finite": S.speciation_time_finite(model, gf),
+            "t_S_asymptotic": S.speciation_time_asymptotic(
+                model.beta, model.d, model.mu_tilde_norm_sq, gep,
+                ensemble=model.embedding.ensemble),
+            "rho1": gep.rho1,
+            "rho_star_sq": gep.rho_star_sq,
+            "gamma0_sq_sum": s,
+        }
     out = _out_dir(args)
     outputs = []
     if args.potential_csv:
         t_s = result["t_S_finite"]
         path = out / "potential.csv"
-        with open(path, "w", newline="") as fh:
+        with _phase(timings, "potential"), open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["q", "t", "V(q,t) [reduced units]"])
             for t in (0.5 * t_s, t_s, 1.5 * t_s):
@@ -154,7 +157,7 @@ def cmd_speciation(args) -> int:
                 for q in np.linspace(-qmax, qmax, 201):
                     writer.writerow([q, t, S.potential(q, t, s)])
         outputs.append(path)
-    return _report(out, "speciation", cfg, result, outputs)
+    return _report(out, "speciation", cfg, result, outputs, timings=timings)
 
 
 def cmd_collapse(args) -> int:
@@ -248,7 +251,7 @@ def cmd_exp_speciation(args) -> int:
         score = EmpiricalScore(dataset)
         records = E.speciation_experiment(model, args.n_data, t_grid,
                                           args.n_traj, args.n_clones,
-                                          int(cfg["seed"]), dt=args.dt,
+                                          int(cfg["seed"]),
                                           dataset=dataset, score=score)
     out = _out_dir(args)
     csv_path = out / "exp_speciation.csv"
@@ -263,8 +266,11 @@ def cmd_exp_speciation(args) -> int:
         # lower bound on the crossing, not an estimate of it
         "t_S_empirical_censored": bool(records[0].value >= 0.95),
     }
+    # the exact backward sampler evaluates the kernel once at t_start and
+    # once per grid time
     return _report(out, "exp_speciation", cfg, summary, [csv_path],
-                   timings=timings, score_rank=score.rank)
+                   timings=timings, score_rank=score.rank,
+                   sampler="exact_bridge", kernel_evaluations=len(t_grid) + 1)
 
 
 def _crossing_sample(cfg: dict, n_data: int | None) -> tuple[int, float]:
@@ -314,27 +320,35 @@ def cmd_exp_collapse(args) -> int:
 
 def cmd_exp_free_energy(args) -> int:
     cfg = _run_config(args)
-    model = model_from_config(cfg)
-    rec = E.free_energy_mc(model, args.t, args.n_x, args.n_latent,
-                           int(cfg["seed"]))
+    timings = {}
+    with _phase(timings, "model"):
+        model = model_from_config(cfg)
+    with _phase(timings, "experiment"):
+        rec = E.free_energy_mc(model, args.t, args.n_x, args.n_latent,
+                               int(cfg["seed"]))
     out = _out_dir(args)
     csv_path = out / "exp_free_energy.csv"
     E.records_to_csv([rec], csv_path)
     summary = {"value": rec.value, "stderr": rec.stderr,
                "flags": list(rec.flags)}
-    return _report(out, "exp_free_energy", cfg, summary, [csv_path])
+    return _report(out, "exp_free_energy", cfg, summary, [csv_path],
+                   timings=timings)
 
 
 def cmd_exp_rem(args) -> int:
     cfg = _run_config(args)
-    model = model_from_config(cfg)
-    rec = E.rem_derivative_check(model, args.t, args.n_rep, int(cfg["seed"]))
+    timings = {}
+    with _phase(timings, "model"):
+        model = model_from_config(cfg)
+    with _phase(timings, "experiment"):
+        rec = E.rem_derivative_check(model, args.t, args.n_rep,
+                                     int(cfg["seed"]))
     out = _out_dir(args)
     csv_path = out / "exp_rem.csv"
     E.records_to_csv([rec], csv_path)
     summary = {"minus_g_prime_at_1": rec.value, "stderr": rec.stderr,
                "expected": 0.5}
-    return _report(out, "exp_rem", cfg, summary, [csv_path])
+    return _report(out, "exp_rem", cfg, summary, [csv_path], timings=timings)
 
 
 def _try(fn):
@@ -346,30 +360,40 @@ def _try(fn):
 
 def cmd_validate(args) -> int:
     lin = make_activation("linear")
-    glm = C.collapse_time_glm(TheoryParams(1.0, 1.0, 0.5, lin), 0.5).t_c
-    rmt = C.collapse_time_linear_rmt(0.5, 0.5).t_c
+    timings = {}
+    with _phase(timings, "collapse_routes"):
+        glm = C.collapse_time_glm(TheoryParams(1.0, 1.0, 0.5, lin), 0.5).t_c
+        rmt = C.collapse_time_linear_rmt(0.5, 0.5).t_c
 
-    rng = np.random.default_rng(0)
-    d, beta, eta = 600, 0.5, 1.0
-    F = rng.standard_normal((d, int(beta * d)))
-    _, ld = np.linalg.slogdet(eta * F @ F.T / int(beta * d) + np.eye(d))
+    with _phase(timings, "eigen_logdet"):
+        rng = np.random.default_rng(0)
+        d, beta, eta = 600, 0.5, 1.0
+        F = rng.standard_normal((d, int(beta * d)))
+        _, ld = np.linalg.slogdet(eta * F @ F.T / int(beta * d) + np.eye(d))
 
     # (name, measured gap, tolerance); np.max keeps a NaN gap, which fails
-    checks = [
-        ("glm_vs_rmt_linear", abs(glm - rmt), 1e-3),
-        ("rmt_vs_eigen", abs(ld / d - C.mp_logdet(eta, beta)), 2e-2),
-        ("psi_integral_vs_closed_form",
-         np.max([abs(C.psi_quadrature_check(r, m, rho) - C.psi(r, m, rho))
-                 for r, m, rho in [(1.0, 0.0, 1.0), (2.0, 1.0, 0.5)]]), 1e-8),
-        ("psi_big_linear_closed_form",
-         np.max([abs(C.psi_big(q, t, 1.0, 1.0, lin)
-                     - C.psi_big_linear(q, t, 1.0, 1.0))
-                 for q, t in [(0.5, 0.5), (1.5, 1.0)]]), 1e-6),
-    ]
+    with _phase(timings, "psi_checks"):
+        checks = [
+            ("glm_vs_rmt_linear", abs(glm - rmt), 1e-3),
+            ("rmt_vs_eigen", abs(ld / d - C.mp_logdet(eta, beta)), 2e-2),
+            ("psi_integral_vs_closed_form",
+             np.max([abs(C.psi_quadrature_check(r, m, rho) - C.psi(r, m, rho))
+                     for r, m, rho in [(1.0, 0.0, 1.0), (2.0, 1.0, 0.5)]]),
+             1e-8),
+            ("psi_big_linear_closed_form",
+             np.max([abs(C.psi_big(q, t, 1.0, 1.0, lin)
+                         - C.psi_big_linear(q, t, 1.0, 1.0))
+                     for q, t in [(0.5, 0.5), (1.5, 1.0)]]), 1e-6),
+        ]
     for name, gap, tol in checks:
         verdict = "PASS" if gap < tol else "FAIL"
         print(f"{verdict}  {name}  gap {gap:.2e} (tol {tol:.0e})")
-    return EXIT_OK if all(gap < tol for _, gap, tol in checks) else EXIT_VALIDATION
+    passed = all(gap < tol for _, gap, tol in checks)
+    _write_manifest(_out_dir(args), "validate", {}, [], timings=timings,
+                    checks=[{"name": name, "gap": float(gap), "tol": tol,
+                             "pass": bool(gap < tol)}
+                            for name, gap, tol in checks])
+    return EXIT_OK if passed else EXIT_VALIDATION
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +458,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-min", type=float, default=1.0)
     p.add_argument("--t-max", type=float, default=3.2)
     p.add_argument("--t-points", type=int, default=6)
-    p.add_argument("--dt", type=float, default=0.02)
     p.set_defaults(fn=cmd_exp_speciation)
 
     p = sub.add_parser("exp-collapse", help="log Z1/Z2 crossing experiment")

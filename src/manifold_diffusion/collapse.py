@@ -114,7 +114,14 @@ def psi_big(q: float, t: float, m: float, rho: float, activation,
     # sqrt(h_t) Z / sqrt(2 h_t) = Z / sqrt(2)
     y0 = (signal[:, :, None] + np.sqrt(0.5) * z).reshape(n_outer, -1)  # (V, W Z)
     pred = scale * activation(sq * z[None, :] + sres * wn[:, None])   # (w, V)
-    dist = y0 - pred[:, :, None]                                      # (w, V, W Z)
+    # dist[w, V, :] = y0[V, :] - pred[w, V] as one K = 2 product per V,
+    # [1, -P] [Y0; 1]: both terms are exact, so each entry is the one
+    # rounded difference, and the GEMM writes rows of n_outer^2 where a
+    # broadcast subtract would loop over them
+    dist = np.empty((n_inner, n_outer, n_outer * n_outer))           # (w, V, W Z)
+    lhs = np.stack([np.ones_like(pred.T), -pred.T], axis=2)           # (V, w, 2)
+    rhs = np.stack([y0, np.ones_like(y0)], axis=1)                    # (V, 2, W Z)
+    np.matmul(lhs, rhs, out=dist.transpose(1, 0, 2))
     np.square(dist, out=dist)
     mn = dist.min(axis=0)
     expo = np.subtract(mn, dist, out=dist)
@@ -310,22 +317,16 @@ def collapse_time_linear_isometry(alpha: float, beta: float, *,
                                   rho: float = 1.0) -> float:
     """Closed form t_C = log(1 + rho (e^{2 alpha / beta} - 1)^{-1}) / 2.
 
-    The data covariance is rho F F^T / p, so t_C solves
-    alpha = logdet_isometry(rho eta_t, beta) / 2; the center m is rank one
-    and drops out.
+    The data covariance is rho F F^T / p, and for isometric F
+    (1/d) log det(rho eta_t F F^T / p + I_d) = beta log(1 + rho eta_t), so
+    t_C solves alpha = beta log(1 + rho eta_t) / 2; the center m is rank
+    one and drops out.
     """
     if alpha <= 0 or not 0 < beta <= 1:
         raise ValueError("require alpha > 0 and 0 < beta <= 1")
     if rho <= 0:
         raise ValueError("rho must be positive")
     return 0.5 * np.log1p(rho / np.expm1(2.0 * alpha / beta))
-
-
-def logdet_isometry(eta: float, beta: float) -> float:
-    """(1/d) log det(eta F F^T / p + I_d) = beta log(1 + eta) for isometric F."""
-    if eta < 0:
-        raise ValueError("eta must be >= 0")
-    return beta * np.log1p(eta)
 
 
 def mp_h(x: float, z: float) -> float:

@@ -1,16 +1,22 @@
-"""Forward OU process, empirical score, and the backward Euler-Maruyama stepper.
+"""Forward OU process, empirical score, exact backward bridges, and the
+backward Euler-Maruyama stepper.
 
 Forward process: dX = -X dt + sqrt(2) dW, so X_t | X_0 ~ N(a_t X_0, h_t I_d)
 with a_t = e^{-t}, h_t = 1 - e^{-2t}.  The generative (backward) process is
 
-    -dY = (Y + 2 s(Y, t)) dt + sqrt(2) dW,
+    -dY = (Y + 2 s(Y, t)) dt + sqrt(2) dW.
 
-integrated with decreasing t by ``advance``, the one Euler-Maruyama stepper of
-the package.  The empirical score s is the gradient of the log of a Gaussian
-kernel sum over the training samples, computed with max-subtracted
-exponentials so it is stable for any inputs.  It reads the samples only
-through <x, x_i> and sum_i w_i x_i, so when the samples span r < d
-dimensions (linear-manifold data: r = p) its kernel runs on r coordinates.
+The empirical score s is the gradient of the log of a Gaussian kernel sum
+over the training samples, computed with max-subtracted exponentials so it
+is stable for any inputs.  It reads the samples only through <x, x_i> and
+sum_i w_i x_i, so when the samples span r < d dimensions (linear-manifold
+data: r = p) its kernel runs on r coordinates.  Driven by that score, the
+backward transition from t to s < t is exactly the mixture
+sum_i w_i(x_t) N(c0 x_i + c1 x_t, v I) of the forward bridges (``bridge``)
+weighted by the kernel's softmax, so it is sampled by drawing an index
+(``EmpiricalScore.draw_indices``) and then a Gaussian, with no time
+stepping.  ``advance``, the one Euler-Maruyama stepper of the package,
+integrates any other backward SDE with decreasing t.
 """
 from __future__ import annotations
 
@@ -92,6 +98,49 @@ def schedule(t: float) -> DiffusionSchedule:
     return DiffusionSchedule(t=float(t), a=float(a), h=float(-np.expm1(-2.0 * t)))
 
 
+def bridge(t: float, s: float) -> tuple[float, float, float]:
+    """(c0, c1, v) of the forward bridge q(x_s | x_t, x_0) = N(c0 x_0 + c1 x_t, v I).
+
+    With a_{t|s} = e^{-(t - s)}: c0 = a_s (1 - a_{t|s}^2) / h_t,
+    c1 = a_{t|s} h_s / h_t and v = h_s (1 - a_{t|s}^2) / h_t, for
+    0 <= s < t (the DDPM posterior of Ho, Jain & Abbeel 2020, arXiv
+    2006.11239, in continuous time).
+    """
+    if not 0.0 <= s < t:
+        raise ValueError("bridge needs 0 <= s < t")
+    st, ss = schedule(t), schedule(s)
+    gap = -np.expm1(2.0 * (s - t))  # 1 - a_{t|s}^2
+    return (ss.a * gap / st.h, float(np.exp(s - t)) * ss.h / st.h,
+            ss.h * gap / st.h)
+
+
+def _reservoir_step(g: np.ndarray, share: np.ndarray, u: np.ndarray,
+                    start: int, picks: np.ndarray) -> None:
+    """One block's turn in a streamed draw from each row's softmax.
+
+    ``g`` holds a tile's (rows, block) kernel weights, ``share`` each row's
+    share of the mass seen so far that this block carries, and ``u`` one
+    uniform per draw.  A draw with u < share is replaced, in ``picks``, by
+    the sample index (``start`` + column) at which u / share, uniform on
+    [0, 1) given the replacement, falls in the row's normalised cumulative
+    weights; the others keep their earlier pick.  So after the last block
+    each draw follows the softmax over all blocks.  The rows are searched
+    as one sorted array, row j's cumulative weights shifted to [j, j + 1];
+    an index clipped to the row's last column absorbs a target rounded up
+    to j + 1.  ``g`` is overwritten.
+    """
+    rows, draw = np.nonzero(u < share)
+    if rows.size == 0:
+        return
+    r, w = g.shape
+    cum = np.cumsum(g, axis=1, out=g)
+    cum /= cum[:, -1:]
+    cum += np.arange(r)[:, None]
+    target = u[rows, draw] / share[rows, 0] + rows
+    col = np.searchsorted(cum.ravel(), target, side="right") - rows * w
+    picks[rows, draw] = start + np.minimum(col, w - 1)
+
+
 class EmpiricalScore:
     """Score of the Gaussian-kernel density over a fixed dataset.
 
@@ -106,9 +155,10 @@ class EmpiricalScore:
     dropped), and the span is used only once a blocked pass has shown every
     sample within 1e-13 of the largest sample norm of it.  Otherwise r = d
     and the kernel runs on the samples themselves, with the arithmetic of an
-    ambient kernel.  The score and ``log_partition`` share one loop:
-    it walks the batch in balanced tiles of at most 256 rows and, within a
-    tile, the samples in blocks of at most 8192 columns through one
+    ambient kernel.  The score, ``log_partition`` and ``draw_indices`` (the
+    softmax's sample indices, for the exact backward transition) share one
+    loop: it walks the batch in balanced tiles of at most 256 rows and,
+    within a tile, the samples in blocks of at most 8192 columns through one
     (rows, block) buffer, so memory does not grow with n.  A block's log
     weights are held without the row term ||x||^2 / (2 h_t), which cancels
     in the softmax; an online logsumexp (Milakov & Gimelshein 2018) keeps
@@ -117,8 +167,10 @@ class EmpiricalScore:
     exponent floored at -700 (see ``_EXP_FLOOR``) wherever a bound on the
     block's log weights lets one fall below it.  The weighted mean is
     normalised on the (rows, r) result and the row term is restored in the
-    log-normalizer only.  With n <= 8192 there is one block and the
-    arithmetic is that of a single softmax over all samples.  The tiles are
+    log-normalizer only.  Index draws stream the same way, a draw being
+    replaced by one from the block with the probability of the block's
+    share of the mass seen so far.  With n <= 8192 there is one block and
+    the arithmetic is that of a single softmax over all samples.  The tiles are
     balanced, so none is a single row (a GEMV, which rounds differently),
     and each row gets the arithmetic of an untiled call wherever the BLAS
     rounds a row of a product the same at any row count (OpenBLAS does
@@ -194,13 +246,18 @@ class EmpiricalScore:
         return blocks
 
     def _reduce(self, x: np.ndarray, t: float, keep: np.ndarray | None,
-                with_score: bool) -> tuple[np.ndarray | None, np.ndarray]:
-        """(score or None, log-normalizer) of each row of the (B, d) batch x.
+                with_score: bool, draws: int = 0,
+                rng: np.random.Generator | None = None) -> tuple:
+        """(score or None, log-normalizer, draws or None) of each row of the
+        (B, d) batch x.
 
-        Both are taken over the samples selected by the boolean ``keep``
-        (all when None).  The excluded samples are dropped from a block's
-        log weights before its max, so they can neither set the shift nor
-        be lifted to e^-700 by the floor.
+        Score and log-normalizer are taken over the samples selected by the
+        boolean ``keep`` (all when None).  The excluded samples are dropped
+        from a block's log weights before its max, so they can neither set
+        the shift nor be lifted to e^-700 by the floor.  With ``draws`` = k
+        > 0 (and ``keep`` None) each row also gets k sample indices drawn
+        independently from its softmax with ``rng``, one reservoir step per
+        block (`_reservoir_step`).
         """
         if t <= 0:
             raise ValueError("empirical score requires t > 0")
@@ -214,6 +271,7 @@ class EmpiricalScore:
         buf = np.empty(rows * min(self.samples.shape[0], _BLOCK_COLS))
         score = np.empty(x.shape) if with_score else None
         logz = np.empty(b)
+        picks = np.empty((b, draws), dtype=np.intp) if draws else None
         for lo in range(0, b, rows):
             xs, cs = x[lo:lo + rows], xc[lo:lo + rows]
             r = len(xs)
@@ -236,9 +294,14 @@ class EmpiricalScore:
                 low = -radius * (sch.a / sch.h * xnorm + sch.a * sch.a / (2.0 * sch.h) * radius)
                 _shifted_exp(g, m_new, floor=bool(np.any(low - m_new < _EXP_FLOOR)))
                 rescale = np.exp(m - m_new)  # 0 on a tile's first block
-                z = z * rescale + g.sum(axis=1, keepdims=True)
+                mass = g.sum(axis=1, keepdims=True)
+                z = z * rescale + mass
                 if with_score:
                     wsum = wsum * rescale + g @ samples
+                if draws:
+                    # a tile's first block has share 1: every draw is made
+                    _reservoir_step(g, mass / z, rng.random((r, draws)),
+                                    cols.start, picks[lo:lo + r])
                 m = m_new
             if with_score:
                 mean = wsum / z
@@ -246,7 +309,7 @@ class EmpiricalScore:
                     mean = mean @ self._basis.T
                 score[lo:lo + r] = (sch.a * mean - xs) / sch.h
             logz[lo:lo + r] = (m + np.log(z)).ravel() - sq / (2.0 * sch.h)
-        return score, logz
+        return score, logz, picks
 
     def __call__(self, x: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
         """Return (score, log-normalizer) at one point or a batch of points.
@@ -255,7 +318,7 @@ class EmpiricalScore:
         kernel weights; the log-normalizer is logsumexp of those weights.
         """
         x_in = np.asarray(x, dtype=float)
-        score, logz = self._reduce(np.atleast_2d(x_in), t, None, True)
+        score, logz, _ = self._reduce(np.atleast_2d(x_in), t, None, True)
         if x_in.ndim == 1:
             return score[0], float(logz[0])
         return score, logz
@@ -274,8 +337,24 @@ class EmpiricalScore:
             if not keep.any():
                 raise ValueError("keep selects no sample")
         x_in = np.asarray(x, dtype=float)
-        _, logz = self._reduce(np.atleast_2d(x_in), t, keep, False)
+        _, logz, _ = self._reduce(np.atleast_2d(x_in), t, keep, False)
         return float(logz[0]) if x_in.ndim == 1 else logz
+
+    def draw_indices(self, x: np.ndarray, t: float, k: int,
+                     rng: np.random.Generator) -> np.ndarray:
+        """(B, k) sample indices, k independent draws per row of the (B, d)
+        batch x from the softmax of its log kernel weights at time t.
+
+        That softmax is the posterior p(x_0 = x_i | x_t = x) of the kernel
+        density, so with ``bridge`` it samples the exact backward
+        transition.  The draws stream through the score's tile and block
+        loop: one pass over the samples and one block buffer, so memory
+        grows with the block size and k, not with B n.
+        """
+        if k < 1:
+            raise ValueError("k must be at least 1")
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        return self._reduce(x, t, None, False, draws=k, rng=rng)[2]
 
 
 def advance(y: np.ndarray, t_from: float, t_to: float, dt: float, drift,

@@ -3,8 +3,9 @@
 Four protocols: clone-agreement speciation, the planted-vs-bulk partition
 crossing that locates memorization, Monte-Carlo estimation of the GLM free
 energy, and the tilted-partition identity behind the condensation argument.
-The clone trajectories step with ``diffusion.advance``.  All runs are
-reproducible bit-for-bit from their seeds.
+The clone trajectories jump between grid times with the exact backward
+transition of the empirical score.  All runs are reproducible bit-for-bit
+from their seeds.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diffusion import EmpiricalScore, advance, schedule
+from .diffusion import EmpiricalScore, bridge, schedule
 from .model import Dataset, ManifoldModel, _rng, model_to_config, sample_dataset
 from .speciation import GammaFunctions, lambdas
 
@@ -95,19 +96,42 @@ def _pairwise_agreement(signs: np.ndarray) -> np.ndarray:
     return (plus * (plus - 1) + minus * (minus - 1)) / (k * (k - 1))
 
 
+def _bridge_draws(score: EmpiricalScore, y: np.ndarray, idx: np.ndarray,
+                  t: float, s: float, rng: np.random.Generator) -> np.ndarray:
+    """(B, k, d) draws of x_s from N(c0 x_i + c1 y, v I), i = ``idx[b, j]``.
+
+    ``y`` is the (B, d) batch at time t and ``idx`` its (B, k) sample
+    indices from ``EmpiricalScore.draw_indices``; (c0, c1, v) =
+    ``bridge(t, s)``.
+    """
+    c0, c1, v = bridge(t, s)
+    mean = c0 * score.samples[idx] + c1 * y[:, None, :]
+    return mean + np.sqrt(v) * rng.standard_normal(mean.shape)
+
+
 def speciation_experiment(model: ManifoldModel, n_data: int,
                           t_grid, n_traj: int, n_clones: int, seed: int,
-                          dt: float = 0.02, t_min: float = 0.01,
-                          t_start: float = 10.0,
+                          t_min: float = 0.01, t_start: float = 10.0,
                           dataset: Dataset | None = None,
                           score: EmpiricalScore | None = None) -> list[ExperimentRecord]:
     """Clone-agreement measurement of the speciation transition.
 
-    Backward trajectories run from N(0, I_d); at each grid time each
-    trajectory spawns ``n_clones`` independent-noise continuations down to
-    ``t_min`` whose endpoints are classified by the sign of the projection
-    on the reduced-coordinate direction Gamma0(lambda_j) e_j.  The recorded
-    value is the mean pairwise clone agreement.
+    Backward trajectories start from N(0, I_d) at ``t_start``; at each grid
+    time each trajectory spawns ``n_clones`` independent continuations down
+    to ``t_min`` whose endpoints are classified by the sign of the
+    projection on the reduced-coordinate direction Gamma0(lambda_j) e_j.
+    The recorded value is the mean pairwise clone agreement.
+
+    The process is the backward process of the empirical score, sampled
+    exactly: from x_t its law at s < t is the mixture
+    sum_i w_i(x_t) N(c0 x_i + c1 x_t, v I) of ``diffusion.bridge``, with
+    w the kernel's softmax (Biroli, Bonnaire, de Bortoli & Mezard 2024,
+    arXiv 2402.18491).  So at ``t_start`` and at each grid time the kernel
+    is evaluated once on the ``n_traj`` trunk points
+    (``EmpiricalScore.draw_indices``, len(t_grid) + 1 evaluations in all),
+    ``n_clones`` + 1 sample indices are drawn per point, and the clones'
+    endpoints at ``t_min`` and the trunk's next point are each one
+    Gaussian draw; no time is stepped.
 
     The agreement curve is predicted by the reduced commitment SDE
     (``speciation.reduced_sde_simulate`` with S = ``gamma0_sq_sum``) run
@@ -124,6 +148,8 @@ def speciation_experiment(model: ManifoldModel, n_data: int,
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(np.diff(t_grid) >= 0):
         raise ValueError("t_grid must be strictly decreasing")
+    if not (len(t_grid) and t_start > t_grid[0] and t_grid[-1] > t_min > 0):
+        raise ValueError("need t_start > t_grid > t_min > 0")
     if n_clones < 2:
         raise ValueError("need at least two clones")
     gf = GammaFunctions(model.activation, model.rho)
@@ -140,19 +166,16 @@ def speciation_experiment(model: ManifoldModel, n_data: int,
     rng = _rng(seed + 1)
     mh = model_hash(model)
 
-    def drift(y, t):
-        return y + 2.0 * score(y, t)[0]
-
     y = rng.standard_normal((n_traj, model.d))
-    t_prev = t_start
+    idx = score.draw_indices(y, t_start, 1, rng)
+    y = _bridge_draws(score, y, idx, t_start, t_grid[0], rng)[:, 0]
     records = []
-    for t in t_grid:
-        y = advance(y, t_prev, t, dt, drift, 2.0, rng)
-        t_prev = t
-        clones = np.repeat(y, n_clones, axis=0)
-        ends = advance(clones, t, t_min, dt, drift, 2.0, rng)
-        signs = np.sign(ends @ direction).reshape(n_traj, n_clones)
-        agree = _pairwise_agreement(signs)
+    for k, t in enumerate(t_grid):
+        idx = score.draw_indices(y, t, n_clones + 1, rng)
+        ends = _bridge_draws(score, y, idx[:, :n_clones], t, t_min, rng)
+        agree = _pairwise_agreement(np.sign(ends @ direction))
+        if k + 1 < len(t_grid):
+            y = _bridge_draws(score, y, idx[:, n_clones:], t, t_grid[k + 1], rng)[:, 0]
         records.append(ExperimentRecord(
             kind="speciation_agreement", t=float(t),
             value=float(agree.mean()),

@@ -11,11 +11,19 @@ import scipy
 from manifold_diffusion import (__version__, cli, collapse_time_glm,
                                 collapse_time_linear_rmt, f_star)
 from manifold_diffusion import model as model_mod
+from manifold_diffusion.diffusion import EmpiricalScore
 from manifold_diffusion.model import model_from_config, sample_dataset
 
 
 def run(tmp_path, *argv):
     return cli.main([*argv, "--output-dir", str(tmp_path)])
+
+
+def _timings(tmp_path, name):
+    """The phase timings of ``<name>.manifest.json``, each checked >= 0."""
+    manifest = json.loads((tmp_path / f"{name}.manifest.json").read_text())
+    assert all(v >= 0 for v in manifest["timings"].values())
+    return manifest["timings"]
 
 
 def test_exit_code_constants():
@@ -33,6 +41,8 @@ def test_speciation_command(tmp_path, capsys):
     assert (tmp_path / "potential.csv").exists()
     printed = json.loads(capsys.readouterr().out)
     assert printed["t_S_finite"] == result["t_S_finite"]
+    assert set(_timings(tmp_path, "speciation")) == {"model", "theory",
+                                                     "potential"}
 
 
 def test_speciation_command_gaussian_ensemble(tmp_path):
@@ -226,6 +236,7 @@ def test_exp_rem_command(tmp_path):
                "--n-rep", "20000") == 0
     out = json.loads((tmp_path / "exp_rem.json").read_text())
     assert out["minus_g_prime_at_1"] == pytest.approx(0.5, abs=0.02)
+    assert set(_timings(tmp_path, "exp_rem")) == {"model", "experiment"}
 
 
 def test_exp_free_energy_command(tmp_path):
@@ -234,6 +245,7 @@ def test_exp_free_energy_command(tmp_path):
     out = json.loads((tmp_path / "exp_free_energy.json").read_text())
     assert out["stderr"] > 0
     assert "logmeanexp_downward_bias" in out["flags"]
+    assert set(_timings(tmp_path, "exp_free_energy")) == {"model", "experiment"}
 
 
 def test_exp_collapse_command(tmp_path):
@@ -296,11 +308,19 @@ def test_exp_collapse_rejects_n_data_disagreeing_with_alpha(tmp_path, capsys):
     assert not (tmp_path / "exp_collapse.csv").exists()
 
 
-def test_exp_speciation_command(tmp_path):
+def test_exp_speciation_command(tmp_path, monkeypatch):
+    # count the kernel evaluations the sampler really makes
+    calls = []
+    draw = EmpiricalScore.draw_indices
+
+    def counted(self, x, t, *rest):
+        calls.append(t)
+        return draw(self, x, t, *rest)
+
+    monkeypatch.setattr(EmpiricalScore, "draw_indices", counted)
     assert run(tmp_path, "exp-speciation", "--d", "8", "--p", "4",
                "--n-data", "64", "--n-traj", "3", "--n-clones", "4",
-               "--t-min", "0.3", "--t-max", "1.5", "--t-points", "2",
-               "--dt", "0.05") == 0
+               "--t-min", "0.3", "--t-max", "1.5", "--t-points", "2") == 0
     with open(tmp_path / "exp_speciation.csv") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 2
@@ -310,6 +330,9 @@ def test_exp_speciation_command(tmp_path):
     manifest = json.loads((tmp_path / "exp_speciation.manifest.json").read_text())
     assert set(manifest["timings"]) == {"dataset", "experiment", "theory"}
     assert all(v >= 0 for v in manifest["timings"].values())
+    # one evaluation at t_start and one per grid time
+    assert manifest["kernel_evaluations"] == len(calls) == 3
+    assert manifest["sampler"] == "exact_bridge"
 
 
 @pytest.mark.parametrize("activation,rank", [("linear", 32), ("tanh", 64)])
@@ -318,7 +341,7 @@ def test_exp_speciation_manifest_records_score_rank(tmp_path, activation, rank):
     assert run(tmp_path, "exp-speciation", "--d", "64", "--p", "32",
                "--activation", activation, "--n-data", "128", "--n-traj", "2",
                "--n-clones", "2", "--t-min", "0.5", "--t-max", "1.0",
-               "--t-points", "2", "--dt", "0.1") == 0
+               "--t-points", "2") == 0
     manifest = json.loads((tmp_path / "exp_speciation.manifest.json").read_text())
     assert manifest["score_rank"] == rank
 
@@ -374,9 +397,13 @@ def test_solver_failure_exits_3(tmp_path, capsys):
 
 
 def test_validate_command_passes(tmp_path, capsys):
-    assert cli.main(["validate"]) == 0
+    assert cli.main(["validate", "--output-dir", str(tmp_path)]) == 0
     out = capsys.readouterr().out
     lines = [l for l in out.strip().splitlines() if l]
     assert len(lines) == 4
     assert all(l.startswith("PASS") for l in lines)
     assert all(" gap " in l for l in lines)
+    assert set(_timings(tmp_path, "validate")) == {
+        "collapse_routes", "eigen_logdet", "psi_checks"}
+    manifest = json.loads((tmp_path / "validate.manifest.json").read_text())
+    assert [c["pass"] for c in manifest["checks"]] == [True] * 4

@@ -1,10 +1,13 @@
-"""Forward schedule, empirical score, and backward integrator."""
+"""Forward schedule, empirical score, exact backward bridges and index
+draws, and the backward integrator."""
 import numpy as np
 import pytest
 from scipy.special import logsumexp
+from scipy.stats import chisquare
 
 from manifold_diffusion import diffusion
-from manifold_diffusion.diffusion import EmpiricalScore, advance, schedule
+from manifold_diffusion.diffusion import (EmpiricalScore, advance, bridge,
+                                          schedule)
 from manifold_diffusion.model import make_model, sample_dataset
 
 
@@ -17,6 +20,52 @@ def test_schedule_identities():
     assert schedule(0.0).h == 0.0
     with pytest.raises(ValueError):
         schedule(-0.1)
+
+
+@pytest.mark.parametrize("t,u,s", [(10.0, 1.6, 0.01), (1.6, 0.6, 0.01),
+                                   (0.3, 0.2, 0.011)])
+def test_bridge_obeys_chapman_kolmogorov(t, u, s):
+    # x_u = c0' x0 + c1' x_t + sqrt(v') z1, then x_s = c0'' x0 + c1'' x_u +
+    # sqrt(v'') z2: the two-step law must be the one-step bridge
+    (a0, a1, av), (b0, b1, bv) = bridge(t, u), bridge(u, s)
+    c0, c1, v = bridge(t, s)
+    assert abs(b0 + b1 * a0 - c0) <= 1e-14
+    assert abs(b1 * a1 - c1) <= 1e-14
+    assert abs(b1 * b1 * av + bv - v) <= 1e-14
+
+
+def test_bridge_endpoints_and_domain():
+    # at s = 0 the bridge pins x_0; its mean is E[x_s | x_t, x_0]
+    assert bridge(0.7, 0.0) == (1.0, 0.0, 0.0)
+    for t, s in ((1.0, 1.0), (0.5, 1.0), (1.0, -0.1)):
+        with pytest.raises(ValueError, match="0 <= s < t"):
+            bridge(t, s)
+
+
+@pytest.mark.parametrize("block_cols", [None, 3])
+def test_draw_indices_follow_the_softmax(block_cols, monkeypatch):
+    # 5 points against 10 samples; with 3 columns per block four blocks
+    # stream and the running max grows across them, and 2 rows per tile
+    # make three tiles
+    if block_cols is not None:
+        monkeypatch.setattr(diffusion, "_BLOCK_COLS", block_cols)
+        monkeypatch.setattr(diffusion, "_TILE_ROWS", 2)
+    rng = np.random.default_rng(3)
+    samples = rng.standard_normal((10, 3)) * np.linspace(0.5, 2.0, 10)[:, None]
+    score = EmpiricalScore(samples)
+    x = rng.standard_normal((5, 3))
+    t, k = 1.5, 20_000
+    lw = score.log_weights(x, t)
+    probs = np.exp(lw - logsumexp(lw, axis=1, keepdims=True))
+    assert probs.min() > 1e-3  # every expected count is above 20
+    idx = score.draw_indices(x, t, k, np.random.default_rng(11))
+    assert idx.shape == (5, k) and idx.min() >= 0 and idx.max() < 10
+    for row, p in zip(idx, probs):
+        assert chisquare(np.bincount(row, minlength=10), k * p).pvalue > 1e-3
+    # reproducible from the generator's seed
+    assert np.array_equal(idx, score.draw_indices(x, t, k, np.random.default_rng(11)))
+    with pytest.raises(ValueError, match="k must be"):
+        score.draw_indices(x, t, 0, rng)
 
 
 def _brute_force_score(x, t, samples):

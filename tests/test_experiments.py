@@ -6,6 +6,7 @@ from scipy.special import logsumexp
 from manifold_diffusion import diffusion
 from manifold_diffusion.diffusion import EmpiricalScore, schedule
 from manifold_diffusion.experiments import (ExperimentRecord, PartitionSplit,
+                                            _bridge_draws,
                                             collapse_crossing_experiment,
                                             free_energy_mc, model_hash,
                                             partition_split, records_to_csv,
@@ -67,18 +68,56 @@ def test_partition_split_planted_term_dominates_near_its_sample():
     assert ps.log_z1 > ps.log_z2()
 
 
+def _forward_draws(samples, t, n, rng):
+    """n exact draws of x_t from the kernel density p_t of ``samples``."""
+    sch = schedule(t)
+    picks = samples[rng.integers(0, len(samples), n)]
+    return sch.a * picks + np.sqrt(sch.h) * rng.standard_normal(picks.shape)
+
+
+def test_exact_backward_jump_keeps_the_forward_marginal():
+    # x_t ~ p_t jumped to s by an index draw and a bridge draw must be
+    # distributed as p_s: nearest-component frequencies against 200,000
+    # direct draws, first and second moments against their closed forms
+    samples = np.array([[2.0, 0.0], [-1.0, 1.5], [-0.5, -1.0]])
+    score = EmpiricalScore(samples)
+    rng = np.random.default_rng(21)
+    t, s, n = 1.0, 0.3, 20_000
+    x_t = _forward_draws(samples, t, n, rng)
+    idx = score.draw_indices(x_t, t, 1, rng)
+    x_s = _bridge_draws(score, x_t, idx, t, s, rng)[:, 0]
+    ref = _forward_draws(samples, s, 200_000, rng)
+
+    centers = schedule(s).a * samples
+
+    def shares(x):
+        near = np.argmin(((x[:, None, :] - centers) ** 2).sum(axis=2), axis=1)
+        return np.bincount(near, minlength=3) / len(x)
+
+    got, want = shares(x_s), shares(ref)
+    se = np.sqrt(want * (1 - want) * (1 / n + 1 / len(ref)))
+    assert np.all(np.abs(got - want) < 4 * se)
+
+    sch = schedule(s)
+    mean = sch.a * samples.mean(axis=0)
+    second = sch.a**2 * samples.T @ samples / 3 + sch.h * np.eye(2)
+    assert np.all(np.abs(x_s.mean(axis=0) - mean)
+                  < 4 * x_s.std(axis=0) / np.sqrt(n))
+    prods = x_s[:, :, None] * x_s[:, None, :]
+    assert np.all(np.abs(prods.mean(axis=0) - second)
+                  < 4 * prods.std(axis=0) / np.sqrt(n))
+
+
 def test_speciation_experiment_small_run():
     mdl = make_model(d=8, p=4, seed=1)
     recs = speciation_experiment(mdl, n_data=64, t_grid=[2.0, 0.8, 0.3],
-                                 n_traj=4, n_clones=4, seed=5, dt=0.05,
-                                 t_start=4.0)
+                                 n_traj=4, n_clones=4, seed=5, t_start=4.0)
     assert [r.t for r in recs] == [2.0, 0.8, 0.3]
     assert all(r.kind == "speciation_agreement" for r in recs)
     assert all(0.0 <= r.value <= 1.0 for r in recs)
     assert all(r.n_rep == 16 for r in recs)
     recs2 = speciation_experiment(mdl, n_data=64, t_grid=[2.0, 0.8, 0.3],
-                                  n_traj=4, n_clones=4, seed=5, dt=0.05,
-                                  t_start=4.0)
+                                  n_traj=4, n_clones=4, seed=5, t_start=4.0)
     assert [r.value for r in recs] == [r.value for r in recs2]
 
 
@@ -88,8 +127,10 @@ def test_speciation_experiment_validates_inputs():
         speciation_experiment(mdl, 16, [0.5, 1.0], 2, 2, seed=0)
     with pytest.raises(ValueError, match="two clones"):
         speciation_experiment(mdl, 16, [1.0, 0.5], 2, 1, seed=0)
-    with pytest.raises(ValueError, match="dt must be positive"):
-        speciation_experiment(mdl, 16, [1.0, 0.5], 2, 2, seed=0, dt=0.0)
+    # each jump needs a later start: t_start > t_grid > t_min
+    for kw in (dict(t_start=1.0), dict(t_min=0.5), dict(t_min=0.0)):
+        with pytest.raises(ValueError, match="t_start > t_grid > t_min"):
+            speciation_experiment(mdl, 16, [1.0, 0.5], 2, 2, seed=0, **kw)
 
 
 def test_threshold_crossing_interpolates():
@@ -176,8 +217,7 @@ def test_collapse_crossing_planted_term_equals_explicit_logsumexp(t):
 
 def test_speciation_experiment_takes_a_drawn_dataset():
     mdl = make_model(d=8, p=4, seed=1)
-    kw = dict(t_grid=[2.0, 0.8], n_traj=3, n_clones=3, seed=5, dt=0.05,
-              t_start=4.0)
+    kw = dict(t_grid=[2.0, 0.8], n_traj=3, n_clones=3, seed=5, t_start=4.0)
     drawn = speciation_experiment(mdl, 64, dataset=sample_dataset(mdl, 64, 5), **kw)
     assert drawn == speciation_experiment(mdl, 64, **kw)
     with pytest.raises(ValueError, match="n_data"):
