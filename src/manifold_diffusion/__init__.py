@@ -17,9 +17,8 @@ from .speciation import (GammaFunctions, GepConstants, gamma0_sq_sum,
                          gep_constants, lambdas, potential,
                          potential_curvature_at_zero, reduced_sde_simulate,
                          speciation_time_asymptotic, speciation_time_finite)
-from .experiments import (ExperimentRecord, PartitionSplit,
-                          collapse_crossing_experiment, free_energy_mc,
-                          model_hash, partition_split, rem_derivative_check,
+from .experiments import (ExperimentRecord, collapse_crossing_experiment,
+                          free_energy_mc, model_hash, rem_derivative_check,
                           sign_change_time, speciation_experiment,
                           threshold_crossing, tilted_log_partition)
 

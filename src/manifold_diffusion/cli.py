@@ -57,12 +57,19 @@ def _run_config(args, model: bool = True, **defaults) -> dict:
     """The run's one resolved and validated config.
 
     Flags override the ``--config`` file, which overrides the command's
-    ``defaults`` and then `_DEFAULTS`.  ``model`` says the command reads a
-    d x p model (drawn, or as its `TheoryParams`), so d and p are required.
+    ``defaults`` and then `_DEFAULTS`.  The file may hold the model keys
+    and a center, ``mu`` or ``mu_file``; any other key is rejected, since a
+    misspelt one would otherwise leave its default in place.  ``model``
+    says the command reads a d x p model (drawn, or as its `TheoryParams`),
+    so d and p are required.
     """
     cfg = {**_DEFAULTS, **defaults}
     if args.config:
-        cfg.update(json.loads(Path(args.config).read_text()))
+        given = json.loads(Path(args.config).read_text())
+        unknown = sorted(set(given).difference(_MODEL_KEYS, ("mu", "mu_file")))
+        if unknown:
+            raise ValueError(f"config file has unknown fields: {unknown}")
+        cfg.update(given)
     cfg.update((k, getattr(args, k)) for k in _MODEL_KEYS
                if getattr(args, k) is not None)
     if model:

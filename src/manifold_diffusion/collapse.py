@@ -184,18 +184,11 @@ def f_star(t: float, params: TheoryParams, n_outer: int = 24,
     q = c = rho + m^2, so the grid stops just inside the boundary.
     ``psi_evaluations`` counts every Psi evaluation of the solve.
     """
-    m, rho, beta = params.m, params.rho, params.beta
-    activation = params.activation
+    m, rho = params.m, params.rho
     c = m * m + rho
 
-    if activation.kind == "linear":
-        big = lambda q: psi_big_linear(q, t, m, rho)
-    else:
-        big = lambda q: psi_big(q, t, m, rho, activation, n_outer, n_inner)
-
     def g(q: float) -> float:
-        r = _r_star(q, m, rho)
-        return psi(r, m, rho) + big(q) / beta - 0.5 * r * q
+        return f_rs(q, _r_star(q, m, rho), t, params, n_outer, n_inner)
 
     qs = np.linspace(0.0, c * (1.0 - 1e-9), grid_points)
     vals = np.array([g(q) for q in qs])

@@ -1,5 +1,4 @@
-"""Forward OU process, empirical score, exact backward bridges, and the
-backward Euler-Maruyama stepper.
+"""Forward OU process, empirical score and exact backward bridges.
 
 Forward process: dX = -X dt + sqrt(2) dW, so X_t | X_0 ~ N(a_t X_0, h_t I_d)
 with a_t = e^{-t}, h_t = 1 - e^{-2t}.  The generative (backward) process is
@@ -15,8 +14,7 @@ backward transition from t to s < t is exactly the mixture
 sum_i w_i(x_t) N(c0 x_i + c1 x_t, v I) of the forward bridges (``bridge``)
 weighted by the kernel's softmax, so it is sampled by drawing an index
 (``EmpiricalScore.draw_indices``) and then a Gaussian, with no time
-stepping.  ``advance``, the one Euler-Maruyama stepper of the package,
-integrates any other backward SDE with decreasing t.
+stepping.
 """
 from __future__ import annotations
 
@@ -80,15 +78,11 @@ def _sample_span(X: np.ndarray, sq_norms: np.ndarray) -> np.ndarray | None:
 
 @dataclass(frozen=True)
 class DiffusionSchedule:
-    """The pair (a_t, h_t) and derived signal-to-noise eta_t = a_t^2 / h_t."""
+    """The pair (a_t, h_t) at time t."""
 
     t: float
     a: float
     h: float
-
-    @property
-    def eta(self) -> float:
-        return self.a * self.a / self.h
 
 
 def schedule(t: float) -> DiffusionSchedule:
@@ -355,32 +349,3 @@ class EmpiricalScore:
             raise ValueError("k must be at least 1")
         x = np.atleast_2d(np.asarray(x, dtype=float))
         return self._reduce(x, t, None, False, draws=k, rng=rng)[2]
-
-
-def advance(y: np.ndarray, t_from: float, t_to: float, dt: float, drift,
-            noise_var: float, rng: np.random.Generator,
-            keep_path: bool = False):
-    """Euler-Maruyama steps of -dY = drift(Y, t) dt + sqrt(noise_var) dW.
-
-    Steps of ``dt`` run from ``t_from`` down to ``t_to``, the last one
-    shortened to land on ``t_to``.  Returns Y at ``t_to``, or the arrays
-    (times, states) from the start on when ``keep_path`` is set.
-    """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    t = float(t_from)
-    times, states = [t], [y]
-    k = 0
-    while t > t_to + 1e-12:
-        step = min(dt, t - t_to)
-        y = y + drift(y, t) * step + np.sqrt(noise_var * step) * rng.standard_normal(y.shape)
-        t -= step
-        k += 1
-        if not np.all(np.isfinite(y)):
-            raise FloatingPointError(f"non-finite state at step {k}, t = {t:.6g}")
-        if keep_path:
-            times.append(t)
-            states.append(y)
-    if keep_path:
-        return np.array(times), np.array(states)
-    return y

@@ -4,8 +4,8 @@ Four protocols: clone-agreement speciation, the planted-vs-bulk partition
 crossing that locates memorization, Monte-Carlo estimation of the GLM free
 energy, and the tilted-partition identity behind the condensation argument.
 The clone trajectories jump between grid times with the exact backward
-transition of the empirical score.  All runs are reproducible bit-for-bit
-from their seeds.
+transition of the empirical score, so no protocol steps an ambient SDE in
+time.  All runs are reproducible bit-for-bit from their seeds.
 """
 from __future__ import annotations
 
@@ -43,46 +43,6 @@ class ExperimentRecord:
     def __post_init__(self):
         if self.stderr < 0 or self.n_rep < 1 or not math.isfinite(self.value):
             raise ValueError("malformed experiment record")
-
-
-@dataclass(frozen=True)
-class PartitionSplit:
-    """Log partition of the empirical kernel sum around a planted sample."""
-
-    log_z1: float
-    log_z2_plus: float
-    log_z2_minus: float
-
-    def combined(self) -> float:
-        parts = np.array([self.log_z1, self.log_z2_plus, self.log_z2_minus])
-        m = parts.max()
-        return float(m + np.log(np.exp(parts - m).sum()))
-
-    def log_z2(self) -> float:
-        m = max(self.log_z2_plus, self.log_z2_minus)
-        return float(m + np.log(np.exp(self.log_z2_plus - m)
-                                + np.exp(self.log_z2_minus - m)))
-
-
-def partition_split(x: np.ndarray, t: float, dataset: Dataset,
-                    planted_index: int = 0,
-                    score: EmpiricalScore | None = None) -> PartitionSplit:
-    """Split the kernel log-partition into planted / same-class / other-class."""
-    x = np.atleast_2d(x)
-    if x.shape[0] != 1:
-        raise ValueError("partition_split expects a single point")
-    if score is None:
-        score = EmpiricalScore(dataset)
-    labels = dataset.labels
-    planted = np.zeros(dataset.n, dtype=bool)
-    planted[planted_index] = True
-    same = labels == labels[planted_index]
-    other = ~same
-    same[planted_index] = False
-    return PartitionSplit(
-        log_z1=float(score.log_partition(x, t, keep=planted)[0]),
-        log_z2_plus=float(score.log_partition(x, t, keep=same)[0]),
-        log_z2_minus=float(score.log_partition(x, t, keep=other)[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -140,10 +100,11 @@ def speciation_experiment(model: ManifoldModel, n_data: int,
     0.7, so its 0.95 crossing lies about one time unit below t_S (about 1.1
     against t_S = 2.08 for the isometric linear model at d=64, p=32, m=1).
 
-    The training set is ``dataset`` when given (it must hold ``n_data``
-    samples) and ``sample_dataset(model, n_data, seed)`` otherwise; the
-    clones are driven by ``score``, the kernel over it, built here when
-    None.
+    The activation must be odd, as for ``speciation_time_finite``; another
+    is rejected before any work.  The training set is ``dataset`` when
+    given (it must hold ``n_data`` samples) and
+    ``sample_dataset(model, n_data, seed)`` otherwise; the clones are
+    driven by ``score``, the kernel over it, built here when None.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(np.diff(t_grid) >= 0):
@@ -152,6 +113,8 @@ def speciation_experiment(model: ManifoldModel, n_data: int,
         raise ValueError("need t_start > t_grid > t_min > 0")
     if n_clones < 2:
         raise ValueError("need at least two clones")
+    if not model.activation.is_odd:
+        raise ValueError("speciation analysis requires an odd activation")
     gf = GammaFunctions(model.activation, model.rho)
     direction = gf.gamma0(lambdas(model))
     if np.linalg.norm(direction) == 0:

@@ -22,7 +22,7 @@ def _rng(seed: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class EmbeddingMatrix:
-    """d x p embedding F with row access f_j."""
+    """d x p embedding F; row j is f_j."""
 
     entries: np.ndarray
     ensemble: str  # one of ENSEMBLES
@@ -47,9 +47,6 @@ class EmbeddingMatrix:
     @property
     def p(self) -> int:
         return self.entries.shape[1]
-
-    def row(self, j: int) -> np.ndarray:
-        return self.entries[j]
 
 
 ENSEMBLES = ("deterministic_isometry", "gaussian_iid")
@@ -149,10 +146,6 @@ class ManifoldModel:
                             self.embedding.ensemble)
 
     @property
-    def mu_tilde(self) -> np.ndarray:
-        return self.mu / np.sqrt(self.p)
-
-    @property
     def mu_tilde_norm_sq(self) -> float:
         return float(self.mu @ self.mu / self.p)
 
@@ -193,7 +186,6 @@ class Dataset:
     latents: np.ndarray
     labels: np.ndarray
     ambient: np.ndarray
-    seed: int
 
     @property
     def n(self) -> int:
@@ -217,7 +209,7 @@ def sample_dataset(model: ManifoldModel, n: int, seed: int) -> Dataset:
     latents = (labels[:, None] * model.mu[None, :]
                + np.sqrt(model.rho) * rng.standard_normal((n, model.p)))
     ambient = model.embed(latents)
-    return Dataset(latents=latents, labels=labels, ambient=ambient, seed=seed)
+    return Dataset(latents=latents, labels=labels, ambient=ambient)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Activation registry: built-ins, custom registration, admissibility checks."""
+"""Activation registry: the four named activations."""
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -29,34 +29,9 @@ def test_odd_builtins_are_odd(y, kind):
 
 
 def test_unknown_kind_rejected():
-    with pytest.raises(ValueError, match="unknown activation"):
-        make_activation("swish")
-
-
-def test_custom_requires_callable():
-    with pytest.raises(ValueError, match="callable"):
-        make_activation("custom")
-
-
-def test_custom_cubic_registers_as_odd():
-    phi = make_activation("custom", fn=lambda y: y**3, is_odd=True)
-    assert phi.is_odd
-    assert phi(2.0) == 8.0
-
-
-def test_custom_rejects_false_odd_claim():
-    with pytest.raises(ValueError, match="declared odd"):
-        make_activation("custom", fn=lambda y: np.maximum(y, 0.0), is_odd=True)
-
-
-def test_custom_rejects_superpolynomial_growth():
-    with pytest.raises(ValueError, match="polynomial growth"):
-        make_activation("custom", fn=lambda y: np.exp(np.abs(y)))
-
-
-def test_custom_rejects_non_finite():
-    with pytest.raises(ValueError, match="finite"):
-        make_activation("custom", fn=lambda y: np.where(y > 0, np.inf, y))
+    for kind in ("swish", "custom"):
+        with pytest.raises(ValueError, match="unknown activation"):
+            make_activation(kind)
 
 
 def test_activation_casts_input_to_float_array():

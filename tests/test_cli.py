@@ -389,6 +389,29 @@ def test_invalid_config_exits_2(tmp_path, capsys):
                str(tmp_path / "missing.json")) == 2
 
 
+def test_config_file_rejects_unknown_fields(tmp_path, capsys):
+    # misspelt keys would leave the linear, rho 1 defaults in place
+    cfg = tmp_path / "model.json"
+    cfg.write_text(json.dumps({"d": 16, "p": 8, "activaton": "tanh", "rhoo": 3.0}))
+    assert run(tmp_path, "speciation", "--config", str(cfg)) == cli.EXIT_CONFIG
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config"
+    assert "activaton" in err["message"] and "rhoo" in err["message"]
+    assert not (tmp_path / "speciation.json").exists()
+    # the model keys and a center are accepted
+    cfg.write_text(json.dumps({"d": 16, "p": 8, "activation": "tanh",
+                               "rho": 3.0, "mu": [1.0] * 8}))
+    assert run(tmp_path, "speciation", "--config", str(cfg)) == 0
+
+
+def test_exp_speciation_rejects_non_odd_activation_before_any_work(tmp_path):
+    out = tmp_path / "out"
+    assert cli.main(["exp-speciation", "--activation", "relu", "--d", "16",
+                     "--p", "8", "--n-data", "512",
+                     "--output-dir", str(out)]) == cli.EXIT_CONFIG
+    assert not out.exists()
+
+
 def test_solver_failure_exits_3(tmp_path, capsys):
     assert run(tmp_path, "collapse", "--d", "16", "--p", "8", "--alpha", "50",
                "--method", "linear_rmt") == 3

@@ -1,14 +1,14 @@
 """Forward schedule, empirical score, exact backward bridges and index
-draws, and the backward integrator."""
+draws."""
 import numpy as np
 import pytest
 from scipy.special import logsumexp
 from scipy.stats import chisquare
 
 from manifold_diffusion import diffusion
-from manifold_diffusion.diffusion import (EmpiricalScore, advance, bridge,
-                                          schedule)
+from manifold_diffusion.diffusion import EmpiricalScore, bridge, schedule
 from manifold_diffusion.model import make_model, sample_dataset
+from manifold_diffusion.speciation import reduced_sde_simulate
 
 
 def test_schedule_identities():
@@ -16,7 +16,6 @@ def test_schedule_identities():
         sch = schedule(t)
         assert sch.a == pytest.approx(np.exp(-t))
         assert sch.a**2 + sch.h == pytest.approx(1.0, abs=1e-15)
-        assert sch.eta == pytest.approx(sch.a**2 / sch.h)
     assert schedule(0.0).h == 0.0
     with pytest.raises(ValueError):
         schedule(-0.1)
@@ -259,6 +258,23 @@ def test_log_partition_keep_without_first_block(monkeypatch):
         score.log_partition(x, 0.02, keep=np.arange(160))
 
 
+def test_log_partition_split_recovers_full_normalizer():
+    # planted sample, the rest of its class and the other class: their log
+    # partitions combine to the score's log-normalizer
+    mdl = make_model(d=6, p=3)
+    ds = sample_dataset(mdl, 20, seed=2)
+    x = np.random.default_rng(0).standard_normal(6)
+    score = EmpiricalScore(ds)
+    planted = np.zeros(ds.n, dtype=bool)
+    planted[0] = True
+    same = ds.labels == ds.labels[0]
+    other = ~same
+    same[0] = False
+    parts = [score.log_partition(x, 0.4, keep=k) for k in (planted, same, other)]
+    _, logz = score(x, 0.4)
+    assert logsumexp(parts) == pytest.approx(logz, abs=1e-10)
+
+
 def test_log_partition_memory_grows_with_block_not_n():
     import tracemalloc
 
@@ -355,45 +371,21 @@ def test_score_requires_positive_time_and_valid_data():
         EmpiricalScore(np.ones(3))
 
 
-def _backward(start, T, t_min, dt, score, seed):
-    """(times, states) of -dY = (Y + 2 s(Y, t)) dt + sqrt(2) dW from T down to t_min."""
-    return advance(np.array(start, dtype=float), T, t_min, dt,
-                   lambda y, t: y + 2.0 * score(y, t), 2.0,
-                   np.random.default_rng(seed), keep_path=True)
-
-
-def test_backward_integrator_preserves_stationary_gaussian():
-    # with the exact standard-normal score s(y) = -y the backward drift is
-    # -y and N(0, I) is invariant; the ensemble variance must stay near 1
-    start = np.random.default_rng(1).standard_normal((2000, 2))
-    _, states = _backward(start, T=3.0, t_min=0.01, dt=0.01,
-                          score=lambda y, t: -y, seed=8)
-    assert states[-1].var() == pytest.approx(1.0, abs=0.1)
-    assert abs(states[-1].mean()) < 0.1
-
-
+# The reduced scalar SDE is the one backward Euler-Maruyama stepper left; the
+# ambient backward process runs on exact bridges.
 def test_backward_integrator_grid_and_reproducibility():
-    start = np.zeros(3)
-    times, states = _backward(start, T=1.0, t_min=0.1, dt=0.07,
-                              score=lambda y, t: -y, seed=5)
+    times, q = reduced_sde_simulate(1.0, 0.1, 0.07, 10.0, 3, seed=5)
     assert times[0] == 1.0
     assert times[-1] == pytest.approx(0.1)
     assert np.all(np.diff(times) < 0)
-    _, states2 = _backward(start, T=1.0, t_min=0.1, dt=0.07,
-                           score=lambda y, t: -y, seed=5)
-    assert np.array_equal(states, states2)
+    # 0.9 / 0.07 is not whole: the last step is shortened to land on t_end
+    assert len(times) == 14
+    assert 0 < times[-2] - times[-1] < 0.07
+    _, q2 = reduced_sde_simulate(1.0, 0.1, 0.07, 10.0, 3, seed=5)
+    assert np.array_equal(q, q2)
 
 
 def test_backward_integrator_validates_times():
     for dt in (0.0, -0.1):
         with pytest.raises(ValueError, match="dt must be positive"):
-            _backward(np.zeros(2), T=1.0, t_min=0.5, dt=dt,
-                      score=lambda y, t: -y, seed=0)
-
-
-def test_backward_integrator_reports_divergence():
-    # an unstable score blows the state up; the step index is in the message
-    with np.errstate(over="ignore"), \
-            pytest.raises(FloatingPointError, match="non-finite state at step"):
-        _backward(np.ones(2), T=2.0, t_min=0.01, dt=0.1,
-                  score=lambda y, t: 1e160 * y**3, seed=0)
+            reduced_sde_simulate(1.0, 0.5, dt, 10.0, 2, seed=0)

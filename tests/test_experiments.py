@@ -5,11 +5,10 @@ from scipy.special import logsumexp
 
 from manifold_diffusion import diffusion
 from manifold_diffusion.diffusion import EmpiricalScore, schedule
-from manifold_diffusion.experiments import (ExperimentRecord, PartitionSplit,
-                                            _bridge_draws,
+from manifold_diffusion.experiments import (ExperimentRecord, _bridge_draws,
                                             collapse_crossing_experiment,
                                             free_energy_mc, model_hash,
-                                            partition_split, records_to_csv,
+                                            records_to_csv,
                                             rem_derivative_check,
                                             sign_change_time,
                                             speciation_experiment,
@@ -40,32 +39,6 @@ def test_record_validation():
         _record(1.0, 0.5, stderr=-1.0)
     with pytest.raises(ValueError):
         _record(1.0, 0.5, n_rep=0)
-
-
-def test_partition_split_combination_identities():
-    ps = PartitionSplit(log_z1=-1.0, log_z2_plus=-2.0, log_z2_minus=-3.0)
-    assert ps.combined() == pytest.approx(logsumexp([-1.0, -2.0, -3.0]))
-    assert ps.log_z2() == pytest.approx(logsumexp([-2.0, -3.0]))
-
-
-def test_partition_split_recovers_full_normalizer():
-    mdl = make_model(d=6, p=3)
-    ds = sample_dataset(mdl, 20, seed=2)
-    x = np.random.default_rng(0).standard_normal(6)
-    ps = partition_split(x, 0.4, ds)
-    _, logz = EmpiricalScore(ds)(x, 0.4)
-    assert ps.combined() == pytest.approx(logz, abs=1e-10)
-    with pytest.raises(ValueError, match="single point"):
-        partition_split(np.zeros((2, 6)), 0.4, ds)
-
-
-def test_partition_split_planted_term_dominates_near_its_sample():
-    mdl = make_model(d=10, p=5)
-    ds = sample_dataset(mdl, 50, seed=4)
-    t = 0.05
-    x = schedule(t).a * ds.ambient[0]
-    ps = partition_split(x, t, ds, planted_index=0)
-    assert ps.log_z1 > ps.log_z2()
 
 
 def _forward_draws(samples, t, n, rng):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from manifold_diffusion.activations import make_activation
-from manifold_diffusion.model import (Dataset, EmbeddingMatrix, TheoryParams,
+from manifold_diffusion.model import (EmbeddingMatrix, TheoryParams,
                                       build_embedding, make_model,
                                       model_from_config, model_to_config,
                                       sample_count, sample_dataset)
@@ -23,11 +23,6 @@ def test_gaussian_embedding_shape_and_scale():
     # i.i.d. standard normal entries: mean ~ 0, variance ~ 1
     assert abs(emb.entries.mean()) < 0.02
     assert abs(emb.entries.var() - 1.0) < 0.03
-
-
-def test_embedding_row_access():
-    emb = build_embedding(6, 3, "gaussian_iid", seed=0)
-    assert np.array_equal(emb.row(2), emb.entries[2])
 
 
 def test_embedding_rejects_p_above_d():
@@ -49,7 +44,6 @@ def test_model_derived_quantities():
     assert mdl.m == pytest.approx(2.0)
     assert np.allclose(mdl.mu, 2.0 * np.ones(5))
     assert mdl.mu_tilde_norm_sq == pytest.approx(4.0)
-    assert np.allclose(mdl.mu_tilde, mdl.mu / np.sqrt(5))
 
 
 def test_model_validation_errors():

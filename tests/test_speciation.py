@@ -21,27 +21,47 @@ RHO1_TANH = 0.480024254336051
 RHO_STAR_SQ_TANH = 0.005584049800487
 
 
+def _moments(gf, y):
+    """(Gamma0, Gamma1, Gamma^(2)) at the points y: the three moments the
+    node-doubling test watches."""
+    return gf._raw(np.atleast_1d(y), gf.node_count)
+
+
 def test_linear_gamma_closed_forms():
     gf = GammaFunctions(make_activation("linear"), rho=0.7)
     y = np.array([-1.5, 0.0, 2.0])
+    _, g1, g2 = _moments(gf, y)
     assert np.allclose(gf.gamma0(y), y, atol=1e-12)
-    assert np.allclose(gf.gamma1(y), np.sqrt(0.7), atol=1e-12)
-    assert np.allclose(gf.gamma2(y), 0.7 + y**2, atol=1e-12)
+    assert np.allclose(g1, np.sqrt(0.7), atol=1e-12)
+    assert np.allclose(g2, 0.7 + y**2, atol=1e-12)
 
 
 def test_tanh_gamma_frozen_values():
     gf = GammaFunctions(make_activation("tanh"), rho=1.0)
+    _, g1, g2 = _moments(gf, 1.0)
     assert gf.gamma0(1.0) == pytest.approx(GAMMA0_TANH_1, abs=1e-12)
-    assert gf.gamma1(1.0) == pytest.approx(GAMMA1_TANH_1, abs=1e-12)
+    assert g1[0] == pytest.approx(GAMMA1_TANH_1, abs=1e-12)
     # unit mean equal to the variance: E[tanh] = E[tanh^2] exactly
-    assert gf.gamma2(1.0) == pytest.approx(GAMMA0_TANH_1, abs=1e-12)
+    assert g2[0] == pytest.approx(GAMMA0_TANH_1, abs=1e-12)
 
 
 @given(st.floats(min_value=-3.0, max_value=3.0))
 def test_tanh_gamma1_gamma2_linked_by_parts(y):
     # integration by parts at rho = 1: E[phi(u+y) u] = E[phi'(u+y)] = 1 - Gamma2
     gf = GammaFunctions(make_activation("tanh"), rho=1.0)
-    assert gf.gamma1(y) == pytest.approx(1.0 - gf.gamma2(y), abs=1e-10)
+    _, g1, g2 = _moments(gf, y)
+    assert g1[0] == pytest.approx(1.0 - g2[0], abs=1e-10)
+
+
+def test_gamma_node_counts_stay_pinned():
+    # the doubling test watches all three moments; on Gamma0 alone tanh at
+    # rho 2 and 3 would stop at 128 nodes
+    rhos = (0.25, 0.5, 1.0, 2.0, 3.0)
+    counts = {"linear": [64] * 5, "tanh": [64, 64, 128, 256, 256],
+              "relu": [2048] * 5, "sigmoid": [64] * 5}
+    for kind, want in counts.items():
+        phi = make_activation(kind)
+        assert [GammaFunctions(phi, rho).node_count for rho in rhos] == want
 
 
 def test_gamma_scalar_and_vector_calls_agree():
@@ -143,8 +163,6 @@ def test_reduced_sde_shapes_and_reproducibility():
     assert np.array_equal(q, q2)
     with pytest.raises(ValueError):
         reduced_sde_simulate(0.5, 2.0, 0.05, 10.0, 8, seed=3)
-    with pytest.raises(ValueError, match="dt must be positive"):
-        reduced_sde_simulate(2.0, 0.5, 0.0, 10.0, 8, seed=3)
 
 
 def test_reduced_sde_accepts_array_start():
