@@ -122,6 +122,14 @@ def _report(out_dir: Path, name: str, cfg: dict, summary: dict,
     return EXIT_OK
 
 
+def _solver_work(result: C.CollapseResult) -> dict:
+    """The work counters of a collapse solve, as written to its outputs."""
+    return {"f_star_solves": result.f_star_solves,
+            "psi_evaluations": result.psi_evaluations,
+            "bracket_expansions": result.bracket_expansions,
+            "brent_iterations": result.brent_iterations}
+
+
 @contextmanager
 def _phase(timings: dict, name: str):
     """Record the wall time of the ``with`` body as ``timings[name]``, in seconds."""
@@ -138,6 +146,7 @@ def cmd_speciation(args) -> int:
     timings = {}
     with _phase(timings, "model"):
         model = model_from_config(cfg)
+    S.require_odd(model.activation)
     with _phase(timings, "theory"):
         gf = S.GammaFunctions(model.activation, model.rho)
         gep = S.gep_constants(gf)
@@ -175,9 +184,7 @@ def cmd_collapse(args) -> int:
                                  TheoryParams.from_config(cfg),
                                  n_outer=args.nodes, grid_points=args.grid_points)
     payload = {"t_C": result.t_c, "method": result.method,
-               "residual": result.residual,
-               "f_star_solves": result.f_star_solves,
-               "psi_evaluations": result.psi_evaluations}
+               "residual": result.residual, **_solver_work(result)}
     return _report(_out_dir(args), "collapse", cfg, payload, timings=timings)
 
 
@@ -216,9 +223,7 @@ def cmd_collapse_sweep(args) -> int:
                     "beta": float(beta), "activation": act.kind,
                     "t_C": res.t_c,
                     "resolution_limited": res.t_c <= solver["t_tol"],
-                    "f_star_solves": res.f_star_solves,
-                    "psi_evaluations": res.psi_evaluations,
-                    "solve_s": timings["solve"]})
+                    **_solver_work(res), "solve_s": timings["solve"]})
     _write_manifest(out, "collapse_sweep",
                     {**cfg, "betas": betas.tolist(),
                      "activations": args.activations, "glm_solver": solver},
@@ -250,6 +255,7 @@ def cmd_free_energy(args) -> int:
 def cmd_exp_speciation(args) -> int:
     cfg = _run_config(args)
     model = model_from_config(cfg)
+    S.require_odd(model.activation)
     t_grid = np.linspace(args.t_max, args.t_min, args.t_points)
     timings = {}
     with _phase(timings, "dataset"):
@@ -321,8 +327,8 @@ def cmd_exp_collapse(args) -> int:
     summary = {"t_C_empirical": _try(lambda: E.sign_change_time(records)),
                "t_C_theory": theory.t_c, "method": theory.method}
     return _report(out, "exp_collapse", cfg, summary, [csv_path],
-                   timings=timings, f_star_solves=theory.f_star_solves,
-                   psi_evaluations=theory.psi_evaluations, score_rank=score.rank)
+                   timings=timings, score_rank=score.rank,
+                   **_solver_work(theory))
 
 
 def cmd_exp_free_energy(args) -> int:

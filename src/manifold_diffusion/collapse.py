@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
 from .diffusion import _EXP_FLOOR
 from .model import TheoryParams
@@ -172,17 +171,111 @@ def f_rs(q: float, r: float, t: float, params: TheoryParams,
     return psi(r, m, rho) + big / params.beta - 0.5 * r * q
 
 
+def _minimize_bounded(func, x1: float, x2: float, xatol: float,
+                      maxiter: int = 500) -> tuple[float, float, int]:
+    """Minimum of func on [x1, x2] by Brent's bounded method (Brent 1973).
+
+    A copy of ``scipy.optimize._optimize._minimize_scalar_bounded``
+    (Copyright (c) 2001-2002 Enthought, Inc. 2003, SciPy Developers; BSD
+    3-clause licence, see LICENSES/SciPy.txt), without its printing: the
+    same arithmetic, so the same iterates, bit for bit, as
+    ``minimize_scalar(func, bounds=(x1, x2), method="bounded",
+    options={"xatol": xatol})``.  Returns (x, func(x), evaluations) and
+    raises ArithmeticError when the evaluations reach ``maxiter`` or a
+    value is NaN.
+    """
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = x1, x2
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    x = xf
+    fx = func(x)
+    num = 1
+    fu = np.inf
+
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+
+    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        golden = True
+        # check for a parabolic fit
+        if abs(e) > tol1:
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+
+            # is the parabola acceptable?
+            if ((abs(p) < abs(0.5 * q * r)) and (p > q * (a - xf))
+                    and (p < q * (b - xf))):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if ((x - a) < tol2) or ((b - x) < tol2):
+                    rat = tol1 if xm - xf >= 0.0 else -tol1
+            else:
+                golden = True
+
+        if golden:  # a golden-section step
+            e = a - xf if xf >= xm else b - xf
+            rat = golden_mean * e
+
+        x = xf + (1.0 if rat >= 0.0 else -1.0) * max(abs(rat), tol1)
+        fu = func(x)
+        num += 1
+
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if (fu <= fnfc) or (nfc == xf):
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif (fu <= ffulc) or (fulc == xf) or (fulc == nfc):
+                fulc, ffulc = x, fu
+
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+
+        if num >= maxiter:
+            raise ArithmeticError("maximum number of function calls reached")
+
+    if math.isnan(xf) or math.isnan(fx) or math.isnan(fu):
+        raise ArithmeticError("NaN result encountered")
+    return xf, fx, num
+
+
 def f_star(t: float, params: TheoryParams, n_outer: int = 24,
            n_inner: int = 96, grid_points: int = 64) -> FreeEnergyResult:
     """Solve sup_q inf_r f_RS at time t.
 
     The inner inf is in closed form (`_r_star`); the outer sup refines the
     best point of a bracketing grid with Brent's bounded minimizer
-    (parabolic interpolation with golden-section fallback, Brent 1973; xatol
-    1e-9 max(c, 1), plus scipy's sqrt(eps) times the distance c - q), and
-    keeps a grid end if that is higher.  The value diverges to -inf at
-    q = c = rho + m^2, so the grid stops just inside the boundary.
-    ``psi_evaluations`` counts every Psi evaluation of the solve.
+    (`_minimize_bounded`: parabolic interpolation with golden-section
+    fallback; xatol 1e-9 max(c, 1), plus sqrt(2.2e-16) times the distance
+    c - q), and keeps a grid end if that is higher.  The value diverges to
+    -inf at q = c = rho + m^2, so the grid stops just inside the boundary.
+    ``psi_evaluations`` counts every Psi evaluation of the solve; a
+    minimizer that does not converge raises ArithmeticError.
     """
     m, rho = params.m, params.rho
     c = m * m + rho
@@ -197,13 +290,13 @@ def f_star(t: float, params: TheoryParams, n_outer: int = 24,
     hi = qs[min(k + 1, grid_points - 1)]
     # searched in u = c - q: the bounded method adds sqrt(eps) |u| to xatol,
     # which then shrinks with the peak's width as q_star nears c
-    opt = minimize_scalar(lambda u: -g(c - u), bounds=(c - hi, c - lo),
-                          method="bounded",
-                          options={"xatol": 1e-9 * max(c, 1.0)})
-    if not opt.success:
-        raise ArithmeticError(f"sup over q at t = {t}: {opt.message}")
-    q_star, f_val = c - opt.x, -opt.fun
-    psi_evaluations = grid_points + opt.nfev
+    try:
+        u, f_u, nfev = _minimize_bounded(lambda u: -g(c - u), c - hi, c - lo,
+                                         xatol=1e-9 * max(c, 1.0))
+    except ArithmeticError as exc:
+        raise ArithmeticError(f"sup over q at t = {t}: {exc}") from None
+    q_star, f_val = c - u, -f_u
+    psi_evaluations = grid_points + nfev
     boundary = False
     # keep whichever of {interior refinement, grid boundary} wins
     for qb, fb in ((qs[0], vals[0]), (qs[-1], vals[-1])):
@@ -253,24 +346,93 @@ class CollapseResult:
     # work of the GLM route; 0 on the linear routes, which solve no f_star
     f_star_solves: int = 0
     psi_evaluations: int = 0
+    # work of the root-finder (`_bisect_time`); 0 on the closed form
+    bracket_expansions: int = 0
+    brent_iterations: int = 0
+
+
+_BRENT_RTOL = 4.0 * np.finfo(float).eps
+_BRENT_MAXITER = 100
+
+
+def _brent_root(f, xpre: float, xcur: float, fpre: float, fcur: float,
+                xtol: float) -> tuple[float, int]:
+    """Root of f between xpre and xcur, where fpre < 0 < fcur or the reverse.
+
+    Brent's method (Brent 1973, ch. 4: inverse quadratic interpolation,
+    secant and bisection steps) as in SciPy's ``brentq``
+    (scipy/optimize/Zeros/brentq.c; Copyright (c) 2001-2002 Enthought, Inc.
+    2003, SciPy Developers; BSD 3-clause licence, see LICENSES/SciPy.txt):
+    the root is within xtol + 4 eps |root| after at most 100 iterations.
+    Returns the root and the number of evaluations of f; raises
+    ArithmeticError on a value of f that is not finite and RuntimeError
+    when the iterations run out.
+    """
+    xblk = fblk = spre = scur = 0.0
+    for evaluations in range(_BRENT_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur, evaluations
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+        if not math.isfinite(fcur):
+            raise ArithmeticError(f"residual at t = {xcur!r} is {fcur}")
+    raise RuntimeError(f"root-finder did not converge in {_BRENT_MAXITER} "
+                       f"iterations, last t = {xcur!r}")
 
 
 def _bisect_time(residual, t_lo: float = 1e-3, t_hi: float = 5.0,
-                 t_tol: float = 1e-6) -> float:
-    """Root of a residual that increases with t, with bracket expansion."""
+                 t_tol: float = 1e-6) -> tuple[float, int, int]:
+    """Root of a residual that increases with t, with bracket expansion.
+
+    Returns the root, the number of bracket expansions and the number of
+    Brent iterations (one residual evaluation each).
+    """
     lo, hi = t_lo, t_hi
     f_lo, f_hi = residual(lo), residual(hi)
+    expansions = 0
     while f_lo > 0.0 and lo > 1e-6:
         lo /= 4.0
         f_lo = residual(lo)
+        expansions += 1
     while f_hi < 0.0 and hi < 20.0:
         hi *= 2.0
         f_hi = residual(hi)
+        expansions += 1
     if not (f_lo < 0.0 < f_hi):
         raise RuntimeError(
             f"no collapse time in range ({lo:.2g}, {hi:.2g}): "
             f"residuals ({f_lo:.3g}, {f_hi:.3g})")
-    return float(brentq(residual, lo, hi, xtol=t_tol))
+    t, iterations = _brent_root(residual, lo, hi, f_lo, f_hi, xtol=t_tol)
+    return float(t), expansions, iterations
 
 
 def collapse_time_glm(params: TheoryParams, alpha: float, n_outer: int = 24,
@@ -286,8 +448,8 @@ def collapse_time_glm(params: TheoryParams, alpha: float, n_outer: int = 24,
     if not isinstance(params, TheoryParams):
         params = TheoryParams(*params)
     beta = params.beta
-    # brentq evaluates its bracket ends again and returns a time it has
-    # evaluated, so each time's f_star is solved once and then read back
+    # the root-finder returns a time it has evaluated, so each time's
+    # f_star is solved once and its residual then read back
     seen: dict[float, float] = {}
     psi_evaluations = 0
 
@@ -300,10 +462,12 @@ def collapse_time_glm(params: TheoryParams, alpha: float, n_outer: int = 24,
             seen[t] = alpha + 0.5 * np.log(2.0 * np.pi * h) + beta * fs.f_star + 0.5
         return seen[t]
 
-    t_c = _bisect_time(residual, t_tol=t_tol)
+    t_c, expansions, iterations = _bisect_time(residual, t_tol=t_tol)
     return CollapseResult(t_c=t_c, method="glm_general",
                           residual=abs(residual(t_c)), f_star_solves=len(seen),
-                          psi_evaluations=psi_evaluations)
+                          psi_evaluations=psi_evaluations,
+                          bracket_expansions=expansions,
+                          brent_iterations=iterations)
 
 
 def collapse_time_linear_isometry(alpha: float, beta: float, *,
@@ -365,9 +529,11 @@ def collapse_time_linear_rmt(alpha: float, beta: float, t_tol: float = 1e-6,
         eta = np.exp(-2.0 * t) / (-np.expm1(-2.0 * t))
         return alpha - 0.5 * mp_logdet(rho * eta, beta)
 
-    t_c = _bisect_time(residual, t_tol=t_tol)
+    t_c, expansions, iterations = _bisect_time(residual, t_tol=t_tol)
     return CollapseResult(t_c=t_c, method="linear_rmt",
-                          residual=abs(residual(t_c)))
+                          residual=abs(residual(t_c)),
+                          bracket_expansions=expansions,
+                          brent_iterations=iterations)
 
 
 # ---------------------------------------------------------------------------

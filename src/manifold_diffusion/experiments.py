@@ -18,7 +18,7 @@ import numpy as np
 
 from .diffusion import EmpiricalScore, bridge, schedule
 from .model import Dataset, ManifoldModel, _rng, model_to_config, sample_dataset
-from .speciation import GammaFunctions, lambdas
+from .speciation import GammaFunctions, lambdas, require_odd
 
 
 def model_hash(model: ManifoldModel) -> str:
@@ -113,8 +113,7 @@ def speciation_experiment(model: ManifoldModel, n_data: int,
         raise ValueError("need t_start > t_grid > t_min > 0")
     if n_clones < 2:
         raise ValueError("need at least two clones")
-    if not model.activation.is_odd:
-        raise ValueError("speciation analysis requires an odd activation")
+    require_odd(model.activation)
     gf = GammaFunctions(model.activation, model.rho)
     direction = gf.gamma0(lambdas(model))
     if np.linalg.norm(direction) == 0:

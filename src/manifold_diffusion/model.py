@@ -9,15 +9,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+# numpy loads its random module on first use, which takes 15-20 ms; import it
+# with the package, so that the cost is paid at import, not in the first draw
+from numpy.random import Generator, Philox
 
 from .activations import Activation, make_activation
 
 MAX_SAMPLES = 10_000_000
 
 
-def _rng(seed: int) -> np.random.Generator:
+def _rng(seed: int) -> Generator:
     # counter-based bit generator: deterministic and cheap to split
-    return np.random.Generator(np.random.Philox(key=seed))
+    return Generator(Philox(key=seed))
 
 
 @dataclass(frozen=True)

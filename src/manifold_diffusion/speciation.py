@@ -25,6 +25,14 @@ from .quadrature import std_normal_nodes
 _PROBE_GRID = np.linspace(-6.0, 6.0, 25)
 
 
+def require_odd(activation: Activation) -> None:
+    """Reject an activation that is not odd, before any work: the reduction
+    to one coordinate q needs Gamma0 odd."""
+    if not activation.is_odd:
+        raise ValueError(f"speciation analysis requires an odd activation, "
+                         f"got {activation.kind!r}")
+
+
 class GammaFunctions:
     """Quadrature evaluator for Gamma0(y) = E_u[phi(sqrt(rho) u + y)],
     u ~ N(0,1).
@@ -81,10 +89,7 @@ def gep_constants(gf: GammaFunctions, node_count: int = 256) -> GepConstants:
     rho_star^2 = E[Gamma0(u)^2] - rho0^2 - rho1^2, clamped at zero when the
     quadrature leaves it within -1e-10 of zero.
     """
-    if not gf.activation.is_odd:
-        raise ValueError(
-            f"Gaussian-equivalence constants require an odd activation, "
-            f"got {gf.activation.kind!r}")
+    require_odd(gf.activation)
     u, w = std_normal_nodes(node_count)
     g0 = gf.gamma0(u)
     rho0 = float(w @ g0)
@@ -111,8 +116,7 @@ def gamma0_sq_sum(model: ManifoldModel, gf: GammaFunctions | None = None) -> flo
 def speciation_time_finite(model: ManifoldModel,
                            gf: GammaFunctions | None = None) -> float:
     """t_S = log(2 sum_j Gamma0(lambda_j)^2) / 2 at finite d."""
-    if not model.activation.is_odd:
-        raise ValueError("speciation analysis requires an odd activation")
+    require_odd(model.activation)
     s = gamma0_sq_sum(model, gf)
     # anything at roundoff scale is quadrature noise, not a signal
     if s <= 1e-12:

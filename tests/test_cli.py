@@ -3,6 +3,10 @@ import csv
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -60,12 +64,16 @@ def test_collapse_command_dispatches_on_model(tmp_path):
                "--alpha", "0.5") == 0
     out = json.loads((tmp_path / "collapse.json").read_text())
     assert out["method"] == "linear_isometry_closed_form"
-    assert (out["f_star_solves"], out["psi_evaluations"]) == (0, 0)
+    assert (out["f_star_solves"], out["psi_evaluations"],
+            out["bracket_expansions"], out["brent_iterations"]) == (0, 0, 0, 0)
 
     assert run(tmp_path, "collapse", "--d", "16", "--p", "8", "--alpha", "0.5",
                "--ensemble", "gaussian_iid") == 0
     out = json.loads((tmp_path / "collapse.json").read_text())
     assert out["method"] == "linear_rmt"
+    # the RMT route runs the root-finder, but solves no f_star
+    assert (out["f_star_solves"], out["psi_evaluations"]) == (0, 0)
+    assert out["brent_iterations"] > 0
 
     assert run(tmp_path, "collapse", "--d", "16", "--p", "8", "--alpha", "0.5",
                "--method", "linear_rmt") == 0
@@ -84,9 +92,12 @@ def test_collapse_command_glm_for_nonlinear(tmp_path):
                                "activation": "tanh"})
     res = collapse_time_glm(model.theory_params, 0.5, n_outer=10,
                             grid_points=48)
-    assert (out["f_star_solves"], out["psi_evaluations"]) == (
-        res.f_star_solves, res.psi_evaluations)
+    assert (out["f_star_solves"], out["psi_evaluations"],
+            out["bracket_expansions"], out["brent_iterations"]) == (
+        res.f_star_solves, res.psi_evaluations, res.bracket_expansions,
+        res.brent_iterations)
     assert out["psi_evaluations"] > 48 * out["f_star_solves"]
+    assert out["brent_iterations"] > 0
     manifest = json.loads((tmp_path / "collapse.manifest.json").read_text())
     assert set(manifest["timings"]) == {"theory"}
     assert manifest["timings"]["theory"] >= 0
@@ -215,6 +226,9 @@ def test_collapse_sweep_writes_all_methods(tmp_path):
         assert entry["resolution_limited"] == (entry["t_C"] <= 1e-4)
         assert entry["f_star_solves"] > 0
         assert entry["psi_evaluations"] > 48 * entry["f_star_solves"]
+        # every residual is a bracket end, an expansion or a Brent iteration
+        assert entry["f_star_solves"] == (2 + entry["bracket_expansions"]
+                                          + entry["brent_iterations"])
         assert entry["solve_s"] >= 0
 
 
@@ -258,8 +272,10 @@ def test_exp_collapse_command(tmp_path):
     manifest = json.loads((tmp_path / "exp_collapse.manifest.json").read_text())
     assert set(manifest["timings"]) == {"dataset", "experiment", "theory"}
     assert all(v >= 0 for v in manifest["timings"].values())
-    # the linear closed form solves no f_star
-    assert (manifest["f_star_solves"], manifest["psi_evaluations"]) == (0, 0)
+    # the linear closed form solves no f_star and runs no root-finder
+    assert (manifest["f_star_solves"], manifest["psi_evaluations"],
+            manifest["bracket_expansions"], manifest["brent_iterations"]) == (
+        0, 0, 0, 0)
     assert manifest["score_rank"] == 10  # linear data spans p dimensions
 
 
@@ -270,6 +286,7 @@ def test_exp_collapse_manifest_records_theory_work(tmp_path):
     manifest = json.loads((tmp_path / "exp_collapse.manifest.json").read_text())
     assert manifest["f_star_solves"] > 0
     assert manifest["psi_evaluations"] > manifest["f_star_solves"]
+    assert manifest["brent_iterations"] > 0
     assert manifest["timings"]["theory"] > 0
     assert manifest["score_rank"] == 20
 
@@ -404,12 +421,63 @@ def test_config_file_rejects_unknown_fields(tmp_path, capsys):
     assert run(tmp_path, "speciation", "--config", str(cfg)) == 0
 
 
-def test_exp_speciation_rejects_non_odd_activation_before_any_work(tmp_path):
+def _no_work(*args, **kwargs):
+    raise AssertionError("work started before the oddness check")
+
+
+def test_exp_speciation_rejects_non_odd_activation_before_any_work(
+        tmp_path, monkeypatch):
+    # the training set is not sampled for a run that is then rejected
+    monkeypatch.setattr(cli, "sample_dataset", _no_work)
     out = tmp_path / "out"
     assert cli.main(["exp-speciation", "--activation", "relu", "--d", "16",
                      "--p", "8", "--n-data", "512",
                      "--output-dir", str(out)]) == cli.EXIT_CONFIG
     assert not out.exists()
+
+
+def test_speciation_rejects_non_odd_activation_before_the_quadrature(
+        tmp_path, monkeypatch):
+    # relu's Gamma quadrature would double to 2048 nodes before rejection
+    monkeypatch.setattr(cli.S, "GammaFunctions", _no_work)
+    out = tmp_path / "out"
+    assert cli.main(["speciation", "--activation", "relu", "--d", "16",
+                     "--p", "8", "--output-dir", str(out)]) == cli.EXIT_CONFIG
+    assert not out.exists()
+
+
+# each benchmark workload's command, at a small size
+_BENCHMARK_COMMANDS = [
+    ["exp-speciation", "--d", "16", "--p", "8", "--n-data", "256",
+     "--n-traj", "4", "--n-clones", "4", "--t-points", "2"],
+    ["collapse-sweep", "--beta-min", "0.5", "--beta-max", "0.5",
+     "--beta-points", "1", "--activations", "tanh", "--nodes", "6",
+     "--grid-points", "16"],
+    ["exp-collapse", "--d", "10", "--p", "5", "--alpha", "0.3",
+     "--n-noise", "8", "--t-points", "3"],
+]
+
+
+def test_cli_runs_without_scipy_subpackages(tmp_path):
+    # a fresh interpreter: the test process itself has imported scipy's
+    # subpackages for the reference values
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from manifold_diffusion import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.main(argv + ['--output-dir', sys.argv[1]])\n"
+        "             for argv in json.loads(sys.argv[2])]\n"
+        "print(json.dumps({'codes': codes, 'loaded': sorted(\n"
+        "    m for m in sys.modules if m.split('.')[:2] in\n"
+        "    (['scipy', 'optimize'], ['scipy', 'special'], ['scipy', 'linalg']))}))\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path),
+                           json.dumps(_BENCHMARK_COMMANDS)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"codes": [0, 0, 0], "loaded": []}
 
 
 def test_solver_failure_exits_3(tmp_path, capsys):

@@ -1,7 +1,9 @@
 """Collapse-time theory: replica functional, optimizers, spectral shortcuts."""
+import math
+
 import numpy as np
 import pytest
-from scipy.optimize import brentq
+from scipy.optimize import brentq, minimize_scalar
 
 import manifold_diffusion.collapse as collapse_mod
 from manifold_diffusion.activations import make_activation
@@ -185,6 +187,101 @@ def test_f_star_finite_near_zero_time():
     assert np.isfinite(res.f_star)
 
 
+def _scipy_bounded(func, x1, x2, xatol, maxiter=500):
+    """The reference: scipy's bounded minimizer, in `_minimize_bounded`'s form."""
+    opt = minimize_scalar(func, bounds=(x1, x2), method="bounded",
+                          options={"xatol": xatol, "maxiter": maxiter})
+    if not opt.success:
+        raise ArithmeticError(opt.message)
+    return opt.x, opt.fun, opt.nfev
+
+
+@pytest.mark.parametrize("func,a,b", [
+    (lambda x: (x - 0.3) ** 2, 0.0, 1.0), (math.cos, 2.0, 5.0),
+    (lambda x: abs(x - 1.0 / 3.0), 0.0, 1.0),
+    (lambda x: math.exp(x) - 3.0 * x, 0.0, 3.0),
+    (lambda x: x ** 4 - x, -1.0, 2.0), (lambda x: x, 0.0, 1.0),
+    (lambda x: math.sin(10.0 * x) + x, 0.0, 2.0)])
+@pytest.mark.parametrize("xatol", [1e-5, 1e-9, 1e-12])
+def test_bounded_minimizer_matches_scipy_bit_for_bit(func, a, b, xatol):
+    assert (collapse_mod._minimize_bounded(func, a, b, xatol)
+            == _scipy_bounded(func, a, b, xatol))
+
+
+@pytest.mark.parametrize("act", [TANH, RELU, LINEAR], ids=["tanh", "relu", "linear"])
+def test_f_star_matches_scipy_minimizer_bit_for_bit(act, monkeypatch):
+    params = TheoryParams(1.0, 1.0, 0.5, act)
+    times = (1e-5, 0.3, 1.0)
+    ours = [f_star(t, params, n_outer=10, n_inner=48, grid_points=48)
+            for t in times]
+    monkeypatch.setattr(collapse_mod, "_minimize_bounded", _scipy_bounded)
+    assert ours == [f_star(t, params, n_outer=10, n_inner=48, grid_points=48)
+                    for t in times]
+
+
+def test_bounded_minimizer_reports_failure():
+    with pytest.raises(ArithmeticError, match="maximum number"):
+        collapse_mod._minimize_bounded(math.cos, 2.0, 5.0, 1e-9, maxiter=3)
+    with pytest.raises(ArithmeticError, match="NaN"):
+        collapse_mod._minimize_bounded(lambda x: math.nan, 0.0, 1.0, 1e-9)
+
+
+_ROOT_FUNCS = [lambda x, r: x ** 3 - r ** 3,
+               lambda x, r: math.tanh(3.0 * (x - r)) + 0.1 * (x - r),
+               lambda x, r: math.exp(x) - math.exp(r),
+               lambda x, r: math.expm1(5.0 * (x - r))]
+
+
+def test_root_finder_lands_within_xtol_of_brentq():
+    rng = np.random.default_rng(0)
+    for i in range(400):
+        r = rng.uniform(-2.0, 2.0)
+        lo, hi = r - rng.uniform(1e-3, 3.0), r + rng.uniform(1e-3, 3.0)
+        xtol = 10.0 ** rng.uniform(-14.0, -2.0)
+
+        def f(x, g=_ROOT_FUNCS[i % len(_ROOT_FUNCS)], r=r):
+            return g(x, r)
+
+        root, _ = collapse_mod._brent_root(f, lo, hi, f(lo), f(hi), xtol)
+        assert abs(root - brentq(f, lo, hi, xtol=xtol)) <= xtol
+
+
+def test_root_finder_rejects_nonfinite_and_slow_residuals():
+    with pytest.raises(ArithmeticError, match="nan"):
+        collapse_mod._bisect_time(lambda t: t - 1.0 if t in (1e-3, 5.0) else math.nan)
+    # a step at 0 is only bisected, and an absolute tolerance of one
+    # subnormal needs about 1,000 halvings there, more than the 100 allowed
+    with pytest.raises(RuntimeError, match="did not converge"):
+        collapse_mod._brent_root(lambda x: 1.0 if x >= 0 else -1.0,
+                                 -1.0, 2.0, -1.0, 1.0, xtol=5e-324)
+
+
+def test_root_finder_matches_brentq_on_sweep_residuals(monkeypatch):
+    # each solve's root-finder also hands its residual (memoised by the GLM
+    # route) to brentq, which then repeats the same iterates for free
+    pairs = []
+    ours = collapse_mod._brent_root
+
+    def both(f, a, b, fa, fb, xtol):
+        root, iterations = ours(f, a, b, fa, fb, xtol)
+        pairs.append((root, brentq(f, a, b, xtol=xtol), xtol))
+        return root, iterations
+
+    monkeypatch.setattr(collapse_mod, "_brent_root", both)
+    # the sweep's tanh row at beta 0.1, which has to widen its bracket
+    glm = collapse_time("glm_general", 0.5, TheoryParams(1.0, 1.0, 0.1, TANH),
+                        n_outer=10, n_inner=48, grid_points=48, t_tol=1e-4)
+    rmt = collapse_time_linear_rmt(0.5, 0.3)
+    assert len(pairs) == 2
+    for root, ref, xtol in pairs:
+        assert abs(root - ref) <= xtol
+    # every residual evaluation is a bracket end, an expansion or a Brent
+    # iteration
+    assert glm.f_star_solves == 2 + glm.bracket_expansions + glm.brent_iterations
+    assert glm.bracket_expansions > 0 and glm.brent_iterations > 0
+    assert rmt.brent_iterations > 0 and rmt.f_star_solves == 0
+
+
 def test_isometry_collapse_time_frozen_values():
     assert collapse_time_linear_isometry(1.0, 1.0) == pytest.approx(
         T_C_ISO_1_1, abs=1e-12)
@@ -356,6 +453,10 @@ def test_psi_evaluations_count_every_psi_big_call(monkeypatch):
     for method in ("linear_isometry_closed_form", "linear_rmt"):
         res = collapse_time(method, 0.5, TheoryParams(1.0, 1.0, 0.5, LINEAR))
         assert (res.f_star_solves, res.psi_evaluations) == (0, 0)
+    # the closed form runs no root-finder either
+    res = collapse_time("linear_isometry_closed_form", 0.5,
+                        TheoryParams(1.0, 1.0, 0.5, LINEAR))
+    assert (res.bracket_expansions, res.brent_iterations) == (0, 0)
 
 
 def test_glm_rejects_nonpositive_alpha():

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
+from scipy.special import roots_hermite
 
 from manifold_diffusion.quadrature import std_normal_grid, std_normal_nodes
 
@@ -23,6 +24,22 @@ def test_even_moments_exact_below_polynomial_degree(k, n):
     z, w = std_normal_nodes(n)
     expected = float(np.prod(np.arange(2 * k - 1, 0, -2))) if k > 0 else 1.0
     assert w @ z ** (2 * k) == pytest.approx(expected, rel=1e-9)
+
+
+# every order the package and its tests use: the sweep's 10 and 48, the
+# CLI's 12, 16 and 24, psi_big's 96, and GammaFunctions' doublings to 2048
+@pytest.mark.parametrize("n", [*range(2, 65), 96, 128, 256, 512, 1024, 2048])
+def test_nodes_match_scipy_gauss_hermite(n):
+    x, w = roots_hermite(n)
+    z_ref, w_ref = np.sqrt(2.0) * x, w / np.sqrt(np.pi)
+    z, w = std_normal_nodes(n)
+    # the two rules differ by up to 6.4e-14, at n = 2048
+    assert np.abs(z - z_ref).max() <= 1e-13
+    # the tail weights of high orders underflow in both
+    big = w_ref > 1e-300
+    assert np.all(np.abs(w - w_ref)[big] <= 5e-12 * w_ref[big])
+    assert np.all(w[~big] < 1e-290)
+    assert np.array_equal(z, -z[::-1]) and np.array_equal(w, w[::-1])
 
 
 def test_nodes_rejects_tiny_order():
