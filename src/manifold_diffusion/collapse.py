@@ -338,10 +338,20 @@ def stationarity_residual(res: FreeEnergyResult, params: TheoryParams,
 # ---------------------------------------------------------------------------
 # collapse times
 
+# the three routes to t_C: the GLM free-energy solve, the isometry closed
+# form and the Marchenko-Pastur log-determinant of the linear model
+ROUTES = ("glm_general", "linear_isometry_closed_form", "linear_rmt")
+GLM, CLOSED_FORM, RMT = ROUTES
+# the embedding ensemble each route's theory assumes: the GLM replica
+# computation and the log-determinant average over gaussian F
+THEORY_ENSEMBLE = {GLM: "gaussian_iid", CLOSED_FORM: "deterministic_isometry",
+                   RMT: "gaussian_iid"}
+
+
 @dataclass(frozen=True)
 class CollapseResult:
     t_c: float
-    method: str  # "glm_general" | "linear_isometry_closed_form" | "linear_rmt"
+    method: str  # one of ROUTES
     residual: float
     # work of the GLM route; 0 on the linear routes, which solve no f_star
     f_star_solves: int = 0
@@ -463,7 +473,7 @@ def collapse_time_glm(params: TheoryParams, alpha: float, n_outer: int = 24,
         return seen[t]
 
     t_c, expansions, iterations = _bisect_time(residual, t_tol=t_tol)
-    return CollapseResult(t_c=t_c, method="glm_general",
+    return CollapseResult(t_c=t_c, method=GLM,
                           residual=abs(residual(t_c)), f_star_solves=len(seen),
                           psi_evaluations=psi_evaluations,
                           bracket_expansions=expansions,
@@ -530,7 +540,7 @@ def collapse_time_linear_rmt(alpha: float, beta: float, t_tol: float = 1e-6,
         return alpha - 0.5 * mp_logdet(rho * eta, beta)
 
     t_c, expansions, iterations = _bisect_time(residual, t_tol=t_tol)
-    return CollapseResult(t_c=t_c, method="linear_rmt",
+    return CollapseResult(t_c=t_c, method=RMT,
                           residual=abs(residual(t_c)),
                           bracket_expansions=expansions,
                           brent_iterations=iterations)
@@ -544,10 +554,10 @@ def collapse_method(params: TheoryParams) -> str:
     Marchenko-Pastur log-determinant for a linear activation (by ensemble),
     the GLM free-energy solve otherwise."""
     if params.activation.kind != "linear":
-        return "glm_general"
+        return GLM
     if params.ensemble == "deterministic_isometry":
-        return "linear_isometry_closed_form"
-    return "linear_rmt"
+        return CLOSED_FORM
+    return RMT
 
 
 def collapse_time(method: str | None, alpha: float, params: TheoryParams,
@@ -561,14 +571,14 @@ def collapse_time(method: str | None, alpha: float, params: TheoryParams,
     """
     if method is None:
         method = collapse_method(params)
-    if method == "glm_general":
+    if method == GLM:
         return collapse_time_glm(params, alpha, **solver)
-    if method not in ("linear_isometry_closed_form", "linear_rmt"):
+    if method not in ROUTES:
         raise ValueError(f"unknown collapse method: {method!r}")
     if params.activation.kind != "linear":
         raise ValueError(f"method {method} needs a linear activation, "
                          f"got {params.activation.kind!r}")
-    if method == "linear_rmt":
+    if method == RMT:
         return collapse_time_linear_rmt(alpha, params.beta, rho=params.rho)
     t_c = collapse_time_linear_isometry(alpha, params.beta, rho=params.rho)
     return CollapseResult(t_c=t_c, method=method, residual=0.0)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .diffusion import EmpiricalScore, bridge, schedule
-from .model import Dataset, ManifoldModel, _rng, model_to_config, sample_dataset
+from .model import Dataset, ManifoldModel, _rng, model_to_config
 from .speciation import GammaFunctions, lambdas, require_odd
 
 
@@ -69,10 +69,9 @@ def _bridge_draws(score: EmpiricalScore, y: np.ndarray, idx: np.ndarray,
     return mean + np.sqrt(v) * rng.standard_normal(mean.shape)
 
 
-def speciation_experiment(model: ManifoldModel, n_data: int,
+def speciation_experiment(model: ManifoldModel, dataset: Dataset,
                           t_grid, n_traj: int, n_clones: int, seed: int,
                           t_min: float = 0.01, t_start: float = 10.0,
-                          dataset: Dataset | None = None,
                           score: EmpiricalScore | None = None) -> list[ExperimentRecord]:
     """Clone-agreement measurement of the speciation transition.
 
@@ -101,10 +100,8 @@ def speciation_experiment(model: ManifoldModel, n_data: int,
     against t_S = 2.08 for the isometric linear model at d=64, p=32, m=1).
 
     The activation must be odd, as for ``speciation_time_finite``; another
-    is rejected before any work.  The training set is ``dataset`` when
-    given (it must hold ``n_data`` samples) and
-    ``sample_dataset(model, n_data, seed)`` otherwise; the clones are
-    driven by ``score``, the kernel over it, built here when None.
+    is rejected before any work.  The clones are driven by ``score``, the
+    kernel over the training set ``dataset``, built here when None.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(np.diff(t_grid) >= 0):
@@ -119,10 +116,6 @@ def speciation_experiment(model: ManifoldModel, n_data: int,
     if np.linalg.norm(direction) == 0:
         raise ValueError("degenerate classifier: Gamma0 projection vanishes")
 
-    if dataset is None:
-        dataset = sample_dataset(model, n_data, seed)
-    elif dataset.n != n_data:
-        raise ValueError(f"dataset has {dataset.n} samples, n_data is {n_data}")
     if score is None:
         score = EmpiricalScore(dataset)
     rng = _rng(seed + 1)

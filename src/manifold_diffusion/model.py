@@ -101,11 +101,12 @@ class TheoryParams:
     @classmethod
     def from_config(cls, cfg: dict) -> TheoryParams:
         """The record of ``model_from_config(cfg).theory_params``, without F."""
+        cfg = resolve_config(cfg)
         d, p = int(cfg["d"]), int(cfg["p"])
         return cls(m=float(np.linalg.norm(_center(cfg)) / np.sqrt(p)),
-                   rho=float(cfg.get("rho", 1.0)), beta=p / d,
-                   activation=make_activation(cfg.get("activation", "linear")),
-                   ensemble=cfg.get("ensemble", "deterministic_isometry"))
+                   rho=float(cfg["rho"]), beta=p / d,
+                   activation=make_activation(cfg["activation"]),
+                   ensemble=cfg["ensemble"])
 
 
 @dataclass(frozen=True)
@@ -158,19 +159,9 @@ class ManifoldModel:
         return self.activation(pre)
 
 
-def make_model(d: int, p: int, alpha: float = 1.0, rho: float = 1.0,
-               m: float = 1.0, mu: np.ndarray | None = None,
-               activation: str | Activation = "linear",
-               ensemble: str = "deterministic_isometry",
-               seed: int = 0) -> ManifoldModel:
-    """Convenience constructor; default center is m * ones(p)."""
-    if isinstance(activation, str):
-        activation = make_activation(activation)
-    if mu is None:
-        mu = m * np.ones(p)
-    emb = build_embedding(d, p, ensemble, seed)
-    return ManifoldModel(d=d, p=p, alpha=alpha, rho=rho, mu=np.asarray(mu, float),
-                         activation=activation, embedding=emb)
+def make_model(d: int, p: int, **fields) -> ManifoldModel:
+    """Keyword form of `model_from_config`: ``make_model(16, 8, m=2.0)``."""
+    return model_from_config({"d": d, "p": p, **fields})
 
 
 def sample_count(alpha: float, d: int) -> int:
@@ -234,6 +225,14 @@ def model_to_config(model: ManifoldModel) -> dict:
     return cfg
 
 
+# the default of every model config field but d and p, which have none
+_DEFAULTS = {"alpha": 1.0, "rho": 1.0, "m": 1.0, "activation": "linear",
+             "ensemble": "deterministic_isometry", "seed": 0}
+# every field a model config may hold; a center given as a list (mu) or a
+# text file (mu_file) replaces m * ones(p)
+CONFIG_KEYS = ("d", "p", *_DEFAULTS, "mu", "mu_file")
+
+
 def _center(cfg: dict) -> np.ndarray:
     """The latent center of a config: ``mu_file``, ``mu`` or m * ones(p)."""
     p = int(cfg["p"])
@@ -241,18 +240,47 @@ def _center(cfg: dict) -> np.ndarray:
     if cfg.get("mu_file") is not None:
         mu = np.loadtxt(cfg["mu_file"])
     if mu is None:
-        return float(cfg.get("m", 1.0)) * np.ones(p)
+        return float(cfg["m"]) * np.ones(p)
     mu = np.asarray(mu, float).reshape(-1)
     if mu.shape != (p,):
         raise ValueError(f"mu must have length p={p}")
     return mu
 
 
-def model_from_config(cfg: dict, seed: int = 0) -> ManifoldModel:
-    return make_model(
-        d=int(cfg["d"]), p=int(cfg["p"]),
-        alpha=float(cfg.get("alpha", 1.0)), rho=float(cfg.get("rho", 1.0)),
-        mu=_center(cfg),
-        activation=cfg.get("activation", "linear"),
-        ensemble=cfg.get("ensemble", "deterministic_isometry"),
-        seed=int(cfg.get("seed", seed)))
+def resolve_config(cfg: dict, keys: tuple[str, ...] = CONFIG_KEYS) -> dict:
+    """``cfg`` checked, with the default of each key of ``keys`` it leaves unset.
+
+    A key outside ``keys`` is rejected, since a misspelt one would
+    otherwise leave its default in place.  When ``keys`` holds d and p
+    they are required, with d >= p >= 1, and the center must have length
+    p.  rho and alpha must be positive, and the activation and ensemble
+    known.
+    """
+    unknown = sorted(set(cfg).difference(keys))
+    if unknown:
+        raise ValueError(f"config has unknown fields: {unknown}")
+    cfg = {**{k: v for k, v in _DEFAULTS.items() if k in keys}, **cfg}
+    if "p" in keys:
+        d, p = int(cfg.get("d", 0)), int(cfg.get("p", 0))
+        if d < 1 or p < 1 or p > d:
+            raise ValueError(
+                f"config field d/p invalid: need d >= p >= 1, got d={d}, p={p}")
+        _center(cfg)
+    for key in ("rho", "alpha"):
+        if key in cfg and float(cfg[key]) <= 0:
+            raise ValueError(f"config field {key} must be positive")
+    if "activation" in cfg:
+        make_activation(cfg["activation"])
+    if "ensemble" in cfg and cfg["ensemble"] not in ENSEMBLES:
+        raise ValueError(f"config field ensemble unknown: {cfg['ensemble']!r}")
+    return cfg
+
+
+def model_from_config(cfg: dict) -> ManifoldModel:
+    """The model of a config, resolved by `resolve_config`; ``seed`` draws F."""
+    cfg = resolve_config(cfg)
+    d, p = int(cfg["d"]), int(cfg["p"])
+    return ManifoldModel(
+        d=d, p=p, alpha=float(cfg["alpha"]), rho=float(cfg["rho"]),
+        mu=_center(cfg), activation=make_activation(cfg["activation"]),
+        embedding=build_embedding(d, p, cfg["ensemble"], int(cfg["seed"])))

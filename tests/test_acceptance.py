@@ -196,8 +196,9 @@ def test_criterion_07_simulated_speciation_band():
     t_s = speciation_time_asymptotic(mdl.beta, mdl.d, mdl.mu_tilde_norm_sq,
                                      gep, ensemble=mdl.embedding.ensemble)
     t_grid = np.linspace(2.6, 0.6, 11)
-    records = speciation_experiment(mdl, n_data=4096, t_grid=t_grid,
-                                    n_traj=40, n_clones=25, seed=1)
+    records = speciation_experiment(mdl, sample_dataset(mdl, 4096, seed=1),
+                                    t_grid=t_grid, n_traj=40, n_clones=25,
+                                    seed=1)
     t_emp = threshold_crossing(records)
     t_theory = threshold_crossing(_reduced_agreement_records(
         gamma0_sq_sum(mdl), t_grid, n_traj=400, n_clones=25, seed=1))

@@ -64,6 +64,7 @@ def test_collapse_command_dispatches_on_model(tmp_path):
                "--alpha", "0.5") == 0
     out = json.loads((tmp_path / "collapse.json").read_text())
     assert out["method"] == "linear_isometry_closed_form"
+    assert out["theory_ensemble"] == "deterministic_isometry"
     assert (out["f_star_solves"], out["psi_evaluations"],
             out["bracket_expansions"], out["brent_iterations"]) == (0, 0, 0, 0)
 
@@ -71,6 +72,7 @@ def test_collapse_command_dispatches_on_model(tmp_path):
                "--ensemble", "gaussian_iid") == 0
     out = json.loads((tmp_path / "collapse.json").read_text())
     assert out["method"] == "linear_rmt"
+    assert out["theory_ensemble"] == "gaussian_iid"
     # the RMT route runs the root-finder, but solves no f_star
     assert (out["f_star_solves"], out["psi_evaluations"]) == (0, 0)
     assert out["brent_iterations"] > 0
@@ -81,12 +83,15 @@ def test_collapse_command_dispatches_on_model(tmp_path):
     assert out["method"] == "linear_rmt"
 
 
-def test_collapse_command_glm_for_nonlinear(tmp_path):
+def test_collapse_command_glm_for_nonlinear(tmp_path, capsys):
     assert run(tmp_path, "collapse", "--d", "16", "--p", "8", "--alpha", "0.5",
                "--activation", "tanh", "--nodes", "10",
                "--grid-points", "48") == 0
     out = json.loads((tmp_path / "collapse.json").read_text())
     assert out["method"] == "glm_general"
+    # the data are isometric, the GLM theory is derived for gaussian F, and
+    # the output says which one the time belongs to
+    assert json.loads(capsys.readouterr().out)["theory_ensemble"] == "gaussian_iid"
     assert 0.0 < out["t_C"] < 0.2
     model = model_from_config({"d": 16, "p": 8, "alpha": 0.5,
                                "activation": "tanh"})
@@ -200,8 +205,23 @@ def test_collapse_sweep_honours_config_rho_and_m(tmp_path):
     cfg.write_text(json.dumps({"rho": 2.0, "m": 0.5}))
     assert sweep("config", "--config", str(cfg))[0] == flags
 
-    cfg.write_text(json.dumps({"mu": [2.0] * 8}))
-    assert run(tmp_path, "collapse-sweep", "--config", str(cfg)) == cli.EXIT_CONFIG
+    # --seed is taken, and has no effect: the sweep draws no model
+    assert sweep("seed", "--seed", "3")[0] == default
+
+    # the keys of a model it does not draw are refused, as flags or in the
+    # file, before any output
+    refused = tmp_path / "refused"
+    for flag, value in (("--d", "5"), ("--p", "9"), ("--activation", "relu"),
+                        ("--ensemble", "gaussian_iid")):
+        with pytest.raises(SystemExit) as exc:
+            run(refused, "collapse-sweep", flag, value)
+        assert exc.value.code == cli.EXIT_CONFIG
+    for key, value in (("d", 5), ("p", 9), ("activation", "relu"),
+                       ("ensemble", "gaussian_iid"), ("mu", [2.0] * 8),
+                       ("mu_file", "mu.txt")):
+        cfg.write_text(json.dumps({key: value}))
+        assert run(refused, "collapse-sweep", "--config", str(cfg)) == cli.EXIT_CONFIG
+    assert not refused.exists()
 
 
 def test_collapse_sweep_writes_all_methods(tmp_path):
@@ -224,6 +244,7 @@ def test_collapse_sweep_writes_all_methods(tmp_path):
         assert (entry["beta"], entry["activation"]) == (float(row["beta"]), "tanh")
         assert entry["t_C"] == float(row["t_C [backward time]"])
         assert entry["resolution_limited"] == (entry["t_C"] <= 1e-4)
+        assert entry["theory_ensemble"] == "gaussian_iid"
         assert entry["f_star_solves"] > 0
         assert entry["psi_evaluations"] > 48 * entry["f_star_solves"]
         # every residual is a bracket end, an expansion or a Brent iteration
@@ -284,6 +305,7 @@ def test_exp_collapse_manifest_records_theory_work(tmp_path):
                "--activation", "tanh", "--alpha", "0.25", "--n-noise", "10",
                "--t-min", "0.05", "--t-max", "1.2", "--t-points", "3") == 0
     manifest = json.loads((tmp_path / "exp_collapse.manifest.json").read_text())
+    assert manifest["theory_ensemble"] == "gaussian_iid"
     assert manifest["f_star_solves"] > 0
     assert manifest["psi_evaluations"] > manifest["f_star_solves"]
     assert manifest["brent_iterations"] > 0
@@ -404,6 +426,12 @@ def test_invalid_config_exits_2(tmp_path, capsys):
                "--activation", "swish") == 2
     assert run(tmp_path, "speciation", "--config",
                str(tmp_path / "missing.json")) == 2
+    # a file that is not one JSON object of fields
+    cfg = tmp_path / "model.json"
+    for text in ("[]", "[1, 2]", "3"):
+        cfg.write_text(text)
+        assert run(tmp_path, "speciation", "--d", "8", "--p", "4",
+                   "--config", str(cfg)) == 2
 
 
 def test_config_file_rejects_unknown_fields(tmp_path, capsys):
@@ -456,6 +484,57 @@ _BENCHMARK_COMMANDS = [
     ["exp-collapse", "--d", "10", "--p", "5", "--alpha", "0.3",
      "--n-noise", "8", "--t-points", "3"],
 ]
+
+
+# the other six commands at the small sizes of their tests above
+_COMMANDS = _BENCHMARK_COMMANDS + [
+    ["speciation", "--d", "16", "--p", "8", "--m", "1.5", "--potential-csv"],
+    ["collapse", "--d", "16", "--p", "8", "--alpha", "0.5",
+     "--activation", "tanh", "--nodes", "10", "--grid-points", "48"],
+    ["free-energy", "--d", "16", "--p", "8", "--t-min", "0.2", "--t-max",
+     "1.0", "--t-points", "3"],
+    ["exp-free-energy", "--d", "16", "--p", "8", "--n-x", "10",
+     "--n-latent", "10000"],
+    ["exp-rem", "--d", "16", "--p", "8", "--n-rep", "20000"],
+    ["validate"],
+]
+
+# the top-level keys of a command's manifest beyond those every manifest has
+_MANIFEST_EXTRAS = {
+    "exp_speciation": {"score_rank", "sampler", "kernel_evaluations"},
+    "collapse_sweep": {"glm_rows"},
+    "exp_collapse": {"score_rank", "theory_ensemble", "f_star_solves",
+                     "psi_evaluations", "bracket_expansions",
+                     "brent_iterations"},
+    "validate": {"checks"},
+}
+
+
+@pytest.mark.parametrize("argv", _COMMANDS, ids=lambda argv: argv[0])
+def test_every_command_writes_one_kind_of_manifest(tmp_path, argv):
+    assert run(tmp_path, *argv) == 0
+    name = argv[0].replace("-", "_")
+    manifest_path = tmp_path / f"{name}.manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    assert set(manifest) - _MANIFEST_EXTRAS.get(name, set()) == {
+        "command", "resolved_config", "outputs", "timestamp", "versions",
+        "thread_env", "timings"}
+    assert manifest["command"] == name
+    for path, digest in manifest["outputs"].items():
+        assert hashlib.sha256(Path(path).read_bytes()).hexdigest() == digest
+    assert set(tmp_path.iterdir()) == {manifest_path,
+                                       *map(Path, manifest["outputs"])}
+
+
+def test_abbreviated_flags_are_rejected(tmp_path):
+    # --pot is not read as --potential-csv, nor --activation as the
+    # sweep's --activations
+    for argv in (["speciation", "--d", "16", "--p", "8", "--pot"],
+                 ["collapse-sweep", "--activation", "tanh"]):
+        with pytest.raises(SystemExit) as exc:
+            run(tmp_path / "out", *argv)
+        assert exc.value.code == cli.EXIT_CONFIG
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_runs_without_scipy_subpackages(tmp_path):

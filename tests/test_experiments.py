@@ -83,27 +83,29 @@ def test_exact_backward_jump_keeps_the_forward_marginal():
 
 def test_speciation_experiment_small_run():
     mdl = make_model(d=8, p=4, seed=1)
-    recs = speciation_experiment(mdl, n_data=64, t_grid=[2.0, 0.8, 0.3],
+    ds = sample_dataset(mdl, 64, 5)
+    recs = speciation_experiment(mdl, ds, t_grid=[2.0, 0.8, 0.3],
                                  n_traj=4, n_clones=4, seed=5, t_start=4.0)
     assert [r.t for r in recs] == [2.0, 0.8, 0.3]
     assert all(r.kind == "speciation_agreement" for r in recs)
     assert all(0.0 <= r.value <= 1.0 for r in recs)
     assert all(r.n_rep == 16 for r in recs)
-    recs2 = speciation_experiment(mdl, n_data=64, t_grid=[2.0, 0.8, 0.3],
+    recs2 = speciation_experiment(mdl, ds, t_grid=[2.0, 0.8, 0.3],
                                   n_traj=4, n_clones=4, seed=5, t_start=4.0)
     assert [r.value for r in recs] == [r.value for r in recs2]
 
 
 def test_speciation_experiment_validates_inputs():
     mdl = make_model(d=8, p=4)
+    ds = sample_dataset(mdl, 16, 0)
     with pytest.raises(ValueError, match="decreasing"):
-        speciation_experiment(mdl, 16, [0.5, 1.0], 2, 2, seed=0)
+        speciation_experiment(mdl, ds, [0.5, 1.0], 2, 2, seed=0)
     with pytest.raises(ValueError, match="two clones"):
-        speciation_experiment(mdl, 16, [1.0, 0.5], 2, 1, seed=0)
+        speciation_experiment(mdl, ds, [1.0, 0.5], 2, 1, seed=0)
     # each jump needs a later start: t_start > t_grid > t_min
     for kw in (dict(t_start=1.0), dict(t_min=0.5), dict(t_min=0.0)):
         with pytest.raises(ValueError, match="t_start > t_grid > t_min"):
-            speciation_experiment(mdl, 16, [1.0, 0.5], 2, 2, seed=0, **kw)
+            speciation_experiment(mdl, ds, [1.0, 0.5], 2, 2, seed=0, **kw)
 
 
 def test_threshold_crossing_interpolates():
@@ -189,12 +191,14 @@ def test_collapse_crossing_planted_term_equals_explicit_logsumexp(t):
 
 
 def test_speciation_experiment_takes_a_drawn_dataset():
+    # the clones are driven by the kernel over the dataset passed in, built
+    # by the experiment when no kernel is given
     mdl = make_model(d=8, p=4, seed=1)
     kw = dict(t_grid=[2.0, 0.8], n_traj=3, n_clones=3, seed=5, t_start=4.0)
-    drawn = speciation_experiment(mdl, 64, dataset=sample_dataset(mdl, 64, 5), **kw)
-    assert drawn == speciation_experiment(mdl, 64, **kw)
-    with pytest.raises(ValueError, match="n_data"):
-        speciation_experiment(mdl, 32, dataset=sample_dataset(mdl, 64, 5), **kw)
+    ds = sample_dataset(mdl, 64, 5)
+    drawn = speciation_experiment(mdl, ds, **kw)
+    assert drawn == speciation_experiment(mdl, ds, score=EmpiricalScore(ds), **kw)
+    assert drawn != speciation_experiment(mdl, sample_dataset(mdl, 64, 6), **kw)
 
 
 def test_collapse_crossing_flags_one_sided_grids():
