@@ -26,7 +26,7 @@ from . import experiments as E
 from . import speciation as S
 from .activations import make_activation
 from .diffusion import EmpiricalScore
-from .model import (CONFIG_KEYS, TheoryParams, model_from_config,
+from .model import (CONFIG_KEYS, CONFIG_TYPES, TheoryParams, model_from_config,
                     resolve_config, sample_count, sample_dataset)
 
 EXIT_OK = 0
@@ -34,10 +34,6 @@ EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_VALIDATION = 4
 
-# the flag of each config key that has one; mu and mu_file are set in the
-# --config file only
-_FLAG_TYPES = {"d": int, "p": int, "alpha": float, "rho": float, "m": float,
-               "activation": str, "ensemble": str, "seed": int}
 # collapse-sweep draws no model: it sweeps beta over the linear routes and
 # the activations it is given.  It takes --seed, which has no effect.
 _SWEEP_KEYS = ("alpha", "rho", "m", "seed")
@@ -51,7 +47,7 @@ def _given(args) -> dict:
     cfg = json.loads(Path(args.config).read_text()) if args.config else {}
     if not isinstance(cfg, dict):
         raise ValueError("config file must hold a JSON object")
-    cfg.update((k, getattr(args, k)) for k in _FLAG_TYPES
+    cfg.update((k, getattr(args, k)) for k in CONFIG_TYPES
                if getattr(args, k, None) is not None)
     return cfg
 
@@ -164,7 +160,7 @@ def cmd_speciation(args, run: _Run) -> int:
 def cmd_collapse(args, run: _Run) -> int:
     cfg = resolve_config(_given(args))
     with run.phase("theory"):
-        result = C.collapse_time(args.method, float(cfg["alpha"]),
+        result = C.collapse_time(args.method, cfg["alpha"],
                                  TheoryParams.from_config(cfg),
                                  n_outer=args.nodes, grid_points=args.grid_points)
     return run.finish(cfg, {"t_C": result.t_c, "method": result.method,
@@ -174,7 +170,6 @@ def cmd_collapse(args, run: _Run) -> int:
 
 def cmd_collapse_sweep(args, run: _Run) -> int:
     cfg = resolve_config({"alpha": 0.5, **_given(args)}, _SWEEP_KEYS)
-    alpha, m, rho = float(cfg["alpha"]), float(cfg["m"]), float(cfg["rho"])
     lin = make_activation("linear")
     names = [a.strip() for a in args.activations.split(",")]
     acts = [make_activation(a) for a in names if a and a != "linear"]
@@ -190,13 +185,13 @@ def cmd_collapse_sweep(args, run: _Run) -> int:
         writer.writerow(["beta", "t_C [backward time]", "method_or_activation"])
         for beta in betas:
             for method in (C.CLOSED_FORM, C.RMT):
-                res = C.collapse_time(method, alpha,
-                                      TheoryParams(m, rho, beta, lin))
+                res = C.collapse_time(method, cfg["alpha"],
+                                      TheoryParams(cfg["m"], cfg["rho"], beta, lin))
                 writer.writerow([beta, res.t_c, method])
             for act in acts:
                 start = time.perf_counter()
-                res = C.collapse_time(C.GLM, alpha,
-                                      TheoryParams(m, rho, float(beta), act),
+                res = C.collapse_time(C.GLM, cfg["alpha"],
+                                      TheoryParams(cfg["m"], cfg["rho"], float(beta), act),
                                       **solver)
                 solve_s = time.perf_counter() - start
                 writer.writerow([beta, res.t_c, act.kind])
@@ -231,12 +226,11 @@ def cmd_exp_speciation(args, run: _Run) -> int:
     S.require_odd(model.activation)
     t_grid = np.linspace(args.t_max, args.t_min, args.t_points)
     with run.phase("dataset"):
-        dataset = sample_dataset(model, args.n_data, int(cfg["seed"]))
+        dataset = sample_dataset(model, args.n_data, cfg["seed"])
     with run.phase("experiment"):
         score = EmpiricalScore(dataset)
-        records = E.speciation_experiment(model, dataset, t_grid, args.n_traj,
-                                          args.n_clones, int(cfg["seed"]),
-                                          score=score)
+        records = E.speciation_experiment(model, score, t_grid, args.n_traj,
+                                          args.n_clones, cfg["seed"])
     E.records_to_csv(records, run.output("exp_speciation.csv"))
     with run.phase("theory"):
         gf = S.GammaFunctions(model.activation, model.rho)
@@ -246,7 +240,7 @@ def cmd_exp_speciation(args, run: _Run) -> int:
         "t_S_theory": t_s_theory,
         # the first grid time is already at the level: t_S_empirical is a
         # lower bound on the crossing, not an estimate of it
-        "t_S_empirical_censored": bool(records[0].value >= 0.95),
+        "t_S_empirical_censored": bool(records[0].value >= E.AGREEMENT_LEVEL),
     }
     # the exact backward sampler evaluates the kernel once at t_start and
     # once per grid time
@@ -264,29 +258,28 @@ def _crossing_sample(d: int, alpha, n_data: int | None) -> tuple[int, float]:
     if alpha is None:
         n = 22026 if n_data is None else n_data
         return n, float(np.log(n) / d)
-    n_alpha = sample_count(float(alpha), d)
+    n_alpha = sample_count(alpha, d)
     if n_data is not None and n_data != n_alpha:
         raise ValueError(
             f"--n-data {n_data} disagrees with alpha = {alpha}: "
             f"e^(alpha d) at d = {d} is {n_alpha}")
-    return n_alpha, float(alpha)
+    return n_alpha, alpha
 
 
 def cmd_exp_collapse(args, run: _Run) -> int:
     given = _given(args)
     cfg = resolve_config(given)
-    n_data, cfg["alpha"] = _crossing_sample(int(cfg["d"]), given.get("alpha"),
-                                            args.n_data)
+    n_data, cfg["alpha"] = _crossing_sample(
+        cfg["d"], cfg["alpha"] if "alpha" in given else None, args.n_data)
     model = model_from_config(cfg)
     cfg["n_data"] = n_data
     t_grid = np.linspace(args.t_max, args.t_min, args.t_points)
     with run.phase("dataset"):
-        dataset = sample_dataset(model, n_data, int(cfg["seed"]))
+        dataset = sample_dataset(model, n_data, cfg["seed"])
     with run.phase("experiment"):
         score = EmpiricalScore(dataset)
-        records = E.collapse_crossing_experiment(model, dataset, t_grid,
-                                                 args.n_noise, int(cfg["seed"]) + 1,
-                                                 score=score)
+        records = E.collapse_crossing_experiment(model, score, t_grid,
+                                                 args.n_noise, cfg["seed"] + 1)
     E.records_to_csv(records, run.output("exp_collapse.csv"))
     with run.phase("theory"):
         theory = C.collapse_time(None, model.alpha, model.theory_params,
@@ -302,8 +295,7 @@ def cmd_exp_free_energy(args, run: _Run) -> int:
     with run.phase("model"):
         model = model_from_config(cfg)
     with run.phase("experiment"):
-        rec = E.free_energy_mc(model, args.t, args.n_x, args.n_latent,
-                               int(cfg["seed"]))
+        rec = E.free_energy_mc(model, args.t, args.n_x, args.n_latent, cfg["seed"])
     E.records_to_csv([rec], run.output("exp_free_energy.csv"))
     return run.finish(cfg, {"value": rec.value, "stderr": rec.stderr,
                             "flags": list(rec.flags)})
@@ -314,8 +306,7 @@ def cmd_exp_rem(args, run: _Run) -> int:
     with run.phase("model"):
         model = model_from_config(cfg)
     with run.phase("experiment"):
-        rec = E.rem_derivative_check(model, args.t, args.n_rep,
-                                     int(cfg["seed"]))
+        rec = E.rem_derivative_check(model, args.t, args.n_rep, cfg["seed"])
     E.records_to_csv([rec], run.output("exp_rem.csv"))
     return run.finish(cfg, {"minus_g_prime_at_1": rec.value,
                             "stderr": rec.stderr, "expected": 0.5})
@@ -376,13 +367,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, fn, help, keys=CONFIG_KEYS):
-        """A subcommand with a flag for each config key in ``keys``."""
+        """A subcommand with a flag for each typed config key in ``keys``."""
         p = sub.add_parser(name, help=help, allow_abbrev=False)
         if keys:
             p.add_argument("--config", help="JSON config file")
         for key in keys:
-            if key in _FLAG_TYPES:
-                p.add_argument(f"--{key}", type=_FLAG_TYPES[key])
+            if key in CONFIG_TYPES:
+                p.add_argument(f"--{key}", type=CONFIG_TYPES[key])
         p.add_argument("--output-dir")
         p.set_defaults(fn=fn)
         return p

@@ -30,6 +30,13 @@ from .diffusion import _EXP_FLOOR
 from .model import TheoryParams
 from .quadrature import std_normal_grid, std_normal_nodes
 
+# settings no caller changes: psi_quadrature_check's outer nodes per axis
+# and inner nodes, the bounded minimizer's cap on evaluations (scipy's
+# default) and the time bracket the collapse root-finder starts from
+_CHECK_OUTER, _CHECK_INNER = 48, 96
+_MINIMIZE_MAXITER = 500
+_T_LO, _T_HI = 1e-3, 5.0
+
 # ---------------------------------------------------------------------------
 # scalar pieces of the replica functional
 
@@ -44,8 +51,7 @@ def _psi_prime(r: float, m: float, rho: float) -> float:
     return 0.5 * (m * m + rho) - 0.5 * rho / (1.0 + r * rho)
 
 
-def psi_quadrature_check(r: float, m: float, rho: float,
-                         n_outer: int = 48, n_inner: int = 96) -> float:
+def psi_quadrature_check(r: float, m: float, rho: float) -> float:
     """psi from its integral definition (independent route).
 
     E_{X0 ~ N(m, rho), Z0 ~ N(0,1)} log E_{w ~ N(m, rho)}
@@ -54,9 +60,9 @@ def psi_quadrature_check(r: float, m: float, rho: float,
     """
     if r < 0:
         raise ValueError("r must be >= 0")
-    (u, z0), w_out = std_normal_grid(n_outer, 2)
+    (u, z0), w_out = std_normal_grid(_CHECK_OUTER, 2)
     x0 = m + np.sqrt(rho) * u
-    v, w_in = std_normal_nodes(n_inner)
+    v, w_in = std_normal_nodes(_CHECK_INNER)
     wv = m + np.sqrt(rho) * v  # integration variable of the prior
     expo = (r * np.outer(x0, wv) + np.sqrt(r) * np.outer(z0, wv)
             - 0.5 * r * wv ** 2)
@@ -171,8 +177,8 @@ def f_rs(q: float, r: float, t: float, params: TheoryParams,
     return psi(r, m, rho) + big / params.beta - 0.5 * r * q
 
 
-def _minimize_bounded(func, x1: float, x2: float, xatol: float,
-                      maxiter: int = 500) -> tuple[float, float, int]:
+def _minimize_bounded(func, x1: float, x2: float,
+                      xatol: float) -> tuple[float, float, int]:
     """Minimum of func on [x1, x2] by Brent's bounded method (Brent 1973).
 
     A copy of ``scipy.optimize._optimize._minimize_scalar_bounded``
@@ -181,8 +187,8 @@ def _minimize_bounded(func, x1: float, x2: float, xatol: float,
     same arithmetic, so the same iterates, bit for bit, as
     ``minimize_scalar(func, bounds=(x1, x2), method="bounded",
     options={"xatol": xatol})``.  Returns (x, func(x), evaluations) and
-    raises ArithmeticError when the evaluations reach ``maxiter`` or a
-    value is NaN.
+    raises ArithmeticError when the evaluations reach 500 or a value is
+    NaN.
     """
     sqrt_eps = math.sqrt(2.2e-16)
     golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
@@ -256,7 +262,7 @@ def _minimize_bounded(func, x1: float, x2: float, xatol: float,
         tol1 = sqrt_eps * abs(xf) + xatol / 3.0
         tol2 = 2.0 * tol1
 
-        if num >= maxiter:
+        if num >= _MINIMIZE_MAXITER:
             raise ArithmeticError("maximum number of function calls reached")
 
     if math.isnan(xf) or math.isnan(fx) or math.isnan(fu):
@@ -419,14 +425,13 @@ def _brent_root(f, xpre: float, xcur: float, fpre: float, fcur: float,
                        f"iterations, last t = {xcur!r}")
 
 
-def _bisect_time(residual, t_lo: float = 1e-3, t_hi: float = 5.0,
-                 t_tol: float = 1e-6) -> tuple[float, int, int]:
+def _bisect_time(residual, t_tol: float = 1e-6) -> tuple[float, int, int]:
     """Root of a residual that increases with t, with bracket expansion.
 
     Returns the root, the number of bracket expansions and the number of
     Brent iterations (one residual evaluation each).
     """
-    lo, hi = t_lo, t_hi
+    lo, hi = _T_LO, _T_HI
     f_lo, f_hi = residual(lo), residual(hi)
     expansions = 0
     while f_lo > 0.0 and lo > 1e-6:

@@ -9,10 +9,11 @@ time.  All runs are reproducible bit-for-bit from their seeds.
 """
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -45,8 +46,22 @@ class ExperimentRecord:
             raise ValueError("malformed experiment record")
 
 
+def _record(kind: str, t: float, values: np.ndarray, model: ManifoldModel, seed: int,
+            n_rep: int | None = None, flags: tuple[str, ...] = ()) -> ExperimentRecord:
+    """The record of the mean of the per-draw ``values`` at time t, with its
+    standard error (0 for one draw); ``n_rep`` defaults to the draw count."""
+    n = len(values)
+    stderr = float(values.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+    return ExperimentRecord(kind, float(t), float(values.mean()), stderr,
+                            n_rep or n, model_hash(model), seed, flags)
+
+
 # ---------------------------------------------------------------------------
 # speciation by cloning
+
+# the clone agreement at which the clones count as committed to one class
+AGREEMENT_LEVEL = 0.95
+
 
 def _pairwise_agreement(signs: np.ndarray) -> np.ndarray:
     """Mean pairwise sign agreement per row of a (n_traj, n_clones) array."""
@@ -69,10 +84,9 @@ def _bridge_draws(score: EmpiricalScore, y: np.ndarray, idx: np.ndarray,
     return mean + np.sqrt(v) * rng.standard_normal(mean.shape)
 
 
-def speciation_experiment(model: ManifoldModel, dataset: Dataset,
-                          t_grid, n_traj: int, n_clones: int, seed: int,
-                          t_min: float = 0.01, t_start: float = 10.0,
-                          score: EmpiricalScore | None = None) -> list[ExperimentRecord]:
+def speciation_experiment(model: ManifoldModel, score: EmpiricalScore, t_grid,
+                          n_traj: int, n_clones: int, seed: int, t_min: float = 0.01,
+                          t_start: float = 10.0) -> list[ExperimentRecord]:
     """Clone-agreement measurement of the speciation transition.
 
     Backward trajectories start from N(0, I_d) at ``t_start``; at each grid
@@ -101,7 +115,7 @@ def speciation_experiment(model: ManifoldModel, dataset: Dataset,
 
     The activation must be odd, as for ``speciation_time_finite``; another
     is rejected before any work.  The clones are driven by ``score``, the
-    kernel over the training set ``dataset``, built here when None.
+    kernel over the training set.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(np.diff(t_grid) >= 0):
@@ -111,15 +125,11 @@ def speciation_experiment(model: ManifoldModel, dataset: Dataset,
     if n_clones < 2:
         raise ValueError("need at least two clones")
     require_odd(model.activation)
-    gf = GammaFunctions(model.activation, model.rho)
-    direction = gf.gamma0(lambdas(model))
+    direction = GammaFunctions(model.activation, model.rho).gamma0(lambdas(model))
     if np.linalg.norm(direction) == 0:
         raise ValueError("degenerate classifier: Gamma0 projection vanishes")
 
-    if score is None:
-        score = EmpiricalScore(dataset)
     rng = _rng(seed + 1)
-    mh = model_hash(model)
 
     y = rng.standard_normal((n_traj, model.d))
     idx = score.draw_indices(y, t_start, 1, rng)
@@ -131,16 +141,13 @@ def speciation_experiment(model: ManifoldModel, dataset: Dataset,
         agree = _pairwise_agreement(np.sign(ends @ direction))
         if k + 1 < len(t_grid):
             y = _bridge_draws(score, y, idx[:, n_clones:], t, t_grid[k + 1], rng)[:, 0]
-        records.append(ExperimentRecord(
-            kind="speciation_agreement", t=float(t),
-            value=float(agree.mean()),
-            stderr=float(agree.std(ddof=1) / np.sqrt(n_traj)) if n_traj > 1 else 0.0,
-            n_rep=n_traj * n_clones, model_hash=mh, seed=seed))
+        records.append(_record("speciation_agreement", t, agree, model, seed,
+                               n_rep=n_traj * n_clones))
     return records
 
 
 def threshold_crossing(records: list[ExperimentRecord],
-                       level: float = 0.95) -> float:
+                       level: float = AGREEMENT_LEVEL) -> float:
     """Largest t where the monitored value reaches ``level`` (interpolated).
 
     Records are assumed ordered by decreasing t with values increasing as t
@@ -165,31 +172,25 @@ def threshold_crossing(records: list[ExperimentRecord],
 # ---------------------------------------------------------------------------
 # collapse crossing
 
-def collapse_crossing_experiment(model: ManifoldModel, dataset: Dataset,
-                                 t_grid, n_noise: int, seed: int,
-                                 planted_index: int = 0,
-                                 score: EmpiricalScore | None = None) -> list[ExperimentRecord]:
+def collapse_crossing_experiment(model: ManifoldModel, score: EmpiricalScore, t_grid,
+                                 n_noise: int, seed: int) -> list[ExperimentRecord]:
     """Mean of (log Z1 - log Z2) / d along the forward trajectory of x_1.
 
-    Z1 is the planted sample's kernel weight, log Z1 = -||x - a x_1||^2 /
-    (2 h) from the explicit difference, and Z2 the sum over all other
-    samples from ``EmpiricalScore.log_partition`` with a mask.  Those
-    samples are reduced in blocks, so memory grows with the block size, not
-    with n_noise x n.  ``score`` is the kernel over ``dataset``, built here
-    when None.
+    x_1 is the kernel's first sample and Z1 its weight, log Z1 =
+    -||x - a x_1||^2 / (2 h) from the explicit difference; Z2 is the sum
+    over all other samples from ``EmpiricalScore.log_partition`` with a
+    mask.  They are reduced in blocks, so memory grows with the block size,
+    not with n_noise x n.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(np.diff(t_grid) >= 0):
         raise ValueError("t_grid must be strictly decreasing")
-    if dataset.n < 2:
+    n = len(score.samples)
+    if n < 2:
         raise ValueError("collapse crossing needs at least two samples")
-    if score is None:
-        score = EmpiricalScore(dataset)
-    x1 = dataset.ambient[planted_index]
-    others = np.ones(dataset.n, dtype=bool)
-    others[planted_index] = False
+    x1 = score.samples[0]
+    others = np.arange(n) != 0
     rng = _rng(seed)
-    mh = model_hash(model)
     records = []
     for t in t_grid:
         sch = schedule(float(t))
@@ -197,15 +198,9 @@ def collapse_crossing_experiment(model: ManifoldModel, dataset: Dataset,
         diff = x - sch.a * x1
         log_z1 = -np.einsum("bj,bj->b", diff, diff) / (2.0 * sch.h)
         gap = (log_z1 - score.log_partition(x, float(t), keep=others)) / model.d
-        records.append(ExperimentRecord(
-            kind="logZ_gap", t=float(t), value=float(gap.mean()),
-            stderr=float(gap.std(ddof=1) / np.sqrt(n_noise)) if n_noise > 1 else 0.0,
-            n_rep=n_noise, model_hash=mh, seed=seed))
+        records.append(_record("logZ_gap", t, gap, model, seed))
     if all(r.value > 0 for r in records) or all(r.value < 0 for r in records):
-        records[-1] = ExperimentRecord(
-            kind=records[-1].kind, t=records[-1].t, value=records[-1].value,
-            stderr=records[-1].stderr, n_rep=records[-1].n_rep,
-            model_hash=mh, seed=seed, flags=("all_one_sign_widen_grid",))
+        records[-1] = replace(records[-1], flags=("all_one_sign_widen_grid",))
     return records
 
 
@@ -239,7 +234,6 @@ def free_energy_mc(model: ManifoldModel, t: float, n_x: int, n_latent: int,
         raise ValueError("inner estimate requires n_latent >= 10^4")
     sch = schedule(t)
     rng = _rng(seed)
-    mh = model_hash(model)
     inner_sign = -1.0 if mismatched else 1.0
     sqrt_rho = np.sqrt(model.rho)
 
@@ -260,18 +254,12 @@ def free_energy_mc(model: ManifoldModel, t: float, n_x: int, n_latent: int,
         log_p = m + np.log(sw / n_latent) - 0.5 * model.d * np.log(2.0 * np.pi * sch.h)
         vals[i] = log_p / model.d
 
-    mean = math.fsum(vals) / n_x
-    # jackknife over the outer draws
-    jack = (n_x * mean - vals) / (n_x - 1) if n_x > 1 else vals
-    stderr = float(np.sqrt((n_x - 1) / n_x * np.sum((jack - jack.mean()) ** 2))) if n_x > 1 else 0.0
     flags = ["logmeanexp_downward_bias"]
     if mismatched:
         flags.append("mismatched_prior")
     if min_ess < 100:
         flags.append("low_inner_ess_unreliable")
-    return ExperimentRecord(kind="free_energy_mc", t=float(t), value=float(mean),
-                            stderr=stderr, n_rep=n_x, model_hash=mh, seed=seed,
-                            flags=tuple(flags))
+    return _record("free_energy_mc", t, vals, model, seed, flags=tuple(flags))
 
 
 # ---------------------------------------------------------------------------
@@ -287,38 +275,31 @@ def rem_derivative_check(model: ManifoldModel, t: float, n_rep: int,
     z = rng.standard_normal((n_rep, model.d))
     x = sch.a * x1 + np.sqrt(sch.h) * z
     energy = np.einsum("ij,ij->i", x - sch.a * x1, x - sch.a * x1) / (2.0 * sch.h * model.d)
-    return ExperimentRecord(
-        kind="rem_derivative", t=float(t), value=float(energy.mean()),
-        stderr=float(energy.std(ddof=1) / np.sqrt(n_rep)) if n_rep > 1 else 0.0,
-        n_rep=n_rep, model_hash=model_hash(model), seed=seed)
+    return _record("rem_derivative", t, energy, model, seed)
 
 
 def tilted_log_partition(model: ManifoldModel, dataset: Dataset, t: float,
-                         lam: float, n_noise: int, seed: int,
-                         planted_index: int = 0) -> float:
+                         lam: float, n_noise: int, seed: int) -> float:
     """(1/d) E_x log sum_{i >= 2, same class} exp(-lam ||x - a_t x_i||^2 / 2 h_t).
 
-    lam ||x - a_t x_i||^2 = ||s x - a_t s x_i||^2 with s = sqrt(lam), so the
-    sum is the untilted log partition of the scaled points over the scaled
-    samples, reduced block by block.
+    x is noise around a_t x_1, x_1 the first sample.  lam ||x - a_t x_i||^2
+    = ||s x - a_t s x_i||^2 with s = sqrt(lam), so the sum is the untilted
+    log partition of the scaled points over the scaled samples, by blocks.
     """
     if lam <= 0:
         raise ValueError("tilt parameter must be positive")
     sch = schedule(t)
     s = np.sqrt(lam)
     score = EmpiricalScore(s * dataset.ambient)
-    labels = dataset.labels
-    same = labels == labels[planted_index]
-    same[planted_index] = False
+    same = dataset.labels == dataset.labels[0]
+    same[0] = False
     rng = _rng(seed)
-    x1 = dataset.ambient[planted_index]
+    x1 = dataset.ambient[0]
     x = sch.a * x1[None, :] + np.sqrt(sch.h) * rng.standard_normal((n_noise, model.d))
     return float(score.log_partition(s * x, t, keep=same).mean() / model.d)
 
 
 def records_to_csv(records: list[ExperimentRecord], path) -> None:
-    import csv
-
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["kind", "t", "value", "stderr", "n_rep",

@@ -6,6 +6,8 @@ manifold embedded in d dimensions (p <= d).
 """
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -102,9 +104,8 @@ class TheoryParams:
     def from_config(cls, cfg: dict) -> TheoryParams:
         """The record of ``model_from_config(cfg).theory_params``, without F."""
         cfg = resolve_config(cfg)
-        d, p = int(cfg["d"]), int(cfg["p"])
-        return cls(m=float(np.linalg.norm(_center(cfg)) / np.sqrt(p)),
-                   rho=float(cfg["rho"]), beta=p / d,
+        return cls(m=float(np.linalg.norm(_center(cfg)) / np.sqrt(cfg["p"])),
+                   rho=cfg["rho"], beta=cfg["p"] / cfg["d"],
                    activation=make_activation(cfg["activation"]),
                    ensemble=cfg["ensemble"])
 
@@ -231,44 +232,65 @@ _DEFAULTS = {"alpha": 1.0, "rho": 1.0, "m": 1.0, "activation": "linear",
 # every field a model config may hold; a center given as a list (mu) or a
 # text file (mu_file) replaces m * ones(p)
 CONFIG_KEYS = ("d", "p", *_DEFAULTS, "mu", "mu_file")
+# the type of each config field but mu and mu_file: its default's
+CONFIG_TYPES = {"d": int, "p": int, **{k: type(v) for k, v in _DEFAULTS.items()}}
+
+
+def _typed(key: str, value):
+    """``value`` as the type of config field ``key``; a value that a cast
+    would change (16.7 to 16, true to 1) or fail on is rejected."""
+    kind = CONFIG_TYPES[key]
+    if kind is str:
+        ok = isinstance(value, str)
+    else:  # a number, integral for an int field; a bool is no number
+        ok = (isinstance(value, numbers.Real) and not isinstance(value, bool)
+              and (kind is float or float(value).is_integer()))
+    if not ok:
+        raise ValueError(f"config field {key} must be {kind.__name__}, got {value!r}")
+    return kind(value)
 
 
 def _center(cfg: dict) -> np.ndarray:
     """The latent center of a config: ``mu_file``, ``mu`` or m * ones(p)."""
-    p = int(cfg["p"])
+    p = cfg["p"]
     mu = cfg.get("mu")
     if cfg.get("mu_file") is not None:
         mu = np.loadtxt(cfg["mu_file"])
     if mu is None:
-        return float(cfg["m"]) * np.ones(p)
-    mu = np.asarray(mu, float).reshape(-1)
-    if mu.shape != (p,):
-        raise ValueError(f"mu must have length p={p}")
+        return cfg["m"] * np.ones(p)
+    try:
+        mu = np.asarray(mu, float).reshape(-1)
+    except TypeError as exc:  # an object, or a list holding one
+        raise ValueError(f"config field mu must hold numbers: {exc}") from None
+    if mu.shape != (p,) or not np.isfinite(mu).all():
+        raise ValueError(f"mu must be finite and have length p={p}")
     return mu
 
 
 def resolve_config(cfg: dict, keys: tuple[str, ...] = CONFIG_KEYS) -> dict:
-    """``cfg`` checked, with the default of each key of ``keys`` it leaves unset.
+    """``cfg`` checked, with each field of its type in ``CONFIG_TYPES``
+    (`_typed`) and the default of each key of ``keys`` it leaves unset.
 
     A key outside ``keys`` is rejected, since a misspelt one would
     otherwise leave its default in place.  When ``keys`` holds d and p
     they are required, with d >= p >= 1, and the center must have length
-    p.  rho and alpha must be positive, and the activation and ensemble
-    known.
+    p.  rho and alpha must be finite and positive, m and mu finite, and
+    the activation and ensemble known.
     """
     unknown = sorted(set(cfg).difference(keys))
     if unknown:
         raise ValueError(f"config has unknown fields: {unknown}")
     cfg = {**{k: v for k, v in _DEFAULTS.items() if k in keys}, **cfg}
+    cfg = {k: _typed(k, v) if k in CONFIG_TYPES else v for k, v in cfg.items()}
     if "p" in keys:
-        d, p = int(cfg.get("d", 0)), int(cfg.get("p", 0))
-        if d < 1 or p < 1 or p > d:
-            raise ValueError(
-                f"config field d/p invalid: need d >= p >= 1, got d={d}, p={p}")
+        d, p = cfg.get("d", 0), cfg.get("p", 0)
+        if not 1 <= p <= d:
+            raise ValueError(f"config field d/p invalid: need d >= p >= 1, got d={d}, p={p}")
         _center(cfg)
-    for key in ("rho", "alpha"):
-        if key in cfg and float(cfg[key]) <= 0:
-            raise ValueError(f"config field {key} must be positive")
+    # NaN lies in no interval
+    for key, low in (("rho", 0.0), ("alpha", 0.0), ("m", -math.inf)):
+        if key in cfg and not low < cfg[key] < math.inf:
+            raise ValueError(f"config field {key} must lie in ({low}, inf)")
     if "activation" in cfg:
         make_activation(cfg["activation"])
     if "ensemble" in cfg and cfg["ensemble"] not in ENSEMBLES:
@@ -279,8 +301,7 @@ def resolve_config(cfg: dict, keys: tuple[str, ...] = CONFIG_KEYS) -> dict:
 def model_from_config(cfg: dict) -> ManifoldModel:
     """The model of a config, resolved by `resolve_config`; ``seed`` draws F."""
     cfg = resolve_config(cfg)
-    d, p = int(cfg["d"]), int(cfg["p"])
     return ManifoldModel(
-        d=d, p=p, alpha=float(cfg["alpha"]), rho=float(cfg["rho"]),
+        d=cfg["d"], p=cfg["p"], alpha=cfg["alpha"], rho=cfg["rho"],
         mu=_center(cfg), activation=make_activation(cfg["activation"]),
-        embedding=build_embedding(d, p, cfg["ensemble"], int(cfg["seed"])))
+        embedding=build_embedding(cfg["d"], cfg["p"], cfg["ensemble"], cfg["seed"]))

@@ -23,6 +23,9 @@ from .model import ManifoldModel, _rng
 from .quadrature import std_normal_nodes
 
 _PROBE_GRID = np.linspace(-6.0, 6.0, 25)
+# GammaFunctions' first node count, the change of the probe values below
+# which it stops doubling, and its cap; the node count of gep_constants
+_GAMMA_NODES, _GAMMA_TOL, _GAMMA_MAX_NODES, _GEP_NODES = 64, 1e-10, 2048, 256
 
 
 def require_odd(activation: Activation) -> None:
@@ -37,26 +40,24 @@ class GammaFunctions:
     """Quadrature evaluator for Gamma0(y) = E_u[phi(sqrt(rho) u + y)],
     u ~ N(0,1).
 
-    The node count doubles at construction until the probe-grid values of
-    Gamma0, Gamma1(y) = E_u[phi(...) u] and Gamma^(2)(y) = E_u[phi(...)^2]
-    all move by less than ``tol``.
+    The node count doubles at construction, from 64 up to at most 2048,
+    until the probe-grid values of Gamma0, Gamma1(y) = E_u[phi(...) u] and
+    Gamma^(2)(y) = E_u[phi(...)^2] all move by less than 1e-10.
     """
 
-    def __init__(self, activation: Activation, rho: float,
-                 node_count: int = 64, tol: float = 1e-10,
-                 max_nodes: int = 2048):
+    def __init__(self, activation: Activation, rho: float):
         if rho <= 0:
             raise ValueError("rho must be positive")
         self.activation = activation
         self.rho = float(rho)
-        n = int(node_count)
+        n = _GAMMA_NODES
         # all three moments, not Gamma0 alone: on Gamma0 alone tanh at rho 2
         # and 3 stops at 128 nodes instead of 256, and at rho 3 Gamma0 then
         # moves by up to 5e-9 on y in [-6, 6] and t_S by 2e-9
         probe = self._raw(_PROBE_GRID, n)
-        while n < max_nodes:
+        while n < _GAMMA_MAX_NODES:
             probe2 = self._raw(_PROBE_GRID, 2 * n)
-            if max(np.abs(a - b).max() for a, b in zip(probe, probe2)) < tol:
+            if max(np.abs(a - b).max() for a, b in zip(probe, probe2)) < _GAMMA_TOL:
                 break
             n *= 2
             probe = probe2
@@ -82,7 +83,7 @@ class GepConstants:
     rho_star_sq: float
 
 
-def gep_constants(gf: GammaFunctions, node_count: int = 256) -> GepConstants:
+def gep_constants(gf: GammaFunctions) -> GepConstants:
     """Outer standard-normal moments of Gamma0 (odd activations only).
 
     rho0 = E[Gamma0(u)], rho1 = E[Gamma0(u) u] and
@@ -90,7 +91,7 @@ def gep_constants(gf: GammaFunctions, node_count: int = 256) -> GepConstants:
     quadrature leaves it within -1e-10 of zero.
     """
     require_odd(gf.activation)
-    u, w = std_normal_nodes(node_count)
+    u, w = std_normal_nodes(_GEP_NODES)
     g0 = gf.gamma0(u)
     rho0 = float(w @ g0)
     rho1 = float(w @ (g0 * u))

@@ -17,7 +17,7 @@ from manifold_diffusion.collapse import (collapse_time_glm,
                                          collapse_time_linear_rmt, mp_logdet,
                                          psi, psi_big, psi_big_linear,
                                          psi_quadrature_check)
-from manifold_diffusion.diffusion import schedule
+from manifold_diffusion.diffusion import EmpiricalScore, schedule
 from manifold_diffusion.experiments import (ExperimentRecord,
                                             _pairwise_agreement,
                                             collapse_crossing_experiment,
@@ -196,9 +196,9 @@ def test_criterion_07_simulated_speciation_band():
     t_s = speciation_time_asymptotic(mdl.beta, mdl.d, mdl.mu_tilde_norm_sq,
                                      gep, ensemble=mdl.embedding.ensemble)
     t_grid = np.linspace(2.6, 0.6, 11)
-    records = speciation_experiment(mdl, sample_dataset(mdl, 4096, seed=1),
-                                    t_grid=t_grid, n_traj=40, n_clones=25,
-                                    seed=1)
+    score = EmpiricalScore(sample_dataset(mdl, 4096, seed=1))
+    records = speciation_experiment(mdl, score, t_grid=t_grid, n_traj=40,
+                                    n_clones=25, seed=1)
     t_emp = threshold_crossing(records)
     t_theory = threshold_crossing(_reduced_agreement_records(
         gamma0_sq_sum(mdl), t_grid, n_traj=400, n_clones=25, seed=1))
@@ -217,8 +217,8 @@ def test_criterion_08_simulated_collapse_band():
     n = sample_count(alpha, d)
     dataset = sample_dataset(mdl, n, seed=0)
     t_grid = np.linspace(0.6, 0.05, 12)
-    records = collapse_crossing_experiment(mdl, dataset, t_grid,
-                                           n_noise=200, seed=1)
+    records = collapse_crossing_experiment(mdl, EmpiricalScore(dataset),
+                                           t_grid, n_noise=200, seed=1)
     t_emp = sign_change_time(records)
     t_theory = collapse_time_linear_isometry(alpha, mdl.beta)
     gap = abs(t_emp - t_theory)

@@ -449,6 +449,54 @@ def test_config_file_rejects_unknown_fields(tmp_path, capsys):
     assert run(tmp_path, "speciation", "--config", str(cfg)) == 0
 
 
+# config files that would otherwise run on a value other than the one
+# recorded, print NaN, or end in a TypeError: a field of the wrong JSON type,
+# a non-integral or bool d, p or seed, and a non-finite rho, alpha or m
+_MISREAD_CONFIGS = {
+    "rho_null": ("speciation", {"rho": None}),
+    "activation_list": ("speciation", {"activation": ["tanh"]}),
+    "d_fractional": ("speciation", {"d": 16.7}),
+    "d_and_p_bool": ("speciation", {"d": True, "p": True}),
+    "p_string": ("speciation", {"p": "8"}),
+    "seed_fractional": ("exp-rem", {"seed": 1.5}),
+    "m_string": ("collapse", {"m": "1"}),
+    "rho_nan": ("speciation", {"rho": math.nan}),
+    "rho_inf": ("collapse", {"rho": math.inf}),
+    "alpha_inf": ("collapse", {"alpha": math.inf}),
+    "alpha_nan": ("exp-collapse", {"alpha": math.nan}),
+    "m_inf": ("collapse", {"m": -math.inf}),
+    "mu_nan": ("speciation", {"mu": [1.0] * 7 + [math.nan]}),
+    "mu_object": ("speciation", {"mu": {"a": 1.0}}),
+}
+
+
+@pytest.mark.parametrize("command, fields", _MISREAD_CONFIGS.values(),
+                         ids=list(_MISREAD_CONFIGS))
+def test_misread_config_fields_exit_2(tmp_path, capsys, command, fields):
+    cfg = tmp_path / "model.json"
+    cfg.write_text(json.dumps({"d": 16, "p": 8, **fields}))
+    out = tmp_path / "out"
+    assert run(out, command, "--config", str(cfg)) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert json.loads(err)["error"] == "config"
+    assert not out.exists()
+
+
+def test_resolved_config_records_the_values_that_ran(tmp_path):
+    # an integral float is an int field's value; a float field takes an int
+    cfg = tmp_path / "model.json"
+    cfg.write_text(json.dumps({"d": 16.0, "p": 8, "rho": 2, "alpha": 1,
+                               "m": 1, "seed": 3.0}))
+    assert run(tmp_path, "exp-rem", "--config", str(cfg), "--n-rep", "100") == 0
+    resolved = json.loads(
+        (tmp_path / "exp_rem.manifest.json").read_text())["resolved_config"]
+    assert resolved == {"d": 16, "p": 8, "rho": 2.0, "alpha": 1.0, "m": 1.0,
+                        "seed": 3, "activation": "linear",
+                        "ensemble": "deterministic_isometry"}
+    assert [type(resolved[k]) for k in ("d", "seed", "rho")] == [int, int, float]
+
+
 def _no_work(*args, **kwargs):
     raise AssertionError("work started before the oddness check")
 

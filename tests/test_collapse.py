@@ -219,11 +219,12 @@ def test_f_star_matches_scipy_minimizer_bit_for_bit(act, monkeypatch):
                     for t in times]
 
 
-def test_bounded_minimizer_reports_failure():
-    with pytest.raises(ArithmeticError, match="maximum number"):
-        collapse_mod._minimize_bounded(math.cos, 2.0, 5.0, 1e-9, maxiter=3)
+def test_bounded_minimizer_reports_failure(monkeypatch):
     with pytest.raises(ArithmeticError, match="NaN"):
         collapse_mod._minimize_bounded(lambda x: math.nan, 0.0, 1.0, 1e-9)
+    monkeypatch.setattr(collapse_mod, "_MINIMIZE_MAXITER", 3)
+    with pytest.raises(ArithmeticError, match="maximum number"):
+        collapse_mod._minimize_bounded(math.cos, 2.0, 5.0, 1e-9)
 
 
 _ROOT_FUNCS = [lambda x, r: x ** 3 - r ** 3,

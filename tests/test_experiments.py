@@ -83,29 +83,29 @@ def test_exact_backward_jump_keeps_the_forward_marginal():
 
 def test_speciation_experiment_small_run():
     mdl = make_model(d=8, p=4, seed=1)
-    ds = sample_dataset(mdl, 64, 5)
-    recs = speciation_experiment(mdl, ds, t_grid=[2.0, 0.8, 0.3],
+    score = EmpiricalScore(sample_dataset(mdl, 64, 5))
+    recs = speciation_experiment(mdl, score, t_grid=[2.0, 0.8, 0.3],
                                  n_traj=4, n_clones=4, seed=5, t_start=4.0)
     assert [r.t for r in recs] == [2.0, 0.8, 0.3]
     assert all(r.kind == "speciation_agreement" for r in recs)
     assert all(0.0 <= r.value <= 1.0 for r in recs)
     assert all(r.n_rep == 16 for r in recs)
-    recs2 = speciation_experiment(mdl, ds, t_grid=[2.0, 0.8, 0.3],
+    recs2 = speciation_experiment(mdl, score, t_grid=[2.0, 0.8, 0.3],
                                   n_traj=4, n_clones=4, seed=5, t_start=4.0)
     assert [r.value for r in recs] == [r.value for r in recs2]
 
 
 def test_speciation_experiment_validates_inputs():
     mdl = make_model(d=8, p=4)
-    ds = sample_dataset(mdl, 16, 0)
+    score = EmpiricalScore(sample_dataset(mdl, 16, 0))
     with pytest.raises(ValueError, match="decreasing"):
-        speciation_experiment(mdl, ds, [0.5, 1.0], 2, 2, seed=0)
+        speciation_experiment(mdl, score, [0.5, 1.0], 2, 2, seed=0)
     with pytest.raises(ValueError, match="two clones"):
-        speciation_experiment(mdl, ds, [1.0, 0.5], 2, 1, seed=0)
+        speciation_experiment(mdl, score, [1.0, 0.5], 2, 1, seed=0)
     # each jump needs a later start: t_start > t_grid > t_min
     for kw in (dict(t_start=1.0), dict(t_min=0.5), dict(t_min=0.0)):
         with pytest.raises(ValueError, match="t_start > t_grid > t_min"):
-            speciation_experiment(mdl, ds, [1.0, 0.5], 2, 2, seed=0, **kw)
+            speciation_experiment(mdl, score, [1.0, 0.5], 2, 2, seed=0, **kw)
 
 
 def test_threshold_crossing_interpolates():
@@ -125,7 +125,8 @@ def test_collapse_crossing_experiment_and_sign_change():
     mdl = make_model(d=20, p=10, alpha=0.25)
     ds = sample_dataset(mdl, 150, seed=3)
     t_grid = np.linspace(1.2, 0.05, 8)
-    recs = collapse_crossing_experiment(mdl, ds, t_grid, n_noise=40, seed=7)
+    recs = collapse_crossing_experiment(mdl, EmpiricalScore(ds), t_grid,
+                                        n_noise=40, seed=7)
     assert len(recs) == 8
     vals = [r.value for r in recs]
     # large t: bulk dominates (negative); small t: planted dominates
@@ -138,7 +139,8 @@ def test_collapse_crossing_values_match_explicit_differences():
     mdl = make_model(d=20, p=10, alpha=0.25)
     ds = sample_dataset(mdl, 150, seed=3)
     t_grid = np.linspace(1.2, 0.05, 8)
-    recs = collapse_crossing_experiment(mdl, ds, t_grid, n_noise=40, seed=7)
+    recs = collapse_crossing_experiment(mdl, EmpiricalScore(ds), t_grid,
+                                        n_noise=40, seed=7)
     rng = _rng(7)  # the experiment's noise stream
     x1 = ds.ambient[0]
     for t, rec in zip(t_grid, recs):
@@ -151,7 +153,8 @@ def test_collapse_crossing_values_match_explicit_differences():
     # with the planted column masked there is nothing left to sum
     one = sample_dataset(mdl, 1, seed=3)
     with pytest.raises(ValueError, match="two samples"):
-        collapse_crossing_experiment(mdl, one, [0.5, 0.1], n_noise=4, seed=7)
+        collapse_crossing_experiment(mdl, EmpiricalScore(one), [0.5, 0.1],
+                                     n_noise=4, seed=7)
 
 
 def test_collapse_crossing_gap_where_planted_term_dominates(monkeypatch):
@@ -163,7 +166,8 @@ def test_collapse_crossing_gap_where_planted_term_dominates(monkeypatch):
     mdl = make_model(d=128, p=64, alpha=0.05)
     ds = sample_dataset(mdl, 150, seed=3)
     t = 0.02
-    [rec] = collapse_crossing_experiment(mdl, ds, [t], n_noise=40, seed=7)
+    [rec] = collapse_crossing_experiment(mdl, EmpiricalScore(ds), [t],
+                                         n_noise=40, seed=7)
     sch = schedule(t)
     x = sch.a * ds.ambient[0] + np.sqrt(sch.h) * _rng(7).standard_normal((40, mdl.d))
     diff = x[:, None, :] - sch.a * ds.ambient[None, :, :]
@@ -179,7 +183,8 @@ def test_collapse_crossing_planted_term_equals_explicit_logsumexp(t):
     # so the gap isolates log Z1: a logsumexp over the single planted weight
     mdl = make_model(d=20, p=10, alpha=0.25)
     ds = sample_dataset(mdl, 150, seed=3)
-    [rec] = collapse_crossing_experiment(mdl, ds, [t], n_noise=40, seed=7)
+    [rec] = collapse_crossing_experiment(mdl, EmpiricalScore(ds), [t],
+                                         n_noise=40, seed=7)
     sch = schedule(t)
     x = sch.a * ds.ambient[0] + np.sqrt(sch.h) * _rng(7).standard_normal((40, mdl.d))
     diff = x[:, None, :] - sch.a * ds.ambient[None, :1, :]
@@ -191,20 +196,20 @@ def test_collapse_crossing_planted_term_equals_explicit_logsumexp(t):
 
 
 def test_speciation_experiment_takes_a_drawn_dataset():
-    # the clones are driven by the kernel over the dataset passed in, built
-    # by the experiment when no kernel is given
+    # the clones are driven by the kernel passed in, over a training set
+    # drawn by the caller: another draw changes the records
     mdl = make_model(d=8, p=4, seed=1)
     kw = dict(t_grid=[2.0, 0.8], n_traj=3, n_clones=3, seed=5, t_start=4.0)
-    ds = sample_dataset(mdl, 64, 5)
-    drawn = speciation_experiment(mdl, ds, **kw)
-    assert drawn == speciation_experiment(mdl, ds, score=EmpiricalScore(ds), **kw)
-    assert drawn != speciation_experiment(mdl, sample_dataset(mdl, 64, 6), **kw)
+    drawn = speciation_experiment(mdl, EmpiricalScore(sample_dataset(mdl, 64, 5)), **kw)
+    assert drawn != speciation_experiment(
+        mdl, EmpiricalScore(sample_dataset(mdl, 64, 6)), **kw)
 
 
 def test_collapse_crossing_flags_one_sided_grids():
     mdl = make_model(d=20, p=10, alpha=0.25)
     ds = sample_dataset(mdl, 150, seed=3)
-    recs = collapse_crossing_experiment(mdl, ds, [2.0, 1.8], n_noise=20, seed=1)
+    recs = collapse_crossing_experiment(mdl, EmpiricalScore(ds), [2.0, 1.8],
+                                        n_noise=20, seed=1)
     assert recs[-1].flags == ("all_one_sign_widen_grid",)
     with pytest.raises(ValueError, match="no sign change"):
         sign_change_time(recs)

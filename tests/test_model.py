@@ -1,14 +1,17 @@
 """Data model: embeddings, sampling, serialization."""
 import json
+import math
 
 import numpy as np
 import pytest
 
+from manifold_diffusion import model as model_mod
 from manifold_diffusion.activations import make_activation
 from manifold_diffusion.model import (EmbeddingMatrix, TheoryParams,
                                       build_embedding, make_model,
                                       model_from_config, model_to_config,
-                                      sample_count, sample_dataset)
+                                      resolve_config, sample_count,
+                                      sample_dataset)
 
 
 def test_isometry_embedding_gram_identity():
@@ -129,6 +132,36 @@ def test_config_explicit_mu_and_mu_file(tmp_path):
     np.savetxt(mu_path, mu)
     loaded = model_from_config({"d": 6, "p": 3, "mu_file": str(mu_path)})
     assert np.allclose(loaded.mu, mu)
+
+
+def test_resolve_config_types_each_field():
+    cfg = resolve_config({"d": np.int64(16), "p": 8.0, "rho": 2, "alpha": 1,
+                          "m": np.float32(1.5), "seed": 3.0})
+    assert cfg == {"d": 16, "p": 8, "rho": 2.0, "alpha": 1.0, "m": 1.5,
+                   "seed": 3, "activation": "linear",
+                   "ensemble": "deterministic_isometry"}
+    assert all(type(cfg[k]) is model_mod.CONFIG_TYPES[k] for k in cfg)
+    for bad in ({"d": 16.7}, {"d": True}, {"p": "8"}, {"seed": 1.5},
+                {"seed": False}, {"rho": None}, {"rho": True}, {"m": "1"},
+                {"activation": ["tanh"]}, {"ensemble": None}):
+        with pytest.raises(ValueError, match=f"config field {next(iter(bad))}"):
+            resolve_config({"d": 16, "p": 8, **bad})
+    with pytest.raises(ValueError, match="config field d must be int"):
+        make_model(16.7, 8)
+
+
+def test_resolve_config_rejects_non_finite_values():
+    for key, value in (("rho", math.nan), ("rho", math.inf), ("alpha", math.nan),
+                       ("alpha", math.inf), ("m", math.nan), ("m", -math.inf)):
+        with pytest.raises(ValueError, match=f"config field {key} must lie in"):
+            resolve_config({"d": 16, "p": 8, key: value})
+    with pytest.raises(ValueError, match="mu must be finite"):
+        resolve_config({"d": 4, "p": 2, "mu": [1.0, math.nan]})
+    with pytest.raises(ValueError, match="mu must hold numbers"):
+        resolve_config({"d": 4, "p": 2, "mu": {"a": 1.0}})
+    # the sweep's keys are checked the same way
+    with pytest.raises(ValueError, match="alpha must lie in"):
+        resolve_config({"alpha": math.inf}, ("alpha", "rho", "m", "seed"))
 
 
 def test_theory_params_reject_invalid_values():
