@@ -115,11 +115,12 @@ class _Run:
 
 def _solve_record(result: C.CollapseResult) -> dict:
     """How a collapse time was obtained, as written to its outputs: the
-    ensemble its route assumes and the solve's work counters."""
+    ensemble its route assumes, the residual at t_C and the solve's work
+    counters."""
     return {"theory_ensemble": C.THEORY_ENSEMBLE[result.method],
+            "residual": result.residual,
             "f_star_solves": result.f_star_solves,
             "psi_evaluations": result.psi_evaluations,
-            "bracket_expansions": result.bracket_expansions,
             "brent_iterations": result.brent_iterations}
 
 
@@ -164,7 +165,6 @@ def cmd_collapse(args, run: _Run) -> int:
                                  TheoryParams.from_config(cfg),
                                  n_outer=args.nodes, grid_points=args.grid_points)
     return run.finish(cfg, {"t_C": result.t_c, "method": result.method,
-                            "residual": result.residual,
                             **_solve_record(result)})
 
 
@@ -174,8 +174,7 @@ def cmd_collapse_sweep(args, run: _Run) -> int:
     names = [a.strip() for a in args.activations.split(",")]
     acts = [make_activation(a) for a in names if a and a != "linear"]
     betas = np.linspace(args.beta_min, args.beta_max, args.beta_points)
-    # the GLM rows' solver settings; a t_C at or below t_tol is only
-    # resolved to the time bracket
+    # the GLM rows' solver settings; t_tol is relative to t_C
     solver = {"n_outer": args.nodes, "n_inner": 48,
               "grid_points": args.grid_points, "t_tol": 1e-4}
     glm_rows = []
@@ -197,9 +196,7 @@ def cmd_collapse_sweep(args, run: _Run) -> int:
                 writer.writerow([beta, res.t_c, act.kind])
                 glm_rows.append({
                     "beta": float(beta), "activation": act.kind,
-                    "t_C": res.t_c,
-                    "resolution_limited": res.t_c <= solver["t_tol"],
-                    **_solve_record(res), "solve_s": solve_s})
+                    "t_C": res.t_c, **_solve_record(res), "solve_s": solve_s})
     return run.finish({**cfg, "betas": betas.tolist(),
                        "activations": args.activations, "glm_solver": solver},
                       glm_rows=glm_rows)

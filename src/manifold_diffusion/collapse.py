@@ -32,10 +32,10 @@ from .quadrature import std_normal_grid, std_normal_nodes
 
 # settings no caller changes: psi_quadrature_check's outer nodes per axis
 # and inner nodes, the bounded minimizer's cap on evaluations (scipy's
-# default) and the time bracket the collapse root-finder starts from
+# default) and the collapse root-finder's bracket in u = log t
 _CHECK_OUTER, _CHECK_INNER = 48, 96
 _MINIMIZE_MAXITER = 500
-_T_LO, _T_HI = 1e-3, 5.0
+_U_LO, _U_HI = math.log(1e-6), math.log(20.0)
 
 # ---------------------------------------------------------------------------
 # scalar pieces of the replica functional
@@ -363,7 +363,6 @@ class CollapseResult:
     f_star_solves: int = 0
     psi_evaluations: int = 0
     # work of the root-finder (`_bisect_time`); 0 on the closed form
-    bracket_expansions: int = 0
     brent_iterations: int = 0
 
 
@@ -381,8 +380,7 @@ def _brent_root(f, xpre: float, xcur: float, fpre: float, fcur: float,
     2003, SciPy Developers; BSD 3-clause licence, see LICENSES/SciPy.txt):
     the root is within xtol + 4 eps |root| after at most 100 iterations.
     Returns the root and the number of evaluations of f; raises
-    ArithmeticError on a value of f that is not finite and RuntimeError
-    when the iterations run out.
+    RuntimeError when the iterations run out.
     """
     xblk = fblk = spre = scur = 0.0
     for evaluations in range(_BRENT_MAXITER):
@@ -419,41 +417,41 @@ def _brent_root(f, xpre: float, xcur: float, fpre: float, fcur: float,
         else:
             xcur += delta if sbis > 0 else -delta
         fcur = f(xcur)
-        if not math.isfinite(fcur):
-            raise ArithmeticError(f"residual at t = {xcur!r} is {fcur}")
     raise RuntimeError(f"root-finder did not converge in {_BRENT_MAXITER} "
-                       f"iterations, last t = {xcur!r}")
+                       f"iterations, last x = {xcur!r}")
 
 
-def _bisect_time(residual, t_tol: float = 1e-6) -> tuple[float, int, int]:
-    """Root of a residual that increases with t, with bracket expansion.
+def _bisect_time(residual, t_tol: float = 1e-6) -> tuple[float, int]:
+    """Root of a residual that increases with t, in u = log t.
 
-    Returns the root, the number of bracket expansions and the number of
-    Brent iterations (one residual evaluation each).
+    Brent's method runs over the fixed bracket [_U_LO, _U_HI] in u, where
+    the residual is close to linear at small t (its log h_t term is about
+    log 2t), so ``t_tol`` is a relative tolerance on t.  The residual is
+    called at t = exp(u) only, the bracket ends included.  Returns the root
+    and the number of Brent iterations (one residual evaluation each);
+    raises ArithmeticError on a residual that is not finite.
     """
-    lo, hi = _T_LO, _T_HI
-    f_lo, f_hi = residual(lo), residual(hi)
-    expansions = 0
-    while f_lo > 0.0 and lo > 1e-6:
-        lo /= 4.0
-        f_lo = residual(lo)
-        expansions += 1
-    while f_hi < 0.0 and hi < 20.0:
-        hi *= 2.0
-        f_hi = residual(hi)
-        expansions += 1
+    def in_u(u: float) -> float:
+        t = math.exp(u)
+        value = residual(t)
+        if not math.isfinite(value):
+            raise ArithmeticError(f"residual at t = {t!r} is {value}")
+        return value
+
+    f_lo, f_hi = in_u(_U_LO), in_u(_U_HI)
     if not (f_lo < 0.0 < f_hi):
         raise RuntimeError(
-            f"no collapse time in range ({lo:.2g}, {hi:.2g}): "
-            f"residuals ({f_lo:.3g}, {f_hi:.3g})")
-    t, iterations = _brent_root(residual, lo, hi, f_lo, f_hi, xtol=t_tol)
-    return float(t), expansions, iterations
+            f"no collapse time in range ({math.exp(_U_LO):.2g}, "
+            f"{math.exp(_U_HI):.2g}): residuals ({f_lo:.3g}, {f_hi:.3g})")
+    u, iterations = _brent_root(in_u, _U_LO, _U_HI, f_lo, f_hi, xtol=t_tol)
+    return math.exp(u), iterations
 
 
 def collapse_time_glm(params: TheoryParams, alpha: float, n_outer: int = 24,
                       n_inner: int = 96, grid_points: int = 64,
                       t_tol: float = 1e-6) -> CollapseResult:
-    """Solve alpha + log(2 pi h_t)/2 + beta f_star(t) = -1/2 for t.
+    """Solve alpha + log(2 pi h_t)/2 + beta f_star(t) = -1/2 for t, to the
+    relative tolerance ``t_tol`` (see `_bisect_time`).
 
     A bare (m, rho, beta, activation) tuple, which
     ``perfbench/make_reference.py`` passes, is validated into a record.
@@ -477,11 +475,10 @@ def collapse_time_glm(params: TheoryParams, alpha: float, n_outer: int = 24,
             seen[t] = alpha + 0.5 * np.log(2.0 * np.pi * h) + beta * fs.f_star + 0.5
         return seen[t]
 
-    t_c, expansions, iterations = _bisect_time(residual, t_tol=t_tol)
+    t_c, iterations = _bisect_time(residual, t_tol=t_tol)
     return CollapseResult(t_c=t_c, method=GLM,
                           residual=abs(residual(t_c)), f_star_solves=len(seen),
                           psi_evaluations=psi_evaluations,
-                          bracket_expansions=expansions,
                           brent_iterations=iterations)
 
 
@@ -544,10 +541,9 @@ def collapse_time_linear_rmt(alpha: float, beta: float, t_tol: float = 1e-6,
         eta = np.exp(-2.0 * t) / (-np.expm1(-2.0 * t))
         return alpha - 0.5 * mp_logdet(rho * eta, beta)
 
-    t_c, expansions, iterations = _bisect_time(residual, t_tol=t_tol)
+    t_c, iterations = _bisect_time(residual, t_tol=t_tol)
     return CollapseResult(t_c=t_c, method=RMT,
                           residual=abs(residual(t_c)),
-                          bracket_expansions=expansions,
                           brent_iterations=iterations)
 
 

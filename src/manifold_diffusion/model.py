@@ -240,14 +240,17 @@ def _typed(key: str, value):
     """``value`` as the type of config field ``key``; a value that a cast
     would change (16.7 to 16, true to 1) or fail on is rejected."""
     kind = CONFIG_TYPES[key]
-    if kind is str:
-        ok = isinstance(value, str)
-    else:  # a number, integral for an int field; a bool is no number
-        ok = (isinstance(value, numbers.Real) and not isinstance(value, bool)
-              and (kind is float or float(value).is_integer()))
-    if not ok:
-        raise ValueError(f"config field {key} must be {kind.__name__}, got {value!r}")
-    return kind(value)
+    try:
+        if kind is str:
+            ok = isinstance(value, str)
+        else:  # a number, integral for an int field; a bool is no number
+            ok = (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                  and (kind is float or float(value).is_integer()))
+        if ok:
+            return kind(value)
+    except OverflowError:  # an integer beyond the float range
+        pass
+    raise ValueError(f"config field {key} must be {kind.__name__}, got {value!r}")
 
 
 def _center(cfg: dict) -> np.ndarray:

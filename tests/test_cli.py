@@ -66,7 +66,7 @@ def test_collapse_command_dispatches_on_model(tmp_path):
     assert out["method"] == "linear_isometry_closed_form"
     assert out["theory_ensemble"] == "deterministic_isometry"
     assert (out["f_star_solves"], out["psi_evaluations"],
-            out["bracket_expansions"], out["brent_iterations"]) == (0, 0, 0, 0)
+            out["brent_iterations"], out["residual"]) == (0, 0, 0, 0.0)
 
     assert run(tmp_path, "collapse", "--d", "16", "--p", "8", "--alpha", "0.5",
                "--ensemble", "gaussian_iid") == 0
@@ -98,9 +98,9 @@ def test_collapse_command_glm_for_nonlinear(tmp_path, capsys):
     res = collapse_time_glm(model.theory_params, 0.5, n_outer=10,
                             grid_points=48)
     assert (out["f_star_solves"], out["psi_evaluations"],
-            out["bracket_expansions"], out["brent_iterations"]) == (
-        res.f_star_solves, res.psi_evaluations, res.bracket_expansions,
-        res.brent_iterations)
+            out["brent_iterations"], out["residual"]) == (
+        res.f_star_solves, res.psi_evaluations, res.brent_iterations,
+        res.residual)
     assert out["psi_evaluations"] > 48 * out["f_star_solves"]
     assert out["brent_iterations"] > 0
     manifest = json.loads((tmp_path / "collapse.manifest.json").read_text())
@@ -243,13 +243,12 @@ def test_collapse_sweep_writes_all_methods(tmp_path):
     for entry, row in zip(manifest["glm_rows"], glm):
         assert (entry["beta"], entry["activation"]) == (float(row["beta"]), "tanh")
         assert entry["t_C"] == float(row["t_C [backward time]"])
-        assert entry["resolution_limited"] == (entry["t_C"] <= 1e-4)
         assert entry["theory_ensemble"] == "gaussian_iid"
+        assert 0.0 <= entry["residual"] < 1e-3
         assert entry["f_star_solves"] > 0
         assert entry["psi_evaluations"] > 48 * entry["f_star_solves"]
-        # every residual is a bracket end, an expansion or a Brent iteration
-        assert entry["f_star_solves"] == (2 + entry["bracket_expansions"]
-                                          + entry["brent_iterations"])
+        # every residual is a bracket end or a Brent iteration
+        assert entry["f_star_solves"] == 2 + entry["brent_iterations"]
         assert entry["solve_s"] >= 0
 
 
@@ -295,8 +294,7 @@ def test_exp_collapse_command(tmp_path):
     assert all(v >= 0 for v in manifest["timings"].values())
     # the linear closed form solves no f_star and runs no root-finder
     assert (manifest["f_star_solves"], manifest["psi_evaluations"],
-            manifest["bracket_expansions"], manifest["brent_iterations"]) == (
-        0, 0, 0, 0)
+            manifest["brent_iterations"], manifest["residual"]) == (0, 0, 0, 0.0)
     assert manifest["score_rank"] == 10  # linear data spans p dimensions
 
 
@@ -309,6 +307,7 @@ def test_exp_collapse_manifest_records_theory_work(tmp_path):
     assert manifest["f_star_solves"] > 0
     assert manifest["psi_evaluations"] > manifest["f_star_solves"]
     assert manifest["brent_iterations"] > 0
+    assert manifest["residual"] < 1e-3
     assert manifest["timings"]["theory"] > 0
     assert manifest["score_rank"] == 20
 
@@ -450,12 +449,15 @@ def test_config_file_rejects_unknown_fields(tmp_path, capsys):
 
 
 # config files that would otherwise run on a value other than the one
-# recorded, print NaN, or end in a TypeError: a field of the wrong JSON type,
-# a non-integral or bool d, p or seed, and a non-finite rho, alpha or m
+# recorded, print NaN, or end in a TypeError or OverflowError: a field of the
+# wrong JSON type, a non-integral or bool d, p or seed, an integer beyond the
+# float range, and a non-finite rho, alpha or m
 _MISREAD_CONFIGS = {
     "rho_null": ("speciation", {"rho": None}),
     "activation_list": ("speciation", {"activation": ["tanh"]}),
     "d_fractional": ("speciation", {"d": 16.7}),
+    "d_beyond_float": ("speciation", {"d": 10 ** 400}),
+    "alpha_beyond_float": ("collapse", {"alpha": 10 ** 400}),
     "d_and_p_bool": ("speciation", {"d": True, "p": True}),
     "p_string": ("speciation", {"p": "8"}),
     "seed_fractional": ("exp-rem", {"seed": 1.5}),
@@ -551,9 +553,8 @@ _COMMANDS = _BENCHMARK_COMMANDS + [
 _MANIFEST_EXTRAS = {
     "exp_speciation": {"score_rank", "sampler", "kernel_evaluations"},
     "collapse_sweep": {"glm_rows"},
-    "exp_collapse": {"score_rank", "theory_ensemble", "f_star_solves",
-                     "psi_evaluations", "bracket_expansions",
-                     "brent_iterations"},
+    "exp_collapse": {"score_rank", "theory_ensemble", "residual",
+                     "f_star_solves", "psi_evaluations", "brent_iterations"},
     "validate": {"checks"},
 }
 

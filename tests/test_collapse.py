@@ -248,8 +248,9 @@ def test_root_finder_lands_within_xtol_of_brentq():
 
 
 def test_root_finder_rejects_nonfinite_and_slow_residuals():
+    ends = [math.exp(u) for u in (collapse_mod._U_LO, collapse_mod._U_HI)]
     with pytest.raises(ArithmeticError, match="nan"):
-        collapse_mod._bisect_time(lambda t: t - 1.0 if t in (1e-3, 5.0) else math.nan)
+        collapse_mod._bisect_time(lambda t: t - 1.0 if t in ends else math.nan)
     # a step at 0 is only bisected, and an absolute tolerance of one
     # subnormal needs about 1,000 halvings there, more than the 100 allowed
     with pytest.raises(RuntimeError, match="did not converge"):
@@ -269,17 +270,16 @@ def test_root_finder_matches_brentq_on_sweep_residuals(monkeypatch):
         return root, iterations
 
     monkeypatch.setattr(collapse_mod, "_brent_root", both)
-    # the sweep's tanh row at beta 0.1, which has to widen its bracket
+    # the sweep's tanh row at beta 0.1, near the small end of the bracket
     glm = collapse_time("glm_general", 0.5, TheoryParams(1.0, 1.0, 0.1, TANH),
                         n_outer=10, n_inner=48, grid_points=48, t_tol=1e-4)
     rmt = collapse_time_linear_rmt(0.5, 0.3)
     assert len(pairs) == 2
     for root, ref, xtol in pairs:
         assert abs(root - ref) <= xtol
-    # every residual evaluation is a bracket end, an expansion or a Brent
-    # iteration
-    assert glm.f_star_solves == 2 + glm.bracket_expansions + glm.brent_iterations
-    assert glm.bracket_expansions > 0 and glm.brent_iterations > 0
+    # every residual evaluation is a bracket end or a Brent iteration
+    assert glm.f_star_solves == 2 + glm.brent_iterations
+    assert glm.brent_iterations > 0
     assert rmt.brent_iterations > 0 and rmt.f_star_solves == 0
 
 
@@ -400,31 +400,46 @@ def test_glm_tanh_collapse_time_runs():
 
 
 # collapse-sweep's nine GLM solves (alpha 0.5, m = rho = 1, n_outer 10,
-# n_inner 48, 48 grid points, t_tol 1e-4), as computed with golden-section
-# refinement of the sup over q; the sigmoid row at beta 0.1 is the floor
-# of the time bracket, below t_tol
+# n_inner 48, 48 grid points), converged in log t to the relative t_tol 1e-4
 SWEEP_T_C = {
-    (0.1, "relu"): 0.00013056068922129353,
-    (0.1, "tanh"): 8.230807211145149e-05,
-    (0.1, "sigmoid"): 3.90625e-06,
-    (0.5, "relu"): 0.038959947003853294,
-    (0.5, "tanh"): 0.031261517253589596,
-    (0.5, "sigmoid"): 0.004173314761018372,
-    (0.9, "relu"): 0.053480002607240854,
-    (0.9, "tanh"): 0.045498030801772546,
-    (0.9, "sigmoid"): 0.006392855890054083,
+    (0.1, "relu"): 0.00010193515804968492,
+    (0.1, "tanh"): 6.068413505679037e-05,
+    (0.1, "sigmoid"): 7.843686994758022e-06,
+    (0.5, "relu"): 0.038959991365005345,
+    (0.5, "tanh"): 0.031262208667106856,
+    (0.5, "sigmoid"): 0.004169621043675803,
+    (0.9, "relu"): 0.05346303435101154,
+    (0.9, "tanh"): 0.04549737067034945,
+    (0.9, "sigmoid"): 0.0063913877487130535,
 }
 
 
-def test_glm_sweep_rows_stay_at_pinned_values():
-    for beta in np.linspace(0.1, 0.9, 3):
-        for kind in ("relu", "tanh", "sigmoid"):
-            res = collapse_time("glm_general", 0.5,
-                                TheoryParams(1.0, 1.0, float(beta),
-                                             make_activation(kind)),
-                                n_outer=10, n_inner=48, grid_points=48,
-                                t_tol=1e-4)
-            assert abs(res.t_c - SWEEP_T_C[round(beta, 9), kind]) <= 1e-9
+def _sweep_solve(beta: float, kind: str, t_tol: float):
+    return collapse_time("glm_general", 0.5,
+                         TheoryParams(1.0, 1.0, beta, make_activation(kind)),
+                         n_outer=10, n_inner=48, grid_points=48, t_tol=t_tol)
+
+
+@pytest.fixture(scope="module")
+def sweep_rows():
+    return {(round(beta, 9), kind): _sweep_solve(float(beta), kind, 1e-4)
+            for beta in np.linspace(0.1, 0.9, 3)
+            for kind in ("relu", "tanh", "sigmoid")}
+
+
+def test_glm_sweep_rows_stay_at_pinned_values(sweep_rows):
+    assert sweep_rows.keys() == SWEEP_T_C.keys()
+    for key, res in sweep_rows.items():
+        assert abs(res.t_c - SWEEP_T_C[key]) <= 1e-9
+
+
+def test_glm_sweep_rows_converge_to_relative_t_tol(sweep_rows):
+    # t_tol is relative to t_C, also on the beta 0.1 rows, where t_C is
+    # about t_tol itself; the nine rows spend at most 85 f_star solves
+    for (beta, kind), res in sweep_rows.items():
+        ref = _sweep_solve(beta, kind, 1e-9).t_c
+        assert abs(res.t_c - ref) <= 1e-4 * ref, (beta, kind)
+    assert sum(res.f_star_solves for res in sweep_rows.values()) <= 85
 
 
 def test_psi_evaluations_count_every_psi_big_call(monkeypatch):
@@ -457,7 +472,7 @@ def test_psi_evaluations_count_every_psi_big_call(monkeypatch):
     # the closed form runs no root-finder either
     res = collapse_time("linear_isometry_closed_form", 0.5,
                         TheoryParams(1.0, 1.0, 0.5, LINEAR))
-    assert (res.bracket_expansions, res.brent_iterations) == (0, 0)
+    assert res.brent_iterations == 0
 
 
 def test_glm_rejects_nonpositive_alpha():
