@@ -9,7 +9,7 @@ Run:  python3 demos/speciation_demo.py
 """
 import numpy as np
 
-from manifold_diffusion import (GammaFunctions, gamma0_sq_sum, gep_constants,
+from manifold_diffusion import (GammaFunctions, gamma0_rows, gep_constants,
                                 make_model, potential,
                                 potential_curvature_at_zero,
                                 reduced_sde_simulate, speciation_time_asymptotic,
@@ -19,8 +19,9 @@ model = make_model(d=64, p=32, m=1.0, activation="linear")
 gf = GammaFunctions(model.activation, model.rho)
 gep = gep_constants(gf)
 
-s = gamma0_sq_sum(model, gf)
-t_s = speciation_time_finite(model, gf)
+rows = gamma0_rows(model, gf)
+s = float(rows @ rows)
+t_s = speciation_time_finite(s)
 t_s_asy = speciation_time_asymptotic(model.beta, model.d,
                                      model.mu_tilde_norm_sq, gep,
                                      ensemble=model.embedding.ensemble)

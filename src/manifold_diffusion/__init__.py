@@ -13,7 +13,7 @@ from .diffusion import DiffusionSchedule, EmpiricalScore, schedule
 from .model import (Dataset, EmbeddingMatrix, ManifoldModel, TheoryParams,
                     build_embedding, make_model, model_from_config,
                     model_to_config, sample_count, sample_dataset)
-from .speciation import (GammaFunctions, GepConstants, gamma0_sq_sum,
+from .speciation import (GammaFunctions, GepConstants, gamma0_rows,
                          gep_constants, lambdas, potential,
                          potential_curvature_at_zero, reduced_sde_simulate,
                          speciation_time_asymptotic, speciation_time_finite)

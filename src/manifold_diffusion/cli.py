@@ -131,13 +131,13 @@ def cmd_speciation(args, run: _Run) -> int:
     cfg = resolve_config(_given(args))
     with run.phase("model"):
         model = model_from_config(cfg)
-    S.require_odd(model.activation)
     with run.phase("theory"):
         gf = S.GammaFunctions(model.activation, model.rho)
+        rows = S.gamma0_rows(model, gf)
+        s = float(rows @ rows)
         gep = S.gep_constants(gf)
-        s = S.gamma0_sq_sum(model, gf)
         result = {
-            "t_S_finite": S.speciation_time_finite(model, gf),
+            "t_S_finite": S.speciation_time_finite(s),
             "t_S_asymptotic": S.speciation_time_asymptotic(
                 model.beta, model.d, model.mu_tilde_norm_sq, gep,
                 ensemble=model.embedding.ensemble),
@@ -220,18 +220,18 @@ def cmd_free_energy(args, run: _Run) -> int:
 def cmd_exp_speciation(args, run: _Run) -> int:
     cfg = resolve_config(_given(args))
     model = model_from_config(cfg)
-    S.require_odd(model.activation)
     t_grid = np.linspace(args.t_max, args.t_min, args.t_points)
+    # the clone classifier and t_S, before the data; no signal exits here
+    with run.phase("theory"):
+        direction = S.gamma0_rows(model, S.GammaFunctions(model.activation, model.rho))
+        t_s_theory = S.speciation_time_finite(float(direction @ direction))
     with run.phase("dataset"):
         dataset = sample_dataset(model, args.n_data, cfg["seed"])
     with run.phase("experiment"):
         score = EmpiricalScore(dataset)
-        records = E.speciation_experiment(model, score, t_grid, args.n_traj,
-                                          args.n_clones, cfg["seed"])
+        records = E.speciation_experiment(model, score, direction, t_grid,
+                                          args.n_traj, args.n_clones, cfg["seed"])
     E.records_to_csv(records, run.output("exp_speciation.csv"))
-    with run.phase("theory"):
-        gf = S.GammaFunctions(model.activation, model.rho)
-        t_s_theory = S.speciation_time_finite(model, gf)
     summary = {
         "t_S_empirical": _try(lambda: E.threshold_crossing(records)),
         "t_S_theory": t_s_theory,

@@ -19,7 +19,6 @@ import numpy as np
 
 from .diffusion import EmpiricalScore, bridge, schedule
 from .model import Dataset, ManifoldModel, _rng, model_to_config
-from .speciation import GammaFunctions, lambdas, require_odd
 
 
 def model_hash(model: ManifoldModel) -> str:
@@ -84,16 +83,18 @@ def _bridge_draws(score: EmpiricalScore, y: np.ndarray, idx: np.ndarray,
     return mean + np.sqrt(v) * rng.standard_normal(mean.shape)
 
 
-def speciation_experiment(model: ManifoldModel, score: EmpiricalScore, t_grid,
-                          n_traj: int, n_clones: int, seed: int, t_min: float = 0.01,
+def speciation_experiment(model: ManifoldModel, score: EmpiricalScore, direction,
+                          t_grid, n_traj: int, n_clones: int, seed: int,
+                          t_min: float = 0.01,
                           t_start: float = 10.0) -> list[ExperimentRecord]:
     """Clone-agreement measurement of the speciation transition.
 
     Backward trajectories start from N(0, I_d) at ``t_start``; at each grid
     time each trajectory spawns ``n_clones`` independent continuations down
     to ``t_min`` whose endpoints are classified by the sign of the
-    projection on the reduced-coordinate direction Gamma0(lambda_j) e_j.
-    The recorded value is the mean pairwise clone agreement.
+    projection on ``direction``, the reduced-coordinate vector
+    (Gamma0(lambda_j))_j of ``speciation.gamma0_rows``.  The recorded
+    value is the mean pairwise clone agreement.
 
     The process is the backward process of the empirical score, sampled
     exactly: from x_t its law at s < t is the mixture
@@ -107,15 +108,14 @@ def speciation_experiment(model: ManifoldModel, score: EmpiricalScore, t_grid,
     Gaussian draw; no time is stepped.
 
     The agreement curve is predicted by the reduced commitment SDE
-    (``speciation.reduced_sde_simulate`` with S = ``gamma0_sq_sum``) run
+    (``speciation.reduced_sde_simulate`` with S = |direction|^2) run
     through the same clone protocol, not by t_S alone: at t_S the
     curvature of V(q, t) only just changes sign and the agreement is about
     0.7, so its 0.95 crossing lies about one time unit below t_S (about 1.1
     against t_S = 2.08 for the isometric linear model at d=64, p=32, m=1).
 
-    The activation must be odd, as for ``speciation_time_finite``; another
-    is rejected before any work.  The clones are driven by ``score``, the
-    kernel over the training set.
+    The clones are driven by ``score``, the kernel over the training set;
+    the caller forms it and ``direction`` once, before the run.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(np.diff(t_grid) >= 0):
@@ -124,10 +124,6 @@ def speciation_experiment(model: ManifoldModel, score: EmpiricalScore, t_grid,
         raise ValueError("need t_start > t_grid > t_min > 0")
     if n_clones < 2:
         raise ValueError("need at least two clones")
-    require_odd(model.activation)
-    direction = GammaFunctions(model.activation, model.rho).gamma0(lambdas(model))
-    if np.linalg.norm(direction) == 0:
-        raise ValueError("degenerate classifier: Gamma0 projection vanishes")
 
     rng = _rng(seed + 1)
 

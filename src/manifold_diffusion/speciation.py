@@ -28,17 +28,10 @@ _PROBE_GRID = np.linspace(-6.0, 6.0, 25)
 _GAMMA_NODES, _GAMMA_TOL, _GAMMA_MAX_NODES, _GEP_NODES = 64, 1e-10, 2048, 256
 
 
-def require_odd(activation: Activation) -> None:
-    """Reject an activation that is not odd, before any work: the reduction
-    to one coordinate q needs Gamma0 odd."""
-    if not activation.is_odd:
-        raise ValueError(f"speciation analysis requires an odd activation, "
-                         f"got {activation.kind!r}")
-
-
 class GammaFunctions:
     """Quadrature evaluator for Gamma0(y) = E_u[phi(sqrt(rho) u + y)],
-    u ~ N(0,1).
+    u ~ N(0,1), of an odd activation phi (the reduction to one coordinate q
+    needs Gamma0 odd; another phi is rejected before any node is built).
 
     The node count doubles at construction, from 64 up to at most 2048,
     until the probe-grid values of Gamma0, Gamma1(y) = E_u[phi(...) u] and
@@ -46,6 +39,9 @@ class GammaFunctions:
     """
 
     def __init__(self, activation: Activation, rho: float):
+        if not activation.is_odd:
+            raise ValueError(f"speciation analysis requires an odd activation, "
+                             f"got {activation.kind!r}")
         if rho <= 0:
             raise ValueError("rho must be positive")
         self.activation = activation
@@ -70,7 +66,9 @@ class GammaFunctions:
         return vals @ w, (vals * u[None, :]) @ w, (vals * vals) @ w
 
     def gamma0(self, y):
-        out = self._raw(np.atleast_1d(np.asarray(y, dtype=float)), self.node_count)[0]
+        u, w = std_normal_nodes(self.node_count)
+        ys = np.atleast_1d(np.asarray(y, dtype=float))
+        out = self.activation(np.sqrt(self.rho) * u[None, :] + ys[:, None]) @ w
         return float(out[0]) if np.ndim(y) == 0 else out
 
 
@@ -78,27 +76,24 @@ class GammaFunctions:
 class GepConstants:
     """Gaussian-equivalence constants of Gamma0."""
 
-    rho0: float
     rho1: float
     rho_star_sq: float
 
 
 def gep_constants(gf: GammaFunctions) -> GepConstants:
-    """Outer standard-normal moments of Gamma0 (odd activations only).
+    """Outer standard-normal moments of Gamma0.
 
-    rho0 = E[Gamma0(u)], rho1 = E[Gamma0(u) u] and
-    rho_star^2 = E[Gamma0(u)^2] - rho0^2 - rho1^2, clamped at zero when the
-    quadrature leaves it within -1e-10 of zero.
+    rho1 = E[Gamma0(u) u] and rho_star^2 = E[Gamma0(u)^2] - rho1^2, clamped
+    at zero when the quadrature leaves it within -1e-10 of zero.  Gamma0 is
+    odd, so its mean E[Gamma0(u)] is zero and drops out.
     """
-    require_odd(gf.activation)
     u, w = std_normal_nodes(_GEP_NODES)
     g0 = gf.gamma0(u)
-    rho0 = float(w @ g0)
     rho1 = float(w @ (g0 * u))
-    star = float(w @ (g0 * g0)) - rho0 ** 2 - rho1 ** 2
+    star = float(w @ (g0 * g0)) - rho1 ** 2
     if star < -1e-10:
         raise ArithmeticError(f"negative rho_star^2 = {star:.3e}: quadrature failure")
-    return GepConstants(rho0=rho0, rho1=rho1, rho_star_sq=max(star, 0.0))
+    return GepConstants(rho1=rho1, rho_star_sq=max(star, 0.0))
 
 
 def lambdas(model: ManifoldModel) -> np.ndarray:
@@ -106,22 +101,22 @@ def lambdas(model: ManifoldModel) -> np.ndarray:
     return model.embedding.entries @ model.mu / np.sqrt(model.p)
 
 
-def gamma0_sq_sum(model: ManifoldModel, gf: GammaFunctions | None = None) -> float:
-    """S = sum_j Gamma0(lambda_j)^2 for the model's actual F and mu."""
-    if gf is None:
-        gf = GammaFunctions(model.activation, model.rho)
+def gamma0_rows(model: ManifoldModel, gf: GammaFunctions) -> np.ndarray:
+    """(Gamma0(lambda_j))_j for the model's F and mu, on ``gf``, the
+    quadrature of the model's activation and rho: the direction of q, with
+    squared norm S.  S <= 1e-12 is rejected as quadrature noise, not a signal.
+    """
+    if (gf.activation, gf.rho) != (model.activation, model.rho):
+        raise ValueError("GammaFunctions built for another activation or rho")
     g0 = gf.gamma0(lambdas(model))
-    return float(g0 @ g0)
-
-
-def speciation_time_finite(model: ManifoldModel,
-                           gf: GammaFunctions | None = None) -> float:
-    """t_S = log(2 sum_j Gamma0(lambda_j)^2) / 2 at finite d."""
-    require_odd(model.activation)
-    s = gamma0_sq_sum(model, gf)
-    # anything at roundoff scale is quadrature noise, not a signal
-    if s <= 1e-12:
+    if g0 @ g0 <= 1e-12:
         raise ValueError("no speciation signal: sum_j Gamma0(lambda_j)^2 = 0")
+    return g0
+
+
+def speciation_time_finite(s: float) -> float:
+    """t_S = log(2 S) / 2 at finite d, S = sum_j Gamma0(lambda_j)^2 (the
+    squared norm of ``gamma0_rows``)."""
     return 0.5 * np.log(2.0 * s)
 
 
@@ -141,7 +136,7 @@ def speciation_time_asymptotic(beta: float, d: int, mu_tilde_norm_sq: float,
       Gaussian-equivalence expansion Gamma0(lambda_j) ~ rho1 lambda_j +
       rho* zeta_j with independent unit zeta_j, summed over the d rows,
       gives S_asy = d (rho1^2 |mu~|^2 + rho*^2).  At |mu~|^2 = 1 this is
-      E[S] exactly, because rho0 = 0 for an odd activation.
+      E[S] exactly, because E[Gamma0(u)] = 0 for an odd activation.
 
     The constants come from ``GammaFunctions(phi, rho)`` with unit-variance
     outer moments, i.e. they assume row power times |mu~|^2 near 1.

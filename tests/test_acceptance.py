@@ -28,7 +28,7 @@ from manifold_diffusion.experiments import (ExperimentRecord,
                                             threshold_crossing)
 from manifold_diffusion.model import (TheoryParams, make_model, sample_count,
                                       sample_dataset)
-from manifold_diffusion.speciation import (GammaFunctions, gamma0_sq_sum,
+from manifold_diffusion.speciation import (GammaFunctions, gamma0_rows,
                                            gep_constants, potential,
                                            potential_curvature_at_zero,
                                            reduced_sde_simulate,
@@ -37,6 +37,12 @@ from manifold_diffusion.speciation import (GammaFunctions, gamma0_sq_sum,
 from manifold_diffusion import cli
 
 LINEAR = make_activation("linear")
+
+
+def _s(mdl, gf=None):
+    """S = sum_j Gamma0(lambda_j)^2 of the model, on the quadrature gf."""
+    rows = gamma0_rows(mdl, gf or GammaFunctions(mdl.activation, mdl.rho))
+    return float(rows @ rows)
 
 
 def _verdict(num, ok, detail):
@@ -129,7 +135,7 @@ def test_criterion_05_speciation_formula_chain():
         for seed in range(10):
             mdl = make_model(d=d, p=p, activation=act_name,
                              ensemble="gaussian_iid", seed=seed)
-            t_fin = speciation_time_finite(mdl, gf)
+            t_fin = speciation_time_finite(_s(mdl, gf))
             t_asy = speciation_time_asymptotic(
                 mdl.beta, d, mdl.mu_tilde_norm_sq, gep,
                 ensemble=mdl.embedding.ensemble)
@@ -137,7 +143,7 @@ def test_criterion_05_speciation_formula_chain():
         rel_err[act_name] = float(np.mean(errs))
     iso = make_model(d=d, p=p)
     gep_lin = gep_constants(GammaFunctions(LINEAR, 1.0))
-    iso_gap = abs(speciation_time_finite(iso)
+    iso_gap = abs(speciation_time_finite(_s(iso))
                   - speciation_time_asymptotic(
                       iso.beta, d, iso.mu_tilde_norm_sq, gep_lin,
                       ensemble=iso.embedding.ensemble))
@@ -151,8 +157,8 @@ def test_criterion_05_speciation_formula_chain():
 
 def test_criterion_06_potential_curvature_criterion():
     mdl = make_model(d=64, p=32)
-    s = gamma0_sq_sum(mdl)
-    t_s = speciation_time_finite(mdl)
+    s = _s(mdl)
+    t_s = speciation_time_finite(s)
     analytic = potential_curvature_at_zero(t_s, s)
     eps = 1e-4
     fd = (potential(eps, t_s, s) - 2 * potential(0.0, t_s, s)
@@ -192,16 +198,18 @@ def _reduced_agreement_records(s, t_grid, n_traj, n_clones, seed,
 
 def test_criterion_07_simulated_speciation_band():
     mdl = make_model(d=64, p=32, m=1.0, seed=0)
-    gep = gep_constants(GammaFunctions(LINEAR, 1.0))
+    gf = GammaFunctions(LINEAR, 1.0)
     t_s = speciation_time_asymptotic(mdl.beta, mdl.d, mdl.mu_tilde_norm_sq,
-                                     gep, ensemble=mdl.embedding.ensemble)
+                                     gep_constants(gf),
+                                     ensemble=mdl.embedding.ensemble)
     t_grid = np.linspace(2.6, 0.6, 11)
     score = EmpiricalScore(sample_dataset(mdl, 4096, seed=1))
-    records = speciation_experiment(mdl, score, t_grid=t_grid, n_traj=40,
-                                    n_clones=25, seed=1)
+    direction = gamma0_rows(mdl, gf)
+    records = speciation_experiment(mdl, score, direction, t_grid=t_grid,
+                                    n_traj=40, n_clones=25, seed=1)
     t_emp = threshold_crossing(records)
     t_theory = threshold_crossing(_reduced_agreement_records(
-        gamma0_sq_sum(mdl), t_grid, n_traj=400, n_clones=25, seed=1))
+        float(direction @ direction), t_grid, n_traj=400, n_clones=25, seed=1))
     gap = abs(t_emp - t_theory)
     ok = gap < 0.5
     _verdict(7, ok,

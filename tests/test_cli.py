@@ -517,10 +517,56 @@ def test_exp_speciation_rejects_non_odd_activation_before_any_work(
 def test_speciation_rejects_non_odd_activation_before_the_quadrature(
         tmp_path, monkeypatch):
     # relu's Gamma quadrature would double to 2048 nodes before rejection
-    monkeypatch.setattr(cli.S, "GammaFunctions", _no_work)
+    monkeypatch.setattr(cli.S, "std_normal_nodes", _no_work)
     out = tmp_path / "out"
     assert cli.main(["speciation", "--activation", "relu", "--d", "16",
                      "--p", "8", "--output-dir", str(out)]) == cli.EXIT_CONFIG
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["speciation", "exp-speciation"])
+def test_speciation_commands_form_the_direction_once(tmp_path, monkeypatch,
+                                                     command):
+    # one Gamma quadrature and one evaluation of Gamma0 at the lambda_j
+    # per run: t_S, S and the clone classifier all read that one vector
+    argv = ["--d", "16", "--p", "8", "--activation", "tanh", "--seed", "3"]
+    lam = cli.S.lambdas(model_from_config(
+        {"d": 16, "p": 8, "activation": "tanh", "seed": 3}))
+    builds, at_lambda = [], []
+    init, gamma0 = cli.S.GammaFunctions.__init__, cli.S.GammaFunctions.gamma0
+
+    def counted_init(self, *args):
+        builds.append(args)
+        init(self, *args)
+
+    def counted_gamma0(self, y):
+        if np.shape(y) == lam.shape and np.array_equal(y, lam):
+            at_lambda.append(y)
+        return gamma0(self, y)
+
+    monkeypatch.setattr(cli.S.GammaFunctions, "__init__", counted_init)
+    monkeypatch.setattr(cli.S.GammaFunctions, "gamma0", counted_gamma0)
+    if command == "exp-speciation":
+        argv += ["--n-data", "64", "--n-traj", "3", "--n-clones", "3",
+                 "--t-points", "2"]
+    assert run(tmp_path, command, *argv) == 0
+    assert (len(builds), len(at_lambda)) == (1, 1)
+
+
+@pytest.mark.parametrize("command", ["speciation", "exp-speciation"])
+def test_no_signal_is_rejected_before_any_output(tmp_path, monkeypatch,
+                                                 capsys, command):
+    # at m = 0 the Gamma0 rows are roundoff, not exactly zero: the run is
+    # rejected before the training set is drawn or a file written
+    monkeypatch.setattr(cli, "sample_dataset", _no_work)
+    out = tmp_path / "out"
+    assert cli.main([command, "--d", "16", "--p", "8", "--m", "0",
+                     "--output-dir", str(out)]) == cli.EXIT_CONFIG
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "config"
+    assert "no speciation signal" in err["message"]
     assert not out.exists()
 
 

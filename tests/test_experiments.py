@@ -15,6 +15,12 @@ from manifold_diffusion.experiments import (ExperimentRecord, _bridge_draws,
                                             threshold_crossing,
                                             tilted_log_partition)
 from manifold_diffusion.model import _rng, make_model, sample_dataset
+from manifold_diffusion.speciation import GammaFunctions, gamma0_rows
+
+
+def _direction(mdl):
+    """The clone classifier of the model: (Gamma0(lambda_j))_j."""
+    return gamma0_rows(mdl, GammaFunctions(mdl.activation, mdl.rho))
 
 
 def _record(t, value, **kw):
@@ -84,28 +90,32 @@ def test_exact_backward_jump_keeps_the_forward_marginal():
 def test_speciation_experiment_small_run():
     mdl = make_model(d=8, p=4, seed=1)
     score = EmpiricalScore(sample_dataset(mdl, 64, 5))
-    recs = speciation_experiment(mdl, score, t_grid=[2.0, 0.8, 0.3],
-                                 n_traj=4, n_clones=4, seed=5, t_start=4.0)
+    recs = speciation_experiment(mdl, score, _direction(mdl),
+                                 t_grid=[2.0, 0.8, 0.3], n_traj=4, n_clones=4,
+                                 seed=5, t_start=4.0)
     assert [r.t for r in recs] == [2.0, 0.8, 0.3]
     assert all(r.kind == "speciation_agreement" for r in recs)
     assert all(0.0 <= r.value <= 1.0 for r in recs)
     assert all(r.n_rep == 16 for r in recs)
-    recs2 = speciation_experiment(mdl, score, t_grid=[2.0, 0.8, 0.3],
-                                  n_traj=4, n_clones=4, seed=5, t_start=4.0)
+    recs2 = speciation_experiment(mdl, score, _direction(mdl),
+                                  t_grid=[2.0, 0.8, 0.3], n_traj=4, n_clones=4,
+                                  seed=5, t_start=4.0)
     assert [r.value for r in recs] == [r.value for r in recs2]
 
 
 def test_speciation_experiment_validates_inputs():
     mdl = make_model(d=8, p=4)
     score = EmpiricalScore(sample_dataset(mdl, 16, 0))
+    direction = _direction(mdl)
     with pytest.raises(ValueError, match="decreasing"):
-        speciation_experiment(mdl, score, [0.5, 1.0], 2, 2, seed=0)
+        speciation_experiment(mdl, score, direction, [0.5, 1.0], 2, 2, seed=0)
     with pytest.raises(ValueError, match="two clones"):
-        speciation_experiment(mdl, score, [1.0, 0.5], 2, 1, seed=0)
+        speciation_experiment(mdl, score, direction, [1.0, 0.5], 2, 1, seed=0)
     # each jump needs a later start: t_start > t_grid > t_min
     for kw in (dict(t_start=1.0), dict(t_min=0.5), dict(t_min=0.0)):
         with pytest.raises(ValueError, match="t_start > t_grid > t_min"):
-            speciation_experiment(mdl, score, [1.0, 0.5], 2, 2, seed=0, **kw)
+            speciation_experiment(mdl, score, direction, [1.0, 0.5], 2, 2,
+                                  seed=0, **kw)
 
 
 def test_threshold_crossing_interpolates():
@@ -199,7 +209,8 @@ def test_speciation_experiment_takes_a_drawn_dataset():
     # the clones are driven by the kernel passed in, over a training set
     # drawn by the caller: another draw changes the records
     mdl = make_model(d=8, p=4, seed=1)
-    kw = dict(t_grid=[2.0, 0.8], n_traj=3, n_clones=3, seed=5, t_start=4.0)
+    kw = dict(direction=_direction(mdl), t_grid=[2.0, 0.8], n_traj=3,
+              n_clones=3, seed=5, t_start=4.0)
     drawn = speciation_experiment(mdl, EmpiricalScore(sample_dataset(mdl, 64, 5)), **kw)
     assert drawn != speciation_experiment(
         mdl, EmpiricalScore(sample_dataset(mdl, 64, 6)), **kw)

@@ -12,7 +12,7 @@ PUBLIC = {
     "TheoryParams", "build_embedding", "collapse_crossing_experiment",
     "collapse_method", "collapse_time", "collapse_time_glm",
     "collapse_time_linear_isometry", "collapse_time_linear_rmt", "f_rs",
-    "f_star", "free_energy_mc", "gamma0_sq_sum", "gep_constants", "lambdas",
+    "f_star", "free_energy_mc", "gamma0_rows", "gep_constants", "lambdas",
     "make_activation", "make_model", "model_from_config", "model_hash",
     "model_to_config", "mp_h", "mp_logdet", "potential",
     "potential_curvature_at_zero", "psi", "psi_big", "psi_big_linear",

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from manifold_diffusion.model import make_model
 from manifold_diffusion.speciation import (GammaFunctions, GepConstants,
-                                           gamma0_sq_sum, gep_constants,
+                                           gamma0_rows, gep_constants,
                                            lambdas, potential,
                                            potential_curvature_at_zero,
                                            reduced_sde_simulate,
@@ -57,8 +57,7 @@ def test_gamma_node_counts_stay_pinned():
     # the doubling test watches all three moments; on Gamma0 alone tanh at
     # rho 2 and 3 would stop at 128 nodes
     rhos = (0.25, 0.5, 1.0, 2.0, 3.0)
-    counts = {"linear": [64] * 5, "tanh": [64, 64, 128, 256, 256],
-              "relu": [2048] * 5, "sigmoid": [64] * 5}
+    counts = {"linear": [64] * 5, "tanh": [64, 64, 128, 256, 256]}
     for kind, want in counts.items():
         phi = make_activation(kind)
         assert [GammaFunctions(phi, rho).node_count for rho in rhos] == want
@@ -79,21 +78,20 @@ def test_gamma_rejects_bad_rho():
 
 def test_gep_constants_linear():
     gep = gep_constants(GammaFunctions(make_activation("linear"), rho=1.0))
-    assert gep.rho0 == pytest.approx(0.0, abs=1e-12)
     assert gep.rho1 == pytest.approx(1.0, abs=1e-12)
     assert gep.rho_star_sq == pytest.approx(0.0, abs=1e-10)
 
 
 def test_gep_constants_tanh_frozen():
     gep = gep_constants(GammaFunctions(make_activation("tanh"), rho=1.0))
-    assert gep.rho0 == pytest.approx(0.0, abs=1e-12)
     assert gep.rho1 == pytest.approx(RHO1_TANH, abs=1e-9)
     assert gep.rho_star_sq == pytest.approx(RHO_STAR_SQ_TANH, abs=1e-9)
 
 
 def test_gep_constants_require_odd_activation():
+    # the quadrature of a non-odd activation is never built
     with pytest.raises(ValueError, match="odd activation"):
-        gep_constants(GammaFunctions(make_activation("relu"), rho=1.0))
+        GammaFunctions(make_activation("relu"), rho=1.0)
 
 
 def test_lambdas_definition():
@@ -102,16 +100,22 @@ def test_lambdas_definition():
     assert np.allclose(lambdas(mdl), expected)
 
 
+def _s(mdl):
+    """S = sum_j Gamma0(lambda_j)^2 of the model."""
+    rows = gamma0_rows(mdl, GammaFunctions(mdl.activation, mdl.rho))
+    return float(rows @ rows)
+
+
 def test_gamma0_sq_sum_linear_isometry_identity():
     # linear phi: S = ||F mu||^2 / p = mu^T (F^T F / p) mu = p m^2
     mdl = make_model(d=40, p=10, m=1.5)
-    assert gamma0_sq_sum(mdl) == pytest.approx(10 * 1.5**2, abs=1e-10)
+    assert _s(mdl) == pytest.approx(10 * 1.5**2, abs=1e-10)
 
 
 def test_speciation_finite_equals_asymptotic_for_linear_isometry():
     mdl = make_model(d=40, p=10, m=1.5)
     gep = gep_constants(GammaFunctions(mdl.activation, mdl.rho))
-    t_fin = speciation_time_finite(mdl)
+    t_fin = speciation_time_finite(_s(mdl))
     t_asy = speciation_time_asymptotic(mdl.beta, mdl.d, mdl.mu_tilde_norm_sq, gep)
     assert t_fin == pytest.approx(0.5 * np.log(2 * 10 * 1.5**2), abs=1e-12)
     assert abs(t_fin - t_asy) < 1e-10
@@ -119,11 +123,31 @@ def test_speciation_finite_equals_asymptotic_for_linear_isometry():
 
 def test_speciation_time_requires_odd_and_signal():
     with pytest.raises(ValueError, match="odd"):
-        speciation_time_finite(make_model(d=8, p=4, activation="relu"))
+        _s(make_model(d=8, p=4, activation="relu"))
     with pytest.raises(ValueError, match="no speciation signal"):
-        speciation_time_finite(make_model(d=8, p=4, m=0.0))
+        _s(make_model(d=8, p=4, m=0.0))
     with pytest.raises(ValueError, match="no speciation signal"):
-        speciation_time_asymptotic(0.5, 8, 0.0, GepConstants(0.0, 0.0, 0.0))
+        speciation_time_asymptotic(0.5, 8, 0.0, GepConstants(0.0, 0.0))
+
+
+@pytest.mark.parametrize("activation", ["linear", "tanh"])
+def test_gamma0_rows_rejects_roundoff_scale_signal(activation):
+    # at m = 0 the rows are quadrature roundoff (norm ~1e-17), not exactly 0
+    mdl = make_model(d=16, p=8, m=0.0, activation=activation)
+    gf = GammaFunctions(mdl.activation, mdl.rho)
+    rows = gf.gamma0(lambdas(mdl))
+    assert 0 < rows @ rows <= 1e-12
+    with pytest.raises(ValueError, match="no speciation signal"):
+        gamma0_rows(mdl, gf)
+
+
+def test_gamma0_rows_needs_the_models_quadrature():
+    mdl = make_model(d=8, p=4, activation="tanh")
+    assert gamma0_rows(mdl, GammaFunctions(mdl.activation, mdl.rho)).shape == (8,)
+    for gf in (GammaFunctions(make_activation("linear"), mdl.rho),
+               GammaFunctions(mdl.activation, 2.0)):
+        with pytest.raises(ValueError, match="another activation or rho"):
+            gamma0_rows(mdl, gf)
 
 
 def test_potential_shape_and_symmetry():
