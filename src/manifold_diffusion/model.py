@@ -20,9 +20,13 @@ from .activations import Activation, make_activation
 MAX_SAMPLES = 10_000_000
 
 
-def _rng(seed: int) -> Generator:
-    # counter-based bit generator: deterministic and cheap to split
-    return Generator(Philox(key=seed))
+def _rng(seed: int, stream: int = 0) -> Generator:
+    """Counter-based generator of ``seed`` on ``stream``: the Philox key's
+    low word is the seed and its high word the stream, so two streams never
+    share a draw.  The embedding F is drawn on stream 1, all else on 0."""
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
+    return Generator(Philox(key=int(seed) + (stream << 64)))
 
 
 @dataclass(frozen=True)
@@ -66,8 +70,7 @@ def build_embedding(d: int, p: int, ensemble: str, seed: int) -> EmbeddingMatrix
     """
     if not 1 <= p <= d:
         raise ValueError(f"require d >= p >= 1, got d={d}, p={p}")
-    rng = _rng(seed)
-    G = rng.standard_normal((d, p))
+    G = _rng(seed, stream=1).standard_normal((d, p))
     if ensemble == "gaussian_iid":
         return EmbeddingMatrix(entries=G, ensemble=ensemble)
     if ensemble == "deterministic_isometry":

@@ -106,6 +106,21 @@ def test_dataset_rejects_empty():
         sample_dataset(mdl, 0, seed=0)
 
 
+def test_embedding_and_dataset_draw_on_separate_streams():
+    # the CLI passes one seed to both: F's Gaussian draw must not reappear
+    # as the latent noise of the first d training samples
+    d, p, seed = 40, 20, 3
+    mdl = make_model(d=d, p=p, ensemble="gaussian_iid", seed=seed)
+    ds = sample_dataset(mdl, 100, seed=seed)
+    noise = ds.latents - ds.labels[:, None] * mdl.mu[None, :]
+    assert not np.allclose(noise[:d], mdl.embedding.entries)
+    # F's stream has key [seed, 1]; every other draw has high word 0
+    want = np.random.Generator(np.random.Philox(key=[seed, 1]))
+    assert np.array_equal(mdl.embedding.entries, want.standard_normal((d, p)))
+    with pytest.raises(ValueError, match="seed"):
+        build_embedding(d, p, "gaussian_iid", -1)
+
+
 def test_config_round_trip():
     mdl = make_model(d=10, p=4, alpha=0.3, rho=0.7, m=1.5,
                      activation="tanh", ensemble="gaussian_iid", seed=11)
