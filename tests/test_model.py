@@ -117,8 +117,10 @@ def test_embedding_and_dataset_draw_on_separate_streams():
     # F's stream has key [seed, 1]; every other draw has high word 0
     want = np.random.Generator(np.random.Philox(key=[seed, 1]))
     assert np.array_equal(mdl.embedding.entries, want.standard_normal((d, p)))
-    with pytest.raises(ValueError, match="seed"):
-        build_embedding(d, p, "gaussian_iid", -1)
+    # a seed beyond the low word would reach into another stream's key
+    for bad in (-1, 1 << 64):
+        with pytest.raises(ValueError, match="seed"):
+            build_embedding(d, p, "gaussian_iid", bad)
 
 
 def test_config_round_trip():

@@ -12,6 +12,7 @@ from manifold_diffusion.speciation import (GammaFunctions, GepConstants,
                                            speciation_time_asymptotic,
                                            speciation_time_finite)
 from manifold_diffusion.activations import make_activation
+from manifold_diffusion.quadrature import std_normal_nodes
 
 # E[tanh(u + 1)] and friends for u ~ N(0,1), frozen from a 30-digit
 # adaptive quadrature of the defining integrals
@@ -76,14 +77,25 @@ def test_gamma_rejects_bad_rho():
         GammaFunctions(make_activation("linear"), rho=0.0)
 
 
+def _mean_gamma0(gf):
+    """E[Gamma0(u)], u ~ N(0,1): zero for an odd activation, which is why
+    GepConstants holds no rho0."""
+    u, w = std_normal_nodes(256)
+    return w @ gf.gamma0(u)
+
+
 def test_gep_constants_linear():
-    gep = gep_constants(GammaFunctions(make_activation("linear"), rho=1.0))
+    gf = GammaFunctions(make_activation("linear"), rho=1.0)
+    gep = gep_constants(gf)
+    assert _mean_gamma0(gf) == pytest.approx(0.0, abs=1e-12)
     assert gep.rho1 == pytest.approx(1.0, abs=1e-12)
     assert gep.rho_star_sq == pytest.approx(0.0, abs=1e-10)
 
 
 def test_gep_constants_tanh_frozen():
-    gep = gep_constants(GammaFunctions(make_activation("tanh"), rho=1.0))
+    gf = GammaFunctions(make_activation("tanh"), rho=1.0)
+    gep = gep_constants(gf)
+    assert _mean_gamma0(gf) == pytest.approx(0.0, abs=1e-12)
     assert gep.rho1 == pytest.approx(RHO1_TANH, abs=1e-9)
     assert gep.rho_star_sq == pytest.approx(RHO_STAR_SQ_TANH, abs=1e-9)
 
@@ -128,17 +140,13 @@ def test_speciation_time_requires_odd_and_signal():
         _s(make_model(d=8, p=4, m=0.0))
     with pytest.raises(ValueError, match="no speciation signal"):
         speciation_time_asymptotic(0.5, 8, 0.0, GepConstants(0.0, 0.0))
-
-
-@pytest.mark.parametrize("activation", ["linear", "tanh"])
-def test_gamma0_rows_rejects_roundoff_scale_signal(activation):
-    # at m = 0 the rows are quadrature roundoff (norm ~1e-17), not exactly 0
-    mdl = make_model(d=16, p=8, m=0.0, activation=activation)
-    gf = GammaFunctions(mdl.activation, mdl.rho)
-    rows = gf.gamma0(lambdas(mdl))
-    assert 0 < rows @ rows <= 1e-12
-    with pytest.raises(ValueError, match="no speciation signal"):
-        gamma0_rows(mdl, gf)
+    # at m = 0 the rows are quadrature roundoff, not exactly zero
+    for kind in ("linear", "tanh"):
+        mdl = make_model(d=16, p=8, m=0.0, activation=kind)
+        rows = GammaFunctions(mdl.activation, mdl.rho).gamma0(lambdas(mdl))
+        assert 0 < rows @ rows <= 1e-12
+        with pytest.raises(ValueError, match="no speciation signal"):
+            _s(mdl)
 
 
 def test_gamma0_rows_needs_the_models_quadrature():
