@@ -221,7 +221,7 @@ def cmd_exp_speciation(args, run: _Run) -> int:
     cfg = resolve_config(_given(args))
     model = model_from_config(cfg)
     t_grid = np.linspace(args.t_max, args.t_min, args.t_points)
-    # the clone classifier and t_S, before the data; no signal exits here
+    # before the data, so that a run without a speciation signal does no work
     with run.phase("theory"):
         direction = S.gamma0_rows(model, S.GammaFunctions(model.activation, model.rho))
         t_s_theory = S.speciation_time_finite(float(direction @ direction))
