@@ -15,7 +15,7 @@ from manifold_diffusion import (EmpiricalScore, collapse_crossing_experiment,
                                 sample_count, sample_dataset, sign_change_time)
 
 d, p, alpha = 40, 20, 0.25
-model = make_model(d=d, p=p, alpha=alpha)
+model = make_model(d=d, p=p)
 n = sample_count(alpha, d)
 dataset = sample_dataset(model, n, seed=0)
 print(f"model: d={d}, p={p}, alpha={alpha}  ->  n = e^(alpha d) = {n} samples")

@@ -34,22 +34,26 @@ EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_VALIDATION = 4
 
-# collapse-sweep draws no model: it sweeps beta over the linear routes and
-# the activations it is given.  It takes --seed, which has no effect.
+# The config keys each command reads; any other exits 2 before any output.
+# alpha sizes a training set, collapse draws no F, free-energy's theory
+# assumes gaussian F, and collapse-sweep draws no model (--seed does nothing).
+_MODEL_KEYS = ("d", "p", "rho", "m", "activation", "ensemble", "seed", "mu", "mu_file")
+_COLLAPSE_KEYS = ("d", "p", "alpha", "rho", "m", "activation", "ensemble", "mu", "mu_file")
+_FREE_ENERGY_KEYS = ("d", "p", "rho", "m", "activation", "mu", "mu_file")
 _SWEEP_KEYS = ("alpha", "rho", "m", "seed")
 # the thread counts BLAS and OpenMP read at start-up; unset means the
 # library picks one per core
 _THREAD_ENV = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS")
 
 
-def _given(args) -> dict:
-    """The run's config as given: the ``--config`` file, then the flags set."""
+def _config(args, **defaults) -> dict:
+    """The ``--config`` file, the flags set over it, resolved to ``args.keys``."""
     cfg = json.loads(Path(args.config).read_text()) if args.config else {}
     if not isinstance(cfg, dict):
         raise ValueError("config file must hold a JSON object")
-    cfg.update((k, getattr(args, k)) for k in CONFIG_TYPES
+    cfg.update((k, getattr(args, k)) for k in args.keys
                if getattr(args, k, None) is not None)
-    return cfg
+    return resolve_config({**defaults, **cfg}, args.keys)
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -128,7 +132,7 @@ def _solve_record(result: C.CollapseResult) -> dict:
 # subcommands
 
 def cmd_speciation(args, run: _Run) -> int:
-    cfg = resolve_config(_given(args))
+    cfg = _config(args)
     with run.phase("model"):
         model = model_from_config(cfg)
     with run.phase("theory"):
@@ -159,7 +163,7 @@ def cmd_speciation(args, run: _Run) -> int:
 
 
 def cmd_collapse(args, run: _Run) -> int:
-    cfg = resolve_config(_given(args))
+    cfg = _config(args, alpha=1.0)
     with run.phase("theory"):
         result = C.collapse_time(args.method, cfg["alpha"],
                                  TheoryParams.from_config(cfg),
@@ -169,7 +173,7 @@ def cmd_collapse(args, run: _Run) -> int:
 
 
 def cmd_collapse_sweep(args, run: _Run) -> int:
-    cfg = resolve_config({"alpha": 0.5, **_given(args)}, _SWEEP_KEYS)
+    cfg = _config(args, alpha=0.5)
     lin = make_activation("linear")
     names = [a.strip() for a in args.activations.split(",")]
     acts = [make_activation(a) for a in names if a and a != "linear"]
@@ -203,7 +207,7 @@ def cmd_collapse_sweep(args, run: _Run) -> int:
 
 
 def cmd_free_energy(args, run: _Run) -> int:
-    cfg = resolve_config(_given(args))
+    cfg = _config(args)
     params = TheoryParams.from_config(cfg)
     ts = np.linspace(args.t_min, args.t_max, args.t_points)
     with open(run.output("free_energy.csv"), "w", newline="") as fh:
@@ -218,7 +222,7 @@ def cmd_free_energy(args, run: _Run) -> int:
 
 
 def cmd_exp_speciation(args, run: _Run) -> int:
-    cfg = resolve_config(_given(args))
+    cfg = _config(args)
     model = model_from_config(cfg)
     t_grid = np.linspace(args.t_max, args.t_min, args.t_points)
     # before the data, so that a run without a speciation signal does no work
@@ -264,22 +268,19 @@ def _crossing_sample(d: int, alpha, n_data: int | None) -> tuple[int, float]:
 
 
 def cmd_exp_collapse(args, run: _Run) -> int:
-    given = _given(args)
-    cfg = resolve_config(given)
-    n_data, cfg["alpha"] = _crossing_sample(
-        cfg["d"], cfg["alpha"] if "alpha" in given else None, args.n_data)
+    cfg = _config(args)
     model = model_from_config(cfg)
-    cfg["n_data"] = n_data
+    cfg["n_data"], cfg["alpha"] = _crossing_sample(cfg["d"], cfg.get("alpha"), args.n_data)
     t_grid = np.linspace(args.t_max, args.t_min, args.t_points)
     with run.phase("dataset"):
-        dataset = sample_dataset(model, n_data, cfg["seed"])
+        dataset = sample_dataset(model, cfg["n_data"], cfg["seed"])
     with run.phase("experiment"):
         score = EmpiricalScore(dataset)
         records = E.collapse_crossing_experiment(model, score, t_grid,
                                                  args.n_noise, cfg["seed"] + 1)
     E.records_to_csv(records, run.output("exp_collapse.csv"))
     with run.phase("theory"):
-        theory = C.collapse_time(None, model.alpha, model.theory_params,
+        theory = C.collapse_time(None, cfg["alpha"], model.theory_params,
                                  n_outer=12, n_inner=48, t_tol=1e-4)
     summary = {"t_C_empirical": _try(lambda: E.sign_change_time(records)),
                "t_C_theory": theory.t_c, "method": theory.method}
@@ -288,7 +289,7 @@ def cmd_exp_collapse(args, run: _Run) -> int:
 
 
 def cmd_exp_free_energy(args, run: _Run) -> int:
-    cfg = resolve_config(_given(args))
+    cfg = _config(args)
     with run.phase("model"):
         model = model_from_config(cfg)
     with run.phase("experiment"):
@@ -299,7 +300,7 @@ def cmd_exp_free_energy(args, run: _Run) -> int:
 
 
 def cmd_exp_rem(args, run: _Run) -> int:
-    cfg = resolve_config(_given(args))
+    cfg = _config(args)
     with run.phase("model"):
         model = model_from_config(cfg)
     with run.phase("experiment"):
@@ -363,8 +364,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "on manifold mixture data")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, fn, help, keys=CONFIG_KEYS):
-        """A subcommand with a flag for each typed config key in ``keys``."""
+    def command(name, fn, help, keys):
+        """A subcommand that reads the config keys ``keys``: a flag for each
+        typed one, and a ``--config`` file that may hold only those."""
         p = sub.add_parser(name, help=help, allow_abbrev=False)
         if keys:
             p.add_argument("--config", help="JSON config file")
@@ -372,13 +374,13 @@ def build_parser() -> argparse.ArgumentParser:
             if key in CONFIG_TYPES:
                 p.add_argument(f"--{key}", type=CONFIG_TYPES[key])
         p.add_argument("--output-dir")
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=fn, keys=keys)
         return p
 
-    p = command("speciation", cmd_speciation, "theory speciation time")
+    p = command("speciation", cmd_speciation, "theory speciation time", _MODEL_KEYS)
     p.add_argument("--potential-csv", action="store_true")
 
-    p = command("collapse", cmd_collapse, "theory collapse time")
+    p = command("collapse", cmd_collapse, "theory collapse time", _COLLAPSE_KEYS)
     p.add_argument("--method", choices=C.ROUTES)
     p.add_argument("--nodes", type=int, default=16)
     p.add_argument("--grid-points", type=int, default=64)
@@ -392,14 +394,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nodes", type=int, default=10)
     p.add_argument("--grid-points", type=int, default=48)
 
-    p = command("free-energy", cmd_free_energy, "f_star(t) table")
+    p = command("free-energy", cmd_free_energy, "f_star(t) table", _FREE_ENERGY_KEYS)
     p.add_argument("--t-min", type=float, default=0.05)
     p.add_argument("--t-max", type=float, default=2.0)
     p.add_argument("--t-points", type=int, default=20)
     p.add_argument("--nodes", type=int, default=16)
 
     p = command("exp-speciation", cmd_exp_speciation,
-                "clone-agreement experiment")
+                "clone-agreement experiment", _MODEL_KEYS)
     p.add_argument("--n-data", type=int, default=4096)
     p.add_argument("--n-traj", type=int, default=40)
     p.add_argument("--n-clones", type=int, default=25)
@@ -408,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-points", type=int, default=6)
 
     p = command("exp-collapse", cmd_exp_collapse,
-                "log Z1/Z2 crossing experiment")
+                "log Z1/Z2 crossing experiment", CONFIG_KEYS)
     p.add_argument("--n-data", type=int,
                    help="default e^(alpha d) when alpha is given, else 22026")
     p.add_argument("--n-noise", type=int, default=200)
@@ -417,12 +419,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-points", type=int, default=12)
 
     p = command("exp-free-energy", cmd_exp_free_energy,
-                "Monte-Carlo free energy")
+                "Monte-Carlo free energy", _MODEL_KEYS)
     p.add_argument("--t", type=float, default=0.5)
     p.add_argument("--n-x", type=int, default=50)
     p.add_argument("--n-latent", type=int, default=100_000)
 
-    p = command("exp-rem", cmd_exp_rem, "tilted-partition derivative identity")
+    p = command("exp-rem", cmd_exp_rem, "-g'(1), the mean of chi^2_d/(2d)", _MODEL_KEYS)
     p.add_argument("--t", type=float, default=0.5)
     p.add_argument("--n-rep", type=int, default=100_000)
 

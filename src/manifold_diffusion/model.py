@@ -119,7 +119,6 @@ class ManifoldModel:
 
     d: int
     p: int
-    alpha: float
     rho: float
     mu: np.ndarray  # latent center; clusters sit at +-mu
     activation: Activation
@@ -132,8 +131,6 @@ class ManifoldModel:
             raise ValueError("require 0 < p <= d")
         if self.rho <= 0:
             raise ValueError("rho must be positive")
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
         if mu.shape != (self.p,):
             raise ValueError(f"mu must have length p={self.p}")
         if self.embedding.entries.shape != (self.d, self.p):
@@ -217,7 +214,6 @@ def model_to_config(model: ManifoldModel) -> dict:
     cfg = {
         "d": model.d,
         "p": model.p,
-        "alpha": model.alpha,
         "rho": model.rho,
         "m": model.m,
         "activation": model.activation.kind,
@@ -229,14 +225,15 @@ def model_to_config(model: ManifoldModel) -> dict:
     return cfg
 
 
-# the default of every model config field but d and p, which have none
-_DEFAULTS = {"alpha": 1.0, "rho": 1.0, "m": 1.0, "activation": "linear",
+# the defaults of the config fields but d, p and alpha (set by its commands)
+_DEFAULTS = {"rho": 1.0, "m": 1.0, "activation": "linear",
              "ensemble": "deterministic_isometry", "seed": 0}
-# every field a model config may hold; a center given as a list (mu) or a
-# text file (mu_file) replaces m * ones(p)
-CONFIG_KEYS = ("d", "p", *_DEFAULTS, "mu", "mu_file")
+# every field a config may hold; a center given as a list (mu) or a text
+# file (mu_file) replaces m * ones(p)
+CONFIG_KEYS = ("d", "p", "alpha", *_DEFAULTS, "mu", "mu_file")
 # the type of each config field but mu and mu_file: its default's
-CONFIG_TYPES = {"d": int, "p": int, **{k: type(v) for k, v in _DEFAULTS.items()}}
+CONFIG_TYPES = {"d": int, "p": int, "alpha": float,
+                **{k: type(v) for k, v in _DEFAULTS.items()}}
 
 
 def _typed(key: str, value):
@@ -305,9 +302,10 @@ def resolve_config(cfg: dict, keys: tuple[str, ...] = CONFIG_KEYS) -> dict:
 
 
 def model_from_config(cfg: dict) -> ManifoldModel:
-    """The model of a config, resolved by `resolve_config`; ``seed`` draws F."""
+    """The model of a config, resolved by `resolve_config`; ``seed`` draws F.
+    An ``alpha`` is checked, not kept: it sizes a training set, not the model."""
     cfg = resolve_config(cfg)
     return ManifoldModel(
-        d=cfg["d"], p=cfg["p"], alpha=cfg["alpha"], rho=cfg["rho"],
+        d=cfg["d"], p=cfg["p"], rho=cfg["rho"],
         mu=_center(cfg), activation=make_activation(cfg["activation"]),
         embedding=build_embedding(cfg["d"], cfg["p"], cfg["ensemble"], cfg["seed"]))

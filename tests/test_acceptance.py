@@ -221,7 +221,7 @@ def test_criterion_07_simulated_speciation_band():
 
 def test_criterion_08_simulated_collapse_band():
     d, p, alpha = 40, 20, 0.25
-    mdl = make_model(d=d, p=p, alpha=alpha)
+    mdl = make_model(d=d, p=p)
     n = sample_count(alpha, d)
     dataset = sample_dataset(mdl, n, seed=0)
     t_grid = np.linspace(0.6, 0.05, 12)

@@ -136,12 +136,12 @@ def test_collapse_rejects_linear_method_for_nonlinear_activation(tmp_path,
 
 
 def test_collapse_and_free_energy_take_m_from_config_mu(tmp_path):
-    spec = {"d": 16, "p": 8, "alpha": 0.5, "mu": [2.0] * 8, "activation": "tanh"}
+    spec = {"d": 16, "p": 8, "mu": [2.0] * 8, "activation": "tanh"}
     cfg = tmp_path / "model.json"
     cfg.write_text(json.dumps(spec))
     params = model_from_config(spec).theory_params
-    assert run(tmp_path, "collapse", "--config", str(cfg), "--nodes", "10",
-               "--grid-points", "48") == 0
+    assert run(tmp_path, "collapse", "--config", str(cfg), "--alpha", "0.5",
+               "--nodes", "10", "--grid-points", "48") == 0
     out = json.loads((tmp_path / "collapse.json").read_text())
     assert out["t_C"] == collapse_time_glm(params, 0.5, n_outer=10,
                                            grid_points=48).t_c
@@ -172,7 +172,7 @@ def test_collapse_and_free_energy_draw_no_embedding(tmp_path, monkeypatch):
     cfg.write_text(json.dumps({"d": 16, "p": 8, "mu": [1.0] * 4}))
     for argv in (["collapse", "--config", str(cfg)],
                  ["free-energy", "--config", str(cfg)],
-                 ["free-energy", "--d", "16", "--p", "8", "--alpha", "-1"]):
+                 ["free-energy", "--d", "16", "--p", "8", "--rho", "-1"]):
         assert run(tmp_path, *argv) == cli.EXIT_CONFIG
 
 
@@ -222,6 +222,33 @@ def test_collapse_sweep_honours_config_rho_and_m(tmp_path):
         cfg.write_text(json.dumps({key: value}))
         assert run(refused, "collapse-sweep", "--config", str(cfg)) == cli.EXIT_CONFIG
     assert not refused.exists()
+
+
+# (command, key) pairs whose value changed no output byte: the distribution
+# takes no alpha, collapse draws no F, and free-energy's GLM theory assumes
+# gaussian F whatever the data's ensemble
+_UNREAD_KEYS = [("speciation", "alpha"), ("collapse", "seed"),
+                ("free-energy", "alpha"), ("free-energy", "seed"),
+                ("free-energy", "ensemble"), ("exp-speciation", "alpha"),
+                ("exp-free-energy", "alpha"), ("exp-rem", "alpha")]
+_KEY_VALUES = {"alpha": 0.2, "seed": 7, "ensemble": "gaussian_iid"}
+
+
+@pytest.mark.parametrize("command, key", _UNREAD_KEYS)
+def test_commands_refuse_config_keys_they_do_not_read(tmp_path, capsys,
+                                                      command, key):
+    out = tmp_path / "out"
+    value = _KEY_VALUES[key]
+    with pytest.raises(SystemExit) as exc:
+        run(out, command, "--d", "16", "--p", "8", f"--{key}", str(value))
+    assert exc.value.code == cli.EXIT_CONFIG
+    cfg = tmp_path / "model.json"
+    cfg.write_text(json.dumps({"d": 16, "p": 8, key: value}))
+    capsys.readouterr()
+    assert run(out, command, "--config", str(cfg)) == cli.EXIT_CONFIG
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config" and key in err["message"]
+    assert not out.exists()
 
 
 def test_collapse_sweep_writes_all_methods(tmp_path):
@@ -408,11 +435,11 @@ def test_manifest_records_versions_and_thread_env(tmp_path, monkeypatch):
 
 def test_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "model.json"
-    cfg.write_text(json.dumps({"d": 16, "p": 8, "alpha": 0.3, "m": 2.0}))
+    cfg.write_text(json.dumps({"d": 16, "p": 8, "rho": 0.3, "m": 2.0}))
     assert run(tmp_path, "speciation", "--config", str(cfg), "--m", "1.0") == 0
     manifest = json.loads((tmp_path / "speciation.manifest.json").read_text())
     assert manifest["resolved_config"]["m"] == 1.0
-    assert manifest["resolved_config"]["alpha"] == 0.3
+    assert manifest["resolved_config"]["rho"] == 0.3
 
 
 def test_invalid_config_exits_2(tmp_path, capsys):
@@ -488,12 +515,12 @@ def test_misread_config_fields_exit_2(tmp_path, capsys, command, fields):
 def test_resolved_config_records_the_values_that_ran(tmp_path):
     # an integral float is an int field's value; a float field takes an int
     cfg = tmp_path / "model.json"
-    cfg.write_text(json.dumps({"d": 16.0, "p": 8, "rho": 2, "alpha": 1,
-                               "m": 1, "seed": 3.0}))
+    cfg.write_text(json.dumps({"d": 16.0, "p": 8, "rho": 2, "m": 1,
+                               "seed": 3.0}))
     assert run(tmp_path, "exp-rem", "--config", str(cfg), "--n-rep", "100") == 0
     resolved = json.loads(
         (tmp_path / "exp_rem.manifest.json").read_text())["resolved_config"]
-    assert resolved == {"d": 16, "p": 8, "rho": 2.0, "alpha": 1.0, "m": 1.0,
+    assert resolved == {"d": 16, "p": 8, "rho": 2.0, "m": 1.0,
                         "seed": 3, "activation": "linear",
                         "ensemble": "deterministic_isometry"}
     assert [type(resolved[k]) for k in ("d", "seed", "rho")] == [int, int, float]

@@ -132,7 +132,7 @@ def test_threshold_crossing_interpolates():
 
 
 def test_collapse_crossing_experiment_and_sign_change():
-    mdl = make_model(d=20, p=10, alpha=0.25)
+    mdl = make_model(d=20, p=10)
     ds = sample_dataset(mdl, 150, seed=3)
     t_grid = np.linspace(1.2, 0.05, 8)
     recs = collapse_crossing_experiment(mdl, EmpiricalScore(ds), t_grid,
@@ -146,7 +146,7 @@ def test_collapse_crossing_experiment_and_sign_change():
 
 
 def test_collapse_crossing_values_match_explicit_differences():
-    mdl = make_model(d=20, p=10, alpha=0.25)
+    mdl = make_model(d=20, p=10)
     ds = sample_dataset(mdl, 150, seed=3)
     t_grid = np.linspace(1.2, 0.05, 8)
     recs = collapse_crossing_experiment(mdl, EmpiricalScore(ds), t_grid,
@@ -173,7 +173,7 @@ def test_collapse_crossing_gap_where_planted_term_dominates(monkeypatch):
     # would lift every bulk term to e^-700 of it.  Three blocks, the
     # planted sample in the first one.
     monkeypatch.setattr(diffusion, "_BLOCK_COLS", 64)
-    mdl = make_model(d=128, p=64, alpha=0.05)
+    mdl = make_model(d=128, p=64)
     ds = sample_dataset(mdl, 150, seed=3)
     t = 0.02
     [rec] = collapse_crossing_experiment(mdl, EmpiricalScore(ds), [t],
@@ -191,7 +191,7 @@ def test_collapse_crossing_gap_where_planted_term_dominates(monkeypatch):
 def test_collapse_crossing_planted_term_equals_explicit_logsumexp(t):
     # Z2 is taken by the same masked log_partition call as the experiment's,
     # so the gap isolates log Z1: a logsumexp over the single planted weight
-    mdl = make_model(d=20, p=10, alpha=0.25)
+    mdl = make_model(d=20, p=10)
     ds = sample_dataset(mdl, 150, seed=3)
     [rec] = collapse_crossing_experiment(mdl, EmpiricalScore(ds), [t],
                                          n_noise=40, seed=7)
@@ -217,7 +217,7 @@ def test_speciation_experiment_takes_a_drawn_dataset():
 
 
 def test_collapse_crossing_flags_one_sided_grids():
-    mdl = make_model(d=20, p=10, alpha=0.25)
+    mdl = make_model(d=20, p=10)
     ds = sample_dataset(mdl, 150, seed=3)
     recs = collapse_crossing_experiment(mdl, EmpiricalScore(ds), [2.0, 1.8],
                                         n_noise=20, seed=1)
@@ -263,7 +263,7 @@ def test_rem_derivative_is_half():
 
 
 def test_tilted_log_partition_decreases_with_tilt():
-    mdl = make_model(d=12, p=6, alpha=0.25)
+    mdl = make_model(d=12, p=6)
     ds = sample_dataset(mdl, 80, seed=5)
     v1 = tilted_log_partition(mdl, ds, 0.4, lam=0.5, n_noise=30, seed=2)
     v2 = tilted_log_partition(mdl, ds, 0.4, lam=2.0, n_noise=30, seed=2)
@@ -279,7 +279,7 @@ def test_tilted_log_partition_decreases_with_tilt():
 def test_tilted_log_partition_equals_explicit_logsumexp(monkeypatch, lam,
                                                         block_cols):
     monkeypatch.setattr(diffusion, "_BLOCK_COLS", block_cols)
-    mdl = make_model(d=12, p=6, alpha=0.25, activation="tanh")
+    mdl = make_model(d=12, p=6, activation="tanh")
     ds = sample_dataset(mdl, 300, seed=5)
     t, n_noise, seed = 0.3, 30, 2
     got = tilted_log_partition(mdl, ds, t, lam=lam, n_noise=n_noise, seed=seed)

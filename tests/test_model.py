@@ -124,12 +124,12 @@ def test_embedding_and_dataset_draw_on_separate_streams():
 
 
 def test_config_round_trip():
-    mdl = make_model(d=10, p=4, alpha=0.3, rho=0.7, m=1.5,
+    mdl = make_model(d=10, p=4, rho=0.7, m=1.5,
                      activation="tanh", ensemble="gaussian_iid", seed=11)
     cfg = model_to_config(mdl)
     back = model_from_config({**cfg, "seed": 11})
     assert back.d == mdl.d and back.p == mdl.p
-    assert back.rho == mdl.rho and back.alpha == mdl.alpha
+    assert back.rho == mdl.rho
     assert back.activation.kind == "tanh"
     assert np.array_equal(back.embedding.entries, mdl.embedding.entries)
 
