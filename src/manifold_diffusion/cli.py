@@ -41,6 +41,8 @@ _MODEL_KEYS = ("d", "p", "rho", "m", "activation", "ensemble", "seed", "mu", "mu
 _COLLAPSE_KEYS = ("d", "p", "alpha", "rho", "m", "activation", "ensemble", "mu", "mu_file")
 _FREE_ENERGY_KEYS = ("d", "p", "rho", "m", "activation", "mu", "mu_file")
 _SWEEP_KEYS = ("alpha", "rho", "m", "seed")
+# the parsed values that are not the run's own arguments
+_NOT_ARGUMENTS = {*CONFIG_KEYS, "config", "output_dir", "command", "fn", "keys"}
 # the thread counts BLAS and OpenMP read at start-up; unset means the
 # library picks one per core
 _THREAD_ENV = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS")
@@ -67,10 +69,12 @@ class _Run:
     before then leaves nothing behind.
     """
 
-    def __init__(self, command: str, output_dir: str | None):
-        self.command = command
-        self.dir = Path(output_dir
+    def __init__(self, args: argparse.Namespace):
+        self.command = args.command.replace("-", "_")
+        self.dir = Path(args.output_dir
                         or os.environ.get("MANIFOLD_DIFFUSION_OUTDIR", "."))
+        self.arguments = {k: v for k, v in vars(args).items()
+                          if k not in _NOT_ARGUMENTS}
         self.timings = {}
         self.outputs = []
 
@@ -100,6 +104,7 @@ class _Run:
         _write_json(self.dir / f"{self.command}.manifest.json", {
             "command": self.command,
             "resolved_config": cfg,
+            "arguments": self.arguments,
             "outputs": {str(p): hashlib.sha256(p.read_bytes()).hexdigest()
                         for p in self.outputs},
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
@@ -164,12 +169,14 @@ def cmd_speciation(args, run: _Run) -> int:
 
 def cmd_collapse(args, run: _Run) -> int:
     cfg = _config(args, alpha=1.0)
+    # the GLM route's solver settings; the linear routes take none
+    solver = {"n_outer": args.nodes, "n_inner": 96,
+              "grid_points": args.grid_points, "t_tol": 1e-6}
     with run.phase("theory"):
         result = C.collapse_time(args.method, cfg["alpha"],
-                                 TheoryParams.from_config(cfg),
-                                 n_outer=args.nodes, grid_points=args.grid_points)
+                                 TheoryParams.from_config(cfg), **solver)
     return run.finish(cfg, {"t_C": result.t_c, "method": result.method,
-                            **_solve_record(result)})
+                            **_solve_record(result)}, glm_solver=solver)
 
 
 def cmd_collapse_sweep(args, run: _Run) -> int:
@@ -201,8 +208,7 @@ def cmd_collapse_sweep(args, run: _Run) -> int:
                 glm_rows.append({
                     "beta": float(beta), "activation": act.kind,
                     "t_C": res.t_c, **_solve_record(res), "solve_s": solve_s})
-    return run.finish({**cfg, "betas": betas.tolist(),
-                       "activations": args.activations, "glm_solver": solver},
+    return run.finish({**cfg, "betas": betas.tolist()}, glm_solver=solver,
                       glm_rows=glm_rows)
 
 
@@ -210,15 +216,17 @@ def cmd_free_energy(args, run: _Run) -> int:
     cfg = _config(args)
     params = TheoryParams.from_config(cfg)
     ts = np.linspace(args.t_min, args.t_max, args.t_points)
+    solver = {"n_outer": args.nodes, "n_inner": 96, "grid_points": 64}
     with open(run.output("free_energy.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t [backward time]", "q_star", "r_star",
                          "f_star [per latent dim]"])
         with run.phase("theory"):
             for t in ts:
-                res = C.f_star(float(t), params, n_outer=args.nodes)
+                res = C.f_star(float(t), params, **solver)
                 writer.writerow([t, res.q_star, res.r_star, res.f_star])
-    return run.finish(cfg)
+    # q_star and r_star are converged only to the sup's tolerance in q
+    return run.finish(cfg, glm_solver={**solver, "q_xatol": C.Q_XATOL})
 
 
 def cmd_exp_speciation(args, run: _Run) -> int:
@@ -279,12 +287,12 @@ def cmd_exp_collapse(args, run: _Run) -> int:
         records = E.collapse_crossing_experiment(model, score, t_grid,
                                                  args.n_noise, cfg["seed"] + 1)
     E.records_to_csv(records, run.output("exp_collapse.csv"))
+    solver = {"n_outer": 12, "n_inner": 48, "grid_points": 64, "t_tol": 1e-4}
     with run.phase("theory"):
-        theory = C.collapse_time(None, cfg["alpha"], model.theory_params,
-                                 n_outer=12, n_inner=48, t_tol=1e-4)
+        theory = C.collapse_time(None, cfg["alpha"], model.theory_params, **solver)
     summary = {"t_C_empirical": _try(lambda: E.sign_change_time(records)),
                "t_C_theory": theory.t_c, "method": theory.method}
-    return run.finish(cfg, summary, score_rank=score.rank,
+    return run.finish(cfg, summary, score_rank=score.rank, glm_solver=solver,
                       **_solve_record(theory))
 
 
@@ -434,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    run = _Run(args.command.replace("-", "_"), args.output_dir)
+    run = _Run(args)
     try:
         return args.fn(args, run)
     except (ValueError, KeyError, FileNotFoundError, json.JSONDecodeError) as exc:

@@ -270,6 +270,11 @@ def _minimize_bounded(func, x1: float, x2: float,
     return xf, fx, num
 
 
+# the tolerance in q of the sup in `f_star`, relative to max(c, 1): q_star
+# and r_star are converged to Q_XATOL max(c, 1) plus sqrt(eps) (c - q_star)
+Q_XATOL = 1e-9
+
+
 def f_star(t: float, params: TheoryParams, n_outer: int = 24,
            n_inner: int = 96, grid_points: int = 64) -> FreeEnergyResult:
     """Solve sup_q inf_r f_RS at time t.
@@ -277,8 +282,8 @@ def f_star(t: float, params: TheoryParams, n_outer: int = 24,
     The inner inf is in closed form (`_r_star`); the outer sup refines the
     best point of a bracketing grid with Brent's bounded minimizer
     (`_minimize_bounded`: parabolic interpolation with golden-section
-    fallback; xatol 1e-9 max(c, 1), plus sqrt(2.2e-16) times the distance
-    c - q), and keeps a grid end if that is higher.  The value diverges to
+    fallback; xatol `Q_XATOL` max(c, 1), plus sqrt(2.2e-16) times the
+    distance c - q), and keeps a grid end if that is higher.  The value diverges to
     -inf at q = c = rho + m^2, so the grid stops just inside the boundary.
     ``psi_evaluations`` counts every Psi evaluation of the solve; a
     minimizer that does not converge raises ArithmeticError.
@@ -298,7 +303,7 @@ def f_star(t: float, params: TheoryParams, n_outer: int = 24,
     # which then shrinks with the peak's width as q_star nears c
     try:
         u, f_u, nfev = _minimize_bounded(lambda u: -g(c - u), c - hi, c - lo,
-                                         xatol=1e-9 * max(c, 1.0))
+                                         xatol=Q_XATOL * max(c, 1.0))
     except ArithmeticError as exc:
         raise ArithmeticError(f"sup over q at t = {t}: {exc}") from None
     q_star, f_val = c - u, -f_u

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, manifests, exit codes."""
 import csv
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -13,7 +14,7 @@ import pytest
 import scipy
 
 from manifold_diffusion import (__version__, cli, collapse_time_glm,
-                                collapse_time_linear_rmt, f_star)
+                                collapse_time_linear_rmt, f_star, model_hash)
 from manifold_diffusion import model as model_mod
 from manifold_diffusion.diffusion import EmpiricalScore
 from manifold_diffusion.model import model_from_config, sample_dataset
@@ -263,7 +264,7 @@ def test_collapse_sweep_writes_all_methods(tmp_path):
 
     # the manifest says how each GLM row was solved
     manifest = json.loads((tmp_path / "collapse_sweep.manifest.json").read_text())
-    assert manifest["resolved_config"]["glm_solver"] == {
+    assert manifest["glm_solver"] == {
         "n_outer": 10, "n_inner": 48, "grid_points": 48, "t_tol": 1e-4}
     glm = [r for r in rows if r["method_or_activation"] == "tanh"]
     assert len(manifest["glm_rows"]) == len(glm)
@@ -625,10 +626,22 @@ _COMMANDS = _BENCHMARK_COMMANDS + [
 # the top-level keys of a command's manifest beyond those every manifest has
 _MANIFEST_EXTRAS = {
     "exp_speciation": {"score_rank", "sampler", "kernel_evaluations"},
-    "collapse_sweep": {"glm_rows"},
-    "exp_collapse": {"score_rank", "theory_ensemble", "residual",
+    "collapse": {"glm_solver"},
+    "collapse_sweep": {"glm_solver", "glm_rows"},
+    "free_energy": {"glm_solver"},
+    "exp_collapse": {"score_rank", "glm_solver", "theory_ensemble", "residual",
                      "f_star_solves", "psi_evaluations", "brent_iterations"},
     "validate": {"checks"},
+}
+# the GLM solver settings of each command that solves the GLM free energy
+_GLM_SOLVERS = {
+    "collapse": {"n_outer": 10, "n_inner": 96, "grid_points": 48, "t_tol": 1e-6},
+    "collapse_sweep": {"n_outer": 6, "n_inner": 48, "grid_points": 16,
+                       "t_tol": 1e-4},
+    "free_energy": {"n_outer": 16, "n_inner": 96, "grid_points": 64,
+                    "q_xatol": 1e-9},
+    "exp_collapse": {"n_outer": 12, "n_inner": 48, "grid_points": 64,
+                     "t_tol": 1e-4},
 }
 
 
@@ -639,9 +652,27 @@ def test_every_command_writes_one_kind_of_manifest(tmp_path, argv):
     manifest_path = tmp_path / f"{name}.manifest.json"
     manifest = json.loads(manifest_path.read_text())
     assert set(manifest) - _MANIFEST_EXTRAS.get(name, set()) == {
-        "command", "resolved_config", "outputs", "timestamp", "versions",
-        "thread_env", "timings"}
+        "command", "resolved_config", "arguments", "outputs", "timestamp",
+        "versions", "thread_env", "timings"}
     assert manifest["command"] == name
+    assert manifest.get("glm_solver") == _GLM_SOLVERS.get(name)
+    # every argument given, and each default, is recorded as it ran; the
+    # config keys are in resolved_config only
+    arguments = manifest["arguments"]
+    assert not set(arguments) & {*model_mod.CONFIG_KEYS, "config", "output_dir"}
+    flags = [a for a in argv[1:] if a.startswith("--")]
+    for flag in flags:
+        key = flag[2:].replace("-", "_")
+        value = argv[argv.index(flag) + 1:][:1]
+        if key in model_mod.CONFIG_KEYS:
+            assert key not in arguments
+        elif value and not value[0].startswith("--"):
+            assert str(arguments[key]) == value[0]
+        else:
+            assert arguments[key] is True
+    defaults = {"collapse": {"method": None}, "exp_collapse": {"t_max": 0.6},
+                "free_energy": {"nodes": 16}, "exp_rem": {"t": 0.5}}
+    assert defaults.get(name, {}).items() <= arguments.items()
     for path, digest in manifest["outputs"].items():
         assert hashlib.sha256(Path(path).read_bytes()).hexdigest() == digest
     assert set(tmp_path.iterdir()) == {manifest_path,
@@ -657,6 +688,35 @@ def test_abbreviated_flags_are_rejected(tmp_path):
             run(tmp_path / "out", *argv)
         assert exc.value.code == cli.EXIT_CONFIG
     assert not (tmp_path / "out").exists()
+
+
+def _benchmark_workloads():
+    """``perfbench/workloads.py``, loaded by path: it is no package."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("workload", ["speciation_clones", "collapse_sweep",
+                                      "memorization_crossing"])
+def test_benchmark_argv_still_parses(tmp_path, workload):
+    # the benchmark passes these flags as they are: a CLI change must keep them
+    argv = _benchmark_workloads().argv(workload, 1, tmp_path)
+    assert cli.build_parser().parse_args(argv).command == argv[0]
+
+
+def test_benchmark_models_take_alpha_and_ignore_it():
+    # the benchmark's reference model config holds alpha; the model keeps
+    # none, so F and the model hash are those of the config without it
+    workloads = _benchmark_workloads()
+    for spec in (workloads.SPECIATION, workloads.CROSSING):
+        got = workloads._model(spec, 1)
+        want = model_from_config({"d": spec["d"], "p": spec["p"],
+                                  "activation": spec["activation"], "seed": 1})
+        assert np.array_equal(got.embedding.entries, want.embedding.entries)
+        assert model_hash(got) == model_hash(want)
 
 
 def test_cli_runs_without_scipy_subpackages(tmp_path):
