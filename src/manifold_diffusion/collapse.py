@@ -270,8 +270,8 @@ def _minimize_bounded(func, x1: float, x2: float,
     return xf, fx, num
 
 
-# the tolerance in q of the sup in `f_star`, relative to max(c, 1): q_star
-# and r_star are converged to Q_XATOL max(c, 1) plus sqrt(eps) (c - q_star)
+# the tolerance in q of the sup in `f_star`, relative to max(c, 1): it
+# bounds the digits of q_star and r_star, not of f_star
 Q_XATOL = 1e-9
 
 
@@ -283,8 +283,9 @@ def f_star(t: float, params: TheoryParams, n_outer: int = 24,
     best point of a bracketing grid with Brent's bounded minimizer
     (`_minimize_bounded`: parabolic interpolation with golden-section
     fallback; xatol `Q_XATOL` max(c, 1), plus sqrt(2.2e-16) times the
-    distance c - q), and keeps a grid end if that is higher.  The value diverges to
-    -inf at q = c = rho + m^2, so the grid stops just inside the boundary.
+    distance c - q), and keeps a grid end if that is higher.  The value
+    diverges to -inf at q = c = rho + m^2, so the grid stops just inside
+    the boundary.
     ``psi_evaluations`` counts every Psi evaluation of the solve; a
     minimizer that does not converge raises ArithmeticError.
     """

@@ -656,20 +656,16 @@ def test_every_command_writes_one_kind_of_manifest(tmp_path, argv):
         "versions", "thread_env", "timings"}
     assert manifest["command"] == name
     assert manifest.get("glm_solver") == _GLM_SOLVERS.get(name)
-    # every argument given, and each default, is recorded as it ran; the
+    # every other flag given, and each default, is recorded as it ran; the
     # config keys are in resolved_config only
     arguments = manifest["arguments"]
     assert not set(arguments) & {*model_mod.CONFIG_KEYS, "config", "output_dir"}
-    flags = [a for a in argv[1:] if a.startswith("--")]
-    for flag in flags:
+    for i, flag in enumerate(argv):
         key = flag[2:].replace("-", "_")
-        value = argv[argv.index(flag) + 1:][:1]
-        if key in model_mod.CONFIG_KEYS:
-            assert key not in arguments
-        elif value and not value[0].startswith("--"):
-            assert str(arguments[key]) == value[0]
-        else:
-            assert arguments[key] is True
+        if flag.startswith("--") and key not in model_mod.CONFIG_KEYS:
+            value = argv[i + 1:i + 2]
+            given = value[0] if value and not value[0].startswith("--") else "True"
+            assert str(arguments[key]) == given
     defaults = {"collapse": {"method": None}, "exp_collapse": {"t_max": 0.6},
                 "free_energy": {"nodes": 16}, "exp_rem": {"t": 0.5}}
     assert defaults.get(name, {}).items() <= arguments.items()
