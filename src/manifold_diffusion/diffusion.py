@@ -277,9 +277,8 @@ class EmpiricalScore:
             for cols, kept, radius in blocks:
                 w = cols.stop - cols.start
                 g = self._shifted_log_weights(cs, sch, cols, out=buf[:r * w].reshape(r, w))
-                samples = self._coords[cols]
                 if kept is not None:
-                    g, samples = g.compress(kept, axis=1), samples[kept]
+                    g = g.compress(kept, axis=1)
                 m_new = np.maximum(m, g.max(axis=1, keepdims=True))
                 # by Cauchy-Schwarz each shifted log weight of the block is
                 # at least -(a/h)|x| R - (a^2/2h) R^2, R its largest sample
@@ -291,6 +290,9 @@ class EmpiricalScore:
                 mass = g.sum(axis=1, keepdims=True)
                 z = z * rescale + mass
                 if with_score:
+                    samples = self._coords[cols]
+                    if kept is not None:
+                        samples = samples[kept]
                     wsum = wsum * rescale + g @ samples
                 if draws:
                     # a tile's first block has share 1: every draw is made

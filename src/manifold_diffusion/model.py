@@ -176,9 +176,8 @@ def sample_count(alpha: float, d: int) -> int:
 
 @dataclass(frozen=True)
 class Dataset:
-    """n latent/ambient sample pairs with class labels in {+1, -1}."""
+    """n ambient samples with class labels in {+1, -1}."""
 
-    latents: np.ndarray
     labels: np.ndarray
     ambient: np.ndarray
 
@@ -191,20 +190,33 @@ class Dataset:
         return self.ambient.shape[1]
 
 
+# most rows of one block of `sample_dataset`, as the kernel's sample blocks
+_SAMPLE_ROWS = 8192
+
+
 def sample_dataset(model: ManifoldModel, n: int, seed: int) -> Dataset:
     """Draw a balanced dataset of n samples.
 
     Labels alternate (+1, -1, ...), xi_i ~ N(s_i * mu, rho I_p) and
-    x_i = phi(F xi_i / sqrt(p)).
+    x_i = phi(F xi_i / sqrt(p)).  The samples are embedded into one (n, d)
+    array in balanced blocks of at most 8192 rows, the latents of each
+    drawn in turn from the one generator, so memory is the samples plus
+    one block's temporaries and no latents are kept.  The bytes are those
+    of one (n, p) draw embedded at once: no block is a single row (a GEMV,
+    which rounds differently) unless n is 1.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = _rng(seed)
     labels = np.where(np.arange(n) % 2 == 0, 1, -1)
-    latents = (labels[:, None] * model.mu[None, :]
-               + np.sqrt(model.rho) * rng.standard_normal((n, model.p)))
-    ambient = model.embed(latents)
-    return Dataset(latents=latents, labels=labels, ambient=ambient)
+    ambient = np.empty((n, model.d))
+    rows = -(-n // -(-n // _SAMPLE_ROWS))  # ceil(n / ceil(n / 8192))
+    for lo in range(0, n, rows):
+        s = labels[lo:lo + rows]
+        latents = (s[:, None] * model.mu[None, :]
+                   + np.sqrt(model.rho) * rng.standard_normal((len(s), model.p)))
+        ambient[lo:lo + rows] = model.embed(latents)
+    return Dataset(labels=labels, ambient=ambient)
 
 
 # ---------------------------------------------------------------------------

@@ -94,10 +94,50 @@ def test_dataset_balanced_labels_and_reproducible():
 def test_dataset_latent_means_follow_labels():
     mdl = make_model(d=16, p=8, m=3.0, rho=0.01)
     ds = sample_dataset(mdl, 400, seed=0)
-    plus = ds.latents[ds.labels == 1].mean(axis=0)
-    minus = ds.latents[ds.labels == -1].mean(axis=0)
+    # linear isometric data: F^T x / sqrt(p) = (F^T F / p) xi = xi
+    latents = ds.ambient @ mdl.embedding.entries / np.sqrt(mdl.p)
+    plus = latents[ds.labels == 1].mean(axis=0)
+    minus = latents[ds.labels == -1].mean(axis=0)
     assert np.allclose(plus, mdl.mu, atol=0.05)
     assert np.allclose(minus, -mdl.mu, atol=0.05)
+
+
+@pytest.mark.parametrize("activation", ["linear", "tanh", "relu", "sigmoid"])
+@pytest.mark.parametrize("ensemble", model_mod.ENSEMBLES)
+@pytest.mark.parametrize("d,p", [(40, 20), (12, 6)])
+def test_dataset_blocks_keep_the_bytes_of_one_draw(activation, ensemble, d, p):
+    # the samples are embedded block by block; each must keep the bytes of
+    # the whole (n, p) latent draw embedded at once, across block edges
+    mdl = make_model(d=d, p=p, m=1.3, rho=0.7, activation=activation,
+                     ensemble=ensemble, seed=4)
+    sizes = [1, 2, 8192, 8193, 16385]
+    if activation == "tanh":
+        sizes.append(100_003)
+    for n in sizes:
+        labels = np.where(np.arange(n) % 2 == 0, 1, -1)
+        want = mdl.embed(labels[:, None] * mdl.mu
+                         + np.sqrt(mdl.rho) * model_mod._rng(5).standard_normal((n, p)))
+        ds = sample_dataset(mdl, n, seed=5)
+        assert np.array_equal(ds.labels, labels)
+        assert ds.ambient.tobytes() == want.tobytes(), n
+
+
+@pytest.mark.parametrize("activation", ["tanh", "linear"])
+def test_dataset_memory_is_the_samples_plus_one_block(activation):
+    import tracemalloc
+
+    n, d = 200_000, 40
+    mdl = make_model(d=d, p=20, activation=activation, seed=1)
+    tracemalloc.start()
+    try:
+        ds = sample_dataset(mdl, n, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ds.ambient.shape == (n, d)
+    # no (n, p) latents and no second (n, d) array: 61 MiB of samples plus
+    # the labels and one block's temporaries
+    assert peak <= 8 * n * d + 16 * 2**20
 
 
 def test_dataset_rejects_empty():
@@ -112,7 +152,11 @@ def test_embedding_and_dataset_draw_on_separate_streams():
     d, p, seed = 40, 20, 3
     mdl = make_model(d=d, p=p, ensemble="gaussian_iid", seed=seed)
     ds = sample_dataset(mdl, 100, seed=seed)
-    noise = ds.latents - ds.labels[:, None] * mdl.mu[None, :]
+    # linear data: the latents solve (F / sqrt(p)) xi = x, F of full rank p
+    latents = np.linalg.lstsq(mdl.embedding.entries / np.sqrt(p), ds.ambient.T,
+                              rcond=None)[0].T
+    assert np.allclose(mdl.embed(latents), ds.ambient)
+    noise = latents - ds.labels[:, None] * mdl.mu[None, :]
     assert not np.allclose(noise[:d], mdl.embedding.entries)
     # F's stream has key [seed, 1]; every other draw has high word 0
     want = np.random.Generator(np.random.Philox(key=[seed, 1]))
