@@ -12,7 +12,7 @@ import numpy as np
 
 from manifold_diffusion import (EmpiricalScore, collapse_crossing_experiment,
                                 collapse_time_linear_isometry, make_model,
-                                sample_count, sample_dataset, sign_change_time)
+                                sample_count, sample_dataset, threshold_crossing)
 
 d, p, alpha = 40, 20, 0.25
 model = make_model(d=d, p=p)
@@ -27,9 +27,12 @@ print(f"\n{'t':>6} {'(log Z1 - log Z2)/d':>21} {'stderr':>9}")
 for r in records:
     print(f"{r.t:6.3f} {r.value:21.4f} {r.stderr:9.4f}")
 
-t_emp = sign_change_time(records)
+t_emp, status = threshold_crossing(records, 0.0)
 t_theory = collapse_time_linear_isometry(alpha, model.beta)
-print(f"\nempirical sign change: t = {t_emp:.4f}")
+if t_emp is None:
+    print(f"\nno sign change on the grid ({status}): widen the grid")
+else:
+    print(f"\nempirical sign change: t = {t_emp:.4f}")
 print(f"closed-form collapse time: t_C = {t_theory:.4f}")
 print("below the crossing, a trajectory started near x_1 falls back onto "
       "x_1 itself instead of generating a fresh sample.")

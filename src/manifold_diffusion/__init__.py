@@ -19,7 +19,7 @@ from .speciation import (GammaFunctions, GepConstants, gamma0_rows,
                          speciation_time_asymptotic, speciation_time_finite)
 from .experiments import (ExperimentRecord, collapse_crossing_experiment,
                           free_energy_mc, model_hash, rem_derivative_check,
-                          sign_change_time, speciation_experiment,
-                          threshold_crossing, tilted_log_partition)
+                          speciation_experiment, threshold_crossing,
+                          tilted_log_partition)
 
 __version__ = "0.1.0"

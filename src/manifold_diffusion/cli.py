@@ -244,13 +244,9 @@ def cmd_exp_speciation(args, run: _Run) -> int:
         records = E.speciation_experiment(model, score, direction, t_grid,
                                           args.n_traj, args.n_clones, cfg["seed"])
     E.records_to_csv(records, run.output("exp_speciation.csv"))
-    summary = {
-        "t_S_empirical": _try(lambda: E.threshold_crossing(records)),
-        "t_S_theory": t_s_theory,
-        # the first grid time is already at the level: t_S_empirical is a
-        # lower bound on the crossing, not an estimate of it
-        "t_S_empirical_censored": bool(records[0].value >= E.AGREEMENT_LEVEL),
-    }
+    t_s, status = E.threshold_crossing(records, E.AGREEMENT_LEVEL)
+    summary = {"t_S_empirical": t_s, "t_S_empirical_status": status,
+               "t_S_theory": t_s_theory}
     # the exact backward sampler evaluates the kernel once at t_start and
     # once per grid time
     return run.finish(cfg, summary, score_rank=score.rank,
@@ -290,7 +286,8 @@ def cmd_exp_collapse(args, run: _Run) -> int:
     solver = {"n_outer": 12, "n_inner": 48, "grid_points": 64, "t_tol": 1e-4}
     with run.phase("theory"):
         theory = C.collapse_time(None, cfg["alpha"], model.theory_params, **solver)
-    summary = {"t_C_empirical": _try(lambda: E.sign_change_time(records)),
+    t_c, status = E.threshold_crossing(records, 0.0)
+    summary = {"t_C_empirical": t_c, "t_C_empirical_status": status,
                "t_C_theory": theory.t_c, "method": theory.method}
     return run.finish(cfg, summary, score_rank=score.rank, glm_solver=solver,
                       **_solve_record(theory))
@@ -316,13 +313,6 @@ def cmd_exp_rem(args, run: _Run) -> int:
     E.records_to_csv([rec], run.output("exp_rem.csv"))
     return run.finish(cfg, {"minus_g_prime_at_1": rec.value,
                             "stderr": rec.stderr, "expected": 0.5})
-
-
-def _try(fn):
-    try:
-        return fn()
-    except ValueError as exc:
-        return f"unavailable: {exc}"
 
 
 def cmd_validate(args, run: _Run) -> int:

@@ -194,7 +194,7 @@ class EmpiricalScore:
         return x if self._basis is None else x @ self._basis
 
     def _shifted_log_weights(self, xc: np.ndarray, sch: DiffusionSchedule,
-                             cols: slice = slice(None),
+                             cols: slice | np.ndarray = slice(None),
                              out: np.ndarray | None = None) -> np.ndarray:
         """(a/h) <x, x_i> - (a^2 / 2h) ||x_i||^2 for the samples in ``cols``.
 
@@ -222,21 +222,22 @@ class EmpiricalScore:
         return g
 
     def _blocks(self, keep: np.ndarray | None) -> list:
-        """(columns, kept mask or None when all are kept, largest sample
-        norm) of each block.
+        """(columns, column count, largest sample norm) of each block.
 
-        A block without a kept sample is left out: its running max would
-        stay -inf, and exp(-inf - (-inf)) is NaN.
+        The columns are a slice, or the indices of the block's kept samples
+        when ``keep`` drops some of it; the norm is taken over those.  A
+        block without a kept sample is left out: its running max would stay
+        -inf, and exp(-inf - (-inf)) is NaN.
         """
         n = self.samples.shape[0]
         blocks = []
         for lo in range(0, n, _BLOCK_COLS):
             cols = slice(lo, min(lo + _BLOCK_COLS, n))
-            kept = None if keep is None else keep[cols]
-            if kept is not None and not kept.any():
-                continue
-            radius = np.sqrt(self._sq_norms[cols].max())
-            blocks.append((cols, None if kept is None or kept.all() else kept, radius))
+            if keep is not None and not keep[cols].all():
+                cols = lo + np.flatnonzero(keep[cols])
+            sq = self._sq_norms[cols]
+            if sq.size:
+                blocks.append((cols, sq.size, np.sqrt(sq.max())))
         return blocks
 
     def _reduce(self, x: np.ndarray, t: float, keep: np.ndarray | None,
@@ -246,12 +247,12 @@ class EmpiricalScore:
         (B, d) batch x.
 
         Score and log-normalizer are taken over the samples selected by the
-        boolean ``keep`` (all when None).  The excluded samples are dropped
-        from a block's log weights before its max, so they can neither set
-        the shift nor be lifted to e^-700 by the floor.  With ``draws`` = k
-        > 0 (and ``keep`` None) each row also gets k sample indices drawn
-        independently from its softmax with ``rng``, one reservoir step per
-        block (`_reservoir_step`).
+        boolean ``keep`` (all when None).  The excluded samples never enter a
+        block's product (`_blocks`), so they can neither set the shift nor be
+        lifted to e^-700 by the floor.  With ``draws`` = k > 0 (and ``keep``
+        None) each row also gets k sample indices drawn independently from
+        its softmax with ``rng``, one reservoir step per block
+        (`_reservoir_step`).
         """
         if t <= 0:
             raise ValueError("empirical score requires t > 0")
@@ -274,11 +275,8 @@ class EmpiricalScore:
             m = np.full((r, 1), -np.inf)
             z = np.zeros((r, 1))
             wsum = np.zeros((r, self.rank))
-            for cols, kept, radius in blocks:
-                w = cols.stop - cols.start
+            for cols, w, radius in blocks:
                 g = self._shifted_log_weights(cs, sch, cols, out=buf[:r * w].reshape(r, w))
-                if kept is not None:
-                    g = g.compress(kept, axis=1)
                 m_new = np.maximum(m, g.max(axis=1, keepdims=True))
                 # by Cauchy-Schwarz each shifted log weight of the block is
                 # at least -(a/h)|x| R - (a^2/2h) R^2, R its largest sample
@@ -290,10 +288,7 @@ class EmpiricalScore:
                 mass = g.sum(axis=1, keepdims=True)
                 z = z * rescale + mass
                 if with_score:
-                    samples = self._coords[cols]
-                    if kept is not None:
-                        samples = samples[kept]
-                    wsum = wsum * rescale + g @ samples
+                    wsum = wsum * rescale + g @ self._coords[cols]
                 if draws:
                     # a tile's first block has share 1: every draw is made
                     _reservoir_step(g, mass / z, rng.random((r, draws)),

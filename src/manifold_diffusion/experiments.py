@@ -143,26 +143,33 @@ def speciation_experiment(model: ManifoldModel, score: EmpiricalScore, direction
 
 
 def threshold_crossing(records: list[ExperimentRecord],
-                       level: float = AGREEMENT_LEVEL) -> float:
-    """Largest t where the monitored value reaches ``level`` (interpolated).
+                       level: float) -> tuple[float | None, str]:
+    """(t, status) of the largest t where the monitored value reaches ``level``.
 
     Records are assumed ordered by decreasing t with values increasing as t
-    decreases.  Applied to ``speciation_experiment`` records this is the
-    time by which clones commit to one class with the given agreement, not
-    the speciation time t_S: the reduced commitment SDE predicts the 0.95
-    crossing below t_S (about 1.1 against 2.08 at d=64).
+    decreases.  The status is ``"interpolated"`` (t interpolated between the
+    last record below the level and the first at or above it),
+    ``"censored_above"`` (the first record is already at the level: the
+    crossing lies above the grid) or ``"censored_below"`` (no record reaches
+    it: the crossing lies below the grid); t is None when censored.
+
+    At ``AGREEMENT_LEVEL`` on ``speciation_experiment`` records this is the
+    time by which clones commit to one class with that agreement, not the
+    speciation time t_S: the reduced commitment SDE predicts the 0.95
+    crossing below t_S (about 1.1 against 2.08 at d=64).  At level 0 on
+    ``collapse_crossing_experiment`` records it is the collapse crossing.
     """
     ts = np.array([r.t for r in records])
     vs = np.array([r.value for r in records])
     above = vs >= level
     if not above.any():
-        raise ValueError("statistic never reaches the threshold; widen the grid")
+        return None, "censored_below"
     if above[0]:
-        return float(ts[0])
+        return None, "censored_above"
     k = int(np.argmax(above))  # first grid point at/above the level
     t0, t1 = ts[k - 1], ts[k]
     v0, v1 = vs[k - 1], vs[k]
-    return float(t0 + (level - v0) * (t1 - t0) / (v1 - v0))
+    return float(t0 + (level - v0) * (t1 - t0) / (v1 - v0)), "interpolated"
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +184,11 @@ def collapse_crossing_experiment(model: ManifoldModel, score: EmpiricalScore, t_
     over all other samples from ``EmpiricalScore.log_partition`` with a
     mask.  They are reduced in blocks, so memory grows with the block size,
     not with n_noise x n.
+
+    The gap is negative at large t, where the bulk dominates, and positive
+    at small t, where the planted sample does.  When its crossing,
+    ``threshold_crossing(records, 0.0)``, is censored, the last record is
+    flagged ``all_one_sign_widen_grid``.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(np.diff(t_grid) >= 0):
@@ -195,21 +207,9 @@ def collapse_crossing_experiment(model: ManifoldModel, score: EmpiricalScore, t_
         log_z1 = -np.einsum("bj,bj->b", diff, diff) / (2.0 * sch.h)
         gap = (log_z1 - score.log_partition(x, float(t), keep=others)) / model.d
         records.append(_record("logZ_gap", t, gap, model, seed))
-    if all(r.value > 0 for r in records) or all(r.value < 0 for r in records):
+    if threshold_crossing(records, 0.0)[1] != "interpolated":
         records[-1] = replace(records[-1], flags=("all_one_sign_widen_grid",))
     return records
-
-
-def sign_change_time(records: list[ExperimentRecord]) -> float:
-    """Linear interpolation of the first sign change (t decreasing)."""
-    ts = np.array([r.t for r in records])
-    vs = np.array([r.value for r in records])
-    sign_flip = np.where(np.diff(np.sign(vs)) != 0)[0]
-    if len(sign_flip) == 0:
-        raise ValueError("no sign change on the grid; widen the grid")
-    k = int(sign_flip[0])
-    t0, t1, v0, v1 = ts[k], ts[k + 1], vs[k], vs[k + 1]
-    return float(t0 - v0 * (t1 - t0) / (v1 - v0))
 
 
 # ---------------------------------------------------------------------------

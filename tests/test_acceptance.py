@@ -18,12 +18,11 @@ from manifold_diffusion.collapse import (collapse_time_glm,
                                          psi, psi_big, psi_big_linear,
                                          psi_quadrature_check)
 from manifold_diffusion.diffusion import EmpiricalScore, schedule
-from manifold_diffusion.experiments import (ExperimentRecord,
+from manifold_diffusion.experiments import (AGREEMENT_LEVEL, ExperimentRecord,
                                             _pairwise_agreement,
                                             collapse_crossing_experiment,
                                             free_energy_mc,
                                             rem_derivative_check,
-                                            sign_change_time,
                                             speciation_experiment,
                                             threshold_crossing)
 from manifold_diffusion.model import (TheoryParams, make_model, sample_count,
@@ -207,9 +206,11 @@ def test_criterion_07_simulated_speciation_band():
     direction = gamma0_rows(mdl, gf)
     records = speciation_experiment(mdl, score, direction, t_grid=t_grid,
                                     n_traj=40, n_clones=25, seed=1)
-    t_emp = threshold_crossing(records)
-    t_theory = threshold_crossing(_reduced_agreement_records(
-        float(direction @ direction), t_grid, n_traj=400, n_clones=25, seed=1))
+    t_emp, status = threshold_crossing(records, AGREEMENT_LEVEL)
+    t_theory, theory_status = threshold_crossing(_reduced_agreement_records(
+        float(direction @ direction), t_grid, n_traj=400, n_clones=25, seed=1),
+        AGREEMENT_LEVEL)
+    assert (status, theory_status) == ("interpolated", "interpolated")
     gap = abs(t_emp - t_theory)
     ok = gap < 0.5
     _verdict(7, ok,
@@ -227,7 +228,8 @@ def test_criterion_08_simulated_collapse_band():
     t_grid = np.linspace(0.6, 0.05, 12)
     records = collapse_crossing_experiment(mdl, EmpiricalScore(dataset),
                                            t_grid, n_noise=200, seed=1)
-    t_emp = sign_change_time(records)
+    t_emp, status = threshold_crossing(records, 0.0)
+    assert status == "interpolated"
     t_theory = collapse_time_linear_isometry(alpha, mdl.beta)
     gap = abs(t_emp - t_theory)
     ok = gap < 0.15

@@ -316,7 +316,8 @@ def test_exp_collapse_command(tmp_path):
                "--t-min", "0.05", "--t-max", "1.2", "--t-points", "6") == 0
     out = json.loads((tmp_path / "exp_collapse.json").read_text())
     assert out["method"] == "linear_isometry_closed_form"
-    assert isinstance(out["t_C_empirical"], (float, str))
+    assert isinstance(out["t_C_empirical"], float)
+    assert out["t_C_empirical_status"] == "interpolated"
     manifest = json.loads((tmp_path / "exp_collapse.manifest.json").read_text())
     assert set(manifest["timings"]) == {"dataset", "experiment", "theory"}
     assert all(v >= 0 for v in manifest["timings"].values())
@@ -392,13 +393,40 @@ def test_exp_speciation_command(tmp_path, monkeypatch):
     assert len(rows) == 2
     summary = json.loads((tmp_path / "exp_speciation.json").read_text())
     assert "t_S_theory" in summary
-    assert isinstance(summary["t_S_empirical_censored"], bool)
+    assert isinstance(summary["t_S_empirical"], float)
+    assert summary["t_S_empirical_status"] == "interpolated"
     manifest = json.loads((tmp_path / "exp_speciation.manifest.json").read_text())
     assert set(manifest["timings"]) == {"dataset", "experiment", "theory"}
     assert all(v >= 0 for v in manifest["timings"].values())
     # one evaluation at t_start and one per grid time
     assert manifest["kernel_evaluations"] == len(calls) == 3
     assert manifest["sampler"] == "exact_bridge"
+
+
+# grids that miss the crossing, below it (the first two) and above it
+_CENSORED = [
+    (["exp-collapse", "--d", "16", "--p", "8", "--n-data", "500", "--t-max", "2",
+      "--t-min", "1", "--t-points", "3"], "exp_collapse", "t_C", "censored_below"),
+    (["exp-speciation", "--d", "16", "--p", "8", "--n-data", "256", "--t-max", "3",
+      "--t-min", "2.5", "--t-points", "2"], "exp_speciation", "t_S", "censored_below"),
+    (["exp-collapse", "--d", "16", "--p", "8", "--n-data", "500", "--t-max", "0.03",
+      "--t-min", "0.02", "--t-points", "2"], "exp_collapse", "t_C", "censored_above"),
+    (["exp-speciation", "--d", "16", "--p", "8", "--n-data", "256", "--t-max", "0.5",
+      "--t-min", "0.2", "--t-points", "2"], "exp_speciation", "t_S", "censored_above"),
+]
+
+
+@pytest.mark.parametrize("argv,name,key,status", _CENSORED,
+                         ids=[f"{c[1]}-{c[3]}" for c in _CENSORED])
+def test_censored_crossing_is_null_with_its_status(tmp_path, argv, name, key, status):
+    assert run(tmp_path, *argv) == cli.EXIT_OK
+    summary = json.loads((tmp_path / f"{name}.json").read_text())
+    assert summary[f"{key}_empirical"] is None
+    assert summary[f"{key}_empirical_status"] == status
+    # every other field but the method name is a finite number
+    for field, value in summary.items():
+        if field not in (f"{key}_empirical", f"{key}_empirical_status", "method"):
+            assert isinstance(value, float) and math.isfinite(value), field
 
 
 @pytest.mark.parametrize("activation,rank", [("linear", 32), ("tanh", 64)])

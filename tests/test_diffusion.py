@@ -294,6 +294,28 @@ def test_log_partition_memory_grows_with_block_not_n():
     assert peak < 3 * 200 * diffusion._BLOCK_COLS * 8
 
 
+def test_masked_log_partition_costs_no_more_memory_than_unmasked():
+    # a masked block's product runs on its kept samples only, so dropping
+    # one sample makes no second (B, block) copy of the log weights
+    import tracemalloc
+
+    n, d = 200_000, 40
+    mdl = make_model(d=d, p=20, activation="tanh", seed=1)
+    score = EmpiricalScore(sample_dataset(mdl, n, seed=1))
+    x = np.random.default_rng(8).standard_normal((200, d))
+    keep = np.ones(n, dtype=bool)
+    keep[0] = False
+    peaks = []
+    for mask in (None, keep):
+        tracemalloc.start()
+        try:
+            score.log_partition(x, 0.3, keep=mask)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 4 * 2**20, [p / 2**20 for p in peaks]
+
+
 def _span_data(kind):
     if kind == "few_samples":  # n < d: any 6 points span 6 dimensions
         return np.random.default_rng(9).standard_normal((6, 16)), 6

@@ -5,12 +5,12 @@ from scipy.special import logsumexp
 
 from manifold_diffusion import diffusion
 from manifold_diffusion.diffusion import EmpiricalScore, schedule
-from manifold_diffusion.experiments import (ExperimentRecord, _bridge_draws,
+from manifold_diffusion.experiments import (AGREEMENT_LEVEL, ExperimentRecord,
+                                            _bridge_draws,
                                             collapse_crossing_experiment,
                                             free_energy_mc, model_hash,
                                             records_to_csv,
                                             rem_derivative_check,
-                                            sign_change_time,
                                             speciation_experiment,
                                             threshold_crossing,
                                             tilted_log_partition)
@@ -121,14 +121,34 @@ def test_speciation_experiment_validates_inputs():
 def test_threshold_crossing_interpolates():
     recs = [_record(2.0, 0.5), _record(1.0, 0.9), _record(0.5, 1.0)]
     # linear interpolation between (1.0, 0.9) and (0.5, 1.0) at level 0.95
-    assert threshold_crossing(recs) == pytest.approx(0.75)
-    assert threshold_crossing(recs, level=0.4) == 2.0
-    # the first grid value is already above the level: the largest t is
-    # the first grid time, never a time outside the grid
+    t, status = threshold_crossing(recs, AGREEMENT_LEVEL)
+    assert t == pytest.approx(0.75)
+    assert status == "interpolated"
+    # the first grid value is already at the level: the crossing lies above
+    # the grid, so no time is given for it
+    assert threshold_crossing(recs, 0.5) == (None, "censored_above")
+    assert threshold_crossing(recs, 0.4) == (None, "censored_above")
     dip = [_record(2.0, 0.96), _record(1.5, 0.90), _record(1.0, 0.97)]
-    assert threshold_crossing(dip) == 2.0
-    with pytest.raises(ValueError, match="never reaches"):
-        threshold_crossing(recs, level=1.01)
+    assert threshold_crossing(dip, AGREEMENT_LEVEL) == (None, "censored_above")
+    # no value reaches the level: the crossing lies below the grid
+    assert threshold_crossing(recs, 1.01) == (None, "censored_below")
+    assert threshold_crossing([], 0.0) == (None, "censored_below")
+
+
+def test_threshold_crossing_at_zero_is_the_sign_change_to_the_bit():
+    # the first sign change, t0 - v0 (t1 - t0) / (v1 - v0), is the level-0
+    # crossing t0 + (0 - v0) (t1 - t0) / (v1 - v0): 0 - v0 = -v0 exactly
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        ts = np.sort(rng.uniform(0.01, 2.0, 6))[::-1]
+        vs = np.sort(rng.normal(size=6))
+        if vs[0] >= 0 or vs[-1] < 0:
+            continue
+        recs = [_record(float(t), float(v)) for t, v in zip(ts, vs)]
+        k = int(np.flatnonzero(np.diff(np.sign(vs)))[0])
+        t0, t1, v0, v1 = ts[k], ts[k + 1], vs[k], vs[k + 1]
+        want = float(t0 - v0 * (t1 - t0) / (v1 - v0))
+        assert threshold_crossing(recs, 0.0) == (want, "interpolated")
 
 
 def test_collapse_crossing_experiment_and_sign_change():
@@ -141,8 +161,10 @@ def test_collapse_crossing_experiment_and_sign_change():
     vals = [r.value for r in recs]
     # large t: bulk dominates (negative); small t: planted dominates
     assert vals[0] < 0 < vals[-1]
-    t_cross = sign_change_time(recs)
+    t_cross, status = threshold_crossing(recs, 0.0)
+    assert status == "interpolated"
     assert 0.05 < t_cross < 1.2
+    assert recs[-1].flags == ()
 
 
 def test_collapse_crossing_values_match_explicit_differences():
@@ -222,8 +244,12 @@ def test_collapse_crossing_flags_one_sided_grids():
     recs = collapse_crossing_experiment(mdl, EmpiricalScore(ds), [2.0, 1.8],
                                         n_noise=20, seed=1)
     assert recs[-1].flags == ("all_one_sign_widen_grid",)
-    with pytest.raises(ValueError, match="no sign change"):
-        sign_change_time(recs)
+    assert threshold_crossing(recs, 0.0) == (None, "censored_below")
+    # below the crossing every gap is positive: censored above the grid
+    recs = collapse_crossing_experiment(mdl, EmpiricalScore(ds), [0.03, 0.02],
+                                        n_noise=20, seed=1)
+    assert recs[-1].flags == ("all_one_sign_widen_grid",)
+    assert threshold_crossing(recs, 0.0) == (None, "censored_above")
 
 
 def test_free_energy_mc_guards():

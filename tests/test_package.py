@@ -17,10 +17,9 @@ PUBLIC = {
     "model_to_config", "mp_h", "mp_logdet", "potential",
     "potential_curvature_at_zero", "psi", "psi_big", "psi_big_linear",
     "psi_quadrature_check", "reduced_sde_simulate", "rem_derivative_check",
-    "sample_count", "sample_dataset", "schedule", "sign_change_time",
-    "speciation_experiment", "speciation_time_asymptotic",
-    "speciation_time_finite", "stationarity_residual", "threshold_crossing",
-    "tilted_log_partition",
+    "sample_count", "sample_dataset", "schedule", "speciation_experiment",
+    "speciation_time_asymptotic", "speciation_time_finite",
+    "stationarity_residual", "threshold_crossing", "tilted_log_partition",
 }
 
 
