@@ -15,6 +15,7 @@ import os
 import sys
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -185,6 +186,11 @@ def cmd_collapse_sweep(args, run: _Run) -> int:
     names = [a.strip() for a in args.activations.split(",")]
     acts = [make_activation(a) for a in names if a and a != "linear"]
     betas = np.linspace(args.beta_min, args.beta_max, args.beta_points)
+    if not betas.size:
+        raise ValueError("--beta-points must be at least 1")
+    # one linear record per beta, so each beta is checked before the table
+    # is opened
+    linear = [TheoryParams(cfg["m"], cfg["rho"], float(beta), lin) for beta in betas]
     # the GLM rows' solver settings; t_tol is relative to t_C
     solver = {"n_outer": args.nodes, "n_inner": 48,
               "grid_points": args.grid_points, "t_tol": 1e-4}
@@ -193,20 +199,18 @@ def cmd_collapse_sweep(args, run: _Run) -> int:
           open(run.output("collapse_sweep.csv"), "w", newline="") as fh):
         writer = csv.writer(fh)
         writer.writerow(["beta", "t_C [backward time]", "method_or_activation"])
-        for beta in betas:
+        for beta, params in zip(betas, linear):
             for method in (C.CLOSED_FORM, C.RMT):
-                res = C.collapse_time(method, cfg["alpha"],
-                                      TheoryParams(cfg["m"], cfg["rho"], beta, lin))
+                res = C.collapse_time(method, cfg["alpha"], params)
                 writer.writerow([beta, res.t_c, method])
             for act in acts:
                 start = time.perf_counter()
                 res = C.collapse_time(C.GLM, cfg["alpha"],
-                                      TheoryParams(cfg["m"], cfg["rho"], float(beta), act),
-                                      **solver)
+                                      replace(params, activation=act), **solver)
                 solve_s = time.perf_counter() - start
                 writer.writerow([beta, res.t_c, act.kind])
                 glm_rows.append({
-                    "beta": float(beta), "activation": act.kind,
+                    "beta": params.beta, "activation": act.kind,
                     "t_C": res.t_c, **_solve_record(res), "solve_s": solve_s})
     return run.finish({**cfg, "betas": betas.tolist()}, glm_solver=solver,
                       glm_rows=glm_rows)
@@ -216,6 +220,8 @@ def cmd_free_energy(args, run: _Run) -> int:
     cfg = _config(args)
     params = TheoryParams.from_config(cfg)
     ts = np.linspace(args.t_min, args.t_max, args.t_points)
+    if not (ts.size and ts.min() > 0):
+        raise ValueError("free-energy needs a non-empty time grid with t > 0")
     solver = {"n_outer": args.nodes, "n_inner": 96, "grid_points": 64}
     with open(run.output("free_energy.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -249,8 +255,8 @@ def cmd_exp_speciation(args, run: _Run) -> int:
                "t_S_theory": t_s_theory}
     # the exact backward sampler evaluates the kernel once at t_start and
     # once per grid time
-    return run.finish(cfg, summary, score_rank=score.rank,
-                      sampler="exact_bridge", kernel_evaluations=len(t_grid) + 1)
+    return run.finish(cfg, summary, sampler="exact_bridge",
+                      kernel_evaluations=len(t_grid) + 1)
 
 
 def _crossing_sample(d: int, alpha, n_data: int | None) -> tuple[int, float]:
@@ -289,8 +295,7 @@ def cmd_exp_collapse(args, run: _Run) -> int:
     t_c, status = E.threshold_crossing(records, 0.0)
     summary = {"t_C_empirical": t_c, "t_C_empirical_status": status,
                "t_C_theory": theory.t_c, "method": theory.method}
-    return run.finish(cfg, summary, score_rank=score.rank, glm_solver=solver,
-                      **_solve_record(theory))
+    return run.finish(cfg, summary, glm_solver=solver, **_solve_record(theory))
 
 
 def cmd_exp_free_energy(args, run: _Run) -> int:

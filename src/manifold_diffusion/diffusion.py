@@ -7,14 +7,11 @@ with a_t = e^{-t}, h_t = 1 - e^{-2t}.  The generative (backward) process is
 
 The empirical score s is the gradient of the log of a Gaussian kernel sum
 over the training samples, computed with max-subtracted exponentials so it
-is stable for any inputs.  It reads the samples only through <x, x_i> and
-sum_i w_i x_i, so when the samples span r < d dimensions (linear-manifold
-data: r = p) its kernel runs on r coordinates.  Driven by that score, the
-backward transition from t to s < t is exactly the mixture
-sum_i w_i(x_t) N(c0 x_i + c1 x_t, v I) of the forward bridges (``bridge``)
-weighted by the kernel's softmax, so it is sampled by drawing an index
-(``EmpiricalScore.draw_indices``) and then a Gaussian, with no time
-stepping.
+is stable for any inputs.  Driven by that score, the backward transition
+from t to s < t is exactly the mixture sum_i w_i(x_t) N(c0 x_i + c1 x_t, v I)
+of the forward bridges (``bridge``) weighted by the kernel's softmax, so it
+is sampled by drawing an index (``EmpiricalScore.draw_indices``) and then a
+Gaussian, with no time stepping.
 """
 from __future__ import annotations
 
@@ -34,14 +31,6 @@ _BLOCK_COLS = 8192
 # term, which is exactly 1, so a sum over n <= 10^7 terms moves by at most
 # 1e-297 relative.
 _EXP_FLOOR = -700.0
-# Gram eigenvalues at most this fraction of the largest count as zero.  At
-# n 4096, d 64 and 256, both ensembles: linear data's null eigenvalues are
-# roundoff (<= 1.3e-16 of the largest) and its others >= 6e-4; tanh, relu
-# and sigmoid data are full rank, down to 2e-6 (sigmoid).
-_RANK_RTOL = 1e-12
-# the span is used only if no sample lies off it by more than this fraction
-# of the largest sample norm (the same linear data: <= 1.1e-14)
-_SPAN_RTOL = 1e-13
 
 
 def _shifted_exp(a: np.ndarray, m: np.ndarray, floor: bool = True) -> np.ndarray:
@@ -54,26 +43,6 @@ def _shifted_exp(a: np.ndarray, m: np.ndarray, floor: bool = True) -> np.ndarray
     if floor:
         np.maximum(a, _EXP_FLOOR, out=a)
     return np.exp(a, out=a)
-
-
-def _sample_span(X: np.ndarray, sq_norms: np.ndarray) -> np.ndarray | None:
-    """Orthonormal (d, r) basis of the span of the rows of X, or None.
-
-    The rank r is read off the d x d Gram matrix X^T X, so no (n, d) copy
-    of X is made.  None when r = d, or when some sample lies off the span
-    by more than ``_SPAN_RTOL`` of the largest sample norm.  A sample's
-    distance to the span is the norm of its part along the dropped
-    eigenvectors, taken over blocks of samples.
-    """
-    lam, vecs = np.linalg.eigh(X.T @ X)
-    null = lam <= _RANK_RTOL * lam[-1]
-    if not null.any():
-        return None
-    off = vecs[:, null]
-    worst = max(np.einsum("ij,ij->i", p, p).max()
-                for p in (X[lo:lo + _BLOCK_COLS] @ off
-                          for lo in range(0, X.shape[0], _BLOCK_COLS)))
-    return vecs[:, ~null] if worst <= _SPAN_RTOL ** 2 * sq_norms.max() else None
 
 
 @dataclass(frozen=True)
@@ -139,19 +108,10 @@ class EmpiricalScore:
     """Score of the Gaussian-kernel density over a fixed dataset.
 
     The score is a softmax over the n samples of the log kernel weights
-    -||x - a_t x_i||^2 / (2 h_t), evaluated in O(n r) per point with the
-    sample norms cached, r = ``rank``.  The log weights need only
-    <x, x_i> = <V^T x, c_i> and ||x_i||^2, with V an orthonormal basis of
-    the samples' span and c_i = V^T x_i, and the weighted mean is
-    (sum_i w_i c_i) V^T.  So when the samples span r < d dimensions, as on a
-    linear manifold, the kernel runs on their r coordinates; the rank comes
-    from the d x d Gram matrix (eigenvalues below 1e-12 of the largest are
-    dropped), and the span is used only once a blocked pass has shown every
-    sample within 1e-13 of the largest sample norm of it.  Otherwise r = d
-    and the kernel runs on the samples themselves, with the arithmetic of an
-    ambient kernel.  The score, ``log_partition`` and ``draw_indices`` (the
-    softmax's sample indices, for the exact backward transition) share one
-    loop: it walks the batch in balanced tiles of at most 256 rows and,
+    -||x - a_t x_i||^2 / (2 h_t), evaluated in O(n d) per point with the
+    sample norms cached.  The score, ``log_partition`` and ``draw_indices``
+    (the softmax's sample indices, for the exact backward transition) share
+    one loop: it walks the batch in balanced tiles of at most 256 rows and,
     within a tile, the samples in blocks of at most 8192 columns through one
     (rows, block) buffer, so memory does not grow with n.  A block's log
     weights are held without the row term ||x||^2 / (2 h_t), which cancels
@@ -160,12 +120,12 @@ class EmpiricalScore:
     sum when the max grows, and takes the exponentials in place with the
     exponent floored at -700 (see ``_EXP_FLOOR``) wherever a bound on the
     block's log weights lets one fall below it.  The weighted mean is
-    normalised on the (rows, r) result and the row term is restored in the
+    normalised on the (rows, d) result and the row term is restored in the
     log-normalizer only.  Index draws stream the same way, a draw being
     replaced by one from the block with the probability of the block's
     share of the mass seen so far.  With n <= 8192 there is one block and
-    the arithmetic is that of a single softmax over all samples.  The tiles are
-    balanced, so none is a single row (a GEMV, which rounds differently),
+    the arithmetic is that of a single softmax over all samples.  The tiles
+    are balanced, so none is a single row (a GEMV, which rounds differently),
     and each row gets the arithmetic of an untiled call wherever the BLAS
     rounds a row of a product the same at any row count (OpenBLAS does
     outside its small-matrix kernels, i.e. once a tile's rows x n x d
@@ -179,31 +139,17 @@ class EmpiricalScore:
             raise ValueError("dataset must be a non-empty (n, d) array")
         self.samples = X
         self._sq_norms = np.einsum("ij,ij->i", X, X)
-        self._basis = _sample_span(X, self._sq_norms)
-        # the kernel's samples: their coordinates in the basis, or X itself
-        self._coords = X if self._basis is None else X @ self._basis
 
-    @property
-    def rank(self) -> int:
-        """Number of coordinates the kernel runs on: the samples' rank if
-        they lie in a proper subspace of R^d, else d."""
-        return self._coords.shape[1]
-
-    def _coordinates(self, x: np.ndarray) -> np.ndarray:
-        """The (B, d) batch in the kernel's coordinates, V^T x."""
-        return x if self._basis is None else x @ self._basis
-
-    def _shifted_log_weights(self, xc: np.ndarray, sch: DiffusionSchedule,
+    def _shifted_log_weights(self, x: np.ndarray, sch: DiffusionSchedule,
                              cols: slice | np.ndarray = slice(None),
                              out: np.ndarray | None = None) -> np.ndarray:
         """(a/h) <x, x_i> - (a^2 / 2h) ||x_i||^2 for the samples in ``cols``.
 
-        This is the log kernel weight plus ||x||^2 / (2 h).  ``xc`` is the
-        batch in the kernel's coordinates (`_coordinates`).  The (B, r)
+        This is the log kernel weight plus ||x||^2 / (2 h).  The (B, d)
         operand is scaled rather than the (B, n) product.  ``out`` is an
         optional (B, columns) buffer to write into.
         """
-        g = np.matmul(xc * (sch.a / sch.h), self._coords[cols].T, out=out)
+        g = np.matmul(x * (sch.a / sch.h), self.samples[cols].T, out=out)
         g -= (sch.a * sch.a / (2.0 * sch.h)) * self._sq_norms[cols]
         return g
 
@@ -217,7 +163,7 @@ class EmpiricalScore:
             raise ValueError("empirical score requires t > 0")
         sch = schedule(t)
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        g = self._shifted_log_weights(self._coordinates(x), sch)
+        g = self._shifted_log_weights(x, sch)
         g -= (np.einsum("bj,bj->b", x, x) / (2.0 * sch.h))[:, None]
         return g
 
@@ -260,7 +206,6 @@ class EmpiricalScore:
         b = x.shape[0]
         if b == 0:
             raise ValueError("empty batch")
-        xc = self._coordinates(x)
         blocks = self._blocks(keep)
         rows = -(-b // -(-b // _TILE_ROWS))  # ceil(b / ceil(b / 256))
         buf = np.empty(rows * min(self.samples.shape[0], _BLOCK_COLS))
@@ -268,37 +213,33 @@ class EmpiricalScore:
         logz = np.empty(b)
         picks = np.empty((b, draws), dtype=np.intp) if draws else None
         for lo in range(0, b, rows):
-            xs, cs = x[lo:lo + rows], xc[lo:lo + rows]
+            xs = x[lo:lo + rows]
             r = len(xs)
             sq = np.einsum("bj,bj->b", xs, xs)
             xnorm = np.sqrt(sq)[:, None]
             m = np.full((r, 1), -np.inf)
             z = np.zeros((r, 1))
-            wsum = np.zeros((r, self.rank))
+            wsum = np.zeros((r, x.shape[1]))
             for cols, w, radius in blocks:
-                g = self._shifted_log_weights(cs, sch, cols, out=buf[:r * w].reshape(r, w))
+                g = self._shifted_log_weights(xs, sch, cols, out=buf[:r * w].reshape(r, w))
                 m_new = np.maximum(m, g.max(axis=1, keepdims=True))
                 # by Cauchy-Schwarz each shifted log weight of the block is
                 # at least -(a/h)|x| R - (a^2/2h) R^2, R its largest sample
-                # norm (|V^T x| <= |x|); within 700 of the row max the floor
-                # is a no-op
+                # norm; within 700 of the row max the floor is a no-op
                 low = -radius * (sch.a / sch.h * xnorm + sch.a * sch.a / (2.0 * sch.h) * radius)
                 _shifted_exp(g, m_new, floor=bool(np.any(low - m_new < _EXP_FLOOR)))
                 rescale = np.exp(m - m_new)  # 0 on a tile's first block
                 mass = g.sum(axis=1, keepdims=True)
                 z = z * rescale + mass
                 if with_score:
-                    wsum = wsum * rescale + g @ self._coords[cols]
+                    wsum = wsum * rescale + g @ self.samples[cols]
                 if draws:
                     # a tile's first block has share 1: every draw is made
                     _reservoir_step(g, mass / z, rng.random((r, draws)),
                                     cols.start, picks[lo:lo + r])
                 m = m_new
             if with_score:
-                mean = wsum / z
-                if self._basis is not None:
-                    mean = mean @ self._basis.T
-                score[lo:lo + r] = (sch.a * mean - xs) / sch.h
+                score[lo:lo + r] = (sch.a * (wsum / z) - xs) / sch.h
             logz[lo:lo + r] = (m + np.log(z)).ravel() - sq / (2.0 * sch.h)
         return score, logz, picks
 

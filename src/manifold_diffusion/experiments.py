@@ -193,6 +193,8 @@ def collapse_crossing_experiment(model: ManifoldModel, score: EmpiricalScore, t_
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(np.diff(t_grid) >= 0):
         raise ValueError("t_grid must be strictly decreasing")
+    if not (len(t_grid) and t_grid[-1] > 0):
+        raise ValueError("need a non-empty t_grid with t > 0")
     n = len(score.samples)
     if n < 2:
         raise ValueError("collapse crossing needs at least two samples")

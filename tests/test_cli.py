@@ -324,7 +324,6 @@ def test_exp_collapse_command(tmp_path):
     # the linear closed form solves no f_star and runs no root-finder
     assert (manifest["f_star_solves"], manifest["psi_evaluations"],
             manifest["brent_iterations"], manifest["residual"]) == (0, 0, 0, 0.0)
-    assert manifest["score_rank"] == 10  # linear data spans p dimensions
 
 
 def test_exp_collapse_manifest_records_theory_work(tmp_path):
@@ -338,7 +337,6 @@ def test_exp_collapse_manifest_records_theory_work(tmp_path):
     assert manifest["brent_iterations"] > 0
     assert manifest["residual"] < 1e-3
     assert manifest["timings"]["theory"] > 0
-    assert manifest["score_rank"] == 20
 
 
 def test_exp_collapse_derives_n_data_from_alpha(tmp_path, monkeypatch):
@@ -427,17 +425,6 @@ def test_censored_crossing_is_null_with_its_status(tmp_path, argv, name, key, st
     for field, value in summary.items():
         if field not in (f"{key}_empirical", f"{key}_empirical_status", "method"):
             assert isinstance(value, float) and math.isfinite(value), field
-
-
-@pytest.mark.parametrize("activation,rank", [("linear", 32), ("tanh", 64)])
-def test_exp_speciation_manifest_records_score_rank(tmp_path, activation, rank):
-    # the kernel runs on the p coordinates of linear data, on all d otherwise
-    assert run(tmp_path, "exp-speciation", "--d", "64", "--p", "32",
-               "--activation", activation, "--n-data", "128", "--n-traj", "2",
-               "--n-clones", "2", "--t-min", "0.5", "--t-max", "1.0",
-               "--t-points", "2") == 0
-    manifest = json.loads((tmp_path / "exp_speciation.manifest.json").read_text())
-    assert manifest["score_rank"] == rank
 
 
 def test_manifest_records_output_hashes(tmp_path):
@@ -626,6 +613,33 @@ def test_no_signal_is_rejected_before_any_output(tmp_path, monkeypatch,
     assert not out.exists()
 
 
+# grids a command rejects before it writes anything: betas outside (0, 1],
+# times t <= 0, and empty grids
+_BAD_GRIDS = {
+    "sweep-beta-min-0": ["collapse-sweep", "--beta-min", "0"],
+    "sweep-beta-max-1.5": ["collapse-sweep", "--beta-max", "1.5"],
+    "sweep-beta-points-0": ["collapse-sweep", "--beta-points", "0"],
+    "free-energy-t-min-0": ["free-energy", "--d", "16", "--p", "8", "--t-min", "0"],
+    "free-energy-tanh-t-min-neg": ["free-energy", "--d", "16", "--p", "8",
+                                   "--activation", "tanh", "--t-min", "-1"],
+    "free-energy-t-points-0": ["free-energy", "--d", "16", "--p", "8",
+                               "--t-points", "0"],
+    "exp-collapse-t-points-0": ["exp-collapse", "--d", "10", "--p", "5",
+                                "--alpha", "0.3", "--t-points", "0"],
+    "exp-collapse-t-min-0": ["exp-collapse", "--d", "10", "--p", "5",
+                             "--alpha", "0.3", "--t-min", "0"],
+}
+
+
+@pytest.mark.parametrize("argv", _BAD_GRIDS.values(), ids=_BAD_GRIDS.keys())
+def test_bad_grids_exit_2_before_any_output(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert cli.main([*argv, "--output-dir", str(out)]) == cli.EXIT_CONFIG
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "config"
+    assert not out.exists()
+
+
 # each benchmark workload's command, at a small size
 _BENCHMARK_COMMANDS = [
     ["exp-speciation", "--d", "16", "--p", "8", "--n-data", "256",
@@ -653,11 +667,11 @@ _COMMANDS = _BENCHMARK_COMMANDS + [
 
 # the top-level keys of a command's manifest beyond those every manifest has
 _MANIFEST_EXTRAS = {
-    "exp_speciation": {"score_rank", "sampler", "kernel_evaluations"},
+    "exp_speciation": {"sampler", "kernel_evaluations"},
     "collapse": {"glm_solver"},
     "collapse_sweep": {"glm_solver", "glm_rows"},
     "free_energy": {"glm_solver"},
-    "exp_collapse": {"score_rank", "glm_solver", "theory_ensemble", "residual",
+    "exp_collapse": {"glm_solver", "theory_ensemble", "residual",
                      "f_star_solves", "psi_evaluations", "brent_iterations"},
     "validate": {"checks"},
 }

@@ -318,19 +318,19 @@ def test_masked_log_partition_costs_no_more_memory_than_unmasked():
 
 def _span_data(kind):
     if kind == "few_samples":  # n < d: any 6 points span 6 dimensions
-        return np.random.default_rng(9).standard_normal((6, 16)), 6
+        return np.random.default_rng(9).standard_normal((6, 16))
     model = make_model(16, 8, ensemble=kind, seed=2)
-    return sample_dataset(model, 300, seed=3).ambient, 8
+    return sample_dataset(model, 300, seed=3).ambient
 
 
 @pytest.mark.parametrize("kind", ["deterministic_isometry", "gaussian_iid", "few_samples"])
 def test_score_on_the_samples_span_matches_explicit_differences(kind, monkeypatch):
-    # the kernel runs on the samples' r coordinates; query points carry a
+    # the samples span fewer than d dimensions; query points carry a
     # component off the span, which only the row term ||x||^2 / 2h sees
     monkeypatch.setattr(diffusion, "_BLOCK_COLS", 64)
-    samples, rank = _span_data(kind)
+    samples = _span_data(kind)
     score = EmpiricalScore(samples)
-    assert score.rank == rank and score.samples is samples
+    assert score.samples is samples
     rng = np.random.default_rng(4)
     keep = rng.random(len(samples)) < 0.5
     keep[0] = True
@@ -353,22 +353,36 @@ def test_score_on_the_samples_span_matches_explicit_differences(kind, monkeypatc
 
 @pytest.mark.parametrize("data", ["tanh", "linear_noise_1e-3", "linear_noise_1e-6"])
 def test_full_rank_data_keeps_the_ambient_kernel(data):
-    # tanh data spans R^d; so does linear data plus isotropic noise.  At
-    # 1e-3 the noise's Gram eigenvalues pass the rank cut; at 1e-6 they
-    # fall below it (about 5e-14 of the largest), and the check of each
-    # sample's residual off the span rejects it
+    # tanh data spans R^d; so does linear data plus isotropic noise, at
+    # either scale
     model = make_model(32, 16, activation=data.split("_")[0], seed=1)
     samples = sample_dataset(model, 1024, seed=1).ambient
     if data != "tanh":
         noise = float(data.rsplit("_", 1)[1])
         samples = samples + noise * np.random.default_rng(2).standard_normal(samples.shape)
     score = EmpiricalScore(samples)
-    assert score.rank == 32
     x = np.random.default_rng(3).standard_normal((300, 32))
     for t in (0.011, 0.3, 3.0):
         s, logz = score(x, t)
         s_ref, logz_ref = _untiled_score(samples, x, t)
         assert np.array_equal(s, s_ref) and np.array_equal(logz, logz_ref)
+
+
+def test_kernel_holds_no_copy_of_the_samples():
+    # linear data spans p of d dimensions; the kernel reads the samples in
+    # place and holds only their n squared norms
+    import tracemalloc
+
+    n = 200_000
+    ds = sample_dataset(make_model(d=40, p=20, activation="linear", seed=1), n, seed=1)
+    tracemalloc.start()
+    try:
+        score = EmpiricalScore(ds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert score.samples is ds.ambient
+    assert peak <= 2 * 8 * n, peak / 2**20
 
 
 def test_score_rejects_empty_batch():

@@ -189,6 +189,14 @@ def test_collapse_crossing_values_match_explicit_differences():
                                      n_noise=4, seed=7)
 
 
+@pytest.mark.parametrize("t_grid", [[], [0.5, 0.0], [0.5, -0.1]])
+def test_collapse_crossing_rejects_empty_or_nonpositive_grid(t_grid):
+    mdl = make_model(d=8, p=4)
+    score = EmpiricalScore(sample_dataset(mdl, 16, 0))
+    with pytest.raises(ValueError, match="t > 0"):
+        collapse_crossing_experiment(mdl, score, t_grid, n_noise=4, seed=0)
+
+
 def test_collapse_crossing_gap_where_planted_term_dominates(monkeypatch):
     # at t = 0.02 and d = 128 the planted weight exceeds every other one by
     # more than the exp floor: were it in the bulk's max shift, the floor
