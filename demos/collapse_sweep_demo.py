@@ -12,6 +12,7 @@ import numpy as np
 from manifold_diffusion import (TheoryParams, collapse_time_glm,
                                 collapse_time_linear_isometry,
                                 collapse_time_linear_rmt, make_activation)
+from manifold_diffusion.collapse import SWEEP_SOLVER
 
 alpha = 0.5
 betas = np.linspace(0.1, 0.9, 5)
@@ -26,8 +27,8 @@ for beta in betas:
     row = [f"{beta:6.2f}", f"{iso:10.5f}", f"{rmt:11.5f}"]
     for act in acts.values():
         params = TheoryParams(1.0, 1.0, float(beta), act)
-        t_c = collapse_time_glm(params, alpha, n_outer=10, n_inner=48,
-                                grid_points=48, t_tol=1e-4).t_c
+        # the quadrature and tolerance of `manifold-diffusion collapse-sweep`
+        t_c = collapse_time_glm(params, alpha, **SWEEP_SOLVER).t_c
         row.append(f"{t_c:10.5f}")
     print(" ".join(row))
 

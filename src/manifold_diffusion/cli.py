@@ -134,6 +134,14 @@ def _solve_record(result: C.CollapseResult) -> dict:
             "brent_iterations": result.brent_iterations}
 
 
+def _glm_solver(solver: dict, params: TheoryParams, method: str = C.GLM) -> dict:
+    """The manifest entry of the GLM settings a solve read: none off the GLM
+    route, and no quadrature sizes where Psi is the linear closed form."""
+    skip = ("n_outer", "n_inner") if params.activation.kind == "linear" else ()
+    read = {k: v for k, v in solver.items() if k not in skip}
+    return {"glm_solver": read} if method == C.GLM else {}
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -170,14 +178,12 @@ def cmd_speciation(args, run: _Run) -> int:
 
 def cmd_collapse(args, run: _Run) -> int:
     cfg = _config(args, alpha=1.0)
-    # the GLM route's solver settings; the linear routes take none
-    solver = {"n_outer": args.nodes, "n_inner": 96,
-              "grid_points": args.grid_points, "t_tol": 1e-6}
+    params, solver = TheoryParams.from_config(cfg), C.THEORY_SOLVER
     with run.phase("theory"):
-        result = C.collapse_time(args.method, cfg["alpha"],
-                                 TheoryParams.from_config(cfg), **solver)
+        result = C.collapse_time(args.method, cfg["alpha"], params, **solver)
     return run.finish(cfg, {"t_C": result.t_c, "method": result.method,
-                            **_solve_record(result)}, glm_solver=solver)
+                            **_solve_record(result)},
+                      **_glm_solver(solver, params, result.method))
 
 
 def cmd_collapse_sweep(args, run: _Run) -> int:
@@ -188,13 +194,9 @@ def cmd_collapse_sweep(args, run: _Run) -> int:
     betas = np.linspace(args.beta_min, args.beta_max, args.beta_points)
     if not betas.size:
         raise ValueError("--beta-points must be at least 1")
-    # one linear record per beta, so each beta is checked before the table
-    # is opened
+    # one linear record per beta, so each beta is checked before the table opens
     linear = [TheoryParams(cfg["m"], cfg["rho"], float(beta), lin) for beta in betas]
-    # the GLM rows' solver settings; t_tol is relative to t_C
-    solver = {"n_outer": args.nodes, "n_inner": 48,
-              "grid_points": args.grid_points, "t_tol": 1e-4}
-    glm_rows = []
+    solver, glm_rows = C.SWEEP_SOLVER, []
     with (run.phase("theory"),
           open(run.output("collapse_sweep.csv"), "w", newline="") as fh):
         writer = csv.writer(fh)
@@ -212,8 +214,8 @@ def cmd_collapse_sweep(args, run: _Run) -> int:
                 glm_rows.append({
                     "beta": params.beta, "activation": act.kind,
                     "t_C": res.t_c, **_solve_record(res), "solve_s": solve_s})
-    return run.finish({**cfg, "betas": betas.tolist()}, glm_solver=solver,
-                      glm_rows=glm_rows)
+    return run.finish({**cfg, "betas": betas.tolist()}, glm_rows=glm_rows,
+                      **({"glm_solver": solver} if glm_rows else {}))
 
 
 def cmd_free_energy(args, run: _Run) -> int:
@@ -222,7 +224,8 @@ def cmd_free_energy(args, run: _Run) -> int:
     ts = np.linspace(args.t_min, args.t_max, args.t_points)
     if not (ts.size and ts.min() > 0):
         raise ValueError("free-energy needs a non-empty time grid with t > 0")
-    solver = {"n_outer": args.nodes, "n_inner": 96, "grid_points": 64}
+    # the sup over q reads no t_tol
+    solver = {k: v for k, v in C.THEORY_SOLVER.items() if k != "t_tol"}
     with open(run.output("free_energy.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t [backward time]", "q_star", "r_star",
@@ -232,14 +235,15 @@ def cmd_free_energy(args, run: _Run) -> int:
                 res = C.f_star(float(t), params, **solver)
                 writer.writerow([t, res.q_star, res.r_star, res.f_star])
     # q_star and r_star are converged only to the sup's tolerance in q
-    return run.finish(cfg, glm_solver={**solver, "q_xatol": C.Q_XATOL})
+    return run.finish(cfg, **_glm_solver({**solver, "q_xatol": C.Q_XATOL}, params))
 
 
 def cmd_exp_speciation(args, run: _Run) -> int:
     cfg = _config(args)
     model = model_from_config(cfg)
     t_grid = np.linspace(args.t_max, args.t_min, args.t_points)
-    # before the data, so that a run without a speciation signal does no work
+    # before the data, so that a run that cannot finish does no work
+    E.check_speciation(t_grid, args.n_clones)
     with run.phase("theory"):
         direction = S.gamma0_rows(model, S.GammaFunctions(model.activation, model.rho))
         t_s_theory = S.speciation_time_finite(float(direction @ direction))
@@ -253,8 +257,7 @@ def cmd_exp_speciation(args, run: _Run) -> int:
     t_s, status = E.threshold_crossing(records, E.AGREEMENT_LEVEL)
     summary = {"t_S_empirical": t_s, "t_S_empirical_status": status,
                "t_S_theory": t_s_theory}
-    # the exact backward sampler evaluates the kernel once at t_start and
-    # once per grid time
+    # the exact backward sampler runs the kernel at t_start and each grid time
     return run.finish(cfg, summary, sampler="exact_bridge",
                       kernel_evaluations=len(t_grid) + 1)
 
@@ -282,6 +285,7 @@ def cmd_exp_collapse(args, run: _Run) -> int:
     model = model_from_config(cfg)
     cfg["n_data"], cfg["alpha"] = _crossing_sample(cfg["d"], cfg.get("alpha"), args.n_data)
     t_grid = np.linspace(args.t_max, args.t_min, args.t_points)
+    E.check_crossing(t_grid, cfg["n_data"])
     with run.phase("dataset"):
         dataset = sample_dataset(model, cfg["n_data"], cfg["seed"])
     with run.phase("experiment"):
@@ -289,13 +293,14 @@ def cmd_exp_collapse(args, run: _Run) -> int:
         records = E.collapse_crossing_experiment(model, score, t_grid,
                                                  args.n_noise, cfg["seed"] + 1)
     E.records_to_csv(records, run.output("exp_collapse.csv"))
-    solver = {"n_outer": 12, "n_inner": 48, "grid_points": 64, "t_tol": 1e-4}
+    solver, params = C.CROSSING_SOLVER, model.theory_params
     with run.phase("theory"):
-        theory = C.collapse_time(None, cfg["alpha"], model.theory_params, **solver)
+        theory = C.collapse_time(None, cfg["alpha"], params, **solver)
     t_c, status = E.threshold_crossing(records, 0.0)
     summary = {"t_C_empirical": t_c, "t_C_empirical_status": status,
                "t_C_theory": theory.t_c, "method": theory.method}
-    return run.finish(cfg, summary, glm_solver=solver, **_solve_record(theory))
+    return run.finish(cfg, summary, **_solve_record(theory),
+                      **_glm_solver(solver, params, theory.method))
 
 
 def cmd_exp_free_energy(args, run: _Run) -> int:
@@ -347,8 +352,7 @@ def cmd_validate(args, run: _Run) -> int:
                      for q, t in [(0.5, 0.5), (1.5, 1.0)]]), 1e-6),
         ]
     for name, gap, tol in checks:
-        verdict = "PASS" if gap < tol else "FAIL"
-        print(f"{verdict}  {name}  gap {gap:.2e} (tol {tol:.0e})")
+        print(f"{'PASS' if gap < tol else 'FAIL'}  {name}  gap {gap:.2e} (tol {tol:.0e})")
     passed = all(gap < tol for _, gap, tol in checks)
     run.finish({}, checks=[{"name": name, "gap": float(gap), "tol": tol,
                             "pass": bool(gap < tol)}
@@ -385,8 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("collapse", cmd_collapse, "theory collapse time", _COLLAPSE_KEYS)
     p.add_argument("--method", choices=C.ROUTES)
-    p.add_argument("--nodes", type=int, default=16)
-    p.add_argument("--grid-points", type=int, default=64)
 
     p = command("collapse-sweep", cmd_collapse_sweep, "t_C(beta) tables",
                 _SWEEP_KEYS)
@@ -394,14 +396,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta-max", type=float, default=1.0)
     p.add_argument("--beta-points", type=int, default=10)
     p.add_argument("--activations", default="relu,tanh,sigmoid")
-    p.add_argument("--nodes", type=int, default=10)
-    p.add_argument("--grid-points", type=int, default=48)
 
     p = command("free-energy", cmd_free_energy, "f_star(t) table", _FREE_ENERGY_KEYS)
     p.add_argument("--t-min", type=float, default=0.05)
     p.add_argument("--t-max", type=float, default=2.0)
     p.add_argument("--t-points", type=int, default=20)
-    p.add_argument("--nodes", type=int, default=16)
 
     p = command("exp-speciation", cmd_exp_speciation,
                 "clone-agreement experiment", _MODEL_KEYS)

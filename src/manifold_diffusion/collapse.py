@@ -47,10 +47,6 @@ def psi(r: float, m: float, rho: float) -> float:
     return 0.5 * r * (m * m + rho) - 0.5 * np.log1p(r * rho)
 
 
-def _psi_prime(r: float, m: float, rho: float) -> float:
-    return 0.5 * (m * m + rho) - 0.5 * rho / (1.0 + r * rho)
-
-
 def psi_quadrature_check(r: float, m: float, rho: float) -> float:
     """psi from its integral definition (independent route).
 
@@ -273,6 +269,11 @@ def _minimize_bounded(func, x1: float, x2: float,
 # the tolerance in q of the sup in `f_star`, relative to max(c, 1): it
 # bounds the digits of q_star and r_star, not of f_star
 Q_XATOL = 1e-9
+# the CLI's GLM settings: `collapse` and `free-energy`; `collapse-sweep` and its
+# demo; `exp-collapse` (the sweep's errs 1e-3 on its row, `collapse`'s is 5x slower)
+THEORY_SOLVER = {"n_outer": 16, "n_inner": 96, "grid_points": 64, "t_tol": 1e-6}
+SWEEP_SOLVER = {"n_outer": 10, "n_inner": 48, "grid_points": 48, "t_tol": 1e-4}
+CROSSING_SOLVER = {"n_outer": 12, "n_inner": 48, "grid_points": 64, "t_tol": 1e-4}
 
 
 def f_star(t: float, params: TheoryParams, n_outer: int = 24,

@@ -60,6 +60,8 @@ def _record(kind: str, t: float, values: np.ndarray, model: ManifoldModel, seed:
 
 # the clone agreement at which the clones count as committed to one class
 AGREEMENT_LEVEL = 0.95
+# the clones' end time and the trunk's start time of `speciation_experiment`
+CLONE_T_MIN, CLONE_T_START = 0.01, 10.0
 
 
 def _pairwise_agreement(signs: np.ndarray) -> np.ndarray:
@@ -83,10 +85,22 @@ def _bridge_draws(score: EmpiricalScore, y: np.ndarray, idx: np.ndarray,
     return mean + np.sqrt(v) * rng.standard_normal(mean.shape)
 
 
+def check_speciation(t_grid, n_clones: int, t_min: float = CLONE_T_MIN,
+                     t_start: float = CLONE_T_START) -> None:
+    """Reject the arguments of a `speciation_experiment` that cannot run; the
+    CLI calls it before it samples the training set."""
+    if np.any(np.diff(t_grid) >= 0):
+        raise ValueError("t_grid must be strictly decreasing")
+    if not (len(t_grid) and t_start > t_grid[0] and t_grid[-1] > t_min > 0):
+        raise ValueError("need t_start > t_grid > t_min > 0")
+    if n_clones < 2:
+        raise ValueError("need at least two clones")
+
+
 def speciation_experiment(model: ManifoldModel, score: EmpiricalScore, direction,
                           t_grid, n_traj: int, n_clones: int, seed: int,
-                          t_min: float = 0.01,
-                          t_start: float = 10.0) -> list[ExperimentRecord]:
+                          t_min: float = CLONE_T_MIN,
+                          t_start: float = CLONE_T_START) -> list[ExperimentRecord]:
     """Clone-agreement measurement of the speciation transition.
 
     Backward trajectories start from N(0, I_d) at ``t_start``; at each grid
@@ -117,14 +131,7 @@ def speciation_experiment(model: ManifoldModel, score: EmpiricalScore, direction
     The clones are driven by ``score``, the kernel over the training set;
     the caller forms it and ``direction`` once, before the run.
     """
-    t_grid = np.asarray(t_grid, dtype=float)
-    if np.any(np.diff(t_grid) >= 0):
-        raise ValueError("t_grid must be strictly decreasing")
-    if not (len(t_grid) and t_start > t_grid[0] and t_grid[-1] > t_min > 0):
-        raise ValueError("need t_start > t_grid > t_min > 0")
-    if n_clones < 2:
-        raise ValueError("need at least two clones")
-
+    check_speciation(t_grid, n_clones, t_min, t_start)
     rng = _rng(seed + 1)
 
     y = rng.standard_normal((n_traj, model.d))
@@ -175,6 +182,17 @@ def threshold_crossing(records: list[ExperimentRecord],
 # ---------------------------------------------------------------------------
 # collapse crossing
 
+def check_crossing(t_grid, n_samples: int) -> None:
+    """Reject the arguments of a `collapse_crossing_experiment` that cannot
+    run; the CLI calls it before it samples the training set."""
+    if np.any(np.diff(t_grid) >= 0):
+        raise ValueError("t_grid must be strictly decreasing")
+    if not (len(t_grid) and t_grid[-1] > 0):
+        raise ValueError("need a non-empty t_grid with t > 0")
+    if n_samples < 2:
+        raise ValueError("collapse crossing needs at least two samples")
+
+
 def collapse_crossing_experiment(model: ManifoldModel, score: EmpiricalScore, t_grid,
                                  n_noise: int, seed: int) -> list[ExperimentRecord]:
     """Mean of (log Z1 - log Z2) / d along the forward trajectory of x_1.
@@ -190,14 +208,8 @@ def collapse_crossing_experiment(model: ManifoldModel, score: EmpiricalScore, t_
     ``threshold_crossing(records, 0.0)``, is censored, the last record is
     flagged ``all_one_sign_widen_grid``.
     """
-    t_grid = np.asarray(t_grid, dtype=float)
-    if np.any(np.diff(t_grid) >= 0):
-        raise ValueError("t_grid must be strictly decreasing")
-    if not (len(t_grid) and t_grid[-1] > 0):
-        raise ValueError("need a non-empty t_grid with t > 0")
     n = len(score.samples)
-    if n < 2:
-        raise ValueError("collapse crossing needs at least two samples")
+    check_crossing(t_grid, n)
     x1 = score.samples[0]
     others = np.arange(n) != 0
     rng = _rng(seed)

@@ -49,14 +49,6 @@ class EmbeddingMatrix:
             if np.abs(gram - np.eye(p)).max() > 1e-10:
                 raise ValueError("isometry violated: F^T F / p != I_p")
 
-    @property
-    def d(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def p(self) -> int:
-        return self.entries.shape[1]
-
 
 ENSEMBLES = ("deterministic_isometry", "gaussian_iid")
 
@@ -184,10 +176,6 @@ class Dataset:
     @property
     def n(self) -> int:
         return self.ambient.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.ambient.shape[1]
 
 
 # most rows of one block of `sample_dataset`, as the kernel's sample blocks

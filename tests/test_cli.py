@@ -24,6 +24,11 @@ def run(tmp_path, *argv):
     return cli.main([*argv, "--output-dir", str(tmp_path)])
 
 
+# coarser GLM settings for speed, patched over the constants the commands read
+_FAST_THEORY = {"n_outer": 10, "n_inner": 96, "grid_points": 48, "t_tol": 1e-6}
+_FAST_SWEEP = {"n_outer": 6, "n_inner": 48, "grid_points": 16, "t_tol": 1e-4}
+
+
 def _timings(tmp_path, name):
     """The phase timings of ``<name>.manifest.json``, each checked >= 0."""
     manifest = json.loads((tmp_path / f"{name}.manifest.json").read_text())
@@ -84,10 +89,10 @@ def test_collapse_command_dispatches_on_model(tmp_path):
     assert out["method"] == "linear_rmt"
 
 
-def test_collapse_command_glm_for_nonlinear(tmp_path, capsys):
+def test_collapse_command_glm_for_nonlinear(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli.C, "THEORY_SOLVER", _FAST_THEORY)
     assert run(tmp_path, "collapse", "--d", "16", "--p", "8", "--alpha", "0.5",
-               "--activation", "tanh", "--nodes", "10",
-               "--grid-points", "48") == 0
+               "--activation", "tanh") == 0
     out = json.loads((tmp_path / "collapse.json").read_text())
     assert out["method"] == "glm_general"
     # the data are isometric, the GLM theory is derived for gaussian F, and
@@ -96,8 +101,7 @@ def test_collapse_command_glm_for_nonlinear(tmp_path, capsys):
     assert 0.0 < out["t_C"] < 0.2
     model = model_from_config({"d": 16, "p": 8, "alpha": 0.5,
                                "activation": "tanh"})
-    res = collapse_time_glm(model.theory_params, 0.5, n_outer=10,
-                            grid_points=48)
+    res = collapse_time_glm(model.theory_params, 0.5, **_FAST_THEORY)
     assert (out["f_star_solves"], out["psi_evaluations"],
             out["brent_iterations"], out["residual"]) == (
         res.f_star_solves, res.psi_evaluations, res.brent_iterations,
@@ -105,6 +109,8 @@ def test_collapse_command_glm_for_nonlinear(tmp_path, capsys):
     assert out["psi_evaluations"] > 48 * out["f_star_solves"]
     assert out["brent_iterations"] > 0
     manifest = json.loads((tmp_path / "collapse.manifest.json").read_text())
+    # the settings are read when the command runs, and recorded as read
+    assert manifest["glm_solver"] == _FAST_THEORY
     assert set(manifest["timings"]) == {"theory"}
     assert manifest["timings"]["theory"] >= 0
 
@@ -136,23 +142,26 @@ def test_collapse_rejects_linear_method_for_nonlinear_activation(tmp_path,
     assert not (tmp_path / "collapse.json").exists()
 
 
-def test_collapse_and_free_energy_take_m_from_config_mu(tmp_path):
+def test_collapse_and_free_energy_take_m_from_config_mu(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli.C, "THEORY_SOLVER", _FAST_THEORY)
     spec = {"d": 16, "p": 8, "mu": [2.0] * 8, "activation": "tanh"}
     cfg = tmp_path / "model.json"
     cfg.write_text(json.dumps(spec))
     params = model_from_config(spec).theory_params
-    assert run(tmp_path, "collapse", "--config", str(cfg), "--alpha", "0.5",
-               "--nodes", "10", "--grid-points", "48") == 0
+    assert run(tmp_path, "collapse", "--config", str(cfg), "--alpha", "0.5") == 0
     out = json.loads((tmp_path / "collapse.json").read_text())
-    assert out["t_C"] == collapse_time_glm(params, 0.5, n_outer=10,
-                                           grid_points=48).t_c
+    assert out["t_C"] == collapse_time_glm(params, 0.5, **_FAST_THEORY).t_c
 
     assert run(tmp_path, "free-energy", "--config", str(cfg), "--t-min", "0.5",
-               "--t-max", "0.5", "--t-points", "1", "--nodes", "8") == 0
+               "--t-max", "0.5", "--t-points", "1") == 0
     with open(tmp_path / "free_energy.csv") as fh:
         [row] = list(csv.DictReader(fh))
-    assert float(row["f_star [per latent dim]"]) == f_star(0.5, params,
-                                                           n_outer=8).f_star
+    assert float(row["f_star [per latent dim]"]) == f_star(
+        0.5, params, n_outer=10, n_inner=96, grid_points=48).f_star
+    # f_star reads no t_tol, and records the tolerance of its sup instead
+    manifest = json.loads((tmp_path / "free_energy.manifest.json").read_text())
+    assert manifest["glm_solver"] == {"n_outer": 10, "n_inner": 96,
+                                      "grid_points": 48, "q_xatol": 1e-9}
 
 
 def test_collapse_and_free_energy_draw_no_embedding(tmp_path, monkeypatch):
@@ -160,14 +169,14 @@ def test_collapse_and_free_energy_draw_no_embedding(tmp_path, monkeypatch):
         raise AssertionError("embedding drawn")
 
     monkeypatch.setattr(model_mod, "build_embedding", refuse)
+    monkeypatch.setattr(cli.C, "THEORY_SOLVER", _FAST_THEORY)
     with pytest.raises(AssertionError):
         model_from_config({"d": 4, "p": 2})
     for route in ("linear_isometry_closed_form", "linear_rmt", "glm_general"):
         assert run(tmp_path, "collapse", "--d", "2000", "--p", "1000",
-                   "--alpha", "0.5", "--method", route, "--nodes", "8",
-                   "--grid-points", "48") == 0
+                   "--alpha", "0.5", "--method", route) == 0
     assert run(tmp_path, "free-energy", "--d", "16", "--p", "8",
-               "--activation", "tanh", "--t-points", "2", "--nodes", "8") == 0
+               "--activation", "tanh", "--t-points", "2") == 0
     # without a model the config is still validated
     cfg = tmp_path / "model.json"
     cfg.write_text(json.dumps({"d": 16, "p": 8, "mu": [1.0] * 4}))
@@ -321,9 +330,11 @@ def test_exp_collapse_command(tmp_path):
     manifest = json.loads((tmp_path / "exp_collapse.manifest.json").read_text())
     assert set(manifest["timings"]) == {"dataset", "experiment", "theory"}
     assert all(v >= 0 for v in manifest["timings"].values())
-    # the linear closed form solves no f_star and runs no root-finder
+    # the linear closed form solves no f_star, runs no root-finder and
+    # reads no GLM setting
     assert (manifest["f_star_solves"], manifest["psi_evaluations"],
             manifest["brent_iterations"], manifest["residual"]) == (0, 0, 0, 0.0)
+    assert "glm_solver" not in manifest
 
 
 def test_exp_collapse_manifest_records_theory_work(tmp_path):
@@ -332,6 +343,8 @@ def test_exp_collapse_manifest_records_theory_work(tmp_path):
                "--t-min", "0.05", "--t-max", "1.2", "--t-points", "3") == 0
     manifest = json.loads((tmp_path / "exp_collapse.manifest.json").read_text())
     assert manifest["theory_ensemble"] == "gaussian_iid"
+    assert manifest["glm_solver"] == {"n_outer": 12, "n_inner": 48,
+                                      "grid_points": 64, "t_tol": 1e-4}
     assert manifest["f_star_solves"] > 0
     assert manifest["psi_evaluations"] > manifest["f_star_solves"]
     assert manifest["brent_iterations"] > 0
@@ -543,7 +556,7 @@ def test_resolved_config_records_the_values_that_ran(tmp_path):
 
 
 def _no_work(*args, **kwargs):
-    raise AssertionError("work started before the oddness check")
+    raise AssertionError("work started before the run was checked")
 
 
 def test_exp_speciation_rejects_non_odd_activation_before_any_work(
@@ -613,8 +626,8 @@ def test_no_signal_is_rejected_before_any_output(tmp_path, monkeypatch,
     assert not out.exists()
 
 
-# grids a command rejects before it writes anything: betas outside (0, 1],
-# times t <= 0, and empty grids
+# grids a command rejects before it writes anything or samples any data:
+# betas outside (0, 1], times t <= 0, empty grids, and a single clone
 _BAD_GRIDS = {
     "sweep-beta-min-0": ["collapse-sweep", "--beta-min", "0"],
     "sweep-beta-max-1.5": ["collapse-sweep", "--beta-max", "1.5"],
@@ -628,11 +641,16 @@ _BAD_GRIDS = {
                                 "--alpha", "0.3", "--t-points", "0"],
     "exp-collapse-t-min-0": ["exp-collapse", "--d", "10", "--p", "5",
                              "--alpha", "0.3", "--t-min", "0"],
+    "exp-speciation-t-min-0": ["exp-speciation", "--d", "16", "--p", "8",
+                               "--t-min", "0"],
+    "exp-speciation-n-clones-1": ["exp-speciation", "--d", "16", "--p", "8",
+                                  "--n-clones", "1"],
 }
 
 
 @pytest.mark.parametrize("argv", _BAD_GRIDS.values(), ids=_BAD_GRIDS.keys())
-def test_bad_grids_exit_2_before_any_output(tmp_path, capsys, argv):
+def test_bad_grids_exit_2_before_any_output(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.setattr(cli, "sample_dataset", _no_work)
     out = tmp_path / "out"
     assert cli.main([*argv, "--output-dir", str(out)]) == cli.EXIT_CONFIG
     lines = capsys.readouterr().err.splitlines()
@@ -645,25 +663,33 @@ _BENCHMARK_COMMANDS = [
     ["exp-speciation", "--d", "16", "--p", "8", "--n-data", "256",
      "--n-traj", "4", "--n-clones", "4", "--t-points", "2"],
     ["collapse-sweep", "--beta-min", "0.5", "--beta-max", "0.5",
-     "--beta-points", "1", "--activations", "tanh", "--nodes", "6",
-     "--grid-points", "16"],
+     "--beta-points", "1", "--activations", "tanh"],
     ["exp-collapse", "--d", "10", "--p", "5", "--alpha", "0.3",
      "--n-noise", "8", "--t-points", "3"],
 ]
 
 
-# the other six commands at the small sizes of their tests above
-_COMMANDS = _BENCHMARK_COMMANDS + [
-    ["speciation", "--d", "16", "--p", "8", "--m", "1.5", "--potential-csv"],
-    ["collapse", "--d", "16", "--p", "8", "--alpha", "0.5",
-     "--activation", "tanh", "--nodes", "10", "--grid-points", "48"],
-    ["free-energy", "--d", "16", "--p", "8", "--t-min", "0.2", "--t-max",
-     "1.0", "--t-points", "3"],
-    ["exp-free-energy", "--d", "16", "--p", "8", "--n-x", "10",
-     "--n-latent", "10000"],
-    ["exp-rem", "--d", "16", "--p", "8", "--n-rep", "20000"],
-    ["validate"],
-]
+# the other six commands at the small sizes of their tests above, and the
+# linear routes of collapse and free-energy, by test id
+_COMMANDS = {argv[0]: argv for argv in _BENCHMARK_COMMANDS} | {
+    "speciation": ["speciation", "--d", "16", "--p", "8", "--m", "1.5",
+                   "--potential-csv"],
+    "collapse": ["collapse", "--d", "16", "--p", "8", "--alpha", "0.5",
+                 "--activation", "tanh"],
+    "collapse-closed-form": ["collapse", "--d", "16", "--p", "8", "--alpha", "0.5"],
+    "collapse-rmt": ["collapse", "--d", "16", "--p", "8", "--alpha", "0.5",
+                     "--ensemble", "gaussian_iid"],
+    "collapse-glm-linear": ["collapse", "--d", "16", "--p", "8", "--alpha", "0.5",
+                            "--method", "glm_general"],
+    "free-energy": ["free-energy", "--d", "16", "--p", "8", "--t-min", "0.2",
+                    "--t-max", "1.0", "--t-points", "3"],
+    "free-energy-tanh": ["free-energy", "--d", "16", "--p", "8", "--activation",
+                         "tanh", "--t-min", "0.2", "--t-max", "1.0", "--t-points", "3"],
+    "exp-free-energy": ["exp-free-energy", "--d", "16", "--p", "8", "--n-x", "10",
+                        "--n-latent", "10000"],
+    "exp-rem": ["exp-rem", "--d", "16", "--p", "8", "--n-rep", "20000"],
+    "validate": ["validate"],
+}
 
 # the top-level keys of a command's manifest beyond those every manifest has
 _MANIFEST_EXTRAS = {
@@ -675,20 +701,25 @@ _MANIFEST_EXTRAS = {
                      "f_star_solves", "psi_evaluations", "brent_iterations"},
     "validate": {"checks"},
 }
-# the GLM solver settings of each command that solves the GLM free energy
+# the GLM settings each case's solve read, with `_FAST_THEORY` and
+# `_FAST_SWEEP` patched in: none off the GLM route (exp-collapse runs the
+# linear closed form here), no quadrature sizes where Psi is the linear
+# closed form, and no t_tol but the sup's q_xatol in free-energy
 _GLM_SOLVERS = {
-    "collapse": {"n_outer": 10, "n_inner": 96, "grid_points": 48, "t_tol": 1e-6},
-    "collapse_sweep": {"n_outer": 6, "n_inner": 48, "grid_points": 16,
-                       "t_tol": 1e-4},
-    "free_energy": {"n_outer": 16, "n_inner": 96, "grid_points": 64,
-                    "q_xatol": 1e-9},
-    "exp_collapse": {"n_outer": 12, "n_inner": 48, "grid_points": 64,
-                     "t_tol": 1e-4},
+    "collapse-sweep": _FAST_SWEEP,
+    "collapse": _FAST_THEORY,
+    "collapse-glm-linear": {"grid_points": 48, "t_tol": 1e-6},
+    "free-energy": {"grid_points": 48, "q_xatol": 1e-9},
+    "free-energy-tanh": {"n_outer": 10, "n_inner": 96, "grid_points": 48,
+                         "q_xatol": 1e-9},
 }
 
 
-@pytest.mark.parametrize("argv", _COMMANDS, ids=lambda argv: argv[0])
-def test_every_command_writes_one_kind_of_manifest(tmp_path, argv):
+@pytest.mark.parametrize("case", _COMMANDS)
+def test_every_command_writes_one_kind_of_manifest(tmp_path, monkeypatch, case):
+    monkeypatch.setattr(cli.C, "THEORY_SOLVER", _FAST_THEORY)
+    monkeypatch.setattr(cli.C, "SWEEP_SOLVER", _FAST_SWEEP)
+    argv = _COMMANDS[case]
     assert run(tmp_path, *argv) == 0
     name = argv[0].replace("-", "_")
     manifest_path = tmp_path / f"{name}.manifest.json"
@@ -697,24 +728,38 @@ def test_every_command_writes_one_kind_of_manifest(tmp_path, argv):
         "command", "resolved_config", "arguments", "outputs", "timestamp",
         "versions", "thread_env", "timings"}
     assert manifest["command"] == name
-    assert manifest.get("glm_solver") == _GLM_SOLVERS.get(name)
+    assert manifest.get("glm_solver") == _GLM_SOLVERS.get(case)
     # every other flag given, and each default, is recorded as it ran; the
-    # config keys are in resolved_config only
+    # config keys are in resolved_config only, and no quadrature is settable
     arguments = manifest["arguments"]
-    assert not set(arguments) & {*model_mod.CONFIG_KEYS, "config", "output_dir"}
+    assert not set(arguments) & {*model_mod.CONFIG_KEYS, "config", "output_dir",
+                                 "nodes", "grid_points"}
     for i, flag in enumerate(argv):
         key = flag[2:].replace("-", "_")
         if flag.startswith("--") and key not in model_mod.CONFIG_KEYS:
             value = argv[i + 1:i + 2]
             given = value[0] if value and not value[0].startswith("--") else "True"
             assert str(arguments[key]) == given
-    defaults = {"collapse": {"method": None}, "exp_collapse": {"t_max": 0.6},
-                "free_energy": {"nodes": 16}, "exp_rem": {"t": 0.5}}
-    assert defaults.get(name, {}).items() <= arguments.items()
+    defaults = {"collapse": {"method": None}, "exp-collapse": {"t_max": 0.6},
+                "exp-rem": {"t": 0.5}}
+    assert defaults.get(case, {}).items() <= arguments.items()
     for path, digest in manifest["outputs"].items():
         assert hashlib.sha256(Path(path).read_bytes()).hexdigest() == digest
     assert set(tmp_path.iterdir()) == {manifest_path,
                                        *map(Path, manifest["outputs"])}
+
+
+@pytest.mark.parametrize("argv", [
+    ["collapse", "--d", "16", "--p", "8", "--nodes", "8"],
+    ["collapse-sweep", "--grid-points", "16"],
+    ["free-energy", "--d", "16", "--p", "8", "--nodes", "8"],
+], ids=lambda argv: argv[0])
+def test_quadrature_flags_are_gone(tmp_path, argv):
+    # the GLM settings are module constants in `collapse`, not flags
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path / "out", *argv)
+    assert exc.value.code == cli.EXIT_CONFIG
+    assert not (tmp_path / "out").exists()
 
 
 def test_abbreviated_flags_are_rejected(tmp_path):

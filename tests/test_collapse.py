@@ -7,7 +7,7 @@ from scipy.optimize import brentq, minimize_scalar
 
 import manifold_diffusion.collapse as collapse_mod
 from manifold_diffusion.activations import make_activation
-from manifold_diffusion.collapse import (_psi_prime, _r_star, collapse_method,
+from manifold_diffusion.collapse import (_r_star, collapse_method,
                                          collapse_time, collapse_time_glm,
                                          collapse_time_linear_isometry,
                                          collapse_time_linear_rmt, f_rs,
@@ -124,7 +124,9 @@ def test_r_star_is_the_closed_form_inner_minimizer(m, rho):
     for q in np.linspace(m * m, c, 41)[1:-1].tolist() + [c * (1.0 - 1e-9)]:
         r = _r_star(q, m, rho)
         assert r > 0.0
-        assert abs(_psi_prime(r, m, rho) - 0.5 * q) <= 1e-14
+        # psi'(r) = (m^2 + rho) / 2 - rho / (2 (1 + r rho)) = q / 2
+        psi_prime = 0.5 * (m * m + rho) - 0.5 * rho / (1.0 + r * rho)
+        assert abs(psi_prime - 0.5 * q) <= 1e-14
     for q in (0.0, 0.5 * m * m, m * m):
         assert _r_star(q, m, rho) == 0.0
     with pytest.raises(ArithmeticError):

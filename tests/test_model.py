@@ -16,13 +16,13 @@ from manifold_diffusion.model import (EmbeddingMatrix, TheoryParams,
 
 def test_isometry_embedding_gram_identity():
     emb = build_embedding(50, 20, "deterministic_isometry", seed=3)
-    gram = emb.entries.T @ emb.entries / emb.p
+    gram = emb.entries.T @ emb.entries / 20
     assert np.abs(gram - np.eye(20)).max() < 1e-12
 
 
 def test_gaussian_embedding_shape_and_scale():
     emb = build_embedding(400, 100, "gaussian_iid", seed=1)
-    assert (emb.d, emb.p) == (400, 100)
+    assert emb.entries.shape == (400, 100)
     # i.i.d. standard normal entries: mean ~ 0, variance ~ 1
     assert abs(emb.entries.mean()) < 0.02
     assert abs(emb.entries.var() - 1.0) < 0.03
@@ -85,7 +85,7 @@ def test_dataset_balanced_labels_and_reproducible():
     ds1 = sample_dataset(mdl, 100, seed=9)
     ds2 = sample_dataset(mdl, 100, seed=9)
     ds3 = sample_dataset(mdl, 100, seed=10)
-    assert ds1.n == 100 and ds1.d == 12
+    assert ds1.ambient.shape == (100, 12) and ds1.n == 100
     assert ds1.labels.sum() == 0
     assert np.array_equal(ds1.ambient, ds2.ambient)
     assert not np.array_equal(ds1.ambient, ds3.ambient)
