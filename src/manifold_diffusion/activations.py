@@ -19,18 +19,23 @@ class Activation:
     kind: str
     fn: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     is_odd: bool
+    # phi(-x) = 2 phi(0) - phi(x): odd up to a constant shift, declared per
+    # activation (not detected numerically); `collapse.psi_big` then needs
+    # only half of its Gauss-Hermite grid
+    point_symmetric: bool
 
     def __call__(self, y):
         return self.fn(np.asarray(y, dtype=float))
 
 
-# (fn, is_odd) of each named activation; one function object per name, so
-# that two activations of the same name compare and hash equal
+# (fn, is_odd, point_symmetric) of each named activation; one function
+# object per name, so that two activations of the same name compare and
+# hash equal
 _BUILTIN = {
-    "linear": (lambda y: y, True),
-    "tanh": (np.tanh, True),
-    "relu": (lambda y: np.maximum(y, 0.0), False),
-    "sigmoid": (lambda y: 1.0 / (1.0 + np.exp(-y)), False),
+    "linear": (lambda y: y, True, True),
+    "tanh": (np.tanh, True, True),
+    "relu": (lambda y: np.maximum(y, 0.0), False, False),
+    "sigmoid": (lambda y: 1.0 / (1.0 + np.exp(-y)), False, True),
 }
 
 
@@ -38,5 +43,5 @@ def make_activation(kind: str) -> Activation:
     """Build one of the named activations."""
     if kind not in _BUILTIN:
         raise ValueError(f"unknown activation kind: {kind!r}")
-    f, odd = _BUILTIN[kind]
-    return Activation(kind=kind, fn=f, is_odd=odd)
+    f, odd, symmetric = _BUILTIN[kind]
+    return Activation(kind=kind, fn=f, is_odd=odd, point_symmetric=symmetric)

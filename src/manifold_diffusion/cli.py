@@ -243,7 +243,7 @@ def cmd_exp_speciation(args, run: _Run) -> int:
     model = model_from_config(cfg)
     t_grid = np.linspace(args.t_max, args.t_min, args.t_points)
     # before the data, so that a run that cannot finish does no work
-    E.check_speciation(t_grid, args.n_clones)
+    E.check_speciation(t_grid, args.n_traj, args.n_clones)
     with run.phase("theory"):
         direction = S.gamma0_rows(model, S.GammaFunctions(model.activation, model.rho))
         t_s_theory = S.speciation_time_finite(float(direction @ direction))
@@ -285,7 +285,7 @@ def cmd_exp_collapse(args, run: _Run) -> int:
     model = model_from_config(cfg)
     cfg["n_data"], cfg["alpha"] = _crossing_sample(cfg["d"], cfg.get("alpha"), args.n_data)
     t_grid = np.linspace(args.t_max, args.t_min, args.t_points)
-    E.check_crossing(t_grid, cfg["n_data"])
+    E.check_crossing(t_grid, cfg["n_data"], args.n_noise)
     with run.phase("dataset"):
         dataset = sample_dataset(model, cfg["n_data"], cfg["seed"])
     with run.phase("experiment"):

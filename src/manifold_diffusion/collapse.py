@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -86,19 +87,32 @@ def psi_big(q: float, t: float, m: float, rho: float, activation,
 
     Each factor is evaluated only on the nodes it depends on, and both are
     scaled by 1 / sqrt(2 h_t) there: Y0 on the (V, W Z) grid, shape
-    (n_outer, n_outer^2), and the inner prediction P = a_t phi(.) on the
-    (w, V) grid, shape (n_inner, n_outer).  The squared distances
+    (n_V, n_outer^2), and the inner prediction P = a_t phi(.) on the
+    (w, V) grid, shape (n_inner, n_V).  The squared distances
     D = (Y0 - P)^2 span the grid inner-node-major, D[w, V, W Z], so the
     inner extremum is an elementwise min over n_inner contiguous rows and
     the inner average is the product w_in @ exp(min - D).  Every exponent
     min - D is at least -(max |Y0| + max |P|)^2; only when that bound falls
     below -700 are the exponents floored there, so that exp stays on its
-    fast path (see ``diffusion._EXP_FLOOR``).  The operands are scaled and
-    the sums taken in another order than in a tensor-grid evaluation of
-    every factor on the full (V, W, Z) x w grid, so the two agree to
-    roundoff, not to the bit: at most 1.3e-14 relative over tanh, relu,
-    sigmoid and linear, n_outer x n_inner 10 x 48, 12 x 48 and 24 x 96,
-    three (m, rho), q from 0 to c (1 - 1e-9) and t from 4e-6 to 5.
+    fast path (see ``diffusion._EXP_FLOOR``).
+
+    For a ``point_symmetric`` activation, phi(-x) = 2 phi(0) - phi(x), the
+    V axis holds the V >= 0 nodes only (n_V = ceil(n_outer / 2)), weighted
+    2 w for V > 0 and w for the V = 0 node of an odd rule; otherwise it
+    holds all n_outer nodes.  This is exact: the channel does not change
+    when phi is shifted by a constant, so (V, W, Z) and (-V, -W, -Z) give
+    Y0 - P of opposite signs at w and -w, and both rules mirror their
+    nodes and weights exactly, so the two points have the same inner
+    average.
+
+    The operands are scaled, the sums taken in another order and the
+    V < 0 half folded onto V > 0, so this agrees with a tensor-grid
+    evaluation of every factor on the full (V, W, Z) x w grid to roundoff,
+    not to the bit: at most 8.5e-15 relative over tanh, relu, sigmoid and
+    linear, n_outer x n_inner 10 x 48, 12 x 48 and 24 x 96, three (m, rho),
+    q in {0, c / 2, c (1 - 1e-9)} and t in {4e-6, 1e-4, 0.3, 3, 5}, and at
+    most 4e-15 max(|Psi|, 1) where Psi crosses 0 (q near c, t near 0.03).
+    The fold alone moves a value by at most 4.3e-15 relative.
     """
     c = m * m + rho
     if not 0.0 <= q <= c + 1e-12:
@@ -111,17 +125,25 @@ def psi_big(q: float, t: float, m: float, rho: float, activation,
     sq, sres = np.sqrt(q), np.sqrt(max(c - q, 0.0))
     z, w = std_normal_nodes(n_outer)
     wn, w_in = std_normal_nodes(n_inner)
-    signal = scale * activation(sq * z[:, None] + sres * z[None, :])  # (V, W)
+    zv, wv = z, w  # the V axis
+    if activation.point_symmetric:
+        # the nodes ascend and mirror, so the V >= 0 ones are the upper half
+        zv = z[n_outer // 2:]
+        wv = np.where(zv > 0.0, 2.0, 1.0) * w[n_outer // 2:]
+    n_v = len(zv)
+    signal = scale * activation(sq * zv[:, None] + sres * z[None, :])  # (V, W)
     # sqrt(h_t) Z / sqrt(2 h_t) = Z / sqrt(2)
-    y0 = (signal[:, :, None] + np.sqrt(0.5) * z).reshape(n_outer, -1)  # (V, W Z)
-    pred = scale * activation(sq * z[None, :] + sres * wn[:, None])   # (w, V)
+    y0 = (signal[:, :, None] + np.sqrt(0.5) * z).reshape(n_v, -1)      # (V, W Z)
+    pred = scale * activation(sq * zv[None, :] + sres * wn[:, None])   # (w, V)
     # dist[w, V, :] = y0[V, :] - pred[w, V] as one K = 2 product per V,
     # [1, -P] [Y0; 1]: both terms are exact, so each entry is the one
     # rounded difference, and the GEMM writes rows of n_outer^2 where a
     # broadcast subtract would loop over them
-    dist = np.empty((n_inner, n_outer, n_outer * n_outer))           # (w, V, W Z)
-    lhs = np.stack([np.ones_like(pred.T), -pred.T], axis=2)           # (V, w, 2)
-    rhs = np.stack([y0, np.ones_like(y0)], axis=1)                    # (V, 2, W Z)
+    dist = np.empty((n_inner, n_v, n_outer * n_outer))               # (w, V, W Z)
+    lhs = np.ones((n_v, n_inner, 2))                                  # (V, w, 2)
+    lhs[:, :, 1] = -pred.T
+    rhs = np.ones((n_v, 2, n_outer * n_outer))                        # (V, 2, W Z)
+    rhs[:, 0] = y0
     np.matmul(lhs, rhs, out=dist.transpose(1, 0, 2))
     np.square(dist, out=dist)
     mn = dist.min(axis=0)
@@ -130,7 +152,7 @@ def psi_big(q: float, t: float, m: float, rho: float, activation,
         np.maximum(expo, _EXP_FLOOR, out=expo)
     np.exp(expo, out=expo)
     log_inner = np.log(w_in @ expo.reshape(n_inner, -1)) - mn.ravel()
-    w_out = np.multiply.outer(np.multiply.outer(w, w), w).ravel()
+    w_out = np.multiply.outer(np.multiply.outer(wv, w), w).ravel()
     return float(w_out @ log_inner) - 0.5 * np.log(2.0 * np.pi * h)
 
 
@@ -146,7 +168,7 @@ class FreeEnergyResult:
     r_star: float
     f_star: float
     boundary: bool
-    psi_evaluations: int = 0  # grid and optimizer Psi calls
+    psi_evaluations: int = 0  # Psi values computed: grid scan and optimizer
 
 
 def _r_star(q: float, m: float, rho: float) -> float:
@@ -162,15 +184,24 @@ def _r_star(q: float, m: float, rho: float) -> float:
     return max(q - m * m, 0.0) / (rho * (c - q))
 
 
+def _psi_any(q: float, t: float, m: float, rho: float, activation,
+             n_outer: int, n_inner: int) -> float:
+    """Psi(q): the closed form for a linear activation, `psi_big` otherwise."""
+    if activation.kind == "linear":
+        return psi_big_linear(q, t, m, rho)
+    return psi_big(q, t, m, rho, activation, n_outer, n_inner)
+
+
+def _f_rs_at(q: float, r: float, big: float, params: TheoryParams) -> float:
+    """f_RS(q, r) given big = Psi(q)."""
+    return psi(r, params.m, params.rho) + big / params.beta - 0.5 * r * q
+
+
 def f_rs(q: float, r: float, t: float, params: TheoryParams,
          n_outer: int = 24, n_inner: int = 96) -> float:
     """f_RS(q, r) = psi(r) + Psi(q) / beta - r q / 2."""
-    m, rho = params.m, params.rho
-    if params.activation.kind == "linear":
-        big = psi_big_linear(q, t, m, rho)
-    else:
-        big = psi_big(q, t, m, rho, params.activation, n_outer, n_inner)
-    return psi(r, m, rho) + big / params.beta - 0.5 * r * q
+    big = _psi_any(q, t, params.m, params.rho, params.activation, n_outer, n_inner)
+    return _f_rs_at(q, r, big, params)
 
 
 def _minimize_bounded(func, x1: float, x2: float,
@@ -276,6 +307,26 @@ SWEEP_SOLVER = {"n_outer": 10, "n_inner": 48, "grid_points": 48, "t_tol": 1e-4}
 CROSSING_SOLVER = {"n_outer": 12, "n_inner": 48, "grid_points": 64, "t_tol": 1e-4}
 
 
+def _scan_grid(c: float, grid_points: int) -> np.ndarray:
+    """The q-grid of `f_star`'s scan, stopping just inside q = c."""
+    return np.linspace(0.0, c * (1.0 - 1e-9), grid_points)
+
+
+@lru_cache(maxsize=64)
+def _psi_scan(t: float, m: float, rho: float, activation, n_outer: int,
+              n_inner: int, grid_points: int) -> np.ndarray:
+    """Psi on `f_star`'s q-grid, read-only.
+
+    Psi does not depend on beta, and every collapse root-find starts at the
+    same bracket ends, so a sweep's later betas read these values back; 64
+    entries of 48-64 values take about 25-33 KiB.
+    """
+    vals = np.array([_psi_any(q, t, m, rho, activation, n_outer, n_inner)
+                     for q in _scan_grid(m * m + rho, grid_points)])
+    vals.setflags(write=False)
+    return vals
+
+
 def f_star(t: float, params: TheoryParams, n_outer: int = 24,
            n_inner: int = 96, grid_points: int = 64) -> FreeEnergyResult:
     """Solve sup_q inf_r f_RS at time t.
@@ -286,9 +337,11 @@ def f_star(t: float, params: TheoryParams, n_outer: int = 24,
     fallback; xatol `Q_XATOL` max(c, 1), plus sqrt(2.2e-16) times the
     distance c - q), and keeps a grid end if that is higher.  The value
     diverges to -inf at q = c = rho + m^2, so the grid stops just inside
-    the boundary.
-    ``psi_evaluations`` counts every Psi evaluation of the solve; a
-    minimizer that does not converge raises ArithmeticError.
+    the boundary.  The grid's Psi values come from `_psi_scan`, which
+    keeps them for the next solve at the same t with another beta.
+    ``psi_evaluations`` counts the Psi values the solve computed, a scan
+    read from that cache counting 0; a minimizer that does not converge
+    raises ArithmeticError.
     """
     m, rho = params.m, params.rho
     c = m * m + rho
@@ -296,8 +349,12 @@ def f_star(t: float, params: TheoryParams, n_outer: int = 24,
     def g(q: float) -> float:
         return f_rs(q, _r_star(q, m, rho), t, params, n_outer, n_inner)
 
-    qs = np.linspace(0.0, c * (1.0 - 1e-9), grid_points)
-    vals = np.array([g(q) for q in qs])
+    qs = _scan_grid(c, grid_points)
+    misses = _psi_scan.cache_info().misses
+    bigs = _psi_scan(t, m, rho, params.activation, n_outer, n_inner, grid_points)
+    scanned = grid_points if _psi_scan.cache_info().misses > misses else 0
+    vals = np.array([_f_rs_at(q, _r_star(q, m, rho), big, params)
+                     for q, big in zip(qs, bigs)])
     k = int(np.argmax(vals))
     lo = qs[max(k - 1, 0)]
     hi = qs[min(k + 1, grid_points - 1)]
@@ -309,7 +366,7 @@ def f_star(t: float, params: TheoryParams, n_outer: int = 24,
     except ArithmeticError as exc:
         raise ArithmeticError(f"sup over q at t = {t}: {exc}") from None
     q_star, f_val = c - u, -f_u
-    psi_evaluations = grid_points + nfev
+    psi_evaluations = scanned + nfev
     boundary = False
     # keep whichever of {interior refinement, grid boundary} wins
     for qb, fb in ((qs[0], vals[0]), (qs[-1], vals[-1])):

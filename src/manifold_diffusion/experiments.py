@@ -85,7 +85,8 @@ def _bridge_draws(score: EmpiricalScore, y: np.ndarray, idx: np.ndarray,
     return mean + np.sqrt(v) * rng.standard_normal(mean.shape)
 
 
-def check_speciation(t_grid, n_clones: int, t_min: float = CLONE_T_MIN,
+def check_speciation(t_grid, n_traj: int, n_clones: int,
+                     t_min: float = CLONE_T_MIN,
                      t_start: float = CLONE_T_START) -> None:
     """Reject the arguments of a `speciation_experiment` that cannot run; the
     CLI calls it before it samples the training set."""
@@ -93,6 +94,8 @@ def check_speciation(t_grid, n_clones: int, t_min: float = CLONE_T_MIN,
         raise ValueError("t_grid must be strictly decreasing")
     if not (len(t_grid) and t_start > t_grid[0] and t_grid[-1] > t_min > 0):
         raise ValueError("need t_start > t_grid > t_min > 0")
+    if n_traj < 1:
+        raise ValueError(f"need at least one trajectory, got n_traj = {n_traj}")
     if n_clones < 2:
         raise ValueError("need at least two clones")
 
@@ -131,7 +134,7 @@ def speciation_experiment(model: ManifoldModel, score: EmpiricalScore, direction
     The clones are driven by ``score``, the kernel over the training set;
     the caller forms it and ``direction`` once, before the run.
     """
-    check_speciation(t_grid, n_clones, t_min, t_start)
+    check_speciation(t_grid, n_traj, n_clones, t_min, t_start)
     rng = _rng(seed + 1)
 
     y = rng.standard_normal((n_traj, model.d))
@@ -182,7 +185,7 @@ def threshold_crossing(records: list[ExperimentRecord],
 # ---------------------------------------------------------------------------
 # collapse crossing
 
-def check_crossing(t_grid, n_samples: int) -> None:
+def check_crossing(t_grid, n_samples: int, n_noise: int) -> None:
     """Reject the arguments of a `collapse_crossing_experiment` that cannot
     run; the CLI calls it before it samples the training set."""
     if np.any(np.diff(t_grid) >= 0):
@@ -191,6 +194,8 @@ def check_crossing(t_grid, n_samples: int) -> None:
         raise ValueError("need a non-empty t_grid with t > 0")
     if n_samples < 2:
         raise ValueError("collapse crossing needs at least two samples")
+    if n_noise < 1:
+        raise ValueError(f"need at least one noise draw, got n_noise = {n_noise}")
 
 
 def collapse_crossing_experiment(model: ManifoldModel, score: EmpiricalScore, t_grid,
@@ -209,7 +214,7 @@ def collapse_crossing_experiment(model: ManifoldModel, score: EmpiricalScore, t_
     flagged ``all_one_sign_widen_grid``.
     """
     n = len(score.samples)
-    check_crossing(t_grid, n)
+    check_crossing(t_grid, n, n_noise)
     x1 = score.samples[0]
     others = np.arange(n) != 0
     rng = _rng(seed)
@@ -238,6 +243,8 @@ def free_energy_mc(model: ManifoldModel, t: float, n_x: int, n_latent: int,
     draws from the (matched or mismatched) cluster prior.  The estimator is
     biased downward by Jensen, hence the permanent flag.
     """
+    if n_x < 1:
+        raise ValueError(f"need at least one outer draw, got n_x = {n_x}")
     if model.p > 24:
         raise ValueError("variance guard: free_energy_mc requires p <= 24")
     if n_latent < 10_000:
@@ -278,6 +285,8 @@ def free_energy_mc(model: ManifoldModel, t: float, n_x: int, n_latent: int,
 def rem_derivative_check(model: ManifoldModel, t: float, n_rep: int,
                          seed: int) -> ExperimentRecord:
     """Estimate -g'(1) = E ||x - a_t x_1||^2 / (2 h_t d) by direct sampling."""
+    if n_rep < 1:
+        raise ValueError(f"need at least one draw, got n_rep = {n_rep}")
     sch = schedule(t)
     rng = _rng(seed)
     xi = model.mu[None, :] + np.sqrt(model.rho) * rng.standard_normal((n_rep, model.p))

@@ -21,6 +21,21 @@ def test_builtin_parity_flags():
     assert not make_activation("sigmoid").is_odd
 
 
+def test_point_symmetry_flags():
+    # declared, not detected: psi_big halves its grid on these
+    flags = {kind: make_activation(kind).point_symmetric
+             for kind in ("linear", "tanh", "relu", "sigmoid")}
+    assert flags == {"linear": True, "tanh": True, "relu": False,
+                     "sigmoid": True}
+
+
+@pytest.mark.parametrize("kind", ["linear", "tanh", "sigmoid"])
+def test_point_symmetric_builtins_mirror_about_phi_0(kind):
+    phi = make_activation(kind)
+    x = np.linspace(-30.0, 30.0, 1201)
+    assert np.allclose(phi(-x) + phi(x), 2.0 * phi(0.0), rtol=0.0, atol=1e-15)
+
+
 @given(st.floats(min_value=-10.0, max_value=10.0),
        st.sampled_from(["linear", "tanh"]))
 def test_odd_builtins_are_odd(y, kind):

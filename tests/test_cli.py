@@ -91,6 +91,7 @@ def test_collapse_command_dispatches_on_model(tmp_path):
 
 def test_collapse_command_glm_for_nonlinear(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli.C, "THEORY_SOLVER", _FAST_THEORY)
+    cli.C._psi_scan.cache_clear()
     assert run(tmp_path, "collapse", "--d", "16", "--p", "8", "--alpha", "0.5",
                "--activation", "tanh") == 0
     out = json.loads((tmp_path / "collapse.json").read_text())
@@ -101,6 +102,8 @@ def test_collapse_command_glm_for_nonlinear(tmp_path, capsys, monkeypatch):
     assert 0.0 < out["t_C"] < 0.2
     model = model_from_config({"d": 16, "p": 8, "alpha": 0.5,
                                "activation": "tanh"})
+    # the direct solve computes its own scans, as the command's did
+    cli.C._psi_scan.cache_clear()
     res = collapse_time_glm(model.theory_params, 0.5, **_FAST_THEORY)
     assert (out["f_star_solves"], out["psi_evaluations"],
             out["brent_iterations"], out["residual"]) == (
@@ -262,6 +265,7 @@ def test_commands_refuse_config_keys_they_do_not_read(tmp_path, capsys,
 
 
 def test_collapse_sweep_writes_all_methods(tmp_path):
+    cli.C._psi_scan.cache_clear()
     assert run(tmp_path, "collapse-sweep", "--beta-min", "0.2",
                "--beta-max", "0.8", "--beta-points", "2",
                "--activations", "tanh") == 0
@@ -338,6 +342,7 @@ def test_exp_collapse_command(tmp_path):
 
 
 def test_exp_collapse_manifest_records_theory_work(tmp_path):
+    cli.C._psi_scan.cache_clear()
     assert run(tmp_path, "exp-collapse", "--d", "20", "--p", "10",
                "--activation", "tanh", "--alpha", "0.25", "--n-noise", "10",
                "--t-min", "0.05", "--t-max", "1.2", "--t-points", "3") == 0
@@ -645,6 +650,13 @@ _BAD_GRIDS = {
                                "--t-min", "0"],
     "exp-speciation-n-clones-1": ["exp-speciation", "--d", "16", "--p", "8",
                                   "--n-clones", "1"],
+    "exp-speciation-n-traj-0": ["exp-speciation", "--d", "16", "--p", "8",
+                                "--n-traj", "0"],
+    "exp-collapse-n-noise-0": ["exp-collapse", "--d", "10", "--p", "5",
+                               "--alpha", "0.3", "--n-noise", "0"],
+    "exp-free-energy-n-x-0": ["exp-free-energy", "--d", "16", "--p", "8",
+                              "--n-x", "0"],
+    "exp-rem-n-rep-0": ["exp-rem", "--d", "16", "--p", "8", "--n-rep", "0"],
 }
 
 

@@ -1,4 +1,5 @@
 """Collapse-time theory: replica functional, optimizers, spectral shortcuts."""
+import dataclasses
 import math
 
 import numpy as np
@@ -80,6 +81,40 @@ def test_psi_big_equals_tensor_grid_reference(kind, n_outer, n_inner):
                 ref = _psi_big_tensor_grid(q, t, m, rho, act, n_outer, n_inner)
                 got = psi_big(q, t, m, rho, act, n_outer, n_inner)
                 assert abs(got - ref) <= 5e-14 * abs(ref)
+
+
+@pytest.mark.parametrize("kind", ["tanh", "sigmoid", "linear"])
+@pytest.mark.parametrize("n_outer,n_inner", [(10, 48), (11, 48), (12, 48), (24, 96)])
+def test_psi_big_half_grid_equals_full_grid(kind, n_outer, n_inner):
+    # a point-symmetric activation folds V < 0 onto V > 0; the same fn with
+    # the flag off runs the full grid.  n_outer 11 has a V = 0 node
+    act = make_activation(kind)
+    assert act.point_symmetric
+    full = dataclasses.replace(act, point_symmetric=False)
+    for m, rho in ((1.3, 0.7), (0.5, 2.0)):
+        c = m * m + rho
+        for q in (0.0, 0.5 * c, c * (1.0 - 1e-9)):
+            for t in (4e-6, 1e-4, 0.3, 5.0):
+                ref = psi_big(q, t, m, rho, full, n_outer, n_inner)
+                got = psi_big(q, t, m, rho, act, n_outer, n_inner)
+                assert abs(got - ref) <= 8.5e-15 * abs(ref)
+
+
+# relu's psi_big keeps its full grid, and its bytes
+RELU_PSI_BIG = {
+    (0.0, 4e-06, 1.0, 1.0, 10, 48): -1816.3746012895706,
+    (1.0, 0.03, 1.0, 1.0, 10, 48): -0.7494223253320628,
+    (1.999999998, 0.3, 1.0, 1.0, 12, 48): -1.0210033496396973,
+    (0.8, 1.5, 1.3, 0.7, 11, 48): -1.4087877597467342,
+    (1.2, 0.005, 0.5, 2.0, 16, 96): -0.32952261071604694,
+}
+
+
+def test_relu_psi_big_keeps_its_values():
+    assert not RELU.point_symmetric
+    for (q, t, m, rho, n_outer, n_inner), value in RELU_PSI_BIG.items():
+        got = psi_big(q, t, m, rho, RELU, n_outer, n_inner)
+        assert repr(float(got)) == repr(value)
 
 
 def test_psi_big_quadrature_error_at_default_nodes():
@@ -214,9 +249,13 @@ def test_bounded_minimizer_matches_scipy_bit_for_bit(func, a, b, xatol):
 def test_f_star_matches_scipy_minimizer_bit_for_bit(act, monkeypatch):
     params = TheoryParams(1.0, 1.0, 0.5, act)
     times = (1e-5, 0.3, 1.0)
+    # the results hold their psi_evaluations, so neither side reads a scan
+    # from the cache
+    collapse_mod._psi_scan.cache_clear()
     ours = [f_star(t, params, n_outer=10, n_inner=48, grid_points=48)
             for t in times]
     monkeypatch.setattr(collapse_mod, "_minimize_bounded", _scipy_bounded)
+    collapse_mod._psi_scan.cache_clear()
     assert ours == [f_star(t, params, n_outer=10, n_inner=48, grid_points=48)
                     for t in times]
 
@@ -445,6 +484,7 @@ def test_glm_sweep_rows_converge_to_relative_t_tol(sweep_rows):
 
 
 def test_psi_evaluations_count_every_psi_big_call(monkeypatch):
+    collapse_mod._psi_scan.cache_clear()
     calls = {"psi_big": 0, "f_star": 0}
 
     def counted(name, fn):
@@ -477,6 +517,27 @@ def test_psi_evaluations_count_every_psi_big_call(monkeypatch):
     assert res.brent_iterations == 0
 
 
+def test_f_star_reads_the_scan_back_at_another_beta(monkeypatch):
+    # Psi does not depend on beta: a second solve at the same t computes
+    # only its minimizer's values, and returns what a cold cache returns
+    calls = []
+    psi_big_orig = collapse_mod.psi_big
+    monkeypatch.setattr(collapse_mod, "psi_big",
+                        lambda *a, **k: calls.append(a) or psi_big_orig(*a, **k))
+    solver = dict(n_outer=10, n_inner=48, grid_points=48)
+    first, second = (TheoryParams(1.0, 1.0, beta, TANH) for beta in (0.5, 0.9))
+    collapse_mod._psi_scan.cache_clear()
+    f_star(0.3, first, **solver)
+    calls.clear()
+    warm = f_star(0.3, second, **solver)
+    assert warm.psi_evaluations == len(calls) < 48
+    collapse_mod._psi_scan.cache_clear()
+    cold = f_star(0.3, second, **solver)
+    assert cold.psi_evaluations == warm.psi_evaluations + 48
+    assert (cold.q_star, cold.r_star, cold.f_star, cold.boundary) == (
+        warm.q_star, warm.r_star, warm.f_star, warm.boundary)
+
+
 def test_glm_rejects_nonpositive_alpha():
     with pytest.raises(ValueError):
         collapse_time_glm(TheoryParams(1.0, 1.0, 0.5, LINEAR), 0.0)
@@ -507,8 +568,11 @@ def test_dispatcher_routes_and_rejects_misread_inputs():
     assert collapse_time(None, 0.5, iso).t_c == collapse_time_linear_isometry(0.5, 0.5)
     assert collapse_time(None, 0.5, gauss) == collapse_time_linear_rmt(0.5, 0.5)
     params = TheoryParams(1.0, 1.0, 0.5, LINEAR)
-    assert (collapse_time("glm_general", 0.5, params, grid_points=48)
-            == collapse_time_glm(params, 0.5, grid_points=48))
+    # each side computes its own scans, so their psi_evaluations agree
+    collapse_mod._psi_scan.cache_clear()
+    routed = collapse_time("glm_general", 0.5, params, grid_points=48)
+    collapse_mod._psi_scan.cache_clear()
+    assert routed == collapse_time_glm(params, 0.5, grid_points=48)
 
     with pytest.raises(ValueError, match="unknown collapse method"):
         collapse_time("closed_form", 0.5, params)

@@ -6,7 +6,8 @@ from scipy.special import logsumexp
 from manifold_diffusion import diffusion
 from manifold_diffusion.diffusion import EmpiricalScore, schedule
 from manifold_diffusion.experiments import (AGREEMENT_LEVEL, ExperimentRecord,
-                                            _bridge_draws,
+                                            _bridge_draws, check_crossing,
+                                            check_speciation,
                                             collapse_crossing_experiment,
                                             free_energy_mc, model_hash,
                                             records_to_csv,
@@ -267,6 +268,20 @@ def test_free_energy_mc_guards():
     small = make_model(d=8, p=4)
     with pytest.raises(ValueError, match="n_latent"):
         free_energy_mc(small, 0.5, 10, 100, seed=0)
+
+
+def test_empty_counts_are_rejected_by_name():
+    # an empty mean would warn and then fail the record's own check, which
+    # names no count; the tests turn that RuntimeWarning into an error
+    mdl = make_model(d=8, p=4)
+    with pytest.raises(ValueError, match="n_x = 0"):
+        free_energy_mc(mdl, 0.5, 0, 10_000, seed=0)
+    with pytest.raises(ValueError, match="n_rep = 0"):
+        rem_derivative_check(mdl, 0.5, n_rep=0, seed=0)
+    with pytest.raises(ValueError, match="n_noise = 0"):
+        check_crossing([0.5, 0.1], 16, 0)
+    with pytest.raises(ValueError, match="n_traj = 0"):
+        check_speciation([1.0, 0.5], 0, 2)
 
 
 def test_free_energy_mc_matches_gaussian_formula_cheaply():
