@@ -28,6 +28,12 @@ class Activation:
         return self.fn(np.asarray(y, dtype=float))
 
 
+def _sigmoid(y):
+    # below y = -709.78 exp(-y) overflows, and 1 / (1 + inf) = 0 is the limit
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-y))
+
+
 # (fn, is_odd, point_symmetric) of each named activation; one function
 # object per name, so that two activations of the same name compare and
 # hash equal
@@ -35,7 +41,7 @@ _BUILTIN = {
     "linear": (lambda y: y, True, True),
     "tanh": (np.tanh, True, True),
     "relu": (lambda y: np.maximum(y, 0.0), False, False),
-    "sigmoid": (lambda y: 1.0 / (1.0 + np.exp(-y)), False, True),
+    "sigmoid": (_sigmoid, False, True),
 }
 
 

@@ -190,7 +190,11 @@ def cmd_collapse_sweep(args, run: _Run) -> int:
     cfg = _config(args, alpha=0.5)
     lin = make_activation("linear")
     names = [a.strip() for a in args.activations.split(",")]
-    acts = [make_activation(a) for a in names if a and a != "linear"]
+    if "" in names or "linear" in names:
+        raise ValueError(f"--activations takes non-linear activation names, got "
+                         f"{args.activations!r}: linear data is covered by the "
+                         f"{C.CLOSED_FORM} and {C.RMT} rows")
+    acts = [make_activation(a) for a in names]
     betas = np.linspace(args.beta_min, args.beta_max, args.beta_points)
     if not betas.size:
         raise ValueError("--beta-points must be at least 1")
@@ -215,7 +219,7 @@ def cmd_collapse_sweep(args, run: _Run) -> int:
                     "beta": params.beta, "activation": act.kind,
                     "t_C": res.t_c, **_solve_record(res), "solve_s": solve_s})
     return run.finish({**cfg, "betas": betas.tolist()}, glm_rows=glm_rows,
-                      **({"glm_solver": solver} if glm_rows else {}))
+                      glm_solver=solver)
 
 
 def cmd_free_energy(args, run: _Run) -> int:

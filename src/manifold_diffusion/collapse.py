@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -168,7 +167,7 @@ class FreeEnergyResult:
     r_star: float
     f_star: float
     boundary: bool
-    psi_evaluations: int = 0  # Psi values computed: grid scan and optimizer
+    psi_evaluations: int = 0  # grid and optimizer Psi calls
 
 
 def _r_star(q: float, m: float, rho: float) -> float:
@@ -184,24 +183,15 @@ def _r_star(q: float, m: float, rho: float) -> float:
     return max(q - m * m, 0.0) / (rho * (c - q))
 
 
-def _psi_any(q: float, t: float, m: float, rho: float, activation,
-             n_outer: int, n_inner: int) -> float:
-    """Psi(q): the closed form for a linear activation, `psi_big` otherwise."""
-    if activation.kind == "linear":
-        return psi_big_linear(q, t, m, rho)
-    return psi_big(q, t, m, rho, activation, n_outer, n_inner)
-
-
-def _f_rs_at(q: float, r: float, big: float, params: TheoryParams) -> float:
-    """f_RS(q, r) given big = Psi(q)."""
-    return psi(r, params.m, params.rho) + big / params.beta - 0.5 * r * q
-
-
 def f_rs(q: float, r: float, t: float, params: TheoryParams,
          n_outer: int = 24, n_inner: int = 96) -> float:
     """f_RS(q, r) = psi(r) + Psi(q) / beta - r q / 2."""
-    big = _psi_any(q, t, params.m, params.rho, params.activation, n_outer, n_inner)
-    return _f_rs_at(q, r, big, params)
+    m, rho = params.m, params.rho
+    if params.activation.kind == "linear":
+        big = psi_big_linear(q, t, m, rho)
+    else:
+        big = psi_big(q, t, m, rho, params.activation, n_outer, n_inner)
+    return psi(r, m, rho) + big / params.beta - 0.5 * r * q
 
 
 def _minimize_bounded(func, x1: float, x2: float,
@@ -307,26 +297,6 @@ SWEEP_SOLVER = {"n_outer": 10, "n_inner": 48, "grid_points": 48, "t_tol": 1e-4}
 CROSSING_SOLVER = {"n_outer": 12, "n_inner": 48, "grid_points": 64, "t_tol": 1e-4}
 
 
-def _scan_grid(c: float, grid_points: int) -> np.ndarray:
-    """The q-grid of `f_star`'s scan, stopping just inside q = c."""
-    return np.linspace(0.0, c * (1.0 - 1e-9), grid_points)
-
-
-@lru_cache(maxsize=64)
-def _psi_scan(t: float, m: float, rho: float, activation, n_outer: int,
-              n_inner: int, grid_points: int) -> np.ndarray:
-    """Psi on `f_star`'s q-grid, read-only.
-
-    Psi does not depend on beta, and every collapse root-find starts at the
-    same bracket ends, so a sweep's later betas read these values back; 64
-    entries of 48-64 values take about 25-33 KiB.
-    """
-    vals = np.array([_psi_any(q, t, m, rho, activation, n_outer, n_inner)
-                     for q in _scan_grid(m * m + rho, grid_points)])
-    vals.setflags(write=False)
-    return vals
-
-
 def f_star(t: float, params: TheoryParams, n_outer: int = 24,
            n_inner: int = 96, grid_points: int = 64) -> FreeEnergyResult:
     """Solve sup_q inf_r f_RS at time t.
@@ -337,11 +307,9 @@ def f_star(t: float, params: TheoryParams, n_outer: int = 24,
     fallback; xatol `Q_XATOL` max(c, 1), plus sqrt(2.2e-16) times the
     distance c - q), and keeps a grid end if that is higher.  The value
     diverges to -inf at q = c = rho + m^2, so the grid stops just inside
-    the boundary.  The grid's Psi values come from `_psi_scan`, which
-    keeps them for the next solve at the same t with another beta.
-    ``psi_evaluations`` counts the Psi values the solve computed, a scan
-    read from that cache counting 0; a minimizer that does not converge
-    raises ArithmeticError.
+    the boundary.
+    ``psi_evaluations`` counts every Psi evaluation of the solve; a
+    minimizer that does not converge raises ArithmeticError.
     """
     m, rho = params.m, params.rho
     c = m * m + rho
@@ -349,12 +317,8 @@ def f_star(t: float, params: TheoryParams, n_outer: int = 24,
     def g(q: float) -> float:
         return f_rs(q, _r_star(q, m, rho), t, params, n_outer, n_inner)
 
-    qs = _scan_grid(c, grid_points)
-    misses = _psi_scan.cache_info().misses
-    bigs = _psi_scan(t, m, rho, params.activation, n_outer, n_inner, grid_points)
-    scanned = grid_points if _psi_scan.cache_info().misses > misses else 0
-    vals = np.array([_f_rs_at(q, _r_star(q, m, rho), big, params)
-                     for q, big in zip(qs, bigs)])
+    qs = np.linspace(0.0, c * (1.0 - 1e-9), grid_points)
+    vals = np.array([g(q) for q in qs])
     k = int(np.argmax(vals))
     lo = qs[max(k - 1, 0)]
     hi = qs[min(k + 1, grid_points - 1)]
@@ -366,7 +330,7 @@ def f_star(t: float, params: TheoryParams, n_outer: int = 24,
     except ArithmeticError as exc:
         raise ArithmeticError(f"sup over q at t = {t}: {exc}") from None
     q_star, f_val = c - u, -f_u
-    psi_evaluations = scanned + nfev
+    psi_evaluations = grid_points + nfev
     boundary = False
     # keep whichever of {interior refinement, grid boundary} wins
     for qb, fb in ((qs[0], vals[0]), (qs[-1], vals[-1])):
@@ -485,15 +449,32 @@ def _brent_root(f, xpre: float, xcur: float, fpre: float, fcur: float,
                        f"iterations, last x = {xcur!r}")
 
 
-def _bisect_time(residual, t_tol: float = 1e-6) -> tuple[float, int]:
+def _residual_floor_hi(alpha: float, rho: float) -> float:
+    """alpha - log(1 + a_t^2 rho / h_t) / 2 at the bracket's upper end.
+
+    This bounds the collapse residual alpha - i(t) from below: i, the mutual
+    information per dimension, is at most the log, since a 1-Lipschitz
+    activation passes on at most its Gaussian input's variance (Poincare),
+    a Gaussian has the largest entropy at a given variance, and Jensen
+    averages over the rows of F; on the Marchenko-Pastur route Jensen gives
+    mp_logdet(x, beta) <= log1p(x).  A solve at t = 20 lands within
+    roundoff of [the bound, alpha].
+    """
+    t = math.exp(_U_HI)
+    return alpha - 0.5 * math.log1p(rho * math.exp(-2.0 * t) / -math.expm1(-2.0 * t))
+
+
+def _bisect_time(residual, f_hi: float, t_tol: float = 1e-6) -> tuple[float, int]:
     """Root of a residual that increases with t, in u = log t.
 
     Brent's method runs over the fixed bracket [_U_LO, _U_HI] in u, where
     the residual is close to linear at small t (its log h_t term is about
     log 2t), so ``t_tol`` is a relative tolerance on t.  The residual is
-    called at t = exp(u) only, the bracket ends included.  Returns the root
-    and the number of Brent iterations (one residual evaluation each);
-    raises ArithmeticError on a residual that is not finite.
+    called at t = exp(u) only; at the upper end it is only where ``f_hi``,
+    a lower bound of it there (`_residual_floor_hi`), is not positive.
+    Returns the root and the number of Brent iterations (one residual
+    evaluation each); raises ArithmeticError on a residual that is not
+    finite.
     """
     def in_u(u: float) -> float:
         t = math.exp(u)
@@ -502,7 +483,9 @@ def _bisect_time(residual, t_tol: float = 1e-6) -> tuple[float, int]:
             raise ArithmeticError(f"residual at t = {t!r} is {value}")
         return value
 
-    f_lo, f_hi = in_u(_U_LO), in_u(_U_HI)
+    f_lo = in_u(_U_LO)
+    if not f_hi > 0.0:
+        f_hi = in_u(_U_HI)
     if not (f_lo < 0.0 < f_hi):
         raise RuntimeError(
             f"no collapse time in range ({math.exp(_U_LO):.2g}, "
@@ -525,8 +508,8 @@ def collapse_time_glm(params: TheoryParams, alpha: float, n_outer: int = 24,
     if not isinstance(params, TheoryParams):
         params = TheoryParams(*params)
     beta = params.beta
-    # the root-finder returns a time it has evaluated, so each time's
-    # f_star is solved once and its residual then read back
+    # the root-finder returns a time it has evaluated (or the upper end),
+    # so each time's f_star is solved once and its residual then read back
     seen: dict[float, float] = {}
     psi_evaluations = 0
 
@@ -539,7 +522,7 @@ def collapse_time_glm(params: TheoryParams, alpha: float, n_outer: int = 24,
             seen[t] = alpha + 0.5 * np.log(2.0 * np.pi * h) + beta * fs.f_star + 0.5
         return seen[t]
 
-    t_c, iterations = _bisect_time(residual, t_tol=t_tol)
+    t_c, iterations = _bisect_time(residual, _residual_floor_hi(alpha, params.rho), t_tol)
     return CollapseResult(t_c=t_c, method=GLM,
                           residual=abs(residual(t_c)), f_star_solves=len(seen),
                           psi_evaluations=psi_evaluations,
@@ -605,7 +588,7 @@ def collapse_time_linear_rmt(alpha: float, beta: float, t_tol: float = 1e-6,
         eta = np.exp(-2.0 * t) / (-np.expm1(-2.0 * t))
         return alpha - 0.5 * mp_logdet(rho * eta, beta)
 
-    t_c, iterations = _bisect_time(residual, t_tol=t_tol)
+    t_c, iterations = _bisect_time(residual, _residual_floor_hi(alpha, rho), t_tol)
     return CollapseResult(t_c=t_c, method=RMT,
                           residual=abs(residual(t_c)),
                           brent_iterations=iterations)

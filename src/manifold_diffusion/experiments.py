@@ -3,6 +3,8 @@
 Four protocols: clone-agreement speciation, the planted-vs-bulk partition
 crossing that locates memorization, Monte-Carlo estimation of the GLM free
 energy, and the tilted-partition identity behind the condensation argument.
+The last (criterion 09) measures the mean of chi^2_d / (2d), 1/2 for every
+model, so it checks the sampler, not the data model.
 The clone trajectories jump between grid times with the exact backward
 transition of the empirical score, so no protocol steps an ambient SDE in
 time.  All runs are reproducible bit-for-bit from their seeds.
@@ -284,7 +286,9 @@ def free_energy_mc(model: ManifoldModel, t: float, n_x: int, n_latent: int,
 
 def rem_derivative_check(model: ManifoldModel, t: float, n_rep: int,
                          seed: int) -> ExperimentRecord:
-    """Estimate -g'(1) = E ||x - a_t x_1||^2 / (2 h_t d) by direct sampling."""
+    """Estimate -g'(1) = E ||x - a_t x_1||^2 / (2 h_t d) by direct sampling:
+    ||z||^2 / (2d) for x = a_t x_1 + sqrt(h_t) z, the mean of chi^2_d / (2d),
+    1/2 for every model, so criterion 09 checks the normal sampler only."""
     if n_rep < 1:
         raise ValueError(f"need at least one draw, got n_rep = {n_rep}")
     sch = schedule(t)

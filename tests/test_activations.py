@@ -14,6 +14,16 @@ def test_builtin_values():
     assert np.allclose(make_activation("sigmoid")(y), 1.0 / (1.0 + np.exp(-y)))
 
 
+def test_sigmoid_reaches_0_without_an_overflow_warning():
+    # exp(-y) overflows below y = -709.78, where 1 / (1 + inf) = 0 is the
+    # limit; pyproject turns a RuntimeWarning into an error
+    phi = make_activation("sigmoid")
+    assert phi(-800.0) == 0.0
+    assert np.array_equal(phi([-1e308, -800.0, -710.0]), [0.0, 0.0, 0.0])
+    y = np.linspace(-709.0, 709.0, 2837)
+    assert np.array_equal(phi(y), 1.0 / (1.0 + np.exp(-y)))
+
+
 def test_builtin_parity_flags():
     assert make_activation("linear").is_odd
     assert make_activation("tanh").is_odd

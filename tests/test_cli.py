@@ -16,8 +16,12 @@ import scipy
 from manifold_diffusion import (__version__, cli, collapse_time_glm,
                                 collapse_time_linear_rmt, f_star, model_hash)
 from manifold_diffusion import model as model_mod
+from manifold_diffusion.activations import make_activation
 from manifold_diffusion.diffusion import EmpiricalScore
-from manifold_diffusion.model import model_from_config, sample_dataset
+from manifold_diffusion.model import TheoryParams, model_from_config, sample_dataset
+
+
+TANH = make_activation("tanh")
 
 
 def run(tmp_path, *argv):
@@ -91,7 +95,6 @@ def test_collapse_command_dispatches_on_model(tmp_path):
 
 def test_collapse_command_glm_for_nonlinear(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli.C, "THEORY_SOLVER", _FAST_THEORY)
-    cli.C._psi_scan.cache_clear()
     assert run(tmp_path, "collapse", "--d", "16", "--p", "8", "--alpha", "0.5",
                "--activation", "tanh") == 0
     out = json.loads((tmp_path / "collapse.json").read_text())
@@ -102,8 +105,6 @@ def test_collapse_command_glm_for_nonlinear(tmp_path, capsys, monkeypatch):
     assert 0.0 < out["t_C"] < 0.2
     model = model_from_config({"d": 16, "p": 8, "alpha": 0.5,
                                "activation": "tanh"})
-    # the direct solve computes its own scans, as the command's did
-    cli.C._psi_scan.cache_clear()
     res = collapse_time_glm(model.theory_params, 0.5, **_FAST_THEORY)
     assert (out["f_star_solves"], out["psi_evaluations"],
             out["brent_iterations"], out["residual"]) == (
@@ -265,7 +266,6 @@ def test_commands_refuse_config_keys_they_do_not_read(tmp_path, capsys,
 
 
 def test_collapse_sweep_writes_all_methods(tmp_path):
-    cli.C._psi_scan.cache_clear()
     assert run(tmp_path, "collapse-sweep", "--beta-min", "0.2",
                "--beta-max", "0.8", "--beta-points", "2",
                "--activations", "tanh") == 0
@@ -286,10 +286,15 @@ def test_collapse_sweep_writes_all_methods(tmp_path):
         assert entry["t_C"] == float(row["t_C [backward time]"])
         assert entry["theory_ensemble"] == "gaussian_iid"
         assert 0.0 <= entry["residual"] < 1e-3
-        assert entry["f_star_solves"] > 0
-        assert entry["psi_evaluations"] > 48 * entry["f_star_solves"]
-        # every residual is a bracket end or a Brent iteration
-        assert entry["f_star_solves"] == 2 + entry["brent_iterations"]
+        # each row is the direct solve at the sweep's setting, in t_C and
+        # in every work counter
+        res = collapse_time_glm(TheoryParams(1.0, 1.0, entry["beta"], TANH),
+                                0.5, **cli.C.SWEEP_SOLVER)
+        direct = {"t_C": res.t_c, **cli._solve_record(res)}
+        assert {k: entry[k] for k in direct} == direct
+        # one f_star at the lower bracket end and one per Brent iteration;
+        # the upper end is a bound, not a solve
+        assert entry["f_star_solves"] == 1 + entry["brent_iterations"]
         assert entry["solve_s"] >= 0
 
 
@@ -342,7 +347,6 @@ def test_exp_collapse_command(tmp_path):
 
 
 def test_exp_collapse_manifest_records_theory_work(tmp_path):
-    cli.C._psi_scan.cache_clear()
     assert run(tmp_path, "exp-collapse", "--d", "20", "--p", "10",
                "--activation", "tanh", "--alpha", "0.25", "--n-noise", "10",
                "--t-min", "0.05", "--t-max", "1.2", "--t-points", "3") == 0
@@ -632,7 +636,8 @@ def test_no_signal_is_rejected_before_any_output(tmp_path, monkeypatch,
 
 
 # grids a command rejects before it writes anything or samples any data:
-# betas outside (0, 1], times t <= 0, empty grids, and a single clone
+# betas outside (0, 1], times t <= 0, empty grids, a single clone, and
+# sweep activation lists with a linear or an empty name
 _BAD_GRIDS = {
     "sweep-beta-min-0": ["collapse-sweep", "--beta-min", "0"],
     "sweep-beta-max-1.5": ["collapse-sweep", "--beta-max", "1.5"],
@@ -657,6 +662,10 @@ _BAD_GRIDS = {
     "exp-free-energy-n-x-0": ["exp-free-energy", "--d", "16", "--p", "8",
                               "--n-x", "0"],
     "exp-rem-n-rep-0": ["exp-rem", "--d", "16", "--p", "8", "--n-rep", "0"],
+    "sweep-activations-linear": ["collapse-sweep", "--activations", "linear"],
+    "sweep-activations-empty": ["collapse-sweep", "--activations", ""],
+    "sweep-activations-with-linear": ["collapse-sweep", "--activations", "relu,linear"],
+    "sweep-activations-trailing-comma": ["collapse-sweep", "--activations", "tanh,"],
 }
 
 
@@ -668,6 +677,23 @@ def test_bad_grids_exit_2_before_any_output(tmp_path, capsys, monkeypatch, argv)
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and json.loads(lines[0])["error"] == "config"
     assert not out.exists()
+
+
+def test_collapse_sweep_names_the_rows_that_cover_linear_data(tmp_path, capsys):
+    assert run(tmp_path, "collapse-sweep", "--activations", "linear") == cli.EXIT_CONFIG
+    message = json.loads(capsys.readouterr().err)["message"]
+    assert "linear_isometry_closed_form" in message and "linear_rmt" in message
+
+
+def test_exp_collapse_with_sigmoid_far_below_zero_exits_3(tmp_path, capsys):
+    # every pre-activation sits where exp(-y) overflows, which warns no
+    # more (pyproject turns a RuntimeWarning into an error); the data carry
+    # no signal, so the theory has no root and the run ends on one line
+    assert run(tmp_path, "exp-collapse", "--d", "12", "--p", "6",
+               "--activation", "sigmoid", "--m", "-800", "--n-data", "500",
+               "--n-noise", "10") == cli.EXIT_SOLVER
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "solver"
 
 
 # each benchmark workload's command, at a small size
@@ -841,6 +867,16 @@ def test_solver_failure_exits_3(tmp_path, capsys):
                "--method", "linear_rmt") == 3
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "solver"
+    # at rho 1e15 linear data carry 2.1e-3 nats per dimension even at
+    # t = 20, more than alpha = 1e-3, so neither route has a root in range
+    for method in ("linear_rmt", "glm_general"):
+        out = tmp_path / method
+        assert cli.main(["collapse", "--d", "16", "--p", "8", "--rho", "1e15",
+                         "--alpha", "0.001", "--method", method,
+                         "--output-dir", str(out)]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "solver" and "no collapse time" in err["message"]
+        assert not out.exists()
 
 
 def test_validate_command_passes(tmp_path, capsys):

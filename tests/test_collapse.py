@@ -22,6 +22,7 @@ from manifold_diffusion.quadrature import std_normal_grid, std_normal_nodes
 LINEAR = make_activation("linear")
 TANH = make_activation("tanh")
 RELU = make_activation("relu")
+SIGMOID = make_activation("sigmoid")
 
 # log(1 + 1/(e^2 - 1)) / 2, frozen from a 30-digit evaluation
 T_C_ISO_1_1 = 0.072706728934430
@@ -249,13 +250,9 @@ def test_bounded_minimizer_matches_scipy_bit_for_bit(func, a, b, xatol):
 def test_f_star_matches_scipy_minimizer_bit_for_bit(act, monkeypatch):
     params = TheoryParams(1.0, 1.0, 0.5, act)
     times = (1e-5, 0.3, 1.0)
-    # the results hold their psi_evaluations, so neither side reads a scan
-    # from the cache
-    collapse_mod._psi_scan.cache_clear()
     ours = [f_star(t, params, n_outer=10, n_inner=48, grid_points=48)
             for t in times]
     monkeypatch.setattr(collapse_mod, "_minimize_bounded", _scipy_bounded)
-    collapse_mod._psi_scan.cache_clear()
     assert ours == [f_star(t, params, n_outer=10, n_inner=48, grid_points=48)
                     for t in times]
 
@@ -289,9 +286,9 @@ def test_root_finder_lands_within_xtol_of_brentq():
 
 
 def test_root_finder_rejects_nonfinite_and_slow_residuals():
-    ends = [math.exp(u) for u in (collapse_mod._U_LO, collapse_mod._U_HI)]
+    lo = math.exp(collapse_mod._U_LO)
     with pytest.raises(ArithmeticError, match="nan"):
-        collapse_mod._bisect_time(lambda t: t - 1.0 if t in ends else math.nan)
+        collapse_mod._bisect_time(lambda t: t - 1.0 if t == lo else math.nan, 19.0)
     # a step at 0 is only bisected, and an absolute tolerance of one
     # subnormal needs about 1,000 halvings there, more than the 100 allowed
     with pytest.raises(RuntimeError, match="did not converge"):
@@ -318,10 +315,88 @@ def test_root_finder_matches_brentq_on_sweep_residuals(monkeypatch):
     assert len(pairs) == 2
     for root, ref, xtol in pairs:
         assert abs(root - ref) <= xtol
-    # every residual evaluation is a bracket end or a Brent iteration
+    # brentq solves the upper end, which ours takes from its bound, and then
+    # repeats our iterates: every other solve is the lower end or an iteration
     assert glm.f_star_solves == 2 + glm.brent_iterations
     assert glm.brent_iterations > 0
     assert rmt.brent_iterations > 0 and rmt.f_star_solves == 0
+
+
+class _UpperEnd(Exception):
+    """Carries (residual at the upper end, the bound passed there) out of a solve."""
+
+
+def _upper_end(monkeypatch, solve):
+    """The residual a collapse solve hands its root-finder, evaluated at the
+    bracket's upper end, and the lower bound the solve passes for it."""
+    def capture(residual, f_hi, t_tol):
+        raise _UpperEnd(residual(math.exp(collapse_mod._U_HI)), f_hi)
+
+    monkeypatch.setattr(collapse_mod, "_bisect_time", capture)
+    with pytest.raises(_UpperEnd) as exc:
+        solve()
+    return exc.value.args
+
+
+@pytest.mark.parametrize("act", [LINEAR, TANH, RELU, SIGMOID],
+                         ids=["linear", "tanh", "relu", "sigmoid"])
+@pytest.mark.parametrize("m,rho", [(1.0, 1.0), (0.0, 1.0), (3.0, 2.0),
+                                   (0.3, 1.7), (10.0, 5.0), (1e4, 1.0),
+                                   (1.0, 1e6), (0.0, 1e12)])
+def test_glm_residual_at_the_upper_end_lies_above_its_floor(act, m, rho,
+                                                            monkeypatch):
+    # alpha - i(t) with 0 <= i <= log(1 + a^2 rho / h) / 2; linear data
+    # reaches the bound at large rho, relu stays below it.  At m far above
+    # 1e4 the sup's tolerance in q, Q_XATOL max(c, 1), is what shows
+    alpha, ulps = 0.5, 8 * np.spacing(0.5)
+    for beta in (0.1, 1.0):
+        value, floor = _upper_end(monkeypatch, lambda: collapse_time_glm(
+            TheoryParams(m, rho, beta, act), alpha, **collapse_mod.SWEEP_SOLVER))
+        assert floor == collapse_mod._residual_floor_hi(alpha, rho)
+        assert floor - ulps <= value <= alpha + ulps, (beta, value - alpha)
+    if rho >= 1e6 and act in (LINEAR, RELU):
+        assert value < alpha - 1e-13
+
+
+@pytest.mark.parametrize("rho", [1.0, 1.7, 1e6, 1e12])
+@pytest.mark.parametrize("beta", [0.1, 0.5, 1.0])
+def test_rmt_residual_at_the_upper_end_lies_above_its_floor(rho, beta,
+                                                           monkeypatch):
+    # mp_logdet(x, beta) <= log1p(x), by Jensen
+    value, floor = _upper_end(
+        monkeypatch, lambda: collapse_time_linear_rmt(0.5, beta, rho=rho))
+    assert floor - 8 * np.spacing(0.5) <= value <= 0.5
+    assert floor == collapse_mod._residual_floor_hi(0.5, rho)
+
+
+@pytest.mark.parametrize("act", [LINEAR, TANH, RELU, SIGMOID],
+                         ids=["linear", "tanh", "relu", "sigmoid"])
+def test_glm_solve_takes_the_upper_end_from_its_floor(act, monkeypatch):
+    # no f_star is solved at t = 20: one at the lower end, one per iteration
+    times = []
+    solve = collapse_mod.f_star
+    monkeypatch.setattr(collapse_mod, "f_star",
+                        lambda t, *a: times.append(t) or solve(t, *a))
+    res = collapse_time_glm(TheoryParams(1.0, 1.0, 0.5, act), 0.5,
+                            **collapse_mod.SWEEP_SOLVER)
+    assert len(times) == res.f_star_solves == 1 + res.brent_iterations
+    assert times[0] == math.exp(collapse_mod._U_LO)
+    assert max(times) < 19.0
+
+
+def test_a_floor_below_zero_solves_the_upper_end():
+    # at rho 1e15 and alpha 1e-3 the floor at t = 20 is alpha - 2.1e-3.
+    # Linear data carries that much information there, so both routes have
+    # no root in range; relu carries less and keeps its root just below 20
+    params = TheoryParams(1.0, 1e15, 0.5, LINEAR)
+    for solve in (lambda: collapse_time_glm(params, 1e-3, **collapse_mod.SWEEP_SOLVER),
+                  lambda: collapse_time_linear_rmt(1e-3, 0.5, rho=1e15)):
+        with pytest.raises(RuntimeError, match="no collapse time"):
+            solve()
+    res = collapse_time_glm(dataclasses.replace(params, activation=RELU), 1e-3,
+                            **collapse_mod.SWEEP_SOLVER)
+    assert 19.0 < res.t_c < 20.0
+    assert res.f_star_solves == 2 + res.brent_iterations
 
 
 def test_isometry_collapse_time_frozen_values():
@@ -484,7 +559,6 @@ def test_glm_sweep_rows_converge_to_relative_t_tol(sweep_rows):
 
 
 def test_psi_evaluations_count_every_psi_big_call(monkeypatch):
-    collapse_mod._psi_scan.cache_clear()
     calls = {"psi_big": 0, "f_star": 0}
 
     def counted(name, fn):
@@ -517,27 +591,6 @@ def test_psi_evaluations_count_every_psi_big_call(monkeypatch):
     assert res.brent_iterations == 0
 
 
-def test_f_star_reads_the_scan_back_at_another_beta(monkeypatch):
-    # Psi does not depend on beta: a second solve at the same t computes
-    # only its minimizer's values, and returns what a cold cache returns
-    calls = []
-    psi_big_orig = collapse_mod.psi_big
-    monkeypatch.setattr(collapse_mod, "psi_big",
-                        lambda *a, **k: calls.append(a) or psi_big_orig(*a, **k))
-    solver = dict(n_outer=10, n_inner=48, grid_points=48)
-    first, second = (TheoryParams(1.0, 1.0, beta, TANH) for beta in (0.5, 0.9))
-    collapse_mod._psi_scan.cache_clear()
-    f_star(0.3, first, **solver)
-    calls.clear()
-    warm = f_star(0.3, second, **solver)
-    assert warm.psi_evaluations == len(calls) < 48
-    collapse_mod._psi_scan.cache_clear()
-    cold = f_star(0.3, second, **solver)
-    assert cold.psi_evaluations == warm.psi_evaluations + 48
-    assert (cold.q_star, cold.r_star, cold.f_star, cold.boundary) == (
-        warm.q_star, warm.r_star, warm.f_star, warm.boundary)
-
-
 def test_glm_rejects_nonpositive_alpha():
     with pytest.raises(ValueError):
         collapse_time_glm(TheoryParams(1.0, 1.0, 0.5, LINEAR), 0.0)
@@ -568,11 +621,8 @@ def test_dispatcher_routes_and_rejects_misread_inputs():
     assert collapse_time(None, 0.5, iso).t_c == collapse_time_linear_isometry(0.5, 0.5)
     assert collapse_time(None, 0.5, gauss) == collapse_time_linear_rmt(0.5, 0.5)
     params = TheoryParams(1.0, 1.0, 0.5, LINEAR)
-    # each side computes its own scans, so their psi_evaluations agree
-    collapse_mod._psi_scan.cache_clear()
-    routed = collapse_time("glm_general", 0.5, params, grid_points=48)
-    collapse_mod._psi_scan.cache_clear()
-    assert routed == collapse_time_glm(params, 0.5, grid_points=48)
+    assert (collapse_time("glm_general", 0.5, params, grid_points=48)
+            == collapse_time_glm(params, 0.5, grid_points=48))
 
     with pytest.raises(ValueError, match="unknown collapse method"):
         collapse_time("closed_form", 0.5, params)
