@@ -290,6 +290,11 @@ def cmd_exp_collapse(args, run: _Run) -> int:
     cfg["n_data"], cfg["alpha"] = _crossing_sample(cfg["d"], cfg.get("alpha"), args.n_data)
     t_grid = np.linspace(args.t_max, args.t_min, args.t_points)
     E.check_crossing(t_grid, cfg["n_data"], args.n_noise)
+    # the theory first: a model with no collapse time in range fails before
+    # the data are drawn and before any output is written
+    solver, params = C.CROSSING_SOLVER, model.theory_params
+    with run.phase("theory"):
+        theory = C.collapse_time(None, cfg["alpha"], params, **solver)
     with run.phase("dataset"):
         dataset = sample_dataset(model, cfg["n_data"], cfg["seed"])
     with run.phase("experiment"):
@@ -297,9 +302,6 @@ def cmd_exp_collapse(args, run: _Run) -> int:
         records = E.collapse_crossing_experiment(model, score, t_grid,
                                                  args.n_noise, cfg["seed"] + 1)
     E.records_to_csv(records, run.output("exp_collapse.csv"))
-    solver, params = C.CROSSING_SOLVER, model.theory_params
-    with run.phase("theory"):
-        theory = C.collapse_time(None, cfg["alpha"], params, **solver)
     t_c, status = E.threshold_crossing(records, 0.0)
     summary = {"t_C_empirical": t_c, "t_C_empirical_status": status,
                "t_C_theory": theory.t_c, "method": theory.method}

@@ -14,10 +14,11 @@ Gaussian F:
 psi has the closed form r (m^2 + rho)/2 - log(1 + r rho)/2, and so has its
 inf over r; Psi is a nested Gaussian-channel log-evidence evaluated by
 Gauss-Hermite quadrature (closed form for a linear activation).  The sup
-over q refines a grid maximum with Brent's bounded method.  For data in a
-hyperplane two shortcuts are provided: a deterministic-isometry closed
-form and a Marchenko-Pastur log-determinant for random F.  Every route
-reads the data model through a `model.TheoryParams` record.
+over q refines a grid maximum, found coarse to fine, with Brent's bounded
+method.  For data in a hyperplane two shortcuts are provided: a
+deterministic-isometry closed form and a Marchenko-Pastur log-determinant
+for random F.  Every route reads the data model through a
+`model.TheoryParams` record.
 """
 from __future__ import annotations
 
@@ -167,7 +168,7 @@ class FreeEnergyResult:
     r_star: float
     f_star: float
     boundary: bool
-    psi_evaluations: int = 0  # grid and optimizer Psi calls
+    psi_evaluations: int = 0  # Psi calls: grid points evaluated plus optimizer
 
 
 def _r_star(q: float, m: float, rho: float) -> float:
@@ -295,6 +296,47 @@ Q_XATOL = 1e-9
 THEORY_SOLVER = {"n_outer": 16, "n_inner": 96, "grid_points": 64, "t_tol": 1e-6}
 SWEEP_SOLVER = {"n_outer": 10, "n_inner": 48, "grid_points": 48, "t_tol": 1e-4}
 CROSSING_SOLVER = {"n_outer": 12, "n_inner": 48, "grid_points": 64, "t_tol": 1e-4}
+# the q-scan's coarse stride and the number of coarse points it climbs from
+# (`_grid_argmax`); one climb missed the full scan's argmax on a relu grid
+GRID_STRIDE = 4
+GRID_CLIMBS = 2
+
+
+def _grid_argmax(value, n: int) -> tuple[int, dict[int, float]]:
+    """Index of the largest of value(0), ..., value(n - 1), coarse to fine.
+
+    Evaluates every ``GRID_STRIDE``-th index and the last, then climbs
+    from each of the ``GRID_CLIMBS`` best of those: at index i it moves to
+    the np.argmax of the values at i - 1, i, i + 1 (ties to the lower
+    index) until that is i itself.  The higher climb end is returned (ties
+    to the lower index), with the values evaluated, each once, by index.
+    On a sequence whose maximum a climb reaches this is np.argmax; a peak
+    narrower than the stride whose neighbouring coarse values rank below
+    the best ``GRID_CLIMBS`` is missed.
+    """
+    if n < 1:
+        raise ValueError("the grid needs at least one point")
+    vals: dict[int, float] = {}
+
+    def at(i: int) -> float:
+        if i not in vals:
+            vals[i] = value(i)
+        return vals[i]
+
+    coarse = sorted({*range(0, n, GRID_STRIDE), n - 1})
+    # a stable sort: of equal values the lower index ranks first
+    starts = sorted(coarse, key=lambda i: -at(i))[:GRID_CLIMBS]
+
+    def climb(i: int) -> int:
+        while True:
+            window = range(max(i - 1, 0), min(i + 2, n))
+            step = window[int(np.argmax([at(j) for j in window]))]
+            if step == i:
+                return i
+            i = step
+
+    ends = sorted({climb(i) for i in starts})
+    return ends[int(np.argmax([vals[i] for i in ends]))], vals
 
 
 def f_star(t: float, params: TheoryParams, n_outer: int = 24,
@@ -302,14 +344,21 @@ def f_star(t: float, params: TheoryParams, n_outer: int = 24,
     """Solve sup_q inf_r f_RS at time t.
 
     The inner inf is in closed form (`_r_star`); the outer sup refines the
-    best point of a bracketing grid with Brent's bounded minimizer
-    (`_minimize_bounded`: parabolic interpolation with golden-section
-    fallback; xatol `Q_XATOL` max(c, 1), plus sqrt(2.2e-16) times the
-    distance c - q), and keeps a grid end if that is higher.  The value
-    diverges to -inf at q = c = rho + m^2, so the grid stops just inside
-    the boundary.
-    ``psi_evaluations`` counts every Psi evaluation of the solve; a
-    minimizer that does not converge raises ArithmeticError.
+    best point k of a grid of ``grid_points`` q's with Brent's bounded
+    minimizer on [q_{k-1}, q_{k+1}] (`_minimize_bounded`: parabolic
+    interpolation with golden-section fallback; xatol `Q_XATOL` max(c, 1),
+    plus sqrt(2.2e-16) times the distance c - q), and keeps a grid end if
+    that is higher.  The value diverges to -inf at q = c = rho + m^2, so
+    the grid stops just inside the boundary.
+    k is found coarse to fine (`_grid_argmax`): every ``GRID_STRIDE``-th
+    (4th) grid point and the last are evaluated, then the grid is climbed
+    from the best ``GRID_CLIMBS`` (2) of those, about 18 of 48 or 22 of 64
+    points in all.  That is the full scan's argmax unless a grid peak
+    narrower than the stride sits below the two best coarse points, which
+    the full scan would find.
+    ``psi_evaluations`` counts every Psi evaluation of the solve: the grid
+    points evaluated plus the minimizer's; a minimizer that does not
+    converge raises ArithmeticError.
     """
     m, rho = params.m, params.rho
     c = m * m + rho
@@ -318,8 +367,7 @@ def f_star(t: float, params: TheoryParams, n_outer: int = 24,
         return f_rs(q, _r_star(q, m, rho), t, params, n_outer, n_inner)
 
     qs = np.linspace(0.0, c * (1.0 - 1e-9), grid_points)
-    vals = np.array([g(q) for q in qs])
-    k = int(np.argmax(vals))
+    k, vals = _grid_argmax(lambda i: g(qs[i]), grid_points)
     lo = qs[max(k - 1, 0)]
     hi = qs[min(k + 1, grid_points - 1)]
     # searched in u = c - q: the bounded method adds sqrt(eps) |u| to xatol,
@@ -330,10 +378,10 @@ def f_star(t: float, params: TheoryParams, n_outer: int = 24,
     except ArithmeticError as exc:
         raise ArithmeticError(f"sup over q at t = {t}: {exc}") from None
     q_star, f_val = c - u, -f_u
-    psi_evaluations = grid_points + nfev
+    psi_evaluations = len(vals) + nfev
     boundary = False
     # keep whichever of {interior refinement, grid boundary} wins
-    for qb, fb in ((qs[0], vals[0]), (qs[-1], vals[-1])):
+    for qb, fb in ((qs[0], vals[0]), (qs[-1], vals[grid_points - 1])):
         if fb > f_val:
             q_star, f_val, boundary = qb, fb, True
     r_star = _r_star(q_star, m, rho)

@@ -95,8 +95,13 @@ def test_collapse_command_dispatches_on_model(tmp_path):
 
 def test_collapse_command_glm_for_nonlinear(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli.C, "THEORY_SOLVER", _FAST_THEORY)
+    psi_calls = []
+    psi_big = cli.C.psi_big
+    monkeypatch.setattr(cli.C, "psi_big",
+                        lambda q, t, *a: psi_calls.append((t, q)) or psi_big(q, t, *a))
     assert run(tmp_path, "collapse", "--d", "16", "--p", "8", "--alpha", "0.5",
                "--activation", "tanh") == 0
+    cli_calls = list(psi_calls)
     out = json.loads((tmp_path / "collapse.json").read_text())
     assert out["method"] == "glm_general"
     # the data are isometric, the GLM theory is derived for gaussian F, and
@@ -110,7 +115,17 @@ def test_collapse_command_glm_for_nonlinear(tmp_path, capsys, monkeypatch):
             out["brent_iterations"], out["residual"]) == (
         res.f_star_solves, res.psi_evaluations, res.brent_iterations,
         res.residual)
-    assert out["psi_evaluations"] > 48 * out["f_star_solves"]
+    # every Psi call is counted; each solve (one per t) evaluates fewer than
+    # its 48 grid q's, each once, and its minimizer's q's off the grid
+    assert out["psi_evaluations"] == len(cli_calls)
+    params = model.theory_params
+    grid = set(np.linspace(0.0, (params.m ** 2 + params.rho) * (1.0 - 1e-9), 48))
+    solves = {t for t, _ in cli_calls}
+    assert len(solves) == out["f_star_solves"]
+    for t in solves:
+        qs = [q for s, q in cli_calls if s == t]
+        scan = [q for q in qs if q in grid]
+        assert len(set(scan)) == len(scan) < 48 and len(scan) < len(qs)
     assert out["brent_iterations"] > 0
     manifest = json.loads((tmp_path / "collapse.manifest.json").read_text())
     # the settings are read when the command runs, and recorded as read
@@ -393,6 +408,22 @@ def test_exp_collapse_rejects_n_data_disagreeing_with_alpha(tmp_path, capsys):
     assert err["error"] == "config"
     assert "150" in err["message"] and "148" in err["message"]
     assert not (tmp_path / "exp_collapse.csv").exists()
+
+
+def test_exp_collapse_solves_the_theory_before_the_data(tmp_path, capsys, monkeypatch):
+    # a model with no collapse time in range fails before any data are
+    # drawn, and leaves no output directory behind
+    sampled = []
+    monkeypatch.setattr(cli, "sample_dataset",
+                        lambda *a: sampled.append(a) or sample_dataset(*a))
+    out = tmp_path / "out"
+    assert cli.main(["exp-collapse", "--d", "12", "--p", "6", "--activation",
+                     "sigmoid", "--m", "-800", "--n-data", "2000", "--n-noise",
+                     "10", "--output-dir", str(out)]) == cli.EXIT_SOLVER
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "solver" and "no collapse time" in err["message"]
+    assert sampled == []
+    assert not out.exists()
 
 
 def test_exp_speciation_command(tmp_path, monkeypatch):
