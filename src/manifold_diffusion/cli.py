@@ -1,9 +1,10 @@
 """Command-line front end.
 
-Subcommands mirror the theory and experiment entry points; every run echoes
-a manifest JSON with the fully resolved configuration and content hashes of
-the files it wrote.  Exit codes: 0 success, 2 config error, 3 solver
-failure, 4 validation failure.
+Subcommands mirror the theory and experiment entry points.  A run writes
+only when it finishes: its tables, a summary JSON if it has one and a
+manifest JSON with the fully resolved configuration and content hashes of
+the files it wrote; it then echoes the summary or the paths it wrote.  Exit
+codes: 0 success, 2 config error, 3 solver failure, 4 validation failure.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ import os
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import replace
+from dataclasses import astuple, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -64,10 +65,10 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 class _Run:
-    """The outputs of one command: directory, phase timings, files, manifest.
+    """The outputs of one command: phase timings, tables, summary, manifest.
 
-    The directory is made at the first output, so that a run rejected
-    before then leaves nothing behind.
+    Tables are held in memory and `finish` writes everything, so a run that
+    fails before it finishes (exit 2 or 3) leaves no directory or file.
     """
 
     def __init__(self, args: argparse.Namespace):
@@ -77,7 +78,7 @@ class _Run:
         self.arguments = {k: v for k, v in vars(args).items()
                           if k not in _NOT_ARGUMENTS}
         self.timings = {}
-        self.outputs = []
+        self.tables = {}
 
     @contextmanager
     def phase(self, name: str):
@@ -86,28 +87,31 @@ class _Run:
         yield
         self.timings[name] = time.perf_counter() - start
 
-    def output(self, name: str) -> Path:
-        """The path of the output file ``name``, hashed into the manifest."""
-        self.dir.mkdir(parents=True, exist_ok=True)
-        path = self.dir / name
-        self.outputs.append(path)
-        return path
+    def table(self, name: str, header: list, rows: list) -> None:
+        """Hold the CSV file ``name`` (a header and rows) for `finish`."""
+        self.tables[name] = (header, rows)
 
     def finish(self, cfg: dict, summary: dict | None = None, **extra) -> int:
-        """Write ``<command>.json`` and ``<command>.manifest.json``.
+        """Make the directory and write the tables, ``<command>.json`` (the
+        summary, when given) and ``<command>.manifest.json``, in that order.
 
-        The summary is written and echoed when given; otherwise the path of
-        each output is echoed.  ``extra`` adds top-level manifest entries.
+        The summary is echoed when given; otherwise the path of each table
+        is echoed.  ``extra`` adds top-level manifest entries.
         """
-        if summary is not None:
-            _write_json(self.output(f"{self.command}.json"), summary)
         self.dir.mkdir(parents=True, exist_ok=True)
+        outputs = [self.dir / name for name in self.tables]
+        for path, (header, rows) in zip(outputs, self.tables.values()):
+            with open(path, "w", newline="") as fh:
+                csv.writer(fh).writerows([header, *rows])
+        if summary is not None:
+            outputs.append(self.dir / f"{self.command}.json")
+            _write_json(outputs[-1], summary)
         _write_json(self.dir / f"{self.command}.manifest.json", {
             "command": self.command,
             "resolved_config": cfg,
             "arguments": self.arguments,
             "outputs": {str(p): hashlib.sha256(p.read_bytes()).hexdigest()
-                        for p in self.outputs},
+                        for p in outputs},
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
             "versions": {"manifold_diffusion": __version__,
                          "numpy": np.__version__, "scipy": scipy.__version__},
@@ -118,9 +122,15 @@ class _Run:
         if summary is not None:
             print(json.dumps(summary, indent=2))
         else:
-            for path in self.outputs:
+            for path in outputs:
                 print(f"wrote {path}")
         return EXIT_OK
+
+
+def _record_table(records: list[E.ExperimentRecord]) -> tuple[list, list]:
+    """A records CSV: a column per field, the last (flags) joined by ";"."""
+    return ([f.name for f in fields(E.ExperimentRecord)],
+            [[*astuple(r)[:-1], ";".join(r.flags)] for r in records])
 
 
 def _solve_record(result: C.CollapseResult) -> dict:
@@ -164,15 +174,12 @@ def cmd_speciation(args, run: _Run) -> int:
             "gamma0_sq_sum": s,
         }
     if args.potential_csv:
-        t_s = result["t_S_finite"]
-        with (run.phase("potential"),
-              open(run.output("potential.csv"), "w", newline="") as fh):
-            writer = csv.writer(fh)
-            writer.writerow(["q", "t", "V(q,t) [reduced units]"])
-            for t in (0.5 * t_s, t_s, 1.5 * t_s):
-                qmax = 4.0 * np.sqrt(max(s, 1.0))
-                for q in np.linspace(-qmax, qmax, 201):
-                    writer.writerow([q, t, S.potential(q, t, s)])
+        t_s, qmax = result["t_S_finite"], 4.0 * np.sqrt(max(s, 1.0))
+        with run.phase("potential"):
+            run.table("potential.csv", ["q", "t", "V(q,t) [reduced units]"],
+                      [[q, t, S.potential(q, t, s)]
+                       for t in (0.5 * t_s, t_s, 1.5 * t_s)
+                       for q in np.linspace(-qmax, qmax, 201)])
     return run.finish(cfg, result)
 
 
@@ -198,26 +205,25 @@ def cmd_collapse_sweep(args, run: _Run) -> int:
     betas = np.linspace(args.beta_min, args.beta_max, args.beta_points)
     if not betas.size:
         raise ValueError("--beta-points must be at least 1")
-    # one linear record per beta, so each beta is checked before the table opens
+    # one linear record per beta, so each beta is checked before any solve
     linear = [TheoryParams(cfg["m"], cfg["rho"], float(beta), lin) for beta in betas]
-    solver, glm_rows = C.SWEEP_SOLVER, []
-    with (run.phase("theory"),
-          open(run.output("collapse_sweep.csv"), "w", newline="") as fh):
-        writer = csv.writer(fh)
-        writer.writerow(["beta", "t_C [backward time]", "method_or_activation"])
+    solver, rows, glm_rows = C.SWEEP_SOLVER, [], []
+    with run.phase("theory"):
         for beta, params in zip(betas, linear):
             for method in (C.CLOSED_FORM, C.RMT):
                 res = C.collapse_time(method, cfg["alpha"], params)
-                writer.writerow([beta, res.t_c, method])
+                rows.append([beta, res.t_c, method])
             for act in acts:
                 start = time.perf_counter()
                 res = C.collapse_time(C.GLM, cfg["alpha"],
                                       replace(params, activation=act), **solver)
                 solve_s = time.perf_counter() - start
-                writer.writerow([beta, res.t_c, act.kind])
+                rows.append([beta, res.t_c, act.kind])
                 glm_rows.append({
                     "beta": params.beta, "activation": act.kind,
                     "t_C": res.t_c, **_solve_record(res), "solve_s": solve_s})
+    run.table("collapse_sweep.csv",
+              ["beta", "t_C [backward time]", "method_or_activation"], rows)
     return run.finish({**cfg, "betas": betas.tolist()}, glm_rows=glm_rows,
                       glm_solver=solver)
 
@@ -230,14 +236,11 @@ def cmd_free_energy(args, run: _Run) -> int:
         raise ValueError("free-energy needs a non-empty time grid with t > 0")
     # the sup over q reads no t_tol
     solver = {k: v for k, v in C.THEORY_SOLVER.items() if k != "t_tol"}
-    with open(run.output("free_energy.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t [backward time]", "q_star", "r_star",
-                         "f_star [per latent dim]"])
-        with run.phase("theory"):
-            for t in ts:
-                res = C.f_star(float(t), params, **solver)
-                writer.writerow([t, res.q_star, res.r_star, res.f_star])
+    with run.phase("theory"):
+        results = [C.f_star(float(t), params, **solver) for t in ts]
+    run.table("free_energy.csv",
+              ["t [backward time]", "q_star", "r_star", "f_star [per latent dim]"],
+              [[t, r.q_star, r.r_star, r.f_star] for t, r in zip(ts, results)])
     # q_star and r_star are converged only to the sup's tolerance in q
     return run.finish(cfg, **_glm_solver({**solver, "q_xatol": C.Q_XATOL}, params))
 
@@ -257,7 +260,7 @@ def cmd_exp_speciation(args, run: _Run) -> int:
         score = EmpiricalScore(dataset)
         records = E.speciation_experiment(model, score, direction, t_grid,
                                           args.n_traj, args.n_clones, cfg["seed"])
-    E.records_to_csv(records, run.output("exp_speciation.csv"))
+    run.table("exp_speciation.csv", *_record_table(records))
     t_s, status = E.threshold_crossing(records, E.AGREEMENT_LEVEL)
     summary = {"t_S_empirical": t_s, "t_S_empirical_status": status,
                "t_S_theory": t_s_theory}
@@ -301,7 +304,7 @@ def cmd_exp_collapse(args, run: _Run) -> int:
         score = EmpiricalScore(dataset)
         records = E.collapse_crossing_experiment(model, score, t_grid,
                                                  args.n_noise, cfg["seed"] + 1)
-    E.records_to_csv(records, run.output("exp_collapse.csv"))
+    run.table("exp_collapse.csv", *_record_table(records))
     t_c, status = E.threshold_crossing(records, 0.0)
     summary = {"t_C_empirical": t_c, "t_C_empirical_status": status,
                "t_C_theory": theory.t_c, "method": theory.method}
@@ -315,7 +318,7 @@ def cmd_exp_free_energy(args, run: _Run) -> int:
         model = model_from_config(cfg)
     with run.phase("experiment"):
         rec = E.free_energy_mc(model, args.t, args.n_x, args.n_latent, cfg["seed"])
-    E.records_to_csv([rec], run.output("exp_free_energy.csv"))
+    run.table("exp_free_energy.csv", *_record_table([rec]))
     return run.finish(cfg, {"value": rec.value, "stderr": rec.stderr,
                             "flags": list(rec.flags)})
 
@@ -326,7 +329,7 @@ def cmd_exp_rem(args, run: _Run) -> int:
         model = model_from_config(cfg)
     with run.phase("experiment"):
         rec = E.rem_derivative_check(model, args.t, args.n_rep, cfg["seed"])
-    E.records_to_csv([rec], run.output("exp_rem.csv"))
+    run.table("exp_rem.csv", *_record_table([rec]))
     return run.finish(cfg, {"minus_g_prime_at_1": rec.value,
                             "stderr": rec.stderr, "expected": 0.5})
 

@@ -32,11 +32,10 @@ from .model import TheoryParams
 from .quadrature import std_normal_grid, std_normal_nodes
 
 # settings no caller changes: psi_quadrature_check's outer nodes per axis
-# and inner nodes, the bounded minimizer's cap on evaluations (scipy's
-# default) and the collapse root-finder's bracket in u = log t
+# and inner nodes and the bounded minimizer's cap on evaluations (scipy's
+# default)
 _CHECK_OUTER, _CHECK_INNER = 48, 96
 _MINIMIZE_MAXITER = 500
-_U_LO, _U_HI = math.log(1e-6), math.log(20.0)
 
 # ---------------------------------------------------------------------------
 # scalar pieces of the replica functional
@@ -497,6 +496,11 @@ def _brent_root(f, xpre: float, xcur: float, fpre: float, fcur: float,
                        f"iterations, last x = {xcur!r}")
 
 
+# the range of a collapse time: the root-finder's bracket in u = log t
+_U_LO, _U_HI = math.log(1e-6), math.log(20.0)
+_NO_ROOT = f"no collapse time in range ({math.exp(_U_LO):.2g}, {math.exp(_U_HI):.2g})"
+
+
 def _residual_floor_hi(alpha: float, rho: float) -> float:
     """alpha - log(1 + a_t^2 rho / h_t) / 2 at the bracket's upper end.
 
@@ -535,9 +539,7 @@ def _bisect_time(residual, f_hi: float, t_tol: float = 1e-6) -> tuple[float, int
     if not f_hi > 0.0:
         f_hi = in_u(_U_HI)
     if not (f_lo < 0.0 < f_hi):
-        raise RuntimeError(
-            f"no collapse time in range ({math.exp(_U_LO):.2g}, "
-            f"{math.exp(_U_HI):.2g}): residuals ({f_lo:.3g}, {f_hi:.3g})")
+        raise RuntimeError(f"{_NO_ROOT}: residuals ({f_lo:.3g}, {f_hi:.3g})")
     u, iterations = _brent_root(in_u, _U_LO, _U_HI, f_lo, f_hi, xtol=t_tol)
     return math.exp(u), iterations
 
@@ -663,7 +665,8 @@ def collapse_time(method: str | None, alpha: float, params: TheoryParams,
     ``solver`` (n_outer, n_inner, grid_points, t_tol) is passed to the GLM
     solve only.  The linear routes take beta and rho (m is a rank-one shift
     and drops out) and are rejected for a non-linear activation, whose data
-    they do not describe.
+    they do not describe.  Every route raises RuntimeError for a collapse
+    time outside the root-finder's bracket, the closed form included.
     """
     if method is None:
         method = collapse_method(params)
@@ -677,4 +680,6 @@ def collapse_time(method: str | None, alpha: float, params: TheoryParams,
     if method == RMT:
         return collapse_time_linear_rmt(alpha, params.beta, rho=params.rho)
     t_c = collapse_time_linear_isometry(alpha, params.beta, rho=params.rho)
+    if not math.exp(_U_LO) < t_c < math.exp(_U_HI):
+        raise RuntimeError(f"{_NO_ROOT}: the closed form gives t_C = {t_c:.4g}")
     return CollapseResult(t_c=t_c, method=method, residual=0.0)

@@ -11,7 +11,6 @@ time.  All runs are reproducible bit-for-bit from their seeds.
 """
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import math
@@ -87,15 +86,14 @@ def _bridge_draws(score: EmpiricalScore, y: np.ndarray, idx: np.ndarray,
     return mean + np.sqrt(v) * rng.standard_normal(mean.shape)
 
 
-def check_speciation(t_grid, n_traj: int, n_clones: int,
-                     t_min: float = CLONE_T_MIN,
-                     t_start: float = CLONE_T_START) -> None:
+def check_speciation(t_grid, n_traj: int, n_clones: int) -> None:
     """Reject the arguments of a `speciation_experiment` that cannot run; the
     CLI calls it before it samples the training set."""
     if np.any(np.diff(t_grid) >= 0):
         raise ValueError("t_grid must be strictly decreasing")
-    if not (len(t_grid) and t_start > t_grid[0] and t_grid[-1] > t_min > 0):
-        raise ValueError("need t_start > t_grid > t_min > 0")
+    if not (len(t_grid) and CLONE_T_START > t_grid[0] and t_grid[-1] > CLONE_T_MIN):
+        raise ValueError(f"need t_start = {CLONE_T_START:g} > t_grid > "
+                         f"t_min = {CLONE_T_MIN:g}")
     if n_traj < 1:
         raise ValueError(f"need at least one trajectory, got n_traj = {n_traj}")
     if n_clones < 2:
@@ -103,14 +101,13 @@ def check_speciation(t_grid, n_traj: int, n_clones: int,
 
 
 def speciation_experiment(model: ManifoldModel, score: EmpiricalScore, direction,
-                          t_grid, n_traj: int, n_clones: int, seed: int,
-                          t_min: float = CLONE_T_MIN,
-                          t_start: float = CLONE_T_START) -> list[ExperimentRecord]:
+                          t_grid, n_traj: int, n_clones: int,
+                          seed: int) -> list[ExperimentRecord]:
     """Clone-agreement measurement of the speciation transition.
 
-    Backward trajectories start from N(0, I_d) at ``t_start``; at each grid
-    time each trajectory spawns ``n_clones`` independent continuations down
-    to ``t_min`` whose endpoints are classified by the sign of the
+    Backward trajectories start from N(0, I_d) at ``CLONE_T_START``; at each
+    grid time each trajectory spawns ``n_clones`` independent continuations
+    down to ``CLONE_T_MIN`` whose endpoints are classified by the sign of the
     projection on ``direction``, the reduced-coordinate vector
     (Gamma0(lambda_j))_j of ``speciation.gamma0_rows``.  The recorded
     value is the mean pairwise clone agreement.
@@ -119,11 +116,11 @@ def speciation_experiment(model: ManifoldModel, score: EmpiricalScore, direction
     exactly: from x_t its law at s < t is the mixture
     sum_i w_i(x_t) N(c0 x_i + c1 x_t, v I) of ``diffusion.bridge``, with
     w the kernel's softmax (Biroli, Bonnaire, de Bortoli & Mezard 2024,
-    arXiv 2402.18491).  So at ``t_start`` and at each grid time the kernel
-    is evaluated once on the ``n_traj`` trunk points
+    arXiv 2402.18491).  So at ``CLONE_T_START`` and at each grid time the
+    kernel is evaluated once on the ``n_traj`` trunk points
     (``EmpiricalScore.draw_indices``, len(t_grid) + 1 evaluations in all),
     ``n_clones`` + 1 sample indices are drawn per point, and the clones'
-    endpoints at ``t_min`` and the trunk's next point are each one
+    endpoints at ``CLONE_T_MIN`` and the trunk's next point are each one
     Gaussian draw; no time is stepped.
 
     The agreement curve is predicted by the reduced commitment SDE
@@ -136,16 +133,16 @@ def speciation_experiment(model: ManifoldModel, score: EmpiricalScore, direction
     The clones are driven by ``score``, the kernel over the training set;
     the caller forms it and ``direction`` once, before the run.
     """
-    check_speciation(t_grid, n_traj, n_clones, t_min, t_start)
+    check_speciation(t_grid, n_traj, n_clones)
     rng = _rng(seed + 1)
 
     y = rng.standard_normal((n_traj, model.d))
-    idx = score.draw_indices(y, t_start, 1, rng)
-    y = _bridge_draws(score, y, idx, t_start, t_grid[0], rng)[:, 0]
+    idx = score.draw_indices(y, CLONE_T_START, 1, rng)
+    y = _bridge_draws(score, y, idx, CLONE_T_START, t_grid[0], rng)[:, 0]
     records = []
     for k, t in enumerate(t_grid):
         idx = score.draw_indices(y, t, n_clones + 1, rng)
-        ends = _bridge_draws(score, y, idx[:, :n_clones], t, t_min, rng)
+        ends = _bridge_draws(score, y, idx[:, :n_clones], t, CLONE_T_MIN, rng)
         agree = _pairwise_agreement(np.sign(ends @ direction))
         if k + 1 < len(t_grid):
             y = _bridge_draws(score, y, idx[:, n_clones:], t, t_grid[k + 1], rng)[:, 0]
@@ -321,12 +318,3 @@ def tilted_log_partition(model: ManifoldModel, dataset: Dataset, t: float,
     x = sch.a * x1[None, :] + np.sqrt(sch.h) * rng.standard_normal((n_noise, model.d))
     return float(score.log_partition(s * x, t, keep=same).mean() / model.d)
 
-
-def records_to_csv(records: list[ExperimentRecord], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["kind", "t", "value", "stderr", "n_rep",
-                         "model_hash", "seed", "flags"])
-        for r in records:
-            writer.writerow([r.kind, r.t, r.value, r.stderr, r.n_rep,
-                             r.model_hash, r.seed, ";".join(r.flags)])

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ from manifold_diffusion import (__version__, cli, collapse_time_glm,
 from manifold_diffusion import model as model_mod
 from manifold_diffusion.activations import make_activation
 from manifold_diffusion.diffusion import EmpiricalScore
+from manifold_diffusion.experiments import ExperimentRecord
 from manifold_diffusion.model import TheoryParams, model_from_config, sample_dataset
 
 
@@ -908,6 +910,70 @@ def test_solver_failure_exits_3(tmp_path, capsys):
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "solver" and "no collapse time" in err["message"]
         assert not out.exists()
+    # the closed form on the default isometric route is held to the same
+    # range: it gives t_C = 20.03 at alpha 1e-3 and 6.9e-73 at alpha 50
+    for alpha in ("0.001", "50"):
+        out = tmp_path / f"closed-form-{alpha}"
+        assert cli.main(["collapse", "--d", "40", "--p", "20", "--rho", "1e15",
+                         "--alpha", alpha, "--output-dir", str(out)]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "solver"
+        assert err["message"].startswith("no collapse time in range (1e-06, 20)")
+        assert not out.exists()
+
+
+# runs that fail after their checks pass: (argv, exit code, start of the
+# message).  At alpha 5 the sweep's closed form at beta 0.1 is 1.9e-44, below
+# the range; a centre of norm 1e160 overflows to inf (with a RuntimeWarning)
+# and the GLM solve rejects the q-grid it gives; S.potential is patched to
+# raise.  Each fails after its checks, while its table is being built.
+_LATE_FAILURES = {
+    "sweep-alpha-5": (["collapse-sweep", "--alpha", "5", "--beta-points", "2",
+                       "--activations", "tanh"],
+                      cli.EXIT_SOLVER, "no collapse time in range (1e-06, 20)"),
+    "sweep-m-1e160": (["collapse-sweep", "--m", "1e160", "--beta-points", "2",
+                       "--activations", "tanh"],
+                      cli.EXIT_CONFIG, "q must lie in [0, inf]"),
+    "free-energy-m-1e160": (["free-energy", "--d", "4", "--p", "2", "--m", "1e160",
+                             "--activation", "tanh", "--t-points", "3"],
+                            cli.EXIT_CONFIG, "q must lie in [0, inf]"),
+    "speciation-potential": (["speciation", "--d", "16", "--p", "8",
+                              "--potential-csv"],
+                             cli.EXIT_SOLVER, "potential failed"),
+}
+
+
+@pytest.mark.parametrize("case", _LATE_FAILURES)
+def test_a_failed_run_writes_nothing(tmp_path, capsys, monkeypatch, case):
+    monkeypatch.setattr(cli.C, "THEORY_SOLVER", _FAST_THEORY)
+    monkeypatch.setattr(cli.C, "SWEEP_SOLVER", _FAST_SWEEP)
+
+    def potential(*args):
+        raise RuntimeError("potential failed")
+
+    monkeypatch.setattr(cli.S, "potential", potential)
+    argv, code, message = _LATE_FAILURES[case]
+    out = tmp_path / "out"
+    with pytest.warns(RuntimeWarning) if "1e160" in argv else nullcontext():
+        assert cli.main([*argv, "--output-dir", str(out)]) == code
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["message"].startswith(message)
+    assert not out.exists()
+
+
+def test_record_table(tmp_path):
+    # the CSV layout of the experiments' records, as `_Run.finish` writes it
+    recs = [ExperimentRecord("x", 1.0, 0.5, 0.0, 1, "abc", 0),
+            ExperimentRecord("x", 0.5, 0.9, 0.0, 1, "abc", 0, flags=("a", "b"))]
+    run = cli._Run(cli.build_parser().parse_args(
+        ["exp-rem", "--output-dir", str(tmp_path)]))
+    run.table("records.csv", *cli._record_table(recs))
+    run.finish({})
+    path = tmp_path / "records.csv"
+    lines = path.read_text().strip().splitlines()
+    assert len(lines) == 3
+    assert lines[0].startswith("kind,t,value")
+    assert lines[2].endswith("a;b")
 
 
 def test_validate_command_passes(tmp_path, capsys):

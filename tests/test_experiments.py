@@ -10,7 +10,6 @@ from manifold_diffusion.experiments import (AGREEMENT_LEVEL, ExperimentRecord,
                                             check_speciation,
                                             collapse_crossing_experiment,
                                             free_energy_mc, model_hash,
-                                            records_to_csv,
                                             rem_derivative_check,
                                             speciation_experiment,
                                             threshold_crossing,
@@ -93,14 +92,14 @@ def test_speciation_experiment_small_run():
     score = EmpiricalScore(sample_dataset(mdl, 64, 5))
     recs = speciation_experiment(mdl, score, _direction(mdl),
                                  t_grid=[2.0, 0.8, 0.3], n_traj=4, n_clones=4,
-                                 seed=5, t_start=4.0)
+                                 seed=5)
     assert [r.t for r in recs] == [2.0, 0.8, 0.3]
     assert all(r.kind == "speciation_agreement" for r in recs)
     assert all(0.0 <= r.value <= 1.0 for r in recs)
     assert all(r.n_rep == 16 for r in recs)
     recs2 = speciation_experiment(mdl, score, _direction(mdl),
                                   t_grid=[2.0, 0.8, 0.3], n_traj=4, n_clones=4,
-                                  seed=5, t_start=4.0)
+                                  seed=5)
     assert [r.value for r in recs] == [r.value for r in recs2]
 
 
@@ -112,11 +111,10 @@ def test_speciation_experiment_validates_inputs():
         speciation_experiment(mdl, score, direction, [0.5, 1.0], 2, 2, seed=0)
     with pytest.raises(ValueError, match="two clones"):
         speciation_experiment(mdl, score, direction, [1.0, 0.5], 2, 1, seed=0)
-    # each jump needs a later start: t_start > t_grid > t_min
-    for kw in (dict(t_start=1.0), dict(t_min=0.5), dict(t_min=0.0)):
-        with pytest.raises(ValueError, match="t_start > t_grid > t_min"):
-            speciation_experiment(mdl, score, direction, [1.0, 0.5], 2, 2,
-                                  seed=0, **kw)
+    # each jump needs a later start: CLONE_T_START > t_grid > CLONE_T_MIN
+    for t_grid in ([12.0, 0.5], [10.0, 0.5], [1.0, 0.01], [1.0, 0.005]):
+        with pytest.raises(ValueError, match="t_start = 10 > t_grid > t_min = 0.01"):
+            speciation_experiment(mdl, score, direction, t_grid, 2, 2, seed=0)
 
 
 def test_threshold_crossing_interpolates():
@@ -238,10 +236,11 @@ def test_collapse_crossing_planted_term_equals_explicit_logsumexp(t):
 
 def test_speciation_experiment_takes_a_drawn_dataset():
     # the clones are driven by the kernel passed in, over a training set
-    # drawn by the caller: another draw changes the records
+    # drawn by the caller: another draw changes the records.  3 x 3 clones
+    # give agreements on a lattice of 2/9, where two draws can tie
     mdl = make_model(d=8, p=4, seed=1)
-    kw = dict(direction=_direction(mdl), t_grid=[2.0, 0.8], n_traj=3,
-              n_clones=3, seed=5, t_start=4.0)
+    kw = dict(direction=_direction(mdl), t_grid=[2.0, 0.8], n_traj=8,
+              n_clones=5, seed=5)
     drawn = speciation_experiment(mdl, EmpiricalScore(sample_dataset(mdl, 64, 5)), **kw)
     assert drawn != speciation_experiment(
         mdl, EmpiricalScore(sample_dataset(mdl, 64, 6)), **kw)
@@ -343,12 +342,3 @@ def test_tilted_log_partition_equals_explicit_logsumexp(monkeypatch, lam,
     want = logsumexp(lam * lw, axis=1).mean() / mdl.d
     assert abs(got - want) <= 1e-12 * abs(want)
 
-
-def test_records_to_csv(tmp_path):
-    recs = [_record(1.0, 0.5), _record(0.5, 0.9, flags=("a", "b"))]
-    path = tmp_path / "records.csv"
-    records_to_csv(recs, path)
-    lines = path.read_text().strip().splitlines()
-    assert len(lines) == 3
-    assert lines[0].startswith("kind,t,value")
-    assert lines[2].endswith("a;b")
