@@ -149,7 +149,7 @@ def _glm_solver(solver: dict, params: TheoryParams, method: str = C.GLM) -> dict
     route, and no quadrature sizes where Psi is the linear closed form."""
     skip = ("n_outer", "n_inner") if params.activation.kind == "linear" else ()
     read = {k: v for k, v in solver.items() if k not in skip}
-    return {"glm_solver": read} if method == C.GLM else {}
+    return {"glm_solver": {"grid_points": C.Q_GRID_POINTS, **read}} if method == C.GLM else {}
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +225,7 @@ def cmd_collapse_sweep(args, run: _Run) -> int:
     run.table("collapse_sweep.csv",
               ["beta", "t_C [backward time]", "method_or_activation"], rows)
     return run.finish({**cfg, "betas": betas.tolist()}, glm_rows=glm_rows,
-                      glm_solver=solver)
+                      glm_solver={"grid_points": C.Q_GRID_POINTS, **solver})
 
 
 def cmd_free_energy(args, run: _Run) -> int:

@@ -14,8 +14,8 @@ Gaussian F:
 psi has the closed form r (m^2 + rho)/2 - log(1 + r rho)/2, and so has its
 inf over r; Psi is a nested Gaussian-channel log-evidence evaluated by
 Gauss-Hermite quadrature (closed form for a linear activation).  The sup
-over q refines a grid maximum, found coarse to fine, with Brent's bounded
-method.  For data in a hyperplane two shortcuts are provided: a
+over q refines the maximum of a 13-point grid with Brent's bounded method.
+For data in a hyperplane two shortcuts are provided: a
 deterministic-isometry closed form and a Marchenko-Pastur log-determinant
 for random F.  Every route reads the data model through a
 `model.TheoryParams` record.
@@ -290,56 +290,17 @@ def _minimize_bounded(func, x1: float, x2: float,
 # the tolerance in q of the sup in `f_star`, relative to max(c, 1): it
 # bounds the digits of q_star and r_star, not of f_star
 Q_XATOL = 1e-9
+# the q-grid of the sup in `f_star`: it only brackets the minimizer
+Q_GRID_POINTS = 13
 # the CLI's GLM settings: `collapse` and `free-energy`; `collapse-sweep` and its
 # demo; `exp-collapse` (the sweep's errs 1e-3 on its row, `collapse`'s is 5x slower)
-THEORY_SOLVER = {"n_outer": 16, "n_inner": 96, "grid_points": 64, "t_tol": 1e-6}
-SWEEP_SOLVER = {"n_outer": 10, "n_inner": 48, "grid_points": 48, "t_tol": 1e-4}
-CROSSING_SOLVER = {"n_outer": 12, "n_inner": 48, "grid_points": 64, "t_tol": 1e-4}
-# the q-scan's coarse stride and the number of coarse points it climbs from
-# (`_grid_argmax`); one climb missed the full scan's argmax on a relu grid
-GRID_STRIDE = 4
-GRID_CLIMBS = 2
-
-
-def _grid_argmax(value, n: int) -> tuple[int, dict[int, float]]:
-    """Index of the largest of value(0), ..., value(n - 1), coarse to fine.
-
-    Evaluates every ``GRID_STRIDE``-th index and the last, then climbs
-    from each of the ``GRID_CLIMBS`` best of those: at index i it moves to
-    the np.argmax of the values at i - 1, i, i + 1 (ties to the lower
-    index) until that is i itself.  The higher climb end is returned (ties
-    to the lower index), with the values evaluated, each once, by index.
-    On a sequence whose maximum a climb reaches this is np.argmax; a peak
-    narrower than the stride whose neighbouring coarse values rank below
-    the best ``GRID_CLIMBS`` is missed.
-    """
-    if n < 1:
-        raise ValueError("the grid needs at least one point")
-    vals: dict[int, float] = {}
-
-    def at(i: int) -> float:
-        if i not in vals:
-            vals[i] = value(i)
-        return vals[i]
-
-    coarse = sorted({*range(0, n, GRID_STRIDE), n - 1})
-    # a stable sort: of equal values the lower index ranks first
-    starts = sorted(coarse, key=lambda i: -at(i))[:GRID_CLIMBS]
-
-    def climb(i: int) -> int:
-        while True:
-            window = range(max(i - 1, 0), min(i + 2, n))
-            step = window[int(np.argmax([at(j) for j in window]))]
-            if step == i:
-                return i
-            i = step
-
-    ends = sorted({climb(i) for i in starts})
-    return ends[int(np.argmax([vals[i] for i in ends]))], vals
+THEORY_SOLVER = {"n_outer": 16, "n_inner": 96, "t_tol": 1e-6}
+SWEEP_SOLVER = {"n_outer": 10, "n_inner": 48, "t_tol": 1e-4}
+CROSSING_SOLVER = {"n_outer": 12, "n_inner": 48, "t_tol": 1e-4}
 
 
 def f_star(t: float, params: TheoryParams, n_outer: int = 24,
-           n_inner: int = 96, grid_points: int = 64) -> FreeEnergyResult:
+           n_inner: int = 96, grid_points: int = Q_GRID_POINTS) -> FreeEnergyResult:
     """Solve sup_q inf_r f_RS at time t.
 
     The inner inf is in closed form (`_r_star`); the outer sup refines the
@@ -348,16 +309,11 @@ def f_star(t: float, params: TheoryParams, n_outer: int = 24,
     interpolation with golden-section fallback; xatol `Q_XATOL` max(c, 1),
     plus sqrt(2.2e-16) times the distance c - q), and keeps a grid end if
     that is higher.  The value diverges to -inf at q = c = rho + m^2, so
-    the grid stops just inside the boundary.
-    k is found coarse to fine (`_grid_argmax`): every ``GRID_STRIDE``-th
-    (4th) grid point and the last are evaluated, then the grid is climbed
-    from the best ``GRID_CLIMBS`` (2) of those, about 18 of 48 or 22 of 64
-    points in all.  That is the full scan's argmax unless a grid peak
-    narrower than the stride sits below the two best coarse points, which
-    the full scan would find.
-    ``psi_evaluations`` counts every Psi evaluation of the solve: the grid
-    points evaluated plus the minimizer's; a minimizer that does not
-    converge raises ArithmeticError.
+    the grid stops just inside the boundary.  A peak narrower than the
+    grid spacing whose grid neighbours are low is missed.
+    ``psi_evaluations`` counts every Psi evaluation of the solve: the
+    ``grid_points`` grid q's plus the minimizer's; a minimizer that does
+    not converge raises ArithmeticError.
     """
     m, rho = params.m, params.rho
     c = m * m + rho
@@ -366,7 +322,8 @@ def f_star(t: float, params: TheoryParams, n_outer: int = 24,
         return f_rs(q, _r_star(q, m, rho), t, params, n_outer, n_inner)
 
     qs = np.linspace(0.0, c * (1.0 - 1e-9), grid_points)
-    k, vals = _grid_argmax(lambda i: g(qs[i]), grid_points)
+    vals = np.array([g(q) for q in qs])
+    k = int(np.argmax(vals))
     lo = qs[max(k - 1, 0)]
     hi = qs[min(k + 1, grid_points - 1)]
     # searched in u = c - q: the bounded method adds sqrt(eps) |u| to xatol,
@@ -377,10 +334,10 @@ def f_star(t: float, params: TheoryParams, n_outer: int = 24,
     except ArithmeticError as exc:
         raise ArithmeticError(f"sup over q at t = {t}: {exc}") from None
     q_star, f_val = c - u, -f_u
-    psi_evaluations = len(vals) + nfev
+    psi_evaluations = grid_points + nfev
     boundary = False
     # keep whichever of {interior refinement, grid boundary} wins
-    for qb, fb in ((qs[0], vals[0]), (qs[-1], vals[grid_points - 1])):
+    for qb, fb in ((qs[0], vals[0]), (qs[-1], vals[-1])):
         if fb > f_val:
             q_star, f_val, boundary = qb, fb, True
     r_star = _r_star(q_star, m, rho)
@@ -545,7 +502,7 @@ def _bisect_time(residual, f_hi: float, t_tol: float = 1e-6) -> tuple[float, int
 
 
 def collapse_time_glm(params: TheoryParams, alpha: float, n_outer: int = 24,
-                      n_inner: int = 96, grid_points: int = 64,
+                      n_inner: int = 96, grid_points: int = Q_GRID_POINTS,
                       t_tol: float = 1e-6) -> CollapseResult:
     """Solve alpha + log(2 pi h_t)/2 + beta f_star(t) = -1/2 for t, to the
     relative tolerance ``t_tol`` (see `_bisect_time`).
@@ -592,7 +549,9 @@ def collapse_time_linear_isometry(alpha: float, beta: float, *,
         raise ValueError("require alpha > 0 and 0 < beta <= 1")
     if rho <= 0:
         raise ValueError("rho must be positive")
-    return 0.5 * np.log1p(rho / np.expm1(2.0 * alpha / beta))
+    # past 2 alpha / beta = 709.78 expm1 overflows, and rho / inf = 0 is the limit
+    with np.errstate(over="ignore"):
+        return 0.5 * np.log1p(rho / np.expm1(2.0 * alpha / beta))
 
 
 def mp_h(x: float, z: float) -> float:

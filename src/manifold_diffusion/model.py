@@ -278,7 +278,8 @@ def resolve_config(cfg: dict, keys: tuple[str, ...] = CONFIG_KEYS) -> dict:
     otherwise leave its default in place.  When ``keys`` holds d and p
     they are required, with d >= p >= 1, and the center must have length
     p.  rho and alpha must be finite and positive, m and mu finite, and
-    the activation and ensemble known.
+    the activation and ensemble known.  The theory squares the center
+    (m^2 + rho), so m^2 and mu @ mu / p must be finite too.
     """
     unknown = sorted(set(cfg).difference(keys))
     if unknown:
@@ -289,11 +290,20 @@ def resolve_config(cfg: dict, keys: tuple[str, ...] = CONFIG_KEYS) -> dict:
         d, p = cfg.get("d", 0), cfg.get("p", 0)
         if not 1 <= p <= d:
             raise ValueError(f"config field d/p invalid: need d >= p >= 1, got d={d}, p={p}")
-        _center(cfg)
     # NaN lies in no interval
     for key, low in (("rho", 0.0), ("alpha", 0.0), ("m", -math.inf)):
         if key in cfg and not low < cfg[key] < math.inf:
             raise ValueError(f"config field {key} must lie in ({low}, inf)")
+    # a float product overflows to inf without a warning
+    if "m" in cfg and not math.isfinite(cfg["m"] * cfg["m"]):
+        raise ValueError(f"config field m = {cfg['m']:g} is too large to square")
+    if "p" in keys:
+        mu = _center(cfg)
+        field = "m" if cfg.get("mu") is None and cfg.get("mu_file") is None else "mu"
+        with np.errstate(over="ignore"):
+            if not math.isfinite(mu @ mu / p):
+                raise ValueError(f"config field {field} is too large to square: "
+                                 "mu @ mu / p is not finite")
     if "activation" in cfg:
         make_activation(cfg["activation"])
     if "ensemble" in cfg and cfg["ensemble"] not in ENSEMBLES:

@@ -7,7 +7,6 @@ import math
 import os
 import subprocess
 import sys
-from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -117,17 +116,18 @@ def test_collapse_command_glm_for_nonlinear(tmp_path, capsys, monkeypatch):
             out["brent_iterations"], out["residual"]) == (
         res.f_star_solves, res.psi_evaluations, res.brent_iterations,
         res.residual)
-    # every Psi call is counted; each solve (one per t) evaluates fewer than
-    # its 48 grid q's, each once, and its minimizer's q's off the grid
+    # every Psi call is counted; each solve (one per t) evaluates its
+    # grid_points grid q's, each once, in order, then its minimizer's q's
+    # off the grid
     assert out["psi_evaluations"] == len(cli_calls)
-    params = model.theory_params
-    grid = set(np.linspace(0.0, (params.m ** 2 + params.rho) * (1.0 - 1e-9), 48))
+    params, n = model.theory_params, _FAST_THEORY["grid_points"]
+    grid = np.linspace(0.0, (params.m ** 2 + params.rho) * (1.0 - 1e-9), n)
     solves = {t for t, _ in cli_calls}
     assert len(solves) == out["f_star_solves"]
     for t in solves:
         qs = [q for s, q in cli_calls if s == t]
-        scan = [q for q in qs if q in grid]
-        assert len(set(scan)) == len(scan) < 48 and len(scan) < len(qs)
+        assert qs[:n] == list(grid)
+        assert len(qs) > n and not set(qs[n:]) & set(grid)
     assert out["brent_iterations"] > 0
     manifest = json.loads((tmp_path / "collapse.manifest.json").read_text())
     # the settings are read when the command runs, and recorded as read
@@ -295,7 +295,7 @@ def test_collapse_sweep_writes_all_methods(tmp_path):
     # the manifest says how each GLM row was solved
     manifest = json.loads((tmp_path / "collapse_sweep.manifest.json").read_text())
     assert manifest["glm_solver"] == {
-        "n_outer": 10, "n_inner": 48, "grid_points": 48, "t_tol": 1e-4}
+        "n_outer": 10, "n_inner": 48, "grid_points": 13, "t_tol": 1e-4}
     glm = [r for r in rows if r["method_or_activation"] == "tanh"]
     assert len(manifest["glm_rows"]) == len(glm)
     for entry, row in zip(manifest["glm_rows"], glm):
@@ -370,7 +370,7 @@ def test_exp_collapse_manifest_records_theory_work(tmp_path):
     manifest = json.loads((tmp_path / "exp_collapse.manifest.json").read_text())
     assert manifest["theory_ensemble"] == "gaussian_iid"
     assert manifest["glm_solver"] == {"n_outer": 12, "n_inner": 48,
-                                      "grid_points": 64, "t_tol": 1e-4}
+                                      "grid_points": 13, "t_tol": 1e-4}
     assert manifest["f_star_solves"] > 0
     assert manifest["psi_evaluations"] > manifest["f_star_solves"]
     assert manifest["brent_iterations"] > 0
@@ -549,7 +549,7 @@ def test_config_file_rejects_unknown_fields(tmp_path, capsys):
 # config files that would otherwise run on a value other than the one
 # recorded, print NaN, or end in a TypeError or OverflowError: a field of the
 # wrong JSON type, a non-integral or bool d, p or seed, an integer beyond the
-# float range, and a non-finite rho, alpha or m
+# float range, a non-finite rho, alpha or m, and a center too large to square
 _MISREAD_CONFIGS = {
     "rho_null": ("speciation", {"rho": None}),
     "activation_list": ("speciation", {"activation": ["tanh"]}),
@@ -567,6 +567,7 @@ _MISREAD_CONFIGS = {
     "m_inf": ("collapse", {"m": -math.inf}),
     "mu_nan": ("speciation", {"mu": [1.0] * 7 + [math.nan]}),
     "mu_object": ("speciation", {"mu": {"a": 1.0}}),
+    "mu_beyond_square": ("free-energy", {"mu": [1e160] + [1.0] * 7}),
 }
 
 
@@ -920,30 +921,46 @@ def test_solver_failure_exits_3(tmp_path, capsys):
         assert err["error"] == "solver"
         assert err["message"].startswith("no collapse time in range (1e-06, 20)")
         assert not out.exists()
+    # past 2 alpha / beta = 709.78 the closed form reaches its limit 0
+    # without a RuntimeWarning
+    out = tmp_path / "closed-form-200"
+    assert cli.main(["collapse", "--d", "40", "--p", "20", "--alpha", "200",
+                     "--output-dir", str(out)]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["message"] == ("no collapse time in range (1e-06, 20): "
+                              "the closed form gives t_C = 0")
+    assert not out.exists()
 
 
-# runs that fail after their checks pass: (argv, exit code, start of the
-# message).  At alpha 5 the sweep's closed form at beta 0.1 is 1.9e-44, below
-# the range; a centre of norm 1e160 overflows to inf (with a RuntimeWarning)
-# and the GLM solve rejects the q-grid it gives; S.potential is patched to
-# raise.  Each fails after its checks, while its table is being built.
-_LATE_FAILURES = {
+# runs that fail: (argv, exit code, start of the message).  At alpha 5 the
+# sweep's closed form at beta 0.1 is 1.9e-44, below the range, and the sweep
+# fails after its checks while its table is being built; S.potential is
+# patched to raise while the potential CSV is built.  A centre of norm
+# 1e160 is too large to square, which every command that reads it rejects
+# up front, without a RuntimeWarning.
+_FAILURES = {
     "sweep-alpha-5": (["collapse-sweep", "--alpha", "5", "--beta-points", "2",
                        "--activations", "tanh"],
                       cli.EXIT_SOLVER, "no collapse time in range (1e-06, 20)"),
     "sweep-m-1e160": (["collapse-sweep", "--m", "1e160", "--beta-points", "2",
                        "--activations", "tanh"],
-                      cli.EXIT_CONFIG, "q must lie in [0, inf]"),
+                      cli.EXIT_CONFIG, "config field m = 1e+160 is too large"),
     "free-energy-m-1e160": (["free-energy", "--d", "4", "--p", "2", "--m", "1e160",
                              "--activation", "tanh", "--t-points", "3"],
-                            cli.EXIT_CONFIG, "q must lie in [0, inf]"),
+                            cli.EXIT_CONFIG, "config field m = 1e+160 is too large"),
+    "collapse-m-1e160": (["collapse", "--d", "4", "--p", "2", "--m", "1e160",
+                          "--activation", "tanh"],
+                         cli.EXIT_CONFIG, "config field m = 1e+160 is too large"),
+    "exp-collapse-m-1e160": (["exp-collapse", "--d", "4", "--p", "2", "--m", "1e160",
+                              "--activation", "tanh"],
+                             cli.EXIT_CONFIG, "config field m = 1e+160 is too large"),
     "speciation-potential": (["speciation", "--d", "16", "--p", "8",
                               "--potential-csv"],
                              cli.EXIT_SOLVER, "potential failed"),
 }
 
 
-@pytest.mark.parametrize("case", _LATE_FAILURES)
+@pytest.mark.parametrize("case", _FAILURES)
 def test_a_failed_run_writes_nothing(tmp_path, capsys, monkeypatch, case):
     monkeypatch.setattr(cli.C, "THEORY_SOLVER", _FAST_THEORY)
     monkeypatch.setattr(cli.C, "SWEEP_SOLVER", _FAST_SWEEP)
@@ -952,10 +969,9 @@ def test_a_failed_run_writes_nothing(tmp_path, capsys, monkeypatch, case):
         raise RuntimeError("potential failed")
 
     monkeypatch.setattr(cli.S, "potential", potential)
-    argv, code, message = _LATE_FAILURES[case]
+    argv, code, message = _FAILURES[case]
     out = tmp_path / "out"
-    with pytest.warns(RuntimeWarning) if "1e160" in argv else nullcontext():
-        assert cli.main([*argv, "--output-dir", str(out)]) == code
+    assert cli.main([*argv, "--output-dir", str(out)]) == code
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and json.loads(lines[0])["message"].startswith(message)
     assert not out.exists()

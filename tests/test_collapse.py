@@ -1,6 +1,5 @@
 """Collapse-time theory: replica functional, optimizers, spectral shortcuts."""
 import dataclasses
-import itertools
 import math
 
 import numpy as np
@@ -258,79 +257,20 @@ def test_f_star_matches_scipy_minimizer_bit_for_bit(act, monkeypatch):
                     for t in times]
 
 
-def _scan(values):
-    """`_grid_argmax` over a sequence: k and the indices evaluated, in call order."""
-    calls = []
-
-    def value(i):
-        calls.append(i)
-        return values[i]
-
-    k, vals = collapse_mod._grid_argmax(value, len(values))
-    assert sorted(calls) == sorted(vals) and len(set(calls)) == len(calls)
-    assert vals[k] == max(vals.values())
-    return k, calls
-
-
-@pytest.mark.parametrize("values", [
-    [-(i - 17.3) ** 2 for i in range(48)],          # unimodal, off the stride
-    [-abs(i - 40) for i in range(64)],
-    [0, 1, 2, 3, 3, 3, 3, 3, 3, 2, 1],              # a plateau: its first index
-    [0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0],
-    list(range(48)), list(range(48, 0, -1)),        # a peak at either end
-    list(range(49)), [5, 1, 2, 3, 4, 3, 2, 1, 0],
-], ids=["unimodal", "unimodal64", "plateau", "plateau-from-1", "rising",
-        "falling", "rising49", "two-peaks"])
-def test_grid_argmax_is_np_argmax_on_a_climbable_sequence(values):
-    k, calls = _scan(values)
-    assert k == int(np.argmax(values))
-    if len(values) >= 48:
-        assert len(calls) < len(values) / 2
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_grid_argmax_evaluates_every_point_of_a_short_grid(n):
-    # with ties, in every order
-    for values in itertools.product([0.0, 1.0, 2.0], repeat=n):
-        k, calls = _scan(values)
-        assert k == int(np.argmax(values)) and sorted(calls) == list(range(n))
-
-
-def test_grid_argmax_misses_a_spike_between_low_coarse_points():
-    # the documented limit: a peak narrower than the stride, whose coarse
-    # neighbours rank below the two best coarse points, is not climbed to
-    values = [-(i - 10) ** 2 for i in range(48)]
-    values[30] = 1.0
-    assert _scan(values)[0] == 10 != int(np.argmax(values)) == 30
-    with pytest.raises(ValueError):
-        collapse_mod._grid_argmax(lambda i: 0.0, 0)
-
-
-def _full_scan(value, n):
-    vals = [value(i) for i in range(n)]
-    return int(np.argmax(vals)), dict(enumerate(vals))
-
-
-@pytest.mark.parametrize("act", [RELU, TANH, SIGMOID], ids=["relu", "tanh", "sigmoid"])
+@pytest.mark.parametrize("act", [TANH, SIGMOID], ids=["tanh", "sigmoid"])
 @pytest.mark.parametrize("m,rho,beta", [(1.0, 1.0, 0.5), (0.0, 3.0, 0.1),
                                         (2.0, 0.5, 0.9)])
-def test_f_star_equals_a_full_scan_bit_for_bit(act, m, rho, beta, monkeypatch):
-    # at the sweep's and the crossing's settings the coarse-to-fine scan
-    # finds the full scan's k, so every output but the work count agrees
+def test_f_star_agrees_with_a_64_point_scan(act, m, rho, beta):
+    # the q-grid only brackets the minimizer: at the sweep's and the
+    # crossing's quadrature, Q_GRID_POINTS q's find the 64-point scan's sup
     params = TheoryParams(m, rho, beta, act)
-    runs = [(t, solver) for t in (1e-6, 0.03, 0.3, 3.0)
-            for solver in (collapse_mod.SWEEP_SOLVER, collapse_mod.CROSSING_SOLVER)]
-
-    def solve(t, solver):
-        return f_star(t, params, solver["n_outer"], solver["n_inner"],
-                      solver["grid_points"])
-
-    ours = [solve(*run) for run in runs]
-    monkeypatch.setattr(collapse_mod, "_grid_argmax", _full_scan)
-    for res, (t, solver), ref in zip(ours, runs, (solve(*run) for run in runs)):
-        assert dataclasses.replace(res, psi_evaluations=0) == \
-            dataclasses.replace(ref, psi_evaluations=0), (t, solver)
-        assert res.psi_evaluations < ref.psi_evaluations
+    for t in (1e-6, 0.03, 0.3, 3.0):
+        for solver in (collapse_mod.SWEEP_SOLVER, collapse_mod.CROSSING_SOLVER):
+            quad = (solver["n_outer"], solver["n_inner"])
+            ours, ref = f_star(t, params, *quad), f_star(t, params, *quad, 64)
+            assert abs(ours.f_star - ref.f_star) <= 1e-8 * (abs(ref.f_star) + 1), \
+                (t, solver)
+            assert ours.psi_evaluations < ref.psi_evaluations
 
 
 def test_bounded_minimizer_reports_failure(monkeypatch):
@@ -649,22 +589,20 @@ def test_psi_evaluations_count_every_psi_big_call(monkeypatch):
     monkeypatch.setattr(collapse_mod, "psi_big",
                         counted("psi_big", collapse_mod.psi_big))
     params = TheoryParams(1.0, 1.0, 0.5, TANH)
-    res = f_star(0.3, params, n_outer=10, n_inner=48, grid_points=48)
+    res = f_star(0.3, params, n_outer=10, n_inner=48)
     assert not res.boundary
     assert res.psi_evaluations == calls["psi_big"] == len(qs)
-    # the scan evaluates both grid ends and fewer than all 48 points, each
-    # once; the minimizer's q's are off the grid
-    grid = set(np.linspace(0.0, 2.0 * (1.0 - 1e-9), 48))
-    scan = [q for q in qs if q in grid]
-    assert len(set(scan)) == len(scan) < 48
-    assert {min(grid), max(grid)} <= set(scan)
-    assert len(scan) < len(qs)
+    # the scan evaluates the grid's Q_GRID_POINTS q's, each once, in order;
+    # the minimizer's q's follow, off the grid
+    n = collapse_mod.Q_GRID_POINTS
+    grid = np.linspace(0.0, 2.0 * (1.0 - 1e-9), n)
+    assert qs[:n] == list(grid)
+    assert len(qs) > n and not set(qs[n:]) & set(grid)
 
     monkeypatch.setattr(collapse_mod, "f_star",
                         counted("f_star", collapse_mod.f_star))
     calls.update(psi_big=0, f_star=0)
-    res = collapse_time_glm(params, 0.5, n_outer=10, n_inner=48,
-                            grid_points=48, t_tol=1e-4)
+    res = collapse_time_glm(params, 0.5, n_outer=10, n_inner=48, t_tol=1e-4)
     assert res.psi_evaluations == calls["psi_big"] > 0
     assert res.f_star_solves == calls["f_star"] > 0
 

@@ -225,6 +225,23 @@ def test_resolve_config_rejects_non_finite_values():
         resolve_config({"alpha": math.inf}, ("alpha", "rho", "m", "seed"))
 
 
+def test_resolve_config_rejects_a_center_too_large_to_square():
+    # the theory reads m^2 + rho and |mu|^2 / p; each is checked without a
+    # RuntimeWarning, with and without d and p
+    for cfg, keys in (({"d": 4, "p": 2}, model_mod.CONFIG_KEYS),
+                      ({}, ("alpha", "rho", "m", "seed"))):
+        with pytest.raises(ValueError, match="config field m = 1e\\+160 is too large"):
+            resolve_config({**cfg, "m": 1e160}, keys)
+        assert resolve_config({**cfg, "m": -1e150}, keys)["m"] == -1e150
+    # m^2 is finite but the center m * ones(p) has |mu|^2 = p m^2
+    with pytest.raises(ValueError, match="config field m is too large"):
+        resolve_config({"d": 4, "p": 2, "m": 1e154})
+    for mu in ([1e160, 1.0], [1e154] * 2 + [-1e154] * 2):
+        with pytest.raises(ValueError, match="config field mu is too large"):
+            resolve_config({"d": 4, "p": len(mu), "mu": mu})
+    assert resolve_config({"d": 4, "p": 2, "mu": [1e150, 1.0]})["mu"][0] == 1e150
+
+
 def test_theory_params_reject_invalid_values():
     lin = make_activation("linear")
     for rho in (0.0, -0.5):
