@@ -10,7 +10,7 @@ Run:  python3 demos/memorization_demo.py   (a few seconds)
 """
 import numpy as np
 
-from manifold_diffusion import (EmpiricalScore, collapse_crossing_experiment,
+from manifold_diffusion import (collapse_crossing_experiment,
                                 collapse_time_linear_isometry, make_model,
                                 sample_count, sample_dataset, threshold_crossing)
 
@@ -21,8 +21,7 @@ dataset = sample_dataset(model, n, seed=0)
 print(f"model: d={d}, p={p}, alpha={alpha}  ->  n = e^(alpha d) = {n} samples")
 
 t_grid = np.linspace(0.6, 0.05, 12)
-records = collapse_crossing_experiment(model, EmpiricalScore(dataset), t_grid,
-                                       n_noise=200, seed=1)
+records = collapse_crossing_experiment(model, dataset, t_grid, n_noise=200, seed=1)
 print(f"\n{'t':>6} {'(log Z1 - log Z2)/d':>21} {'stderr':>9}")
 for r in records:
     print(f"{r.t:6.3f} {r.value:21.4f} {r.stderr:9.4f}")

@@ -301,8 +301,7 @@ def cmd_exp_collapse(args, run: _Run) -> int:
     with run.phase("dataset"):
         dataset = sample_dataset(model, cfg["n_data"], cfg["seed"])
     with run.phase("experiment"):
-        score = EmpiricalScore(dataset)
-        records = E.collapse_crossing_experiment(model, score, t_grid,
+        records = E.collapse_crossing_experiment(model, dataset, t_grid,
                                                  args.n_noise, cfg["seed"] + 1)
     run.table("exp_collapse.csv", *_record_table(records))
     t_c, status = E.threshold_crossing(records, 0.0)

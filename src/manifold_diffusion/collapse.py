@@ -336,7 +336,7 @@ def f_star(t: float, params: TheoryParams, n_outer: int = 24,
     q_star, f_val = c - u, -f_u
     psi_evaluations = grid_points + nfev
     boundary = False
-    # keep whichever of {interior refinement, grid boundary} wins
+    # take whichever of {interior refinement, grid boundary} wins
     for qb, fb in ((qs[0], vals[0]), (qs[-1], vals[-1])):
         if fb > f_val:
             q_star, f_val, boundary = qb, fb, True
@@ -554,30 +554,49 @@ def collapse_time_linear_isometry(alpha: float, beta: float, *,
         return 0.5 * np.log1p(rho / np.expm1(2.0 * alpha / beta))
 
 
+def _mp_roots(x: float, z: float) -> tuple[float, float]:
+    """The roots sqrt(x (1 +- sqrt(z))^2 + 1) of ``mp_h``."""
+    rz = math.sqrt(z)
+    return math.sqrt(x * (1.0 + rz) ** 2 + 1.0), math.sqrt(x * (1.0 - rz) ** 2 + 1.0)
+
+
 def mp_h(x: float, z: float) -> float:
     """Marchenko-Pastur auxiliary h(x, z).
 
     h = (sqrt(x (1 + sqrt(z))^2 + 1) - sqrt(x (1 - sqrt(z))^2 + 1))^2; the
     edge factors (1 +- sqrt(z)) enter squared, which is what matches the
-    empirical spectrum (and keeps E log concave-consistent).
+    empirical spectrum (and keeps E log concave-consistent).  The squares
+    under the roots differ by 4 x sqrt(z), so the difference of the roots
+    is taken as 4 x sqrt(z) over their sum, which does not cancel.
     """
     if x < 0 or z < 0:
         raise ValueError("mp_h requires x, z >= 0")
-    rz = math.sqrt(z)
-    return (math.sqrt(x * (1.0 + rz) ** 2 + 1.0)
-            - math.sqrt(x * (1.0 - rz) ** 2 + 1.0)) ** 2
+    ra, rb = _mp_roots(x, z)
+    return (4.0 * x * math.sqrt(z) / (ra + rb)) ** 2
 
 
 def mp_logdet(eta: float, beta: float) -> float:
-    """Large-d limit of (1/d) log det(eta F F^T / p + I_d), gaussian F."""
+    """Large-d limit of (1/d) log det(eta F F^T / p + I_d), gaussian F.
+
+    It is beta log1p(x - h/4) + log1p(eta - h/4) - h / (4x), x = eta / beta
+    and h = ``mp_h``(x, beta) = w^2.  eta - h/4 = (sqrt(eta) - w/2)(sqrt(eta)
+    + w/2) with sqrt(eta) - w/2 = sqrt(eta) g / (ra + rb), ra and rb the
+    roots of h and g = ra + rb - 2 sqrt(x) = sum over +- of 1 / (r +
+    sqrt(x) (1 +- sqrt(beta))), and x - h/4 adds x (1 - beta) to it: every
+    term is a product or sum of positive numbers, which cancels at no eta.
+    """
     if eta <= 0:
         raise ValueError("eta must be positive")
     if not 0 < beta <= 1:
         raise ValueError("beta must lie in (0, 1]")
-    hval = mp_h(eta / beta, beta)
-    return (beta * np.log1p(eta / beta - 0.25 * hval)
-            + np.log1p(eta - 0.25 * hval)
-            - 0.25 * beta / eta * hval)
+    x = eta / beta
+    ra, rb = _mp_roots(x, beta)
+    rx, rz, re = math.sqrt(x), math.sqrt(beta), math.sqrt(eta)
+    half_w = 2.0 * x * rz / (ra + rb)
+    g = 1.0 / (ra + rx * (1.0 + rz)) + 1.0 / (rb + rx * (1.0 - rz))
+    eta_less = re * g / (ra + rb) * (re + half_w)  # eta - h/4
+    return (beta * np.log1p(eta_less + x * (1.0 - beta)) + np.log1p(eta_less)
+            - half_w * half_w / x)
 
 
 def collapse_time_linear_rmt(alpha: float, beta: float, t_tol: float = 1e-6,

@@ -86,7 +86,7 @@ def _reservoir_step(g: np.ndarray, share: np.ndarray, u: np.ndarray,
     uniform per draw.  A draw with u < share is replaced, in ``picks``, by
     the sample index (``start`` + column) at which u / share, uniform on
     [0, 1) given the replacement, falls in the row's normalised cumulative
-    weights; the others keep their earlier pick.  So after the last block
+    weights; the others stay with their earlier pick.  So after the last block
     each draw follows the softmax over all blocks.  The rows are searched
     as one sorted array, row j's cumulative weights shifted to [j, j + 1];
     an index clipped to the row's last column absorbs a target rounded up
@@ -139,9 +139,14 @@ class EmpiricalScore:
             raise ValueError("dataset must be a non-empty (n, d) array")
         self.samples = X
         self._sq_norms = np.einsum("ij,ij->i", X, X)
+        # (columns, column count, largest sample norm) of each block
+        n = X.shape[0]
+        bounds = [(lo, min(lo + _BLOCK_COLS, n)) for lo in range(0, n, _BLOCK_COLS)]
+        self._block_table = [(slice(lo, hi), hi - lo, np.sqrt(self._sq_norms[lo:hi].max()))
+                             for lo, hi in bounds]
 
     def _shifted_log_weights(self, x: np.ndarray, sch: DiffusionSchedule,
-                             cols: slice | np.ndarray = slice(None),
+                             cols: slice = slice(None),
                              out: np.ndarray | None = None) -> np.ndarray:
         """(a/h) <x, x_i> - (a^2 / 2h) ||x_i||^2 for the samples in ``cols``.
 
@@ -167,38 +172,14 @@ class EmpiricalScore:
         g -= (np.einsum("bj,bj->b", x, x) / (2.0 * sch.h))[:, None]
         return g
 
-    def _blocks(self, keep: np.ndarray | None) -> list:
-        """(columns, column count, largest sample norm) of each block.
-
-        The columns are a slice, or the indices of the block's kept samples
-        when ``keep`` drops some of it; the norm is taken over those.  A
-        block without a kept sample is left out: its running max would stay
-        -inf, and exp(-inf - (-inf)) is NaN.
-        """
-        n = self.samples.shape[0]
-        blocks = []
-        for lo in range(0, n, _BLOCK_COLS):
-            cols = slice(lo, min(lo + _BLOCK_COLS, n))
-            if keep is not None and not keep[cols].all():
-                cols = lo + np.flatnonzero(keep[cols])
-            sq = self._sq_norms[cols]
-            if sq.size:
-                blocks.append((cols, sq.size, np.sqrt(sq.max())))
-        return blocks
-
-    def _reduce(self, x: np.ndarray, t: float, keep: np.ndarray | None,
-                with_score: bool, draws: int = 0,
+    def _reduce(self, x: np.ndarray, t: float, with_score: bool, draws: int = 0,
                 rng: np.random.Generator | None = None) -> tuple:
         """(score or None, log-normalizer, draws or None) of each row of the
         (B, d) batch x.
 
-        Score and log-normalizer are taken over the samples selected by the
-        boolean ``keep`` (all when None).  The excluded samples never enter a
-        block's product (`_blocks`), so they can neither set the shift nor be
-        lifted to e^-700 by the floor.  With ``draws`` = k > 0 (and ``keep``
-        None) each row also gets k sample indices drawn independently from
-        its softmax with ``rng``, one reservoir step per block
-        (`_reservoir_step`).
+        With ``draws`` = k > 0 each row also gets k sample indices drawn
+        independently from its softmax with ``rng``, one reservoir step per
+        block (`_reservoir_step`).
         """
         if t <= 0:
             raise ValueError("empirical score requires t > 0")
@@ -206,9 +187,8 @@ class EmpiricalScore:
         b = x.shape[0]
         if b == 0:
             raise ValueError("empty batch")
-        blocks = self._blocks(keep)
         rows = -(-b // -(-b // _TILE_ROWS))  # ceil(b / ceil(b / 256))
-        buf = np.empty(rows * min(self.samples.shape[0], _BLOCK_COLS))
+        buf = np.empty(rows * self._block_table[0][1])  # the first block is the widest
         score = np.empty(x.shape) if with_score else None
         logz = np.empty(b)
         picks = np.empty((b, draws), dtype=np.intp) if draws else None
@@ -220,7 +200,7 @@ class EmpiricalScore:
             m = np.full((r, 1), -np.inf)
             z = np.zeros((r, 1))
             wsum = np.zeros((r, x.shape[1]))
-            for cols, w, radius in blocks:
+            for cols, w, radius in self._block_table:
                 g = self._shifted_log_weights(xs, sch, cols, out=buf[:r * w].reshape(r, w))
                 m_new = np.maximum(m, g.max(axis=1, keepdims=True))
                 # by Cauchy-Schwarz each shifted log weight of the block is
@@ -250,26 +230,18 @@ class EmpiricalScore:
         kernel weights; the log-normalizer is logsumexp of those weights.
         """
         x_in = np.asarray(x, dtype=float)
-        score, logz, _ = self._reduce(np.atleast_2d(x_in), t, None, True)
+        score, logz, _ = self._reduce(np.atleast_2d(x_in), t, True)
         if x_in.ndim == 1:
             return score[0], float(logz[0])
         return score, logz
 
-    def log_partition(self, x: np.ndarray, t: float,
-                      keep: np.ndarray | None = None) -> np.ndarray | float:
-        """logsumexp of the log kernel weights over the samples in ``keep``.
+    def log_partition(self, x: np.ndarray, t: float) -> np.ndarray | float:
+        """logsumexp of the log kernel weights over the samples.
 
-        ``keep`` is a boolean mask over the n samples (all when None).  A
-        single point gives a float, a (B, d) batch a (B,) array.
+        A single point gives a float, a (B, d) batch a (B,) array.
         """
-        if keep is not None:
-            keep = np.asarray(keep)
-            if keep.dtype != bool or keep.shape != self._sq_norms.shape:
-                raise ValueError("keep must be a boolean mask over the samples")
-            if not keep.any():
-                raise ValueError("keep selects no sample")
         x_in = np.asarray(x, dtype=float)
-        _, logz, _ = self._reduce(np.atleast_2d(x_in), t, keep, False)
+        _, logz, _ = self._reduce(np.atleast_2d(x_in), t, False)
         return float(logz[0]) if x_in.ndim == 1 else logz
 
     def draw_indices(self, x: np.ndarray, t: float, k: int,
@@ -286,4 +258,4 @@ class EmpiricalScore:
         if k < 1:
             raise ValueError("k must be at least 1")
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        return self._reduce(x, t, None, False, draws=k, rng=rng)[2]
+        return self._reduce(x, t, False, draws=k, rng=rng)[2]

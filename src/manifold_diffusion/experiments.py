@@ -197,25 +197,24 @@ def check_crossing(t_grid, n_samples: int, n_noise: int) -> None:
         raise ValueError(f"need at least one noise draw, got n_noise = {n_noise}")
 
 
-def collapse_crossing_experiment(model: ManifoldModel, score: EmpiricalScore, t_grid,
+def collapse_crossing_experiment(model: ManifoldModel, dataset: Dataset, t_grid,
                                  n_noise: int, seed: int) -> list[ExperimentRecord]:
     """Mean of (log Z1 - log Z2) / d along the forward trajectory of x_1.
 
-    x_1 is the kernel's first sample and Z1 its weight, log Z1 =
+    x_1 is the dataset's first sample and Z1 its weight, log Z1 =
     -||x - a x_1||^2 / (2 h) from the explicit difference; Z2 is the sum
-    over all other samples from ``EmpiricalScore.log_partition`` with a
-    mask.  They are reduced in blocks, so memory grows with the block size,
-    not with n_noise x n.
+    over all other samples, the ``EmpiricalScore.log_partition`` of a kernel
+    over the row view x_2..x_n, which copies no sample.  They are reduced in
+    blocks, so memory grows with the block size, not with n_noise x n.
 
     The gap is negative at large t, where the bulk dominates, and positive
     at small t, where the planted sample does.  When its crossing,
     ``threshold_crossing(records, 0.0)``, is censored, the last record is
     flagged ``all_one_sign_widen_grid``.
     """
-    n = len(score.samples)
-    check_crossing(t_grid, n, n_noise)
-    x1 = score.samples[0]
-    others = np.arange(n) != 0
+    check_crossing(t_grid, dataset.n, n_noise)
+    x1 = dataset.ambient[0]
+    others = EmpiricalScore(dataset.ambient[1:])
     rng = _rng(seed)
     records = []
     for t in t_grid:
@@ -223,7 +222,7 @@ def collapse_crossing_experiment(model: ManifoldModel, score: EmpiricalScore, t_
         x = sch.a * x1[None, :] + np.sqrt(sch.h) * rng.standard_normal((n_noise, model.d))
         diff = x - sch.a * x1
         log_z1 = -np.einsum("bj,bj->b", diff, diff) / (2.0 * sch.h)
-        gap = (log_z1 - score.log_partition(x, float(t), keep=others)) / model.d
+        gap = (log_z1 - others.log_partition(x, float(t))) / model.d
         records.append(_record("logZ_gap", t, gap, model, seed))
     if threshold_crossing(records, 0.0)[1] != "interpolated":
         records[-1] = replace(records[-1], flags=("all_one_sign_widen_grid",))
@@ -304,17 +303,21 @@ def tilted_log_partition(model: ManifoldModel, dataset: Dataset, t: float,
 
     x is noise around a_t x_1, x_1 the first sample.  lam ||x - a_t x_i||^2
     = ||s x - a_t s x_i||^2 with s = sqrt(lam), so the sum is the untilted
-    log partition of the scaled points over the scaled samples, by blocks.
+    log partition of the scaled points under a kernel over the scaled
+    samples of x_1's class other than x_1, by blocks.  A class with no such
+    sample is rejected.
     """
     if lam <= 0:
         raise ValueError("tilt parameter must be positive")
-    sch = schedule(t)
-    s = np.sqrt(lam)
-    score = EmpiricalScore(s * dataset.ambient)
     same = dataset.labels == dataset.labels[0]
     same[0] = False
+    if not same.any():
+        raise ValueError(f"x_1's class {int(dataset.labels[0]):+d} has no other sample "
+                         "to sum over")
+    sch = schedule(t)
+    s = np.sqrt(lam)
+    score = EmpiricalScore(s * dataset.ambient[same])
     rng = _rng(seed)
     x1 = dataset.ambient[0]
     x = sch.a * x1[None, :] + np.sqrt(sch.h) * rng.standard_normal((n_noise, model.d))
-    return float(score.log_partition(s * x, t, keep=same).mean() / model.d)
-
+    return float(score.log_partition(s * x, t).mean() / model.d)

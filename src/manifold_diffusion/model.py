@@ -279,7 +279,8 @@ def resolve_config(cfg: dict, keys: tuple[str, ...] = CONFIG_KEYS) -> dict:
     they are required, with d >= p >= 1, and the center must have length
     p.  rho and alpha must be finite and positive, m and mu finite, and
     the activation and ensemble known.  The theory squares the center
-    (m^2 + rho), so m^2 and mu @ mu / p must be finite too.
+    and scales by rho (rho (m^2 + rho)), so m^2, mu @ mu / p and that
+    product must be finite too.
     """
     unknown = sorted(set(cfg).difference(keys))
     if unknown:
@@ -295,15 +296,20 @@ def resolve_config(cfg: dict, keys: tuple[str, ...] = CONFIG_KEYS) -> dict:
         if key in cfg and not low < cfg[key] < math.inf:
             raise ValueError(f"config field {key} must lie in ({low}, inf)")
     # a float product overflows to inf without a warning
-    if "m" in cfg and not math.isfinite(cfg["m"] * cfg["m"]):
+    m2 = cfg["m"] * cfg["m"] if "m" in cfg else 0.0
+    if not math.isfinite(m2):
         raise ValueError(f"config field m = {cfg['m']:g} is too large to square")
     if "p" in keys:
         mu = _center(cfg)
         field = "m" if cfg.get("mu") is None and cfg.get("mu_file") is None else "mu"
         with np.errstate(over="ignore"):
-            if not math.isfinite(mu @ mu / p):
-                raise ValueError(f"config field {field} is too large to square: "
-                                 "mu @ mu / p is not finite")
+            m2 = float(mu @ mu / p)
+        if not math.isfinite(m2):
+            raise ValueError(f"config field {field} is too large to square: "
+                             "mu @ mu / p is not finite")
+    if "rho" in cfg and not math.isfinite(cfg["rho"] * (m2 + cfg["rho"])):
+        raise ValueError(f"config field rho = {cfg['rho']:g} is too large: "
+                         "rho (m^2 + rho) is not finite")
     if "activation" in cfg:
         make_activation(cfg["activation"])
     if "ensemble" in cfg and cfg["ensemble"] not in ENSEMBLES:

@@ -226,8 +226,7 @@ def test_criterion_08_simulated_collapse_band():
     n = sample_count(alpha, d)
     dataset = sample_dataset(mdl, n, seed=0)
     t_grid = np.linspace(0.6, 0.05, 12)
-    records = collapse_crossing_experiment(mdl, EmpiricalScore(dataset),
-                                           t_grid, n_noise=200, seed=1)
+    records = collapse_crossing_experiment(mdl, dataset, t_grid, n_noise=200, seed=1)
     t_emp, status = threshold_crossing(records, 0.0)
     assert status == "interpolated"
     t_theory = collapse_time_linear_isometry(alpha, mdl.beta)

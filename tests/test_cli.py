@@ -932,12 +932,47 @@ def test_solver_failure_exits_3(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_the_largest_accepted_rho_runs_free_energy(tmp_path):
+    # at m = 1, rho (1 + rho) is finite up to about sqrt(max float) = 1.34e154
+    rho = math.sqrt(sys.float_info.max)
+    while not math.isfinite(rho * (1.0 + rho)):
+        rho = math.nextafter(rho, 0.0)
+    argv = ["free-energy", "--d", "4", "--p", "2", "--activation", "tanh",
+            "--t-points", "2"]
+    assert run(tmp_path / "max", *argv, "--rho", repr(rho)) in (cli.EXIT_OK, cli.EXIT_SOLVER)
+    over = tmp_path / "over"
+    assert run(over, *argv, "--rho", repr(math.nextafter(rho, math.inf))) == cli.EXIT_CONFIG
+    assert not over.exists()
+
+
+@pytest.mark.parametrize("rho", ["1e12", "1e15", "1e16"])
+def test_rmt_collapse_time_at_large_rho_matches_the_spectrum(tmp_path, rho):
+    # the root-finder's lower end t = 1e-6 puts mp_logdet at eta = 5e5 rho,
+    # where its log1p arguments once cancelled to NaN (rho 1e12 and 1e16);
+    # the finite-d log-determinant of F^T F / p at d = 800 pins t_C to 1e-3
+    from scipy.optimize import brentq
+
+    assert run(tmp_path, "collapse", "--d", "40", "--p", "20",
+               "--ensemble", "gaussian_iid", "--rho", rho) == 0
+    t_c = json.loads((tmp_path / "collapse.json").read_text())["t_C"]
+    d, p, alpha, rho = 800, 400, 1.0, float(rho)
+    F = model_mod.build_embedding(d, p, "gaussian_iid", seed=0).entries
+    lam = np.linalg.eigvalsh(F.T @ F / p)
+
+    def residual(t):
+        eta = math.exp(-2.0 * t) / -math.expm1(-2.0 * t)
+        return alpha - np.log1p(rho * eta * lam).sum() / (2.0 * d)
+
+    assert t_c == pytest.approx(brentq(residual, 10.0, 20.0, xtol=1e-9), rel=1e-3)
+
+
 # runs that fail: (argv, exit code, start of the message).  At alpha 5 the
 # sweep's closed form at beta 0.1 is 1.9e-44, below the range, and the sweep
 # fails after its checks while its table is being built; S.potential is
 # patched to raise while the potential CSV is built.  A centre of norm
 # 1e160 is too large to square, which every command that reads it rejects
-# up front, without a RuntimeWarning.
+# up front, without a RuntimeWarning, and so is a rho for which rho (m^2 +
+# rho) is not finite.
 _FAILURES = {
     "sweep-alpha-5": (["collapse-sweep", "--alpha", "5", "--beta-points", "2",
                        "--activations", "tanh"],
@@ -954,6 +989,12 @@ _FAILURES = {
     "exp-collapse-m-1e160": (["exp-collapse", "--d", "4", "--p", "2", "--m", "1e160",
                               "--activation", "tanh"],
                              cli.EXIT_CONFIG, "config field m = 1e+160 is too large"),
+    "free-energy-rho-1e300": (["free-energy", "--d", "4", "--p", "2", "--rho", "1e300",
+                               "--activation", "tanh", "--t-points", "2"],
+                              cli.EXIT_CONFIG, "config field rho = 1e+300 is too large"),
+    "collapse-rho-1e160": (["collapse", "--d", "40", "--p", "20", "--rho", "1e160",
+                            "--activation", "tanh"],
+                           cli.EXIT_CONFIG, "config field rho = 1e+160 is too large"),
     "speciation-potential": (["speciation", "--d", "16", "--p", "8",
                               "--potential-csv"],
                              cli.EXIT_SOLVER, "potential failed"),

@@ -1,5 +1,6 @@
 """Collapse-time theory: replica functional, optimizers, spectral shortcuts."""
 import dataclasses
+import decimal
 import math
 
 import numpy as np
@@ -453,6 +454,28 @@ def test_mp_logdet_small_eta_limit():
         mp_logdet(0.0, 0.5)
     with pytest.raises(ValueError):
         mp_logdet(1.0, 1.2)
+
+
+def _mp_logdet_decimal(eta, beta):
+    """mp_logdet's defining formula in 80-digit decimal arithmetic, where
+    its differences of nearly equal numbers lose fewer than 20 of them."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 80
+        eta, beta = decimal.Decimal(eta), decimal.Decimal(beta)
+        x, rz = eta / beta, beta.sqrt()
+        h = ((x * (1 + rz) ** 2 + 1).sqrt() - (x * (1 - rz) ** 2 + 1).sqrt()) ** 2
+        return float(beta * (1 + x - h / 4).ln() + (1 + eta - h / 4).ln()
+                     - beta / eta * h / 4)
+
+
+@pytest.mark.parametrize("beta", [0.1, 0.5, 0.9, 1.0])
+def test_mp_logdet_matches_a_decimal_reference(beta):
+    # the log1p arguments 1 + eta - h/4 and 1 + eta/beta - h/4 subtract
+    # nearly equal numbers at large eta, and the roots of h at small eta;
+    # both are taken without the subtraction, to a few ulp at every eta
+    for eta in np.geomspace(1e-8, 1e16, 49):
+        want = _mp_logdet_decimal(float(eta), beta)
+        assert abs(mp_logdet(float(eta), beta) - want) <= 10 * np.finfo(float).eps * want
 
 
 def test_mp_logdet_matches_eigen_spectrum():

@@ -216,46 +216,29 @@ def _batch_near(samples, idx, t, seed):
 
 def test_blocked_kernel_matches_one_block(monkeypatch):
     # n = 2.5 blocks; points near samples of the first, second and last
-    # block make the running max move up across blocks
+    # block make the running max move up across blocks.  A kernel's blocks
+    # are fixed when it is built
     rng = np.random.default_rng(5)
     samples = rng.standard_normal((160, 6))
-    score = EmpiricalScore(samples)
     keep = rng.random(160) < 0.6
+    monkeypatch.setattr(diffusion, "_BLOCK_COLS", 8192)
+    score_one, kept_one = EmpiricalScore(samples), EmpiricalScore(samples[keep])
+    monkeypatch.setattr(diffusion, "_BLOCK_COLS", 64)
+    score, kept = EmpiricalScore(samples), EmpiricalScore(samples[keep])
     for t in (0.011, 0.05, 0.5, 3.0):
         x = _batch_near(samples, [3, 100, 150, 70], t, seed=int(100 * t))
-        monkeypatch.setattr(diffusion, "_BLOCK_COLS", 8192)
-        s_one, logz_one = score(x, t)
-        part_one = score.log_partition(x, t, keep=keep)
-        monkeypatch.setattr(diffusion, "_BLOCK_COLS", 64)
+        s_one, logz_one = score_one(x, t)
+        part_one = kept_one.log_partition(x, t)
         s, logz = score(x, t)
         assert np.allclose(s, s_one, rtol=1e-12, atol=1e-12)
         assert np.allclose(logz, logz_one, rtol=1e-12, atol=0)
         assert np.allclose(score.log_partition(x, t), logz_one, rtol=1e-12, atol=0)
-        assert np.allclose(score.log_partition(x, t, keep=keep), part_one,
+        assert np.allclose(kept.log_partition(x, t), part_one,
                            rtol=1e-12, atol=0)
+        # one point gives a float, that point's row of the batch
+        assert kept.log_partition(x[0], t) == pytest.approx(part_one[0], rel=1e-12, abs=0)
         lw = score.log_weights(x, t)
         assert np.allclose(part_one, logsumexp(lw[:, keep], axis=1), rtol=1e-12, atol=0)
-
-
-def test_log_partition_keep_without_first_block(monkeypatch):
-    # the leading blocks hold no kept sample: they are skipped, not
-    # reduced to exp(-inf - (-inf)) = NaN
-    monkeypatch.setattr(diffusion, "_BLOCK_COLS", 64)
-    rng = np.random.default_rng(6)
-    samples = rng.standard_normal((160, 6))
-    score = EmpiricalScore(samples)
-    keep = np.zeros(160, dtype=bool)
-    keep[[130, 131, 155]] = True
-    x = _batch_near(samples, [0, 131], 0.02, seed=1)
-    got = score.log_partition(x, 0.02, keep=keep)
-    lw = score.log_weights(x, 0.02)
-    assert np.all(np.isfinite(got))
-    assert np.allclose(got, logsumexp(lw[:, keep], axis=1), rtol=1e-12, atol=0)
-    assert score.log_partition(x[0], 0.02, keep=keep) == got[0]
-    with pytest.raises(ValueError, match="no sample"):
-        score.log_partition(x, 0.02, keep=np.zeros(160, dtype=bool))
-    with pytest.raises(ValueError, match="boolean mask"):
-        score.log_partition(x, 0.02, keep=np.arange(160))
 
 
 def test_log_partition_split_recovers_full_normalizer():
@@ -264,14 +247,14 @@ def test_log_partition_split_recovers_full_normalizer():
     mdl = make_model(d=6, p=3)
     ds = sample_dataset(mdl, 20, seed=2)
     x = np.random.default_rng(0).standard_normal(6)
-    score = EmpiricalScore(ds)
     planted = np.zeros(ds.n, dtype=bool)
     planted[0] = True
     same = ds.labels == ds.labels[0]
     other = ~same
     same[0] = False
-    parts = [score.log_partition(x, 0.4, keep=k) for k in (planted, same, other)]
-    _, logz = score(x, 0.4)
+    parts = [EmpiricalScore(ds.ambient[k]).log_partition(x, 0.4)
+             for k in (planted, same, other)]
+    _, logz = EmpiricalScore(ds)(x, 0.4)
     assert logsumexp(parts) == pytest.approx(logz, abs=1e-10)
 
 
@@ -282,38 +265,14 @@ def test_log_partition_memory_grows_with_block_not_n():
     samples = rng.standard_normal((200_000, 4))
     score = EmpiricalScore(samples)
     x = rng.standard_normal((200, 4))
-    keep = np.ones(200_000, dtype=bool)
-    keep[0] = False
     tracemalloc.start()
     try:
-        score.log_partition(x, 0.3, keep=keep)
+        score.log_partition(x, 0.3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     # the (B, n) log weights would take 320 MB
     assert peak < 3 * 200 * diffusion._BLOCK_COLS * 8
-
-
-def test_masked_log_partition_costs_no_more_memory_than_unmasked():
-    # a masked block's product runs on its kept samples only, so dropping
-    # one sample makes no second (B, block) copy of the log weights
-    import tracemalloc
-
-    n, d = 200_000, 40
-    mdl = make_model(d=d, p=20, activation="tanh", seed=1)
-    score = EmpiricalScore(sample_dataset(mdl, n, seed=1))
-    x = np.random.default_rng(8).standard_normal((200, d))
-    keep = np.ones(n, dtype=bool)
-    keep[0] = False
-    peaks = []
-    for mask in (None, keep):
-        tracemalloc.start()
-        try:
-            score.log_partition(x, 0.3, keep=mask)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert peaks[1] <= peaks[0] + 4 * 2**20, [p / 2**20 for p in peaks]
 
 
 def _span_data(kind):
@@ -334,6 +293,7 @@ def test_score_on_the_samples_span_matches_explicit_differences(kind, monkeypatc
     rng = np.random.default_rng(4)
     keep = rng.random(len(samples)) < 0.5
     keep[0] = True
+    kept = EmpiricalScore(samples[keep])
     for t in (0.011, 0.3, 3.0):
         sch = schedule(t)
         idx = rng.integers(0, len(samples), 5)
@@ -346,7 +306,7 @@ def test_score_on_the_samples_span_matches_explicit_differences(kind, monkeypatc
             assert logz_row == pytest.approx(logz_ref, rel=1e-12, abs=0)
         diff = x[:, None, :] - sch.a * samples[None, :, :]
         lw = -np.einsum("bij,bij->bi", diff, diff) / (2.0 * sch.h)
-        assert np.allclose(score.log_partition(x, t, keep=keep),
+        assert np.allclose(kept.log_partition(x, t),
                            logsumexp(lw[:, keep], axis=1), rtol=1e-12, atol=0)
         assert np.allclose(score.log_weights(x, t), lw, rtol=1e-12, atol=1e-12)
 

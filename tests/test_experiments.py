@@ -154,7 +154,7 @@ def test_collapse_crossing_experiment_and_sign_change():
     mdl = make_model(d=20, p=10)
     ds = sample_dataset(mdl, 150, seed=3)
     t_grid = np.linspace(1.2, 0.05, 8)
-    recs = collapse_crossing_experiment(mdl, EmpiricalScore(ds), t_grid,
+    recs = collapse_crossing_experiment(mdl, ds, t_grid,
                                         n_noise=40, seed=7)
     assert len(recs) == 8
     vals = [r.value for r in recs]
@@ -170,7 +170,7 @@ def test_collapse_crossing_values_match_explicit_differences():
     mdl = make_model(d=20, p=10)
     ds = sample_dataset(mdl, 150, seed=3)
     t_grid = np.linspace(1.2, 0.05, 8)
-    recs = collapse_crossing_experiment(mdl, EmpiricalScore(ds), t_grid,
+    recs = collapse_crossing_experiment(mdl, ds, t_grid,
                                         n_noise=40, seed=7)
     rng = _rng(7)  # the experiment's noise stream
     x1 = ds.ambient[0]
@@ -181,31 +181,31 @@ def test_collapse_crossing_values_match_explicit_differences():
         lw = -np.einsum("bij,bij->bi", diff, diff) / (2.0 * sch.h)
         gap = (lw[:, 0] - logsumexp(lw[:, 1:], axis=1)) / mdl.d
         assert rec.value == pytest.approx(gap.mean(), abs=1e-12)
-    # with the planted column masked there is nothing left to sum
+    # without the planted sample there is nothing left to sum
     one = sample_dataset(mdl, 1, seed=3)
     with pytest.raises(ValueError, match="two samples"):
-        collapse_crossing_experiment(mdl, EmpiricalScore(one), [0.5, 0.1],
+        collapse_crossing_experiment(mdl, one, [0.5, 0.1],
                                      n_noise=4, seed=7)
 
 
 @pytest.mark.parametrize("t_grid", [[], [0.5, 0.0], [0.5, -0.1]])
 def test_collapse_crossing_rejects_empty_or_nonpositive_grid(t_grid):
     mdl = make_model(d=8, p=4)
-    score = EmpiricalScore(sample_dataset(mdl, 16, 0))
+    ds = sample_dataset(mdl, 16, 0)
     with pytest.raises(ValueError, match="t > 0"):
-        collapse_crossing_experiment(mdl, score, t_grid, n_noise=4, seed=0)
+        collapse_crossing_experiment(mdl, ds, t_grid, n_noise=4, seed=0)
 
 
 def test_collapse_crossing_gap_where_planted_term_dominates(monkeypatch):
     # at t = 0.02 and d = 128 the planted weight exceeds every other one by
     # more than the exp floor: were it in the bulk's max shift, the floor
-    # would lift every bulk term to e^-700 of it.  Three blocks, the
-    # planted sample in the first one.
+    # would lift every bulk term to e^-700 of it.  The bulk's kernel holds
+    # the 149 other samples in three blocks.
     monkeypatch.setattr(diffusion, "_BLOCK_COLS", 64)
     mdl = make_model(d=128, p=64)
     ds = sample_dataset(mdl, 150, seed=3)
     t = 0.02
-    [rec] = collapse_crossing_experiment(mdl, EmpiricalScore(ds), [t],
+    [rec] = collapse_crossing_experiment(mdl, ds, [t],
                                          n_noise=40, seed=7)
     sch = schedule(t)
     x = sch.a * ds.ambient[0] + np.sqrt(sch.h) * _rng(7).standard_normal((40, mdl.d))
@@ -216,20 +216,36 @@ def test_collapse_crossing_gap_where_planted_term_dominates(monkeypatch):
     assert rec.value == pytest.approx(gap.mean(), abs=1e-12)
 
 
+def test_collapse_crossing_copies_no_sample():
+    # Z2's kernel is a row view of x_2..x_n; a copy of the samples, as a
+    # boolean mask would make, takes 61 MiB at n = 200,000 and d = 40
+    import tracemalloc
+
+    mdl = make_model(d=40, p=20, activation="tanh", seed=1)
+    ds = sample_dataset(mdl, 200_000, seed=1)
+    tracemalloc.start()
+    try:
+        collapse_crossing_experiment(mdl, ds, [0.3], n_noise=200, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < ds.ambient.nbytes, peak / 2**20
+
+
 @pytest.mark.parametrize("t", [0.011, 0.3, 1.0])
 def test_collapse_crossing_planted_term_equals_explicit_logsumexp(t):
-    # Z2 is taken by the same masked log_partition call as the experiment's,
-    # so the gap isolates log Z1: a logsumexp over the single planted weight
+    # Z2 is taken by the same log_partition call over x_2..x_n as the
+    # experiment's, so the gap isolates log Z1: a logsumexp over the single
+    # planted weight
     mdl = make_model(d=20, p=10)
     ds = sample_dataset(mdl, 150, seed=3)
-    [rec] = collapse_crossing_experiment(mdl, EmpiricalScore(ds), [t],
+    [rec] = collapse_crossing_experiment(mdl, ds, [t],
                                          n_noise=40, seed=7)
     sch = schedule(t)
     x = sch.a * ds.ambient[0] + np.sqrt(sch.h) * _rng(7).standard_normal((40, mdl.d))
     diff = x[:, None, :] - sch.a * ds.ambient[None, :1, :]
     log_z1 = logsumexp(-np.einsum("bij,bij->bi", diff, diff) / (2.0 * sch.h), axis=1)
-    others = np.arange(ds.n) != 0
-    log_z2 = EmpiricalScore(ds).log_partition(x, t, keep=others)
+    log_z2 = EmpiricalScore(ds.ambient[1:]).log_partition(x, t)
     want = ((log_z1 - log_z2) / mdl.d).mean()
     assert abs(rec.value - want) <= 1e-13 * max(1.0, abs(want))
 
@@ -249,12 +265,12 @@ def test_speciation_experiment_takes_a_drawn_dataset():
 def test_collapse_crossing_flags_one_sided_grids():
     mdl = make_model(d=20, p=10)
     ds = sample_dataset(mdl, 150, seed=3)
-    recs = collapse_crossing_experiment(mdl, EmpiricalScore(ds), [2.0, 1.8],
+    recs = collapse_crossing_experiment(mdl, ds, [2.0, 1.8],
                                         n_noise=20, seed=1)
     assert recs[-1].flags == ("all_one_sign_widen_grid",)
     assert threshold_crossing(recs, 0.0) == (None, "censored_below")
     # below the crossing every gap is positive: censored above the grid
-    recs = collapse_crossing_experiment(mdl, EmpiricalScore(ds), [0.03, 0.02],
+    recs = collapse_crossing_experiment(mdl, ds, [0.03, 0.02],
                                         n_noise=20, seed=1)
     assert recs[-1].flags == ("all_one_sign_widen_grid",)
     assert threshold_crossing(recs, 0.0) == (None, "censored_above")
@@ -320,6 +336,10 @@ def test_tilted_log_partition_decreases_with_tilt():
     assert v2 < v1
     with pytest.raises(ValueError):
         tilted_log_partition(mdl, ds, 0.4, lam=0.0, n_noise=10, seed=0)
+    # labels alternate, so at n = 2 x_1 is alone in its class
+    with pytest.raises(ValueError, match=r"class \+1 has no other sample"):
+        tilted_log_partition(mdl, sample_dataset(mdl, 2, seed=5), 0.4, lam=1.0,
+                             n_noise=10, seed=0)
 
 
 @pytest.mark.parametrize("lam", [0.5, 2.0])

@@ -242,6 +242,22 @@ def test_resolve_config_rejects_a_center_too_large_to_square():
     assert resolve_config({"d": 4, "p": 2, "mu": [1e150, 1.0]})["mu"][0] == 1e150
 
 
+def test_resolve_config_rejects_a_rho_too_large_for_the_theory():
+    # the theory's inner minimizer divides by rho (m^2 + rho - q), so rho
+    # (m^2 + rho) must be finite, with |mu|^2 / p for m^2 once p is known;
+    # each is checked without a RuntimeWarning, with and without d and p
+    for cfg, keys in (({"d": 4, "p": 2}, model_mod.CONFIG_KEYS),
+                      ({}, ("alpha", "rho", "m", "seed"))):
+        with pytest.raises(ValueError, match="config field rho = 1e\\+300 is too large"):
+            resolve_config({**cfg, "rho": 1e300}, keys)
+        assert resolve_config({**cfg, "rho": 1e154}, keys)["rho"] == 1e154
+    with pytest.raises(ValueError, match="config field rho = 10 is too large"):
+        resolve_config({"rho": 10.0, "m": 1e154}, ("alpha", "rho", "m", "seed"))
+    with pytest.raises(ValueError, match="config field rho = 10 is too large"):
+        resolve_config({"d": 4, "p": 2, "rho": 10.0, "mu": [1e154, 0.0]})
+    assert resolve_config({"d": 4, "p": 2, "rho": 1.0, "mu": [1e154, 0.0]})["rho"] == 1.0
+
+
 def test_theory_params_reject_invalid_values():
     lin = make_activation("linear")
     for rho in (0.0, -0.5):
