@@ -27,7 +27,7 @@ from . import collapse as C
 from . import experiments as E
 from . import speciation as S
 from .activations import make_activation
-from .diffusion import EmpiricalScore
+from .diffusion import EmpiricalScore, kernel_workers
 from .model import (CONFIG_KEYS, CONFIG_TYPES, TheoryParams, model_from_config,
                     resolve_config, sample_count, sample_dataset)
 
@@ -116,6 +116,7 @@ class _Run:
             "versions": {"manifold_diffusion": __version__,
                          "numpy": np.__version__, "scipy": scipy.__version__},
             "thread_env": {k: os.environ.get(k) for k in _THREAD_ENV},
+            "kernel_workers": kernel_workers(),
             "timings": self.timings,
             **extra,
         })

@@ -15,15 +15,17 @@ Gaussian, with no time stepping.
 """
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import Dataset
 
-# most rows of one score tile and most sample columns of one block: the
-# kernel's buffer is at most (256, 8192), i.e. 16 MiB, whatever n is
-_TILE_ROWS = 256
+# most rows of one score tile and most sample columns of one block: a tile's
+# buffer is at most (128, 8192), i.e. 8 MiB, whatever n is
+_TILE_ROWS = 128
 _BLOCK_COLS = 8192
 # exponents are floored here before exp: below about -708 numpy's float64 exp
 # leaves its vector path (the results turn subnormal) and runs 10-70x slower.
@@ -43,6 +45,100 @@ def _shifted_exp(a: np.ndarray, m: np.ndarray, floor: bool = True) -> np.ndarray
     if floor:
         np.maximum(a, _EXP_FLOOR, out=a)
     return np.exp(a, out=a)
+
+
+# The kernel's tile pool: None until the first call that can use it
+# (`_tile_pool`), then a `_TilePool`, or False where the tiles run in turn;
+# `_pool_used` is the pool's worker count once a call has run on it, else 1.
+_pool = None
+_pool_used = 1
+_pool_lock = threading.Lock()
+
+
+def _blas_thread_setter():
+    """``openblas_set_num_threads_local`` of the BLAS numpy loaded, or None.
+
+    The symbol is looked up through numpy's core extension module, whose
+    lookup searches the libraries it was linked against, so another loaded
+    OpenBLAS (scipy's, say) is never found in its place.  MKL and OpenBLAS
+    before 0.3.27 do not export it; a platform where the module cannot be
+    opened this way gives None too.
+    """
+    import ctypes
+    try:
+        from numpy._core import _multiarray_umath as core
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as core
+    try:
+        setter = ctypes.CDLL(core.__file__).openblas_set_num_threads_local
+    except (OSError, AttributeError):
+        return None
+    setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
+    return setter
+
+
+class _TilePool:
+    """Worker threads for the kernel's tiles, each on one BLAS thread.
+
+    OpenBLAS can keep one thread count for the whole process even behind
+    ``openblas_set_num_threads_local`` (the 0.3.31 build numpy 2.4 bundles
+    does), so `map` sets it to 1 for its call and restores it after, one
+    call at a time; a build with a count per thread gets it in each
+    worker's initializer.
+    """
+
+    def __init__(self, workers: int, set_threads):
+        from concurrent.futures import ThreadPoolExecutor
+        self.workers = workers
+        self._set_threads = set_threads
+        self._executor = ThreadPoolExecutor(workers, initializer=set_threads,
+                                            initargs=(1,))
+        self._lock = threading.Lock()
+
+    def map(self, fn, items) -> None:
+        """fn(item) for each item on the workers; raises the first error."""
+        with self._lock:
+            threads = self._set_threads(1)
+            try:
+                for _ in self._executor.map(fn, items):
+                    pass
+            finally:
+                self._set_threads(threads)
+
+
+def _make_pool(workers: int) -> _TilePool | None:
+    """A pool of ``workers`` threads, or None with one worker or no
+    per-thread BLAS control."""
+    set_threads = _blas_thread_setter() if workers > 1 else None
+    return None if set_threads is None else _TilePool(workers, set_threads)
+
+
+def _tile_pool() -> _TilePool | None:
+    """The process's tile pool, built on first use; None means serial.
+
+    It has one worker per core this process may run on.
+    """
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                     else os.cpu_count() or 1)
+            _pool = _make_pool(cores) or False
+            if _pool and hasattr(os, "register_at_fork"):
+                os.register_at_fork(after_in_child=_forget_pool)
+    return _pool or None
+
+
+def kernel_workers() -> int:
+    """Workers the kernel's tiles have run on in this process: the pool's
+    size once a call has used it, else 1.  Builds nothing."""
+    return _pool_used
+
+
+def _forget_pool() -> None:
+    # a forked child has none of its parent's threads
+    global _pool, _pool_used, _pool_lock
+    _pool, _pool_used, _pool_lock = None, 1, threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -111,19 +207,22 @@ class EmpiricalScore:
     -||x - a_t x_i||^2 / (2 h_t), evaluated in O(n d) per point with the
     sample norms cached.  The score, ``log_partition`` and ``draw_indices``
     (the softmax's sample indices, for the exact backward transition) share
-    one loop: it walks the batch in balanced tiles of at most 256 rows and,
+    one loop: it walks the batch in balanced tiles of at most 128 rows and,
     within a tile, the samples in blocks of at most 8192 columns through one
-    (rows, block) buffer, so memory does not grow with n.  A block's log
-    weights are held without the row term ||x||^2 / (2 h_t), which cancels
-    in the softmax; an online logsumexp (Milakov & Gimelshein 2018) keeps
-    each row's running max, rescales its running sum and weighted sample
-    sum when the max grows, and takes the exponentials in place with the
-    exponent floored at -700 (see ``_EXP_FLOOR``) wherever a bound on the
-    block's log weights lets one fall below it.  The weighted mean is
-    normalised on the (rows, d) result and the row term is restored in the
-    log-normalizer only.  Index draws stream the same way, a draw being
-    replaced by one from the block with the probability of the block's
-    share of the mass seen so far.  With n <= 8192 there is one block and
+    (rows, block) buffer per tile in flight, so memory does not grow with n.
+    A call with more than one tile and no draws runs its tiles on the
+    process's worker pool (`_tile_pool`), one BLAS thread per worker; the
+    tiles depend only on B, so the bytes do not depend on the worker count.
+    A block's log weights are held without the row term ||x||^2 / (2 h_t),
+    which cancels in the softmax; an online logsumexp (Milakov & Gimelshein
+    2018) keeps each row's running max, rescales its running sum and
+    weighted sample sum when the max grows, and takes the exponentials in
+    place with the exponent floored at -700 (see ``_EXP_FLOOR``) wherever a
+    bound on the block's log weights lets one fall below it.  The weighted
+    mean is normalised on the (rows, d) result and the row term is restored
+    in the log-normalizer only.  Index draws stream the same way, a draw
+    being replaced by one from the block with the probability of the
+    block's share of the mass seen so far.  With n <= 8192 there is one block and
     the arithmetic is that of a single softmax over all samples.  The tiles
     are balanced, so none is a single row (a GEMV, which rounds differently),
     and each row gets the arithmetic of an untiled call wherever the BLAS
@@ -179,49 +278,68 @@ class EmpiricalScore:
 
         With ``draws`` = k > 0 each row also gets k sample indices drawn
         independently from its softmax with ``rng``, one reservoir step per
-        block (`_reservoir_step`).
+        block (`_reservoir_step`).  A call with more than one tile and no
+        draws runs its tiles on the worker pool (`_tile_pool`); draws take
+        their uniforms tile by tile from ``rng``, so their tiles run in order.
         """
+        global _pool_used
         if t <= 0:
             raise ValueError("empirical score requires t > 0")
         sch = schedule(t)
         b = x.shape[0]
         if b == 0:
             raise ValueError("empty batch")
-        rows = -(-b // -(-b // _TILE_ROWS))  # ceil(b / ceil(b / 256))
-        buf = np.empty(rows * self._block_table[0][1])  # the first block is the widest
+        rows = -(-b // -(-b // _TILE_ROWS))  # ceil(b / ceil(b / 128))
+        tiles = [slice(lo, lo + rows) for lo in range(0, b, rows)]
+        width = rows * self._block_table[0][1]  # the first block is the widest
         score = np.empty(x.shape) if with_score else None
         logz = np.empty(b)
         picks = np.empty((b, draws), dtype=np.intp) if draws else None
-        for lo in range(0, b, rows):
-            xs = x[lo:lo + rows]
-            r = len(xs)
-            sq = np.einsum("bj,bj->b", xs, xs)
-            xnorm = np.sqrt(sq)[:, None]
-            m = np.full((r, 1), -np.inf)
-            z = np.zeros((r, 1))
-            wsum = np.zeros((r, x.shape[1]))
-            for cols, w, radius in self._block_table:
-                g = self._shifted_log_weights(xs, sch, cols, out=buf[:r * w].reshape(r, w))
-                m_new = np.maximum(m, g.max(axis=1, keepdims=True))
-                # by Cauchy-Schwarz each shifted log weight of the block is
-                # at least -(a/h)|x| R - (a^2/2h) R^2, R its largest sample
-                # norm; within 700 of the row max the floor is a no-op
-                low = -radius * (sch.a / sch.h * xnorm + sch.a * sch.a / (2.0 * sch.h) * radius)
-                _shifted_exp(g, m_new, floor=bool(np.any(low - m_new < _EXP_FLOOR)))
-                rescale = np.exp(m - m_new)  # 0 on a tile's first block
-                mass = g.sum(axis=1, keepdims=True)
-                z = z * rescale + mass
-                if with_score:
-                    wsum = wsum * rescale + g @ self.samples[cols]
-                if draws:
-                    # a tile's first block has share 1: every draw is made
-                    _reservoir_step(g, mass / z, rng.random((r, draws)),
-                                    cols.start, picks[lo:lo + r])
-                m = m_new
-            if with_score:
-                score[lo:lo + r] = (sch.a * (wsum / z) - xs) / sch.h
-            logz[lo:lo + r] = (m + np.log(z)).ravel() - sq / (2.0 * sch.h)
+        args = (x, sch, score, logz, picks, rng)
+        pool = _tile_pool() if len(tiles) > 1 and not draws else None
+        if pool is None:
+            buf = np.empty(width)
+            for tile in tiles:
+                self._tile(tile, buf, *args)
+        else:
+            # each tile its own buffer; the rows' arithmetic is unchanged
+            pool.map(lambda tile: self._tile(tile, np.empty(width), *args), tiles)
+            _pool_used = pool.workers
         return score, logz, picks
+
+    def _tile(self, tile: slice, buf: np.ndarray, x: np.ndarray,
+              sch: DiffusionSchedule, score: np.ndarray | None, logz: np.ndarray,
+              picks: np.ndarray | None, rng: np.random.Generator | None) -> None:
+        """The rows ``tile`` of `_reduce`'s outputs (``score`` and ``picks``
+        where given), with ``buf`` as the block buffer."""
+        xs = x[tile]
+        r = len(xs)
+        sq = np.einsum("bj,bj->b", xs, xs)
+        xnorm = np.sqrt(sq)[:, None]
+        m = np.full((r, 1), -np.inf)
+        z = np.zeros((r, 1))
+        wsum = np.zeros(xs.shape)
+        for cols, w, radius in self._block_table:
+            g = self._shifted_log_weights(xs, sch, cols, out=buf[:r * w].reshape(r, w))
+            m_new = np.maximum(m, g.max(axis=1, keepdims=True))
+            # by Cauchy-Schwarz each shifted log weight of the block is
+            # at least -(a/h)|x| R - (a^2/2h) R^2, R its largest sample
+            # norm; within 700 of the row max the floor is a no-op
+            low = -radius * (sch.a / sch.h * xnorm + sch.a * sch.a / (2.0 * sch.h) * radius)
+            _shifted_exp(g, m_new, floor=bool(np.any(low - m_new < _EXP_FLOOR)))
+            rescale = np.exp(m - m_new)  # 0 on a tile's first block
+            mass = g.sum(axis=1, keepdims=True)
+            z = z * rescale + mass
+            if score is not None:
+                wsum = wsum * rescale + g @ self.samples[cols]
+            if picks is not None:
+                # a tile's first block has share 1: every draw is made
+                _reservoir_step(g, mass / z, rng.random((r, picks.shape[1])),
+                                cols.start, picks[tile])
+            m = m_new
+        if score is not None:
+            score[tile] = (sch.a * (wsum / z) - xs) / sch.h
+        logz[tile] = (m + np.log(z)).ravel() - sq / (2.0 * sch.h)
 
     def __call__(self, x: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
         """Return (score, log-normalizer) at one point or a batch of points.

@@ -195,6 +195,8 @@ def sample_dataset(model: ManifoldModel, n: int, seed: int) -> Dataset:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if n > MAX_SAMPLES:
+        raise ValueError(f"n = {n} exceeds the {MAX_SAMPLES} cap")
     rng = _rng(seed)
     labels = np.where(np.arange(n) % 2 == 0, 1, -1)
     ambient = np.empty((n, model.d))

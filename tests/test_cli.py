@@ -15,6 +15,7 @@ import scipy
 
 from manifold_diffusion import (__version__, cli, collapse_time_glm,
                                 collapse_time_linear_rmt, f_star, model_hash)
+from manifold_diffusion import diffusion
 from manifold_diffusion import model as model_mod
 from manifold_diffusion.activations import make_activation
 from manifold_diffusion.diffusion import EmpiricalScore
@@ -504,6 +505,43 @@ def test_manifest_records_versions_and_thread_env(tmp_path, monkeypatch):
                                       "OPENBLAS_NUM_THREADS": "1"}
 
 
+def test_manifest_records_the_kernels_workers(tmp_path, monkeypatch):
+    # the worker count of the kernel's tiles, as they ran in this process;
+    # writing it builds no pool
+    built = []
+    monkeypatch.setattr(diffusion, "_tile_pool", lambda: built.append(1))
+    monkeypatch.setattr(diffusion, "_pool_used", 1)
+    run(tmp_path, "speciation", "--d", "16", "--p", "8")
+    manifest = json.loads((tmp_path / "speciation.manifest.json").read_text())
+    assert manifest["kernel_workers"] == 1 and built == []
+    monkeypatch.setattr(diffusion, "_pool_used", 2)
+    run(tmp_path, "speciation", "--d", "16", "--p", "8")
+    manifest = json.loads((tmp_path / "speciation.manifest.json").read_text())
+    assert manifest["kernel_workers"] == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["exp-collapse", "--d", "40", "--p", "20"],
+    ["exp-speciation", "--d", "16", "--p", "8"]])
+def test_experiments_refuse_n_data_past_the_cap(tmp_path, capsys, monkeypatch, argv):
+    # --n-data is held to the sample cap as alpha is, before any sample is
+    # drawn (stream 0) or allocated
+    real = model_mod._rng
+
+    def embedding_only(seed, stream=0):
+        assert stream == 1, "drew samples"
+        return real(seed, stream)
+
+    monkeypatch.setattr(model_mod, "_rng", embedding_only)
+    out = tmp_path / "out"
+    assert cli.main([*argv, "--n-data", str(model_mod.MAX_SAMPLES + 1),
+                     "--output-dir", str(out)]) == cli.EXIT_CONFIG
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config"
+    assert "exceeds the 10000000 cap" in err["message"]
+    assert not out.exists()
+
+
 def test_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "model.json"
     cfg.write_text(json.dumps({"d": 16, "p": 8, "rho": 0.3, "m": 2.0}))
@@ -798,7 +836,7 @@ def test_every_command_writes_one_kind_of_manifest(tmp_path, monkeypatch, case):
     manifest = json.loads(manifest_path.read_text())
     assert set(manifest) - _MANIFEST_EXTRAS.get(name, set()) == {
         "command", "resolved_config", "arguments", "outputs", "timestamp",
-        "versions", "thread_env", "timings"}
+        "versions", "thread_env", "kernel_workers", "timings"}
     assert manifest["command"] == name
     assert manifest.get("glm_solver") == _GLM_SOLVERS.get(case)
     # every other flag given, and each default, is recorded as it ran; the

@@ -1,5 +1,11 @@
 """Forward schedule, empirical score, exact backward bridges and index
 draws."""
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.special import logsumexp
@@ -152,8 +158,9 @@ def _untiled_score(samples, x, t):
 
 @pytest.mark.parametrize("b", [2, 255, 256, 257, 513, 1000])
 def test_tiled_score_equals_untiled_kernel(b):
-    # tiles of at least 129 rows; n d is large enough that the BLAS takes
-    # its general kernel for a tile and for the whole batch alike
+    # tiles of at least 65 rows once B passes 128; n d is large enough that
+    # the BLAS takes its general kernel for a tile and for the whole batch
+    # alike
     rng = np.random.default_rng(b)
     samples = rng.standard_normal((1024, 32))
     x = rng.standard_normal((b, 32))
@@ -162,6 +169,188 @@ def test_tiled_score_equals_untiled_kernel(b):
         s, logz = score(x, t)
         s_ref, logz_ref = _untiled_score(samples, x, t)
         assert np.array_equal(s, s_ref) and np.array_equal(logz, logz_ref)
+
+
+@pytest.fixture
+def two_workers(monkeypatch):
+    """The kernel's tiles on a fresh two-worker pool, whatever the core count."""
+    pool = diffusion._make_pool(2)
+    if pool is None:
+        pytest.skip("numpy's BLAS sets no per-thread thread count")
+    monkeypatch.setattr(diffusion, "_pool", pool)
+    monkeypatch.setattr(diffusion, "_pool_used", 1)
+    yield
+    pool._executor.shutdown()
+
+
+def _one_worker(monkeypatch, fn):
+    """``fn()`` with the kernel's tiles run in turn on this thread."""
+    with monkeypatch.context() as m:
+        m.setattr(diffusion, "_tile_pool", lambda: None)
+        return fn()
+
+
+@pytest.mark.parametrize("b", [2, 128, 129, 200, 257, 1000])
+def test_pooled_tiles_equal_one_worker(b, two_workers, monkeypatch):
+    # 1000 samples in four blocks of 256 columns; the partition into tiles
+    # depends only on B, and so does every row's arithmetic
+    monkeypatch.setattr(diffusion, "_BLOCK_COLS", 256)
+    rng = np.random.default_rng(b)
+    samples = rng.standard_normal((1000, 16))
+    score = EmpiricalScore(samples)
+    for t in (0.011, 0.3, 3.0):
+        x = _batch_near(samples, list(range(0, 1000, 1000 // b))[:b - 1], t, seed=b)
+        assert x.shape == (b, 16)
+        s, logz = score(x, t)
+        part = score.log_partition(x, t)
+        s_one, logz_one = _one_worker(monkeypatch, lambda: score(x, t))
+        part_one = _one_worker(monkeypatch, lambda: score.log_partition(x, t))
+        assert np.array_equal(s, s_one) and np.array_equal(logz, logz_one)
+        assert np.array_equal(part, part_one) and np.array_equal(part, logz)
+    assert diffusion.kernel_workers() == (2 if b > 128 else 1)
+
+
+def test_pooled_tiles_equal_one_worker_at_the_crossings_shape(two_workers, monkeypatch):
+    # B 200 against 20,000 samples at d 40: three real blocks, two tiles
+    rng = np.random.default_rng(40)
+    samples = rng.standard_normal((20_000, 40))
+    score = EmpiricalScore(samples)
+    x = _batch_near(samples, list(range(0, 20_000, 101)), 0.05, seed=40)
+    assert x.shape == (200, 40)
+    for t in (0.05, 0.5):
+        part = score.log_partition(x, t)
+        assert np.array_equal(part, _one_worker(monkeypatch, lambda: score.log_partition(x, t)))
+    assert diffusion.kernel_workers() == 2
+
+
+def _blas_threads():
+    """The thread count of numpy's OpenBLAS as its calling thread sees it."""
+    import ctypes
+    core = ctypes.CDLL((getattr(np, "_core", None) or np.core)._multiarray_umath.__file__)
+    for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                 "openblas_get_num_threads"):
+        if hasattr(core, name):
+            get = getattr(core, name)
+            get.restype = ctypes.c_int
+            return get()
+    pytest.skip("numpy's OpenBLAS exports no thread-count getter")
+
+
+def test_pooled_call_gives_the_caller_its_blas_threads_back(two_workers):
+    # the workers' BLAS count of 1 can be process-wide (it is in the
+    # OpenBLAS 0.3.31 numpy 2.4 bundles); after a pooled call the caller's
+    # GEMMs get their count back
+    rng = np.random.default_rng(6)
+    score = EmpiricalScore(rng.standard_normal((300, 8)))
+    before = _blas_threads()
+    score.log_partition(rng.standard_normal((200, 8)), 0.5)
+    assert diffusion.kernel_workers() == 2 and _blas_threads() == before
+
+
+def test_draws_run_their_tiles_in_order(two_workers, monkeypatch):
+    # index draws take their uniforms tile by tile, so they never take the
+    # pool and give the same indices with it as without
+    monkeypatch.setattr(diffusion, "_BLOCK_COLS", 64)
+    rng = np.random.default_rng(8)
+    samples = rng.standard_normal((300, 8))
+    score = EmpiricalScore(samples)
+    x = rng.standard_normal((300, 8))
+    idx = score.draw_indices(x, 0.5, 3, np.random.default_rng(1))
+    assert diffusion.kernel_workers() == 1
+    idx_one = _one_worker(monkeypatch, lambda: score.draw_indices(
+        x, 0.5, 3, np.random.default_rng(1)))
+    assert np.array_equal(idx, idx_one)
+
+
+def test_kernel_runs_serially_without_per_thread_blas(monkeypatch):
+    # numpy's BLAS without openblas_set_num_threads_local (MKL, OpenBLAS
+    # before 0.3.27): one worker, no executor, the same bytes
+    monkeypatch.setattr(diffusion, "_blas_thread_setter", lambda: None)
+    monkeypatch.setattr(diffusion, "_pool", None)
+    monkeypatch.setattr(diffusion, "_pool_used", 1)
+    rng = np.random.default_rng(9)
+    samples = rng.standard_normal((500, 8))
+    score = EmpiricalScore(samples)
+    x = rng.standard_normal((300, 8))
+    part = score.log_partition(x, 0.4)
+    assert diffusion._pool is False and diffusion.kernel_workers() == 1
+    assert np.array_equal(part, _one_worker(monkeypatch, lambda: score.log_partition(x, 0.4)))
+
+
+def test_a_shared_kernel_gives_each_caller_the_serial_bytes(two_workers, monkeypatch):
+    # four caller threads, more than the workers, share one kernel and the
+    # pool, with frequent thread switches; their tiles interleave on the
+    # workers, and each call's rows keep their bytes
+    import threading
+
+    monkeypatch.setattr(diffusion, "_BLOCK_COLS", 256)
+    rng = np.random.default_rng(10)
+    samples = rng.standard_normal((1000, 16))
+    score = EmpiricalScore(samples)
+    xs = [rng.standard_normal((257, 16)) for _ in range(4)]
+    want = [_one_worker(monkeypatch, lambda x=x: score(x, 0.2)) for x in xs]
+    got = [[] for _ in xs]
+
+    def caller(i):
+        for _ in range(5):
+            got[i].append(score(xs[i], 0.2))
+
+    threads = [threading.Thread(target=caller, args=(i,)) for i in range(len(xs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    for calls, (s_want, logz_want) in zip(got, want):
+        assert len(calls) == 5
+        for s, logz in calls:
+            assert np.array_equal(s, s_want) and np.array_equal(logz, logz_want)
+
+
+_POOL_SCRIPT = """
+import json, os, sys
+import numpy as np
+from manifold_diffusion import diffusion
+score = diffusion.EmpiricalScore(np.random.default_rng(0).standard_normal((50, 4)))
+x = np.random.default_rng(1).standard_normal((129, 4))
+score.log_partition(x[:128], 0.5)  # one tile
+out = {"one_tile": ["concurrent.futures" in sys.modules, diffusion._pool]}
+part = score.log_partition(x, 0.5)  # two tiles
+out["two_tiles"] = ["concurrent.futures" in sys.modules, diffusion.kernel_workers()]
+out["pooled"] = bool(diffusion._pool)
+pid = os.fork()
+if pid == 0:
+    ok = diffusion.kernel_workers() == 1 and not diffusion._pool
+    os._exit(0 if ok and np.array_equal(score.log_partition(x, 0.5), part) else 1)
+out["child"] = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+print(json.dumps(out))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"),
+                    reason="needs os.fork and os.sched_getaffinity")
+def test_pool_is_built_by_the_first_call_that_needs_it():
+    # a fresh interpreter: a one-tile call builds nothing and imports no
+    # executor; a two-tile call builds the pool where the cores and numpy's
+    # BLAS allow it; a forked child starts again without it
+    src = str(Path(diffusion.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", _POOL_SCRIPT], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["one_tile"] == [False, None] and out["child"] == 0
+    pooled = out["pooled"]
+    assert pooled == (len(os.sched_getaffinity(0)) > 1
+                      and diffusion._blas_thread_setter() is not None)
+    assert out["two_tiles"][0] == pooled
+    assert (out["two_tiles"][1] > 1) == pooled
 
 
 def test_floored_tile_equals_unfloored_kernel_at_small_time():

@@ -80,6 +80,14 @@ def test_sample_count_round_and_cap():
         sample_count(1.0, 40)
 
 
+def test_sample_dataset_refuses_a_count_past_the_cap(monkeypatch):
+    # rejected before the generator is made or any array allocated
+    mdl = make_model(d=4, p=2)
+    monkeypatch.setattr(model_mod, "_rng", lambda *a: pytest.fail("drew samples"))
+    with pytest.raises(ValueError, match="exceeds the 10000000 cap"):
+        sample_dataset(mdl, model_mod.MAX_SAMPLES + 1, seed=0)
+
+
 def test_dataset_balanced_labels_and_reproducible():
     mdl = make_model(d=12, p=6)
     ds1 = sample_dataset(mdl, 100, seed=9)
