@@ -28,8 +28,8 @@ from . import experiments as E
 from . import speciation as S
 from .activations import make_activation
 from .diffusion import EmpiricalScore, kernel_workers
-from .model import (CONFIG_KEYS, CONFIG_TYPES, TheoryParams, model_from_config,
-                    resolve_config, sample_count, sample_dataset)
+from .model import (CONFIG_KEYS, CONFIG_TYPES, TheoryParams, check_sample_count,
+                    model_from_config, resolve_config, sample_count, sample_dataset)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -274,11 +274,13 @@ def _crossing_sample(d: int, alpha, n_data: int | None) -> tuple[int, float]:
     """Sample count and alpha of exp-collapse, tied by n = e^{alpha d}.
 
     Without a given alpha, n defaults to 22026 (about e^10) and alpha is
-    read off n.  A given ``n_data`` that disagrees with a given alpha is
-    rejected, since the data and the theory would then be at two alphas.
+    read off n, which must lie in [2, MAX_SAMPLES].  A given ``n_data``
+    that disagrees with a given alpha is rejected, since the data and the
+    theory would then be at two alphas.
     """
     if alpha is None:
         n = 22026 if n_data is None else n_data
+        check_sample_count(n, 2)
         return n, float(np.log(n) / d)
     n_alpha = sample_count(alpha, d)
     if n_data is not None and n_data != n_alpha:

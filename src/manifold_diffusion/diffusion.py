@@ -15,6 +15,7 @@ Gaussian, with no time stepping.
 """
 from __future__ import annotations
 
+import functools
 import os
 import threading
 from dataclasses import dataclass
@@ -47,12 +48,10 @@ def _shifted_exp(a: np.ndarray, m: np.ndarray, floor: bool = True) -> np.ndarray
     return np.exp(a, out=a)
 
 
-# The kernel's tile pool: None until the first call that can use it
-# (`_tile_pool`), then a `_TilePool`, or False where the tiles run in turn;
-# `_pool_used` is the pool's worker count once a call has run on it, else 1.
-_pool = None
-_pool_used = 1
-_pool_lock = threading.Lock()
+# worker count of the kernel's last pooled call in this process (1 before
+# one), and the lock that lets one call at a time hold the BLAS count
+_workers_used = 1
+_blas_lock = threading.Lock()
 
 
 def _blas_thread_setter():
@@ -77,68 +76,49 @@ def _blas_thread_setter():
     return setter
 
 
-class _TilePool:
-    """Worker threads for the kernel's tiles, each on one BLAS thread.
+@functools.cache
+def _tile_workers() -> tuple:
+    """(workers, BLAS thread setter) of a pooled call: one worker per core
+    this process may run on, or (1, None) with one core or no setter."""
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+    setter = _blas_thread_setter() if cores > 1 else None
+    return (1, None) if setter is None else (cores, setter)
 
-    OpenBLAS can keep one thread count for the whole process even behind
-    ``openblas_set_num_threads_local`` (the 0.3.31 build numpy 2.4 bundles
-    does), so `map` sets it to 1 for its call and restores it after, one
-    call at a time; a build with a count per thread gets it in each
-    worker's initializer.
+
+def _run_pooled(fn, tiles) -> bool:
+    """fn(tile) for each tile on worker threads that live for this call;
+    raises the first error.  False, with nothing run, on one worker or
+    while another call holds the BLAS count, so the caller never waits.
+
+    ``openblas_set_num_threads_local`` sets one count for the whole
+    process in the OpenBLAS 0.3.31 numpy 2.4 bundles, so the caller sets it
+    to 1 for the call and restores it once the workers have stopped; a
+    build with a count per thread would leave the workers at its default.
     """
-
-    def __init__(self, workers: int, set_threads):
+    global _workers_used
+    workers, set_threads = _tile_workers()
+    if workers == 1 or not _blas_lock.acquire(blocking=False):
+        return False
+    try:
         from concurrent.futures import ThreadPoolExecutor
-        self.workers = workers
-        self._set_threads = set_threads
-        self._executor = ThreadPoolExecutor(workers, initializer=set_threads,
-                                            initargs=(1,))
-        self._lock = threading.Lock()
-
-    def map(self, fn, items) -> None:
-        """fn(item) for each item on the workers; raises the first error."""
-        with self._lock:
-            threads = self._set_threads(1)
-            try:
-                for _ in self._executor.map(fn, items):
+        threads = set_threads(1)
+        try:
+            with ThreadPoolExecutor(workers) as executor:
+                for _ in executor.map(fn, tiles):
                     pass
-            finally:
-                self._set_threads(threads)
-
-
-def _make_pool(workers: int) -> _TilePool | None:
-    """A pool of ``workers`` threads, or None with one worker or no
-    per-thread BLAS control."""
-    set_threads = _blas_thread_setter() if workers > 1 else None
-    return None if set_threads is None else _TilePool(workers, set_threads)
-
-
-def _tile_pool() -> _TilePool | None:
-    """The process's tile pool, built on first use; None means serial.
-
-    It has one worker per core this process may run on.
-    """
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                     else os.cpu_count() or 1)
-            _pool = _make_pool(cores) or False
-            if _pool and hasattr(os, "register_at_fork"):
-                os.register_at_fork(after_in_child=_forget_pool)
-    return _pool or None
+        finally:
+            set_threads(threads)
+    finally:
+        _blas_lock.release()
+    _workers_used = workers
+    return True
 
 
 def kernel_workers() -> int:
-    """Workers the kernel's tiles have run on in this process: the pool's
-    size once a call has used it, else 1.  Builds nothing."""
-    return _pool_used
-
-
-def _forget_pool() -> None:
-    # a forked child has none of its parent's threads
-    global _pool, _pool_used, _pool_lock
-    _pool, _pool_used, _pool_lock = None, 1, threading.Lock()
+    """Workers of the kernel's last pooled call in this process (or in the
+    parent it was forked from), else 1.  Starts nothing."""
+    return _workers_used
 
 
 @dataclass(frozen=True)
@@ -210,9 +190,12 @@ class EmpiricalScore:
     one loop: it walks the batch in balanced tiles of at most 128 rows and,
     within a tile, the samples in blocks of at most 8192 columns through one
     (rows, block) buffer per tile in flight, so memory does not grow with n.
-    A call with more than one tile and no draws runs its tiles on the
-    process's worker pool (`_tile_pool`), one BLAS thread per worker; the
-    tiles depend only on B, so the bytes do not depend on the worker count.
+    A call with more than one tile and no draws runs its tiles on worker
+    threads of its own (`_run_pooled`), one BLAS thread per worker; the
+    tiles depend only on B, so the log-normalizer's bytes do not depend on
+    the worker count.  A score row's can, in the last bit, where the
+    caller's BLAS splits the (rows, block) x (block, d) weighted sum over
+    several threads (10 of 200 rows at n 162,754, d 40, t 1).
     A block's log weights are held without the row term ||x||^2 / (2 h_t),
     which cancels in the softmax; an online logsumexp (Milakov & Gimelshein
     2018) keeps each row's running max, rescales its running sum and
@@ -279,10 +262,10 @@ class EmpiricalScore:
         With ``draws`` = k > 0 each row also gets k sample indices drawn
         independently from its softmax with ``rng``, one reservoir step per
         block (`_reservoir_step`).  A call with more than one tile and no
-        draws runs its tiles on the worker pool (`_tile_pool`); draws take
-        their uniforms tile by tile from ``rng``, so their tiles run in order.
+        draws runs its tiles on worker threads (`_run_pooled`), or in turn
+        where it cannot; draws take their uniforms tile by tile from
+        ``rng``, so their tiles run in order.
         """
-        global _pool_used
         if t <= 0:
             raise ValueError("empirical score requires t > 0")
         sch = schedule(t)
@@ -296,15 +279,13 @@ class EmpiricalScore:
         logz = np.empty(b)
         picks = np.empty((b, draws), dtype=np.intp) if draws else None
         args = (x, sch, score, logz, picks, rng)
-        pool = _tile_pool() if len(tiles) > 1 and not draws else None
-        if pool is None:
+        # a pooled tile gets its own buffer; the rows' arithmetic is unchanged
+        pooled = len(tiles) > 1 and not draws and _run_pooled(
+            lambda tile: self._tile(tile, np.empty(width), *args), tiles)
+        if not pooled:
             buf = np.empty(width)
             for tile in tiles:
                 self._tile(tile, buf, *args)
-        else:
-            # each tile its own buffer; the rows' arithmetic is unchanged
-            pool.map(lambda tile: self._tile(tile, np.empty(width), *args), tiles)
-            _pool_used = pool.workers
         return score, logz, picks
 
     def _tile(self, tile: slice, buf: np.ndarray, x: np.ndarray,

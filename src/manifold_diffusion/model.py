@@ -166,6 +166,14 @@ def sample_count(alpha: float, d: int) -> int:
     return max(1, int(round(n)))
 
 
+def check_sample_count(n: int, least: int = 1) -> None:
+    """Reject a sample count below ``least`` or past the MAX_SAMPLES cap."""
+    if n < least:
+        raise ValueError(f"n must be >= {least}")
+    if n > MAX_SAMPLES:
+        raise ValueError(f"n = {n} exceeds the {MAX_SAMPLES} cap")
+
+
 @dataclass(frozen=True)
 class Dataset:
     """n ambient samples with class labels in {+1, -1}."""
@@ -193,10 +201,7 @@ def sample_dataset(model: ManifoldModel, n: int, seed: int) -> Dataset:
     of one (n, p) draw embedded at once: no block is a single row (a GEMV,
     which rounds differently) unless n is 1.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n > MAX_SAMPLES:
-        raise ValueError(f"n = {n} exceeds the {MAX_SAMPLES} cap")
+    check_sample_count(n)
     rng = _rng(seed)
     labels = np.where(np.arange(n) % 2 == 0, 1, -1)
     ambient = np.empty((n, model.d))

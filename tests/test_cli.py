@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -507,14 +508,14 @@ def test_manifest_records_versions_and_thread_env(tmp_path, monkeypatch):
 
 def test_manifest_records_the_kernels_workers(tmp_path, monkeypatch):
     # the worker count of the kernel's tiles, as they ran in this process;
-    # writing it builds no pool
-    built = []
-    monkeypatch.setattr(diffusion, "_tile_pool", lambda: built.append(1))
-    monkeypatch.setattr(diffusion, "_pool_used", 1)
+    # writing it starts no worker and looks up no core count
+    looked_up = []
+    monkeypatch.setattr(diffusion, "_tile_workers", lambda: looked_up.append(1) or (1, None))
+    monkeypatch.setattr(diffusion, "_workers_used", 1)
     run(tmp_path, "speciation", "--d", "16", "--p", "8")
     manifest = json.loads((tmp_path / "speciation.manifest.json").read_text())
-    assert manifest["kernel_workers"] == 1 and built == []
-    monkeypatch.setattr(diffusion, "_pool_used", 2)
+    assert manifest["kernel_workers"] == 1 and looked_up == []
+    monkeypatch.setattr(diffusion, "_workers_used", 2)
     run(tmp_path, "speciation", "--d", "16", "--p", "8")
     manifest = json.loads((tmp_path / "speciation.manifest.json").read_text())
     assert manifest["kernel_workers"] == 2
@@ -540,6 +541,21 @@ def test_experiments_refuse_n_data_past_the_cap(tmp_path, capsys, monkeypatch, a
     assert err["error"] == "config"
     assert "exceeds the 10000000 cap" in err["message"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("n", [0, -5, 1, 20_000_000])
+def test_exp_collapse_checks_n_data_before_reading_it(tmp_path, capsys, monkeypatch, n):
+    # without --alpha, alpha = log(n) / d: n is held to [2, the cap] before
+    # the log is taken and before the theory is solved
+    solves = []
+    monkeypatch.setattr(cli.C, "collapse_time", lambda *a, **k: solves.append(a))
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = cli.main(["exp-collapse", "--d", "40", "--p", "20", "--activation", "tanh",
+                         "--n-data", str(n), "--output-dir", str(out)])
+    assert code == cli.EXIT_CONFIG and solves == [] and not out.exists()
+    assert json.loads(capsys.readouterr().err)["error"] == "config"
 
 
 def test_config_file_with_flag_override(tmp_path):

@@ -1,9 +1,11 @@
 """Forward schedule, empirical score, exact backward bridges and index
 draws."""
+import functools
 import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -156,7 +158,7 @@ def _untiled_score(samples, x, t):
     return score, logz
 
 
-@pytest.mark.parametrize("b", [2, 255, 256, 257, 513, 1000])
+@pytest.mark.parametrize("b", [2, 128, 129, 255, 256, 257, 513, 1000])
 def test_tiled_score_equals_untiled_kernel(b):
     # tiles of at least 65 rows once B passes 128; n d is large enough that
     # the BLAS takes its general kernel for a tile and for the whole batch
@@ -173,20 +175,18 @@ def test_tiled_score_equals_untiled_kernel(b):
 
 @pytest.fixture
 def two_workers(monkeypatch):
-    """The kernel's tiles on a fresh two-worker pool, whatever the core count."""
-    pool = diffusion._make_pool(2)
-    if pool is None:
+    """The kernel's pooled calls on two workers, whatever the core count."""
+    setter = diffusion._blas_thread_setter()
+    if setter is None:
         pytest.skip("numpy's BLAS sets no per-thread thread count")
-    monkeypatch.setattr(diffusion, "_pool", pool)
-    monkeypatch.setattr(diffusion, "_pool_used", 1)
-    yield
-    pool._executor.shutdown()
+    monkeypatch.setattr(diffusion, "_tile_workers", lambda: (2, setter))
+    monkeypatch.setattr(diffusion, "_workers_used", 1)
 
 
 def _one_worker(monkeypatch, fn):
     """``fn()`` with the kernel's tiles run in turn on this thread."""
     with monkeypatch.context() as m:
-        m.setattr(diffusion, "_tile_pool", lambda: None)
+        m.setattr(diffusion, "_tile_workers", lambda: (1, None))
         return fn()
 
 
@@ -248,8 +248,8 @@ def test_pooled_call_gives_the_caller_its_blas_threads_back(two_workers):
 
 
 def test_draws_run_their_tiles_in_order(two_workers, monkeypatch):
-    # index draws take their uniforms tile by tile, so they never take the
-    # pool and give the same indices with it as without
+    # index draws take their uniforms tile by tile, so they never take
+    # workers and give the same indices with them as without
     monkeypatch.setattr(diffusion, "_BLOCK_COLS", 64)
     rng = np.random.default_rng(8)
     samples = rng.standard_normal((300, 8))
@@ -266,23 +266,23 @@ def test_kernel_runs_serially_without_per_thread_blas(monkeypatch):
     # numpy's BLAS without openblas_set_num_threads_local (MKL, OpenBLAS
     # before 0.3.27): one worker, no executor, the same bytes
     monkeypatch.setattr(diffusion, "_blas_thread_setter", lambda: None)
-    monkeypatch.setattr(diffusion, "_pool", None)
-    monkeypatch.setattr(diffusion, "_pool_used", 1)
+    # an uncached lookup, which finds the patched setter
+    monkeypatch.setattr(diffusion, "_tile_workers",
+                        functools.cache(diffusion._tile_workers.__wrapped__))
+    monkeypatch.setattr(diffusion, "_workers_used", 1)
     rng = np.random.default_rng(9)
     samples = rng.standard_normal((500, 8))
     score = EmpiricalScore(samples)
     x = rng.standard_normal((300, 8))
     part = score.log_partition(x, 0.4)
-    assert diffusion._pool is False and diffusion.kernel_workers() == 1
+    assert diffusion._tile_workers() == (1, None) and diffusion.kernel_workers() == 1
     assert np.array_equal(part, _one_worker(monkeypatch, lambda: score.log_partition(x, 0.4)))
 
 
 def test_a_shared_kernel_gives_each_caller_the_serial_bytes(two_workers, monkeypatch):
-    # four caller threads, more than the workers, share one kernel and the
-    # pool, with frequent thread switches; their tiles interleave on the
-    # workers, and each call's rows keep their bytes
-    import threading
-
+    # four caller threads share one kernel, with frequent thread switches;
+    # a call that finds another's workers running runs its tiles in turn,
+    # and each call's rows keep their bytes
     monkeypatch.setattr(diffusion, "_BLOCK_COLS", 256)
     rng = np.random.default_rng(10)
     samples = rng.standard_normal((1000, 16))
@@ -312,21 +312,79 @@ def test_a_shared_kernel_gives_each_caller_the_serial_bytes(two_workers, monkeyp
             assert np.array_equal(s, s_want) and np.array_equal(logz, logz_want)
 
 
-_POOL_SCRIPT = """
-import json, os, sys
+def test_a_tile_that_raises_leaves_no_worker_behind(two_workers, monkeypatch):
+    # the error reaches the caller once both workers have stopped; the
+    # caller's BLAS count and the lock are given back, so the next call
+    # pools again
+    rng = np.random.default_rng(12)
+    score = EmpiricalScore(rng.standard_normal((300, 8)))
+    x = rng.standard_normal((200, 8))
+    tile = EmpiricalScore._tile
+
+    def second_tile_raises(self, rows, *args):
+        if rows.start > 0:
+            raise RuntimeError("tile failed")
+        return tile(self, rows, *args)
+
+    threads, blas = threading.active_count(), _blas_threads()
+    with monkeypatch.context() as m:
+        m.setattr(EmpiricalScore, "_tile", second_tile_raises)
+        with pytest.raises(RuntimeError, match="tile failed"):
+            score.log_partition(x, 0.5)
+    assert threading.active_count() == threads and _blas_threads() == blas
+    assert not diffusion._blas_lock.locked() and diffusion.kernel_workers() == 1
+    part = score.log_partition(x, 0.5)
+    assert diffusion.kernel_workers() == 2
+    assert np.array_equal(part, _one_worker(monkeypatch, lambda: score.log_partition(x, 0.5)))
+
+
+def test_a_call_that_finds_the_blas_count_held_does_not_wait(two_workers, monkeypatch):
+    # while another call holds the BLAS count, a two-tile call runs both
+    # tiles on its own thread, with the one-worker bytes
+    rng = np.random.default_rng(13)
+    score = EmpiricalScore(rng.standard_normal((300, 8)))
+    x = rng.standard_normal((200, 8))
+    s_want, logz_want = _one_worker(monkeypatch, lambda: score(x, 0.5))
+    tile = EmpiricalScore._tile
+    ran_on, got = [], []
+
+    def recorded(self, *args):
+        ran_on.append(threading.get_ident())
+        return tile(self, *args)
+
+    monkeypatch.setattr(EmpiricalScore, "_tile", recorded)
+    caller = threading.Thread(target=lambda: got.append(score(x, 0.5)), daemon=True)
+    assert diffusion._blas_lock.acquire(blocking=False)
+    try:
+        caller.start()
+        caller.join(timeout=10)  # the call itself takes milliseconds
+    finally:
+        diffusion._blas_lock.release()
+    assert not caller.is_alive()
+    assert ran_on == [caller.ident] * 2 and diffusion.kernel_workers() == 1
+    [(s, logz)] = got
+    assert np.array_equal(s, s_want) and np.array_equal(logz, logz_want)
+
+
+_FRESH_SCRIPT = """
+import json, os, sys, threading
 import numpy as np
 from manifold_diffusion import diffusion
 score = diffusion.EmpiricalScore(np.random.default_rng(0).standard_normal((50, 4)))
 x = np.random.default_rng(1).standard_normal((129, 4))
 score.log_partition(x[:128], 0.5)  # one tile
-out = {"one_tile": ["concurrent.futures" in sys.modules, diffusion._pool]}
+out = {"one_tile": ["concurrent.futures" in sys.modules, diffusion.kernel_workers()]}
 part = score.log_partition(x, 0.5)  # two tiles
-out["two_tiles"] = ["concurrent.futures" in sys.modules, diffusion.kernel_workers()]
-out["pooled"] = bool(diffusion._pool)
+workers = diffusion.kernel_workers()
+out["two_tiles"] = ["concurrent.futures" in sys.modules, workers, threading.active_count()]
 pid = os.fork()
 if pid == 0:
-    ok = diffusion.kernel_workers() == 1 and not diffusion._pool
-    os._exit(0 if ok and np.array_equal(score.log_partition(x, 0.5), part) else 1)
+    # the parent's count, then the child's own pooled call
+    ok = diffusion.kernel_workers() == workers
+    diffusion._workers_used = 1
+    ok = (ok and np.array_equal(score.log_partition(x, 0.5), part)
+          and diffusion.kernel_workers() == workers and threading.active_count() == 1)
+    os._exit(0 if ok else 1)
 out["child"] = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
 print(json.dumps(out))
 """
@@ -334,23 +392,22 @@ print(json.dumps(out))
 
 @pytest.mark.skipif(not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"),
                     reason="needs os.fork and os.sched_getaffinity")
-def test_pool_is_built_by_the_first_call_that_needs_it():
-    # a fresh interpreter: a one-tile call builds nothing and imports no
-    # executor; a two-tile call builds the pool where the cores and numpy's
-    # BLAS allow it; a forked child starts again without it
+def test_workers_start_with_the_first_call_that_needs_them():
+    # a fresh interpreter: a one-tile call imports no executor; a two-tile
+    # call runs on one worker per core where the cores and numpy's BLAS
+    # allow it and leaves no thread behind; a forked child keeps its
+    # parent's worker count, and its own pooled call gives the same bytes
     src = str(Path(diffusion.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run([sys.executable, "-c", _POOL_SCRIPT], capture_output=True,
+    proc = subprocess.run([sys.executable, "-c", _FRESH_SCRIPT], capture_output=True,
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
-    assert out["one_tile"] == [False, None] and out["child"] == 0
-    pooled = out["pooled"]
-    assert pooled == (len(os.sched_getaffinity(0)) > 1
-                      and diffusion._blas_thread_setter() is not None)
-    assert out["two_tiles"][0] == pooled
-    assert (out["two_tiles"][1] > 1) == pooled
+    assert out["one_tile"] == [False, 1] and out["child"] == 0
+    cores = len(os.sched_getaffinity(0))
+    pooled = cores > 1 and diffusion._blas_thread_setter() is not None
+    assert out["two_tiles"] == [pooled, cores if pooled else 1, 1]
 
 
 def test_floored_tile_equals_unfloored_kernel_at_small_time():
