@@ -18,11 +18,15 @@ class Activation:
 
     kind: str
     fn: Callable[[np.ndarray], np.ndarray] = field(repr=False)
-    is_odd: bool
     # phi(-x) = 2 phi(0) - phi(x): odd up to a constant shift, declared per
     # activation (not detected numerically); `collapse.psi_big` then needs
     # only half of its Gauss-Hermite grid
     point_symmetric: bool
+
+    @property
+    def is_odd(self) -> bool:
+        """phi(-x) = -phi(x): point symmetric with phi(0) = 0."""
+        return self.point_symmetric and float(self(0.0)) == 0.0
 
     def __call__(self, y):
         return self.fn(np.asarray(y, dtype=float))
@@ -34,14 +38,13 @@ def _sigmoid(y):
         return 1.0 / (1.0 + np.exp(-y))
 
 
-# (fn, is_odd, point_symmetric) of each named activation; one function
-# object per name, so that two activations of the same name compare and
-# hash equal
+# (fn, point_symmetric) of each named activation; one function object per
+# name, so that two activations of the same name compare and hash equal
 _BUILTIN = {
-    "linear": (lambda y: y, True, True),
-    "tanh": (np.tanh, True, True),
-    "relu": (lambda y: np.maximum(y, 0.0), False, False),
-    "sigmoid": (_sigmoid, False, True),
+    "linear": (lambda y: y, True),
+    "tanh": (np.tanh, True),
+    "relu": (lambda y: np.maximum(y, 0.0), False),
+    "sigmoid": (_sigmoid, True),
 }
 
 
@@ -49,5 +52,5 @@ def make_activation(kind: str) -> Activation:
     """Build one of the named activations."""
     if kind not in _BUILTIN:
         raise ValueError(f"unknown activation kind: {kind!r}")
-    f, odd, symmetric = _BUILTIN[kind]
-    return Activation(kind=kind, fn=f, is_odd=odd, point_symmetric=symmetric)
+    f, symmetric = _BUILTIN[kind]
+    return Activation(kind=kind, fn=f, point_symmetric=symmetric)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Dataset
+from .model import Dataset, _balanced_slices
 
 # most rows of one score tile and most sample columns of one block: a tile's
 # buffer is at most (128, 8192), i.e. 8 MiB, whatever n is
@@ -187,15 +187,19 @@ class EmpiricalScore:
     -||x - a_t x_i||^2 / (2 h_t), evaluated in O(n d) per point with the
     sample norms cached.  The score, ``log_partition`` and ``draw_indices``
     (the softmax's sample indices, for the exact backward transition) share
-    one loop: it walks the batch in balanced tiles of at most 128 rows and,
-    within a tile, the samples in blocks of at most 8192 columns through one
-    (rows, block) buffer per tile in flight, so memory does not grow with n.
-    A call with more than one tile and no draws runs its tiles on worker
-    threads of its own (`_run_pooled`), one BLAS thread per worker; the
-    tiles depend only on B, so the log-normalizer's bytes do not depend on
-    the worker count.  A score row's can, in the last bit, where the
-    caller's BLAS splits the (rows, block) x (block, d) weighted sum over
-    several threads (10 of 200 rows at n 162,754, d 40, t 1).
+    one loop over the batch in tiles of at most 128 rows and, within a
+    tile, over the samples in blocks of at most 8192 columns, both cut by
+    `model._balanced_slices`, through one (rows, block) buffer per tile in
+    flight, so memory does not grow with n.  A call with more than one tile
+    and no draws runs its tiles on worker threads of its own (`_run_pooled`),
+    one BLAS thread per worker.  The tiles depend only on B, so the
+    log-normalizer's bytes do not depend on the worker count; a score row's
+    can, in the last bit, where the caller's BLAS splits the (rows, block)
+    x (block, d) weighted sum over several threads (10 of 200 rows at
+    n 162,754, d 40, t 1).  No tile is a single row unless B is 1, so each
+    row gets the arithmetic of an untiled call wherever the BLAS rounds a
+    row of a product the same at any row count (OpenBLAS does outside its
+    small-matrix kernels, i.e. once a tile's rows x n x d passes about 1e6).
     A block's log weights are held without the row term ||x||^2 / (2 h_t),
     which cancels in the softmax; an online logsumexp (Milakov & Gimelshein
     2018) keeps each row's running max, rescales its running sum and
@@ -203,16 +207,10 @@ class EmpiricalScore:
     place with the exponent floored at -700 (see ``_EXP_FLOOR``) wherever a
     bound on the block's log weights lets one fall below it.  The weighted
     mean is normalised on the (rows, d) result and the row term is restored
-    in the log-normalizer only.  Index draws stream the same way, a draw
-    being replaced by one from the block with the probability of the
-    block's share of the mass seen so far.  With n <= 8192 there is one block and
-    the arithmetic is that of a single softmax over all samples.  The tiles
-    are balanced, so none is a single row (a GEMV, which rounds differently),
-    and each row gets the arithmetic of an untiled call wherever the BLAS
-    rounds a row of a product the same at any row count (OpenBLAS does
-    outside its small-matrix kernels, i.e. once a tile's rows x n x d
-    passes about 1e6).  Instances are read-only and safe to share across
-    workers.
+    in the log-normalizer only; index draws stream too (`_reservoir_step`).
+    With n <= 8192 there is one block and the arithmetic is that of a
+    single softmax over all samples.  Instances are read-only and safe to
+    share across workers.
     """
 
     def __init__(self, data: Dataset | np.ndarray):
@@ -222,10 +220,8 @@ class EmpiricalScore:
         self.samples = X
         self._sq_norms = np.einsum("ij,ij->i", X, X)
         # (columns, column count, largest sample norm) of each block
-        n = X.shape[0]
-        bounds = [(lo, min(lo + _BLOCK_COLS, n)) for lo in range(0, n, _BLOCK_COLS)]
-        self._block_table = [(slice(lo, hi), hi - lo, np.sqrt(self._sq_norms[lo:hi].max()))
-                             for lo, hi in bounds]
+        self._block_table = [(c, c.stop - c.start, np.sqrt(self._sq_norms[c].max()))
+                             for c in _balanced_slices(X.shape[0], _BLOCK_COLS)]
 
     def _shifted_log_weights(self, x: np.ndarray, sch: DiffusionSchedule,
                              cols: slice = slice(None),
@@ -257,14 +253,12 @@ class EmpiricalScore:
     def _reduce(self, x: np.ndarray, t: float, with_score: bool, draws: int = 0,
                 rng: np.random.Generator | None = None) -> tuple:
         """(score or None, log-normalizer, draws or None) of each row of the
-        (B, d) batch x.
+        (B, d) batch x, tile by tile (`_balanced_slices`).
 
         With ``draws`` = k > 0 each row also gets k sample indices drawn
         independently from its softmax with ``rng``, one reservoir step per
-        block (`_reservoir_step`).  A call with more than one tile and no
-        draws runs its tiles on worker threads (`_run_pooled`), or in turn
-        where it cannot; draws take their uniforms tile by tile from
-        ``rng``, so their tiles run in order.
+        block; they take their uniforms tile by tile from ``rng``, so their
+        tiles run in order.  Other calls pool theirs where `_run_pooled` can.
         """
         if t <= 0:
             raise ValueError("empirical score requires t > 0")
@@ -272,9 +266,8 @@ class EmpiricalScore:
         b = x.shape[0]
         if b == 0:
             raise ValueError("empty batch")
-        rows = -(-b // -(-b // _TILE_ROWS))  # ceil(b / ceil(b / 128))
-        tiles = [slice(lo, lo + rows) for lo in range(0, b, rows)]
-        width = rows * self._block_table[0][1]  # the first block is the widest
+        tiles = _balanced_slices(b, _TILE_ROWS)
+        width = tiles[0].stop * self._block_table[0][1]  # both are the largest
         score = np.empty(x.shape) if with_score else None
         logz = np.empty(b)
         picks = np.empty((b, draws), dtype=np.intp) if draws else None

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .diffusion import EmpiricalScore, bridge, schedule
-from .model import Dataset, ManifoldModel, _rng, model_to_config
+from .model import Dataset, ManifoldModel, _rng, check_sample_count, model_to_config
 
 
 def model_hash(model: ManifoldModel) -> str:
@@ -191,8 +191,7 @@ def check_crossing(t_grid, n_samples: int, n_noise: int) -> None:
         raise ValueError("t_grid must be strictly decreasing")
     if not (len(t_grid) and t_grid[-1] > 0):
         raise ValueError("need a non-empty t_grid with t > 0")
-    if n_samples < 2:
-        raise ValueError("collapse crossing needs at least two samples")
+    check_sample_count(n_samples, 2)  # the planted sample and one to sum over
     if n_noise < 1:
         raise ValueError(f"need at least one noise draw, got n_noise = {n_noise}")
 

@@ -158,20 +158,19 @@ def make_model(d: int, p: int, **fields) -> ManifoldModel:
 
 
 def sample_count(alpha: float, d: int) -> int:
-    """n = round(e^{alpha d}) with an overflow guard."""
-    n = np.exp(alpha * d)
-    if n > MAX_SAMPLES:
-        raise ValueError(
-            f"n = e^(alpha d) = {n:.3g} exceeds the {MAX_SAMPLES} cap")
-    return max(1, int(round(n)))
+    """n = round(e^{alpha d}), at least 1, held to the cap by `check_sample_count`;
+    past log(MAX_SAMPLES) n is inf, as e^{alpha d} overflows from alpha d ~ 709.8."""
+    n = max(1, round(math.exp(alpha * d))) if alpha * d <= math.log(MAX_SAMPLES) else math.inf
+    check_sample_count(n)
+    return n
 
 
 def check_sample_count(n: int, least: int = 1) -> None:
     """Reject a sample count below ``least`` or past the MAX_SAMPLES cap."""
     if n < least:
-        raise ValueError(f"n must be >= {least}")
+        raise ValueError(f"n must be at least {least}, got {n}")
     if n > MAX_SAMPLES:
-        raise ValueError(f"n = {n} exceeds the {MAX_SAMPLES} cap")
+        raise ValueError(f"n exceeds the {MAX_SAMPLES} cap")
 
 
 @dataclass(frozen=True)
@@ -186,6 +185,17 @@ class Dataset:
         return self.ambient.shape[0]
 
 
+def _balanced_slices(n: int, most: int) -> list[slice]:
+    """[0, n) in ceil(n / most) contiguous slices, largest first, whose sizes
+    differ by at most one: the sampler's blocks and the kernel's tiles and
+    sample blocks.  For most >= 3 no slice is a single row unless n is 1,
+    since a one-row product runs as a GEMV, which rounds unlike a GEMM row."""
+    count = -(-n // most)
+    size, extra = divmod(n, count)
+    return [slice(k * size + min(k, extra), (k + 1) * size + min(k + 1, extra))
+            for k in range(count)]
+
+
 # most rows of one block of `sample_dataset`, as the kernel's sample blocks
 _SAMPLE_ROWS = 8192
 
@@ -195,22 +205,20 @@ def sample_dataset(model: ManifoldModel, n: int, seed: int) -> Dataset:
 
     Labels alternate (+1, -1, ...), xi_i ~ N(s_i * mu, rho I_p) and
     x_i = phi(F xi_i / sqrt(p)).  The samples are embedded into one (n, d)
-    array in balanced blocks of at most 8192 rows, the latents of each
-    drawn in turn from the one generator, so memory is the samples plus
-    one block's temporaries and no latents are kept.  The bytes are those
-    of one (n, p) draw embedded at once: no block is a single row (a GEMV,
-    which rounds differently) unless n is 1.
+    array in the blocks of `_balanced_slices`, at most 8192 rows each, the
+    latents of each drawn in turn from the one generator, so memory is the
+    samples plus one block's temporaries and no latents are kept.  The
+    bytes are those of one (n, p) draw embedded at once.
     """
     check_sample_count(n)
     rng = _rng(seed)
     labels = np.where(np.arange(n) % 2 == 0, 1, -1)
     ambient = np.empty((n, model.d))
-    rows = -(-n // -(-n // _SAMPLE_ROWS))  # ceil(n / ceil(n / 8192))
-    for lo in range(0, n, rows):
-        s = labels[lo:lo + rows]
+    for rows in _balanced_slices(n, _SAMPLE_ROWS):
+        s = labels[rows]
         latents = (s[:, None] * model.mu[None, :]
                    + np.sqrt(model.rho) * rng.standard_normal((len(s), model.p)))
-        ambient[lo:lo + rows] = model.embed(latents)
+        ambient[rows] = model.embed(latents)
     return Dataset(labels=labels, ambient=ambient)
 
 
@@ -261,11 +269,9 @@ def _typed(key: str, value):
 
 
 def _center(cfg: dict) -> np.ndarray:
-    """The latent center of a config: ``mu_file``, ``mu`` or m * ones(p)."""
+    """The latent center of a resolved config: ``mu`` or m * ones(p)."""
     p = cfg["p"]
     mu = cfg.get("mu")
-    if cfg.get("mu_file") is not None:
-        mu = np.loadtxt(cfg["mu_file"])
     if mu is None:
         return cfg["m"] * np.ones(p)
     try:
@@ -287,13 +293,24 @@ def resolve_config(cfg: dict, keys: tuple[str, ...] = CONFIG_KEYS) -> dict:
     p.  rho and alpha must be finite and positive, m and mu finite, and
     the activation and ensemble known.  The theory squares the center
     and scales by rho (rho (m^2 + rho)), so m^2, mu @ mu / p and that
-    product must be finite too.
+    product must be finite too.  The experiments draw their noise with
+    seed + 1, so the seed must lie in [0, 2^64 - 1).  A ``mu_file`` is read
+    here, once, and its values are passed on as ``mu``; a config may not
+    give both.
     """
     unknown = sorted(set(cfg).difference(keys))
     if unknown:
         raise ValueError(f"config has unknown fields: {unknown}")
     cfg = {**{k: v for k, v in _DEFAULTS.items() if k in keys}, **cfg}
     cfg = {k: _typed(k, v) if k in CONFIG_TYPES else v for k, v in cfg.items()}
+    if "seed" in cfg and not 0 <= cfg["seed"] < (1 << 64) - 1:
+        raise ValueError(f"config field seed must lie in [0, 2^64 - 1), got "
+                         f"{cfg['seed']}: the experiments' noise is drawn with seed + 1")
+    mu_file = cfg.pop("mu_file", None)
+    if mu_file is not None:
+        if cfg.get("mu") is not None:
+            raise ValueError("config fields mu and mu_file both give the center; give one")
+        cfg["mu"] = np.loadtxt(mu_file).ravel().tolist()
     if "p" in keys:
         d, p = cfg.get("d", 0), cfg.get("p", 0)
         if not 1 <= p <= d:
@@ -308,7 +325,7 @@ def resolve_config(cfg: dict, keys: tuple[str, ...] = CONFIG_KEYS) -> dict:
         raise ValueError(f"config field m = {cfg['m']:g} is too large to square")
     if "p" in keys:
         mu = _center(cfg)
-        field = "m" if cfg.get("mu") is None and cfg.get("mu_file") is None else "mu"
+        field = "m" if cfg.get("mu") is None else "mu"
         with np.errstate(over="ignore"):
             m2 = float(mu @ mu / p)
         if not math.isfinite(m2):

@@ -622,6 +622,7 @@ _MISREAD_CONFIGS = {
     "mu_nan": ("speciation", {"mu": [1.0] * 7 + [math.nan]}),
     "mu_object": ("speciation", {"mu": {"a": 1.0}}),
     "mu_beyond_square": ("free-energy", {"mu": [1e160] + [1.0] * 7}),
+    "mu_and_mu_file": ("speciation", {"mu": [1.0] * 8, "mu_file": "mu.txt"}),
 }
 
 
@@ -654,6 +655,76 @@ def test_resolved_config_records_the_values_that_ran(tmp_path):
 
 def _no_work(*args, **kwargs):
     raise AssertionError("work started before the run was checked")
+
+
+@pytest.mark.parametrize("argv", [
+    ["collapse", "--d", "16", "--p", "8"],
+    ["free-energy", "--d", "16", "--p", "8", "--t-points", "2"],
+    ["speciation", "--d", "16", "--p", "8", "--activation", "tanh"],
+    ["exp-rem", "--d", "16", "--p", "8", "--n-rep", "100"]])
+def test_commands_read_the_mu_file_once(tmp_path, monkeypatch, argv):
+    # the file is read when the config is resolved, and its values are the
+    # center that ran, as recorded; so /dev/stdin through a pipe works too
+    monkeypatch.setattr(cli.C, "THEORY_SOLVER", _FAST_THEORY)
+    mu = [0.5, 1.0, 1.5, 2.0, -0.5, -1.0, -1.5, -2.0]
+    mu_path = tmp_path / "mu.txt"
+    np.savetxt(mu_path, mu)
+    cfg = tmp_path / "model.json"
+    cfg.write_text(json.dumps({"mu_file": str(mu_path)}))
+    loads = []
+    real = np.loadtxt
+    monkeypatch.setattr(np, "loadtxt", lambda *a, **k: loads.append(a) or real(*a, **k))
+    assert run(tmp_path, *argv, "--config", str(cfg)) == 0
+    assert len(loads) == 1
+    command = argv[0].replace("-", "_")
+    resolved = json.loads(
+        (tmp_path / f"{command}.manifest.json").read_text())["resolved_config"]
+    assert resolved["mu"] == mu and "mu_file" not in resolved
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+def test_a_center_piped_through_stdin_runs(tmp_path):
+    cfg = tmp_path / "model.json"
+    cfg.write_text(json.dumps({"d": 4, "p": 2, "mu_file": "/dev/stdin"}))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "manifold_diffusion.cli", "collapse", "--config", str(cfg),
+         "--output-dir", str(tmp_path / "out")], input="1.5\n-0.5\n", text=True,
+        capture_output=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])})
+    assert proc.returncode == 0, proc.stderr
+    manifest = json.loads((tmp_path / "out" / "collapse.manifest.json").read_text())
+    assert manifest["resolved_config"]["mu"] == [1.5, -0.5]
+
+
+@pytest.mark.parametrize("argv", [
+    ["exp-collapse", "--d", "16", "--p", "8", "--n-data", "64"],
+    ["exp-speciation", "--d", "16", "--p", "8", "--activation", "tanh",
+     "--n-data", "64"]])
+def test_experiments_check_the_seed_before_any_work(tmp_path, capsys, monkeypatch, argv):
+    # seed + 1 draws the noise, so 2^64 - 1 is refused with the config,
+    # before the theory is solved or the training set drawn
+    monkeypatch.setattr(cli.C, "collapse_time", _no_work)
+    monkeypatch.setattr(cli, "sample_dataset", _no_work)
+    out = tmp_path / "out"
+    seed = str((1 << 64) - 1)
+    assert cli.main([*argv, "--seed", seed, "--output-dir", str(out)]) == cli.EXIT_CONFIG
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config" and seed in err["message"]
+    assert str(1 << 64) not in err["message"] and not out.exists()
+
+
+def test_exp_collapse_refuses_an_alpha_past_the_cap_without_a_warning(
+        tmp_path, capsys, monkeypatch):
+    # e^(alpha d) = e^40000 is not taken: the count is refused in logs
+    monkeypatch.setattr(cli, "sample_dataset", _no_work)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["exp-collapse", "--d", "40", "--p", "20", "--alpha", "1000",
+                         "--output-dir", str(out)])
+    assert code == cli.EXIT_CONFIG and not out.exists()
+    assert "exceeds the 10000000 cap" in json.loads(capsys.readouterr().err)["message"]
 
 
 def test_exp_speciation_rejects_non_odd_activation_before_any_work(

@@ -173,6 +173,21 @@ def test_tiled_score_equals_untiled_kernel(b):
         assert np.array_equal(s, s_ref) and np.array_equal(logz, logz_ref)
 
 
+def test_no_tile_is_a_single_row():
+    # B = 16,257 = 127 * 128 + 1 is cut into one tile of 128 rows and 127 of
+    # 127; its last row must keep the bytes it has inside a full tile, which
+    # a one-row tile (a GEMV) does not
+    rng = np.random.default_rng(16_257)
+    samples = rng.standard_normal((1024, 32))
+    x = rng.standard_normal((16_257, 32))
+    score = EmpiricalScore(samples)
+    for t in (0.05, 0.3, 3.0):
+        s, logz = score(x, t)
+        s_full, logz_full = score(x[-128:], t)
+        assert np.array_equal(s[-128:], s_full) and np.array_equal(logz[-128:], logz_full)
+        assert np.array_equal(score.log_partition(x, t)[-1], logz_full[-1])
+
+
 @pytest.fixture
 def two_workers(monkeypatch):
     """The kernel's pooled calls on two workers, whatever the core count."""

@@ -183,7 +183,7 @@ def test_collapse_crossing_values_match_explicit_differences():
         assert rec.value == pytest.approx(gap.mean(), abs=1e-12)
     # without the planted sample there is nothing left to sum
     one = sample_dataset(mdl, 1, seed=3)
-    with pytest.raises(ValueError, match="two samples"):
+    with pytest.raises(ValueError, match="at least 2, got 1"):
         collapse_crossing_experiment(mdl, one, [0.5, 0.1],
                                      n_noise=4, seed=7)
 

@@ -1,6 +1,7 @@
 """Data model: embeddings, sampling, serialization."""
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -78,6 +79,36 @@ def test_sample_count_round_and_cap():
     assert sample_count(1e-9, 4) == 1
     with pytest.raises(ValueError, match="cap"):
         sample_count(1.0, 40)
+
+
+def test_sample_count_meets_the_cap_before_any_exponential():
+    # the benchmark's training set is e^(0.3 * 40) = 162754.79 samples;
+    # past the cap's log e^(alpha d) is not taken, since it overflows from
+    # alpha d ~ 709.8
+    assert sample_count(0.3, 40) == 162_755
+    for log_n in (math.log(model_mod.MAX_SAMPLES) + 1e-9, 709.0, 710.0, 1e4, math.inf):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="exceeds the 10000000 cap"):
+                sample_count(log_n / 40, 40)
+
+
+@pytest.mark.parametrize("most", [3, 4, 128, 8192])
+def test_balanced_slices_cover_n_in_near_equal_parts(most):
+    # n from 1 past several multiples of ``most``, with 16,257 = 127 * 128 + 1
+    # at 128, where ceil(n / ceil(n / most))-row tiles left a single row
+    ns = {*range(1, 5 * most + 3), 16_257} if most < 128 else {
+        1, 2, 3, most - 1, most, most + 1, 2 * most - 1, 2 * most, 2 * most + 1,
+        5 * most + 1, 16_257, 162_754, 162_755}
+    for n in sorted(ns):
+        slices = model_mod._balanced_slices(n, most)
+        sizes = [s.stop - s.start for s in slices]
+        assert len(slices) == -(-n // most), (n, most)
+        assert slices[0].start == 0 and slices[-1].stop == n
+        assert all(a.stop == b.start for a, b in zip(slices, slices[1:]))
+        assert max(sizes) <= most and max(sizes) - min(sizes) <= 1
+        assert sizes == sorted(sizes, reverse=True)
+        assert n == 1 or min(sizes) > 1, (n, most, sizes)
 
 
 def test_sample_dataset_refuses_a_count_past_the_cap(monkeypatch):
@@ -297,6 +328,37 @@ def test_theory_params_from_config_match_the_model(cfg):
     # m is read off the center vector, as the model reads it
     mu = np.asarray(cfg.get("mu", cfg.get("m", 1.0) * np.ones(cfg["p"])))
     assert params.m == float(np.linalg.norm(mu) / np.sqrt(cfg["p"]))
+
+
+def test_resolve_config_reads_mu_file_once_and_passes_it_on_as_mu(tmp_path, monkeypatch):
+    # the values of the file are the resolved config's center, so a second
+    # resolution (the model's, the theory's) reads no file
+    mu_path = tmp_path / "mu.txt"
+    np.savetxt(mu_path, [1.0, -2.0, 0.5])
+    loads = []
+    real = np.loadtxt
+    monkeypatch.setattr(np, "loadtxt", lambda *a, **k: loads.append(a) or real(*a, **k))
+    cfg = resolve_config({"d": 6, "p": 3, "mu_file": str(mu_path)})
+    assert cfg["mu"] == [1.0, -2.0, 0.5] and "mu_file" not in cfg
+    assert np.array_equal(model_from_config(cfg).mu, [1.0, -2.0, 0.5])
+    assert TheoryParams.from_config(cfg) == model_from_config(cfg).theory_params
+    assert len(loads) == 1
+    # a config that gives both keys would run on one of them: rejected
+    with pytest.raises(ValueError, match="mu and mu_file"):
+        resolve_config({"d": 6, "p": 3, "mu": [1.0] * 3, "mu_file": str(mu_path)})
+    assert len(loads) == 1
+
+
+def test_resolve_config_holds_the_seed_below_2_64_minus_1():
+    # the experiments draw their noise with seed + 1, which must still be a
+    # seed; the message names the seed given
+    top = (1 << 64) - 1
+    assert resolve_config({"d": 4, "p": 2, "seed": top - 1})["seed"] == top - 1
+    for bad in (top, -1):
+        with pytest.raises(ValueError, match=f"seed must lie in .*got {bad}: .*seed \\+ 1"):
+            resolve_config({"d": 4, "p": 2, "seed": bad})
+        with pytest.raises(ValueError, match=f"got {bad}"):
+            resolve_config({"seed": bad}, ("alpha", "rho", "m", "seed"))
 
 
 def test_theory_params_from_config_rejects_a_misread_center(tmp_path):
