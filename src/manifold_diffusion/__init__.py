@@ -6,7 +6,7 @@ from .activations import Activation, make_activation
 from .collapse import (CollapseResult, FreeEnergyResult, collapse_method,
                        collapse_time, collapse_time_glm,
                        collapse_time_linear_isometry, collapse_time_linear_rmt,
-                       f_rs, f_star, mp_h, mp_logdet, psi, psi_big,
+                       f_rs, f_star, mp_logdet, psi, psi_big,
                        psi_big_linear, psi_quadrature_check,
                        stationarity_residual)
 from .diffusion import DiffusionSchedule, EmpiricalScore, schedule

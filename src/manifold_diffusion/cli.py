@@ -27,7 +27,7 @@ from . import collapse as C
 from . import experiments as E
 from . import speciation as S
 from .activations import make_activation
-from .diffusion import EmpiricalScore, kernel_workers
+from .diffusion import EmpiricalScore, check_time, kernel_workers
 from .model import (CONFIG_KEYS, CONFIG_TYPES, TheoryParams, check_sample_count,
                     model_from_config, resolve_config, sample_count, sample_dataset)
 
@@ -128,6 +128,16 @@ class _Run:
         return EXIT_OK
 
 
+def _grid(start: float, stop: float, points: int) -> np.ndarray:
+    """``np.linspace(start, stop, points)``, with a non-finite end or span
+    refused first: linspace warns on either before any check can run.  The
+    span is a Python float difference, which warns on nothing."""
+    if not np.isfinite(stop - start):  # NaN or inf for a non-finite end
+        raise ValueError(f"need finite grid ends a finite span apart, got {start} "
+                         f"and {stop}")
+    return np.linspace(start, stop, points)
+
+
 def _record_table(records: list[E.ExperimentRecord]) -> tuple[list, list]:
     """A records CSV: a column per field, the last (flags) joined by ";"."""
     return ([f.name for f in fields(E.ExperimentRecord)],
@@ -203,7 +213,7 @@ def cmd_collapse_sweep(args, run: _Run) -> int:
                          f"{args.activations!r}: linear data is covered by the "
                          f"{C.CLOSED_FORM} and {C.RMT} rows")
     acts = [make_activation(a) for a in names]
-    betas = np.linspace(args.beta_min, args.beta_max, args.beta_points)
+    betas = _grid(args.beta_min, args.beta_max, args.beta_points)
     if not betas.size:
         raise ValueError("--beta-points must be at least 1")
     # one linear record per beta, so each beta is checked before any solve
@@ -232,9 +242,8 @@ def cmd_collapse_sweep(args, run: _Run) -> int:
 def cmd_free_energy(args, run: _Run) -> int:
     cfg = _config(args)
     params = TheoryParams.from_config(cfg)
-    ts = np.linspace(args.t_min, args.t_max, args.t_points)
-    if not (ts.size and ts.min() > 0):
-        raise ValueError("free-energy needs a non-empty time grid with t > 0")
+    ts = _grid(args.t_min, args.t_max, args.t_points)
+    check_time(ts.min() if ts.size else ts)  # it ascends, and may repeat one time
     # the sup over q reads no t_tol
     solver = {k: v for k, v in C.THEORY_SOLVER.items() if k != "t_tol"}
     with run.phase("theory"):
@@ -249,7 +258,7 @@ def cmd_free_energy(args, run: _Run) -> int:
 def cmd_exp_speciation(args, run: _Run) -> int:
     cfg = _config(args)
     model = model_from_config(cfg)
-    t_grid = np.linspace(args.t_max, args.t_min, args.t_points)
+    t_grid = _grid(args.t_max, args.t_min, args.t_points)
     # before the data, so that a run that cannot finish does no work
     E.check_speciation(t_grid, args.n_traj, args.n_clones)
     with run.phase("theory"):
@@ -294,7 +303,7 @@ def cmd_exp_collapse(args, run: _Run) -> int:
     cfg = _config(args)
     model = model_from_config(cfg)
     cfg["n_data"], cfg["alpha"] = _crossing_sample(cfg["d"], cfg.get("alpha"), args.n_data)
-    t_grid = np.linspace(args.t_max, args.t_min, args.t_points)
+    t_grid = _grid(args.t_max, args.t_min, args.t_points)
     E.check_crossing(t_grid, cfg["n_data"], args.n_noise)
     # the theory first: a model with no collapse time in range fails before
     # the data are drawn and before any output is written

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffusion import _EXP_FLOOR
+from .diffusion import _EXP_FLOOR, check_time
 from .model import TheoryParams
 from .quadrature import std_normal_grid, std_normal_nodes
 
@@ -116,8 +116,7 @@ def psi_big(q: float, t: float, m: float, rho: float, activation,
     c = m * m + rho
     if not 0.0 <= q <= c + 1e-12:
         raise ValueError(f"q must lie in [0, {c}]")
-    if t <= 0:
-        raise ValueError("t must be positive")
+    check_time(t)
     q = min(q, c)
     h = -np.expm1(-2.0 * t)
     scale = np.exp(-t) / np.sqrt(2.0 * h)  # a_t / sqrt(2 h_t)
@@ -555,35 +554,23 @@ def collapse_time_linear_isometry(alpha: float, beta: float, *,
 
 
 def _mp_roots(x: float, z: float) -> tuple[float, float]:
-    """The roots sqrt(x (1 +- sqrt(z))^2 + 1) of ``mp_h``."""
+    """The roots ra, rb = sqrt(x (1 +- sqrt(z))^2 + 1) of the Marchenko-Pastur
+    auxiliary h(x, z) = (ra - rb)^2.  Their squares differ by 4 x sqrt(z), so
+    ra - rb = 4 x sqrt(z) / (ra + rb), which does not cancel."""
     rz = math.sqrt(z)
     return math.sqrt(x * (1.0 + rz) ** 2 + 1.0), math.sqrt(x * (1.0 - rz) ** 2 + 1.0)
-
-
-def mp_h(x: float, z: float) -> float:
-    """Marchenko-Pastur auxiliary h(x, z).
-
-    h = (sqrt(x (1 + sqrt(z))^2 + 1) - sqrt(x (1 - sqrt(z))^2 + 1))^2; the
-    edge factors (1 +- sqrt(z)) enter squared, which is what matches the
-    empirical spectrum (and keeps E log concave-consistent).  The squares
-    under the roots differ by 4 x sqrt(z), so the difference of the roots
-    is taken as 4 x sqrt(z) over their sum, which does not cancel.
-    """
-    if x < 0 or z < 0:
-        raise ValueError("mp_h requires x, z >= 0")
-    ra, rb = _mp_roots(x, z)
-    return (4.0 * x * math.sqrt(z) / (ra + rb)) ** 2
 
 
 def mp_logdet(eta: float, beta: float) -> float:
     """Large-d limit of (1/d) log det(eta F F^T / p + I_d), gaussian F.
 
     It is beta log1p(x - h/4) + log1p(eta - h/4) - h / (4x), x = eta / beta
-    and h = ``mp_h``(x, beta) = w^2.  eta - h/4 = (sqrt(eta) - w/2)(sqrt(eta)
-    + w/2) with sqrt(eta) - w/2 = sqrt(eta) g / (ra + rb), ra and rb the
-    roots of h and g = ra + rb - 2 sqrt(x) = sum over +- of 1 / (r +
-    sqrt(x) (1 +- sqrt(beta))), and x - h/4 adds x (1 - beta) to it: every
-    term is a product or sum of positive numbers, which cancels at no eta.
+    and h = w^2 = (ra - rb)^2, ra and rb the roots of `_mp_roots`(x, beta),
+    so w/2 = 2 x sqrt(beta) / (ra + rb).  eta - h/4 = (sqrt(eta) - w/2)
+    (sqrt(eta) + w/2) with sqrt(eta) - w/2 = sqrt(eta) g / (ra + rb) and
+    g = ra + rb - 2 sqrt(x) = sum over +- of 1 / (r + sqrt(x) (1 +-
+    sqrt(beta))), and x - h/4 adds x (1 - beta) to it: every term is a
+    product or sum of positive numbers, which cancels at no eta.
     """
     if eta <= 0:
         raise ValueError("eta must be positive")

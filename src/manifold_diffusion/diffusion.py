@@ -131,10 +131,20 @@ class DiffusionSchedule:
 
 
 def schedule(t: float) -> DiffusionSchedule:
-    if t < 0:
-        raise ValueError("time must be >= 0")
+    if not 0.0 <= t < np.inf:  # t = 0 is the data itself
+        raise ValueError(f"need t with 0 <= t < inf, got {t}")
     a = np.exp(-t)
     return DiffusionSchedule(t=float(t), a=float(a), h=float(-np.expm1(-2.0 * t)))
+
+
+def check_time(t, low: float = 0.0, high: float = np.inf) -> None:
+    """Refuse a time t unless low < t < high, which NaN and +-inf never are, and
+    a grid unless non-empty with high > t_0 > t_1 > ... > low; a float is only compared."""
+    if not (isinstance(t, float) and low < t < high):
+        v = np.hstack([high, np.asarray(t, dtype=float), low])
+        if v.size < 3 or not np.all(v[1:] < v[:-1]):
+            raise ValueError(f"need t with {low:g} < t < {high:g}"
+                             f"{', strictly decreasing' if np.ndim(t) else ''}, got {t}")
 
 
 def bridge(t: float, s: float) -> tuple[float, float, float]:
@@ -242,8 +252,7 @@ class EmpiricalScore:
         This builds the whole (B, n) matrix; ``log_partition`` reduces it
         block by block instead.
         """
-        if t <= 0:
-            raise ValueError("empirical score requires t > 0")
+        check_time(t)
         sch = schedule(t)
         x = np.atleast_2d(np.asarray(x, dtype=float))
         g = self._shifted_log_weights(x, sch)
@@ -260,8 +269,7 @@ class EmpiricalScore:
         block; they take their uniforms tile by tile from ``rng``, so their
         tiles run in order.  Other calls pool theirs where `_run_pooled` can.
         """
-        if t <= 0:
-            raise ValueError("empirical score requires t > 0")
+        check_time(t)
         sch = schedule(t)
         b = x.shape[0]
         if b == 0:

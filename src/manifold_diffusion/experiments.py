@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .diffusion import EmpiricalScore, bridge, schedule
+from .diffusion import EmpiricalScore, bridge, check_time, schedule
 from .model import Dataset, ManifoldModel, _rng, check_sample_count, model_to_config
 
 
@@ -42,7 +42,8 @@ class ExperimentRecord:
     flags: tuple[str, ...] = field(default=())
 
     def __post_init__(self):
-        if self.stderr < 0 or self.n_rep < 1 or not math.isfinite(self.value):
+        if (not 0.0 <= self.stderr < math.inf or self.n_rep < 1
+                or not math.isfinite(self.value)):
             raise ValueError("malformed experiment record")
 
 
@@ -89,11 +90,7 @@ def _bridge_draws(score: EmpiricalScore, y: np.ndarray, idx: np.ndarray,
 def check_speciation(t_grid, n_traj: int, n_clones: int) -> None:
     """Reject the arguments of a `speciation_experiment` that cannot run; the
     CLI calls it before it samples the training set."""
-    if np.any(np.diff(t_grid) >= 0):
-        raise ValueError("t_grid must be strictly decreasing")
-    if not (len(t_grid) and CLONE_T_START > t_grid[0] and t_grid[-1] > CLONE_T_MIN):
-        raise ValueError(f"need t_start = {CLONE_T_START:g} > t_grid > "
-                         f"t_min = {CLONE_T_MIN:g}")
+    check_time(t_grid, CLONE_T_MIN, CLONE_T_START)
     if n_traj < 1:
         raise ValueError(f"need at least one trajectory, got n_traj = {n_traj}")
     if n_clones < 2:
@@ -187,10 +184,7 @@ def threshold_crossing(records: list[ExperimentRecord],
 def check_crossing(t_grid, n_samples: int, n_noise: int) -> None:
     """Reject the arguments of a `collapse_crossing_experiment` that cannot
     run; the CLI calls it before it samples the training set."""
-    if np.any(np.diff(t_grid) >= 0):
-        raise ValueError("t_grid must be strictly decreasing")
-    if not (len(t_grid) and t_grid[-1] > 0):
-        raise ValueError("need a non-empty t_grid with t > 0")
+    check_time(t_grid)
     check_sample_count(n_samples, 2)  # the planted sample and one to sum over
     if n_noise < 1:
         raise ValueError(f"need at least one noise draw, got n_noise = {n_noise}")
@@ -246,6 +240,7 @@ def free_energy_mc(model: ManifoldModel, t: float, n_x: int, n_latent: int,
         raise ValueError("variance guard: free_energy_mc requires p <= 24")
     if n_latent < 10_000:
         raise ValueError("inner estimate requires n_latent >= 10^4")
+    check_time(t)
     sch = schedule(t)
     rng = _rng(seed)
     inner_sign = -1.0 if mismatched else 1.0
@@ -286,6 +281,7 @@ def rem_derivative_check(model: ManifoldModel, t: float, n_rep: int,
     1/2 for every model, so criterion 09 checks the normal sampler only."""
     if n_rep < 1:
         raise ValueError(f"need at least one draw, got n_rep = {n_rep}")
+    check_time(t)
     sch = schedule(t)
     rng = _rng(seed)
     xi = model.mu[None, :] + np.sqrt(model.rho) * rng.standard_normal((n_rep, model.p))

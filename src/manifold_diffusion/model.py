@@ -173,16 +173,25 @@ def check_sample_count(n: int, least: int = 1) -> None:
         raise ValueError(f"n exceeds the {MAX_SAMPLES} cap")
 
 
+def _labels(rows: slice) -> np.ndarray:
+    """Class labels of the samples ``rows``: +1 at an even index, -1 at an odd."""
+    return np.where(np.arange(rows.start, rows.stop) % 2 == 0, 1, -1)
+
+
 @dataclass(frozen=True)
 class Dataset:
-    """n ambient samples with class labels in {+1, -1}."""
+    """n ambient samples, of class +1 at an even index and -1 at an odd one
+    (`labels`, derived from the index, so no label array is held)."""
 
-    labels: np.ndarray
     ambient: np.ndarray
 
     @property
     def n(self) -> int:
         return self.ambient.shape[0]
+
+    @property
+    def labels(self) -> np.ndarray:
+        return _labels(slice(0, self.n))
 
 
 def _balanced_slices(n: int, most: int) -> list[slice]:
@@ -212,14 +221,13 @@ def sample_dataset(model: ManifoldModel, n: int, seed: int) -> Dataset:
     """
     check_sample_count(n)
     rng = _rng(seed)
-    labels = np.where(np.arange(n) % 2 == 0, 1, -1)
     ambient = np.empty((n, model.d))
     for rows in _balanced_slices(n, _SAMPLE_ROWS):
-        s = labels[rows]
+        s = _labels(rows)
         latents = (s[:, None] * model.mu[None, :]
                    + np.sqrt(model.rho) * rng.standard_normal((len(s), model.p)))
         ambient[rows] = model.embed(latents)
-    return Dataset(labels=labels, ambient=ambient)
+    return Dataset(ambient=ambient)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .activations import Activation
+from .diffusion import check_time
 from .model import ManifoldModel, _rng
 from .quadrature import std_normal_nodes
 
@@ -157,8 +158,7 @@ def speciation_time_asymptotic(beta: float, d: int, mu_tilde_norm_sq: float,
 
 def potential(q, t: float, gamma0_sq_sum: float):
     """V(q, t) = q^2/2 - 2 S log cosh(e^{-t} q)."""
-    if t <= 0:
-        raise ValueError("t must be positive")
+    check_time(t)
     q = np.asarray(q, dtype=float)
     # log cosh without overflow for large arguments
     z = np.exp(-t) * q
@@ -169,8 +169,7 @@ def potential(q, t: float, gamma0_sq_sum: float):
 
 def potential_curvature_at_zero(t: float, gamma0_sq_sum: float) -> float:
     """d^2V/dq^2 at q = 0, i.e. 1 - 2 e^{-2t} S; zero exactly at t_S."""
-    if t <= 0:
-        raise ValueError("t must be positive")
+    check_time(t)
     return 1.0 - 2.0 * np.exp(-2.0 * t) * gamma0_sq_sum
 
 
@@ -188,8 +187,7 @@ def reduced_sde_simulate(t_start: float, t_end: float, dt: float,
 
     Returns (times, Q) with Q of shape (n_steps + 1, n_traj).
     """
-    if not t_start > t_end > 0:
-        raise ValueError("require t_start > t_end > 0")
+    check_time([t_start, t_end])
     if dt <= 0:
         raise ValueError("dt must be positive")
     s = float(gamma0_sq_sum)

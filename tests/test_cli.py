@@ -825,12 +825,33 @@ _BAD_GRIDS = {
     "sweep-activations-empty": ["collapse-sweep", "--activations", ""],
     "sweep-activations-with-linear": ["collapse-sweep", "--activations", "relu,linear"],
     "sweep-activations-trailing-comma": ["collapse-sweep", "--activations", "tanh,"],
+    # a non-finite grid end is refused before np.linspace can warn on it,
+    # and a bad single time before any draw
+    "exp-speciation-t-max-inf": ["exp-speciation", "--d", "16", "--p", "8",
+                                 "--t-max", "inf"],
+    "free-energy-t-max-inf": ["free-energy", "--d", "8", "--p", "4",
+                              "--t-max", "inf", "--t-points", "2"],
+    "sweep-beta-max-inf": ["collapse-sweep", "--beta-max", "inf", "--beta-points", "2",
+                           "--activations", "tanh"],
+    "sweep-beta-span-overflows": ["collapse-sweep", "--beta-min=-1e308", "--beta-max=1e308",
+                                  "--beta-points", "3", "--activations", "tanh"],
+    "exp-collapse-t-max-inf": ["exp-collapse", "--d", "8", "--p", "4", "--n-data", "500",
+                               "--t-max", "inf", "--n-noise", "5"],
+    "exp-collapse-t-max-nan": ["exp-collapse", "--d", "8", "--p", "4", "--n-data", "500",
+                               "--t-max", "nan", "--n-noise", "5"],
+    "exp-free-energy-t-0": ["exp-free-energy", "--d", "8", "--p", "4", "--t", "0",
+                            "--n-x", "2"],
+    "exp-free-energy-t-nan": ["exp-free-energy", "--d", "8", "--p", "4", "--t", "nan",
+                              "--n-x", "2"],
+    "exp-rem-t-0": ["exp-rem", "--d", "8", "--p", "4", "--t", "0", "--n-rep", "10"],
+    "exp-rem-t-nan": ["exp-rem", "--d", "8", "--p", "4", "--t", "nan", "--n-rep", "10"],
 }
 
 
 @pytest.mark.parametrize("argv", _BAD_GRIDS.values(), ids=_BAD_GRIDS.keys())
 def test_bad_grids_exit_2_before_any_output(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.setattr(cli, "sample_dataset", _no_work)
+    monkeypatch.setattr(cli.E, "_rng", _no_work)
     out = tmp_path / "out"
     assert cli.main([*argv, "--output-dir", str(out)]) == cli.EXIT_CONFIG
     lines = capsys.readouterr().err.splitlines()

@@ -13,7 +13,7 @@ from manifold_diffusion.collapse import (_r_star, collapse_method,
                                          collapse_time, collapse_time_glm,
                                          collapse_time_linear_isometry,
                                          collapse_time_linear_rmt, f_rs,
-                                         f_star, mp_h, mp_logdet, psi,
+                                         f_star, mp_logdet, psi,
                                          psi_big, psi_big_linear,
                                          psi_quadrature_check,
                                          stationarity_residual)
@@ -137,8 +137,9 @@ def test_psi_big_domain_errors():
         psi_big(-0.1, 0.5, 1.0, 1.0, TANH)
     with pytest.raises(ValueError):
         psi_big(2.5, 0.5, 1.0, 1.0, TANH)
-    with pytest.raises(ValueError):
-        psi_big(0.5, 0.0, 1.0, 1.0, TANH)
+    for t in (np.nan, np.inf, -np.inf, 0.0, -1.0):
+        with pytest.raises(ValueError, match="0 < t < inf"):
+            psi_big(0.5, t, 1.0, 1.0, TANH)
 
 
 def test_f_star_stationarity_and_inner_minimizer():
@@ -437,14 +438,6 @@ def test_isometry_collapse_time_domain():
         collapse_time_linear_isometry(1.0, 1.5)
     with pytest.raises(ValueError):
         collapse_time_linear_isometry(1.0, 0.5, rho=0.0)
-
-
-def test_mp_h_special_values():
-    assert mp_h(1.0, 0.0) == pytest.approx(0.0, abs=1e-15)
-    assert mp_h(0.0, 0.5) == pytest.approx(0.0, abs=1e-15)
-    assert mp_h(1.0, 1.0) == pytest.approx((np.sqrt(5.0) - 1.0) ** 2)
-    with pytest.raises(ValueError):
-        mp_h(-1.0, 0.5)
 
 
 def test_mp_logdet_small_eta_limit():

@@ -14,7 +14,7 @@ from scipy.special import logsumexp
 from scipy.stats import chisquare
 
 from manifold_diffusion import diffusion
-from manifold_diffusion.diffusion import EmpiricalScore, bridge, schedule
+from manifold_diffusion.diffusion import EmpiricalScore, bridge, check_time, schedule
 from manifold_diffusion.model import make_model, sample_dataset
 from manifold_diffusion.speciation import reduced_sde_simulate
 
@@ -25,8 +25,33 @@ def test_schedule_identities():
         assert sch.a == pytest.approx(np.exp(-t))
         assert sch.a**2 + sch.h == pytest.approx(1.0, abs=1e-15)
     assert schedule(0.0).h == 0.0
-    with pytest.raises(ValueError):
-        schedule(-0.1)
+    # t = 0 is the data itself; a negative or non-finite time is refused
+    for t in (-0.1, -1.0, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="0 <= t < inf"):
+            schedule(t)
+
+
+# refused by every entry point that takes a time in (0, inf)
+_BAD_TIMES = (np.nan, np.inf, -np.inf, 0.0, -1.0)
+
+
+def test_check_time_refuses_outside_the_open_range_with_one_message():
+    for t in (0.5, np.float64(0.5), 1, np.array(0.5), np.float32(0.5), [2.0, 0.5]):
+        check_time(t)
+    check_time([0.02, 0.011], 0.01, 10.0)
+    for t in _BAD_TIMES:
+        with pytest.raises(ValueError, match=r"need t with 0 < t < inf, got"):
+            check_time(t)
+    with pytest.raises(ValueError, match=r"with 0.01 < t < 10, strictly decreasing, "
+                                         r"got \[12.0, 0.5\]"):
+        check_time([12.0, 0.5], 0.01, 10.0)
+    # empty, ascending, repeated, out of range, non-finite
+    for grid in ([], [0.5, 1.0], [0.5, 0.5], [1.0, 0.0], [np.inf, 0.5],
+                 [1.0, np.nan], [-np.inf]):
+        with pytest.raises(ValueError, match="strictly decreasing"):
+            check_time(grid)
+    with pytest.raises(ValueError):  # a grid has one axis
+        check_time([[2.0, 1.0]])
 
 
 @pytest.mark.parametrize("t,u,s", [(10.0, 1.6, 0.01), (1.6, 0.6, 0.01),
@@ -619,9 +644,12 @@ def test_score_stable_for_extreme_inputs():
 
 
 def test_score_requires_positive_time_and_valid_data():
-    samples = np.ones((3, 2))
-    with pytest.raises(ValueError):
-        EmpiricalScore(samples).log_weights(np.zeros(2), 0.0)
+    score = EmpiricalScore(np.ones((3, 2)))
+    for t in _BAD_TIMES:
+        for call in (score.log_weights, score, score.log_partition,
+                     lambda x, t: score.draw_indices(x, t, 1, np.random.default_rng(0))):
+            with pytest.raises(ValueError, match="0 < t < inf"):
+                call(np.zeros(2), t)
     with pytest.raises(ValueError):
         EmpiricalScore(np.empty((0, 2)))
     with pytest.raises(ValueError):

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from manifold_diffusion import diffusion
+from manifold_diffusion import diffusion, experiments
 from manifold_diffusion.diffusion import EmpiricalScore, schedule
 from manifold_diffusion.experiments import (AGREEMENT_LEVEL, ExperimentRecord,
                                             _bridge_draws, check_crossing,
@@ -45,6 +45,9 @@ def test_record_validation():
         _record(1.0, 0.5, stderr=-1.0)
     with pytest.raises(ValueError):
         _record(1.0, 0.5, n_rep=0)
+    for stderr in (np.inf, np.nan):
+        with pytest.raises(ValueError):
+            _record(1.0, 0.5, stderr=stderr)
 
 
 def _forward_draws(samples, t, n, rng):
@@ -112,8 +115,9 @@ def test_speciation_experiment_validates_inputs():
     with pytest.raises(ValueError, match="two clones"):
         speciation_experiment(mdl, score, direction, [1.0, 0.5], 2, 1, seed=0)
     # each jump needs a later start: CLONE_T_START > t_grid > CLONE_T_MIN
-    for t_grid in ([12.0, 0.5], [10.0, 0.5], [1.0, 0.01], [1.0, 0.005]):
-        with pytest.raises(ValueError, match="t_start = 10 > t_grid > t_min = 0.01"):
+    for t_grid in ([12.0, 0.5], [10.0, 0.5], [1.0, 0.01], [1.0, 0.005],
+                   [np.inf, 0.5], [1.0, np.nan], [np.nan, 0.5]):
+        with pytest.raises(ValueError, match="0.01 < t < 10"):
             speciation_experiment(mdl, score, direction, t_grid, 2, 2, seed=0)
 
 
@@ -188,11 +192,12 @@ def test_collapse_crossing_values_match_explicit_differences():
                                      n_noise=4, seed=7)
 
 
-@pytest.mark.parametrize("t_grid", [[], [0.5, 0.0], [0.5, -0.1]])
+@pytest.mark.parametrize("t_grid", [[], [0.5, 0.0], [0.5, -0.1], [0.5, -np.inf],
+                                    [np.nan], [np.nan, 0.5], [np.inf, 0.5]])
 def test_collapse_crossing_rejects_empty_or_nonpositive_grid(t_grid):
     mdl = make_model(d=8, p=4)
     ds = sample_dataset(mdl, 16, 0)
-    with pytest.raises(ValueError, match="t > 0"):
+    with pytest.raises(ValueError, match="0 < t < inf"):
         collapse_crossing_experiment(mdl, ds, t_grid, n_noise=4, seed=0)
 
 
@@ -283,6 +288,17 @@ def test_free_energy_mc_guards():
     small = make_model(d=8, p=4)
     with pytest.raises(ValueError, match="n_latent"):
         free_energy_mc(small, 0.5, 10, 100, seed=0)
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+def test_single_time_experiments_refuse_a_bad_time(monkeypatch, t):
+    # refused before any draw: at t = 0, h_t = 0 and every energy divides by it
+    monkeypatch.setattr(experiments, "_rng", lambda *a: pytest.fail("drew"))
+    mdl = make_model(d=8, p=4)
+    with pytest.raises(ValueError, match="0 < t < inf"):
+        free_energy_mc(mdl, t, 2, 10_000, seed=0)
+    with pytest.raises(ValueError, match="0 < t < inf"):
+        rem_derivative_check(mdl, t, n_rep=10, seed=0)
 
 
 def test_empty_counts_are_rejected_by_name():

@@ -175,7 +175,7 @@ def test_dataset_memory_is_the_samples_plus_one_block(activation):
         tracemalloc.stop()
     assert ds.ambient.shape == (n, d)
     # no (n, p) latents and no second (n, d) array: 61 MiB of samples plus
-    # the labels and one block's temporaries
+    # one block's temporaries
     assert peak <= 8 * n * d + 16 * 2**20
 
 

@@ -14,7 +14,7 @@ PUBLIC = {
     "collapse_time_linear_isometry", "collapse_time_linear_rmt", "f_rs",
     "f_star", "free_energy_mc", "gamma0_rows", "gep_constants", "lambdas",
     "make_activation", "make_model", "model_from_config", "model_hash",
-    "model_to_config", "mp_h", "mp_logdet", "potential",
+    "model_to_config", "mp_logdet", "potential",
     "potential_curvature_at_zero", "psi", "psi_big", "psi_big_linear",
     "psi_quadrature_check", "reduced_sde_simulate", "rem_derivative_check",
     "sample_count", "sample_dataset", "schedule", "speciation_experiment",

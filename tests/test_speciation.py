@@ -1,8 +1,14 @@
 """Speciation theory: Gamma functions, equivalence constants, reduced SDE."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import manifold_diffusion
 from manifold_diffusion.model import make_model
 from manifold_diffusion.speciation import (GammaFunctions, GepConstants,
                                            gamma0_rows, gep_constants,
@@ -165,8 +171,11 @@ def test_potential_shape_and_symmetry():
     assert np.allclose(v, v[::-1])
     # overflow-safe for huge arguments
     assert np.isfinite(potential(1e8, 0.5, 10.0))
-    with pytest.raises(ValueError):
-        potential(1.0, 0.0, 4.0)
+    for t in (np.nan, np.inf, -np.inf, 0.0, -1.0):
+        with pytest.raises(ValueError, match="0 < t < inf"):
+            potential(1.0, t, 4.0)
+        with pytest.raises(ValueError, match="0 < t < inf"):
+            potential_curvature_at_zero(t, 4.0)
 
 
 def test_curvature_zero_exactly_at_transition():
@@ -193,8 +202,29 @@ def test_reduced_sde_shapes_and_reproducibility():
     assert np.all(np.diff(times) < 0)
     _, q2 = reduced_sde_simulate(2.0, 0.5, 0.05, 10.0, 8, seed=3)
     assert np.array_equal(q, q2)
-    with pytest.raises(ValueError):
-        reduced_sde_simulate(0.5, 2.0, 0.05, 10.0, 8, seed=3)
+    for t_start, t_end in [(0.5, 2.0), (0.5, 0.5), (0.5, 0.0), (0.5, -1.0),
+                           (0.5, np.nan), (np.nan, 0.5), (-np.inf, 0.5)]:
+        with pytest.raises(ValueError, match="strictly decreasing"):
+            reduced_sde_simulate(t_start, t_end, 0.05, 10.0, 8, seed=3)
+
+
+def test_reduced_sde_refuses_an_infinite_start_at_once():
+    # t -= step leaves an infinite t where it is, so unchecked the loop would
+    # append a state per step and never return; a fresh process with a
+    # timeout turns that into a failure
+    src = str(Path(manifold_diffusion.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    script = ("import math\n"
+              "from manifold_diffusion.speciation import reduced_sde_simulate\n"
+              "try:\n"
+              "    reduced_sde_simulate(math.inf, 0.3, 0.01, 10.0, n_traj=1, seed=0)\n"
+              "except ValueError:\n"
+              "    raise SystemExit(0)\n"
+              "raise SystemExit('returned without an error')\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=10)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_reduced_sde_accepts_array_start():
