@@ -10,8 +10,8 @@ from .collapse import (CollapseResult, FreeEnergyResult, collapse_method,
                        psi_big_linear, psi_quadrature_check,
                        stationarity_residual)
 from .diffusion import DiffusionSchedule, EmpiricalScore, schedule
-from .model import (Dataset, EmbeddingMatrix, ManifoldModel, TheoryParams,
-                    build_embedding, make_model, model_from_config,
+from .model import (Dataset, EmbeddingMatrix, ManifoldModel, SampleStream,
+                    TheoryParams, build_embedding, make_model, model_from_config,
                     model_to_config, sample_count, sample_dataset)
 from .speciation import (GammaFunctions, GepConstants, gamma0_rows,
                          gep_constants, lambdas, potential,

@@ -28,8 +28,9 @@ from . import experiments as E
 from . import speciation as S
 from .activations import make_activation
 from .diffusion import EmpiricalScore, check_time, kernel_workers
-from .model import (CONFIG_KEYS, CONFIG_TYPES, TheoryParams, check_sample_count,
-                    model_from_config, resolve_config, sample_count, sample_dataset)
+from .model import (CONFIG_KEYS, CONFIG_TYPES, SampleStream, TheoryParams,
+                    check_sample_count, model_from_config, resolve_config, sample_count,
+                    sample_dataset)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -310,11 +311,12 @@ def cmd_exp_collapse(args, run: _Run) -> int:
     solver, params = C.CROSSING_SOLVER, model.theory_params
     with run.phase("theory"):
         theory = C.collapse_time(None, cfg["alpha"], params, **solver)
-    with run.phase("dataset"):
-        dataset = sample_dataset(model, cfg["n_data"], cfg["seed"])
+    # the training set is drawn block by block inside the one pass and never
+    # stored, so its draw is timed as part of the experiment
     with run.phase("experiment"):
-        records = E.collapse_crossing_experiment(model, dataset, t_grid,
-                                                 args.n_noise, cfg["seed"] + 1)
+        records = E.collapse_crossing_experiment(
+            model, SampleStream(model, cfg["n_data"], cfg["seed"]), t_grid,
+            args.n_noise, cfg["seed"] + 1)
     run.table("exp_collapse.csv", *_record_table(records))
     t_c, status = E.threshold_crossing(records, 0.0)
     summary = {"t_C_empirical": t_c, "t_C_empirical_status": status,
@@ -382,11 +384,16 @@ def cmd_validate(args, run: _Run) -> int:
 
 # ---------------------------------------------------------------------------
 
+# argparse reads only -N and -N.N as negative numbers, and -1e-3 as a flag
+_EPILOG = ("Give a negative number in exponent form with an equals sign, "
+           "--t-min=-1e-3: --t-min -1e-3 is read as a missing value.")
+
+
 def build_parser() -> argparse.ArgumentParser:
     # abbreviated flags are rejected: an abbreviation such as --pot would
     # otherwise run silently as the flag it happens to prefix
     parser = argparse.ArgumentParser(
-        prog="manifold-diffusion", allow_abbrev=False,
+        prog="manifold-diffusion", allow_abbrev=False, epilog=_EPILOG,
         description="speciation/collapse times of empirical-score diffusion "
                     "on manifold mixture data")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -394,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     def command(name, fn, help, keys):
         """A subcommand that reads the config keys ``keys``: a flag for each
         typed one, and a ``--config`` file that may hold only those."""
-        p = sub.add_parser(name, help=help, allow_abbrev=False)
+        p = sub.add_parser(name, help=help, allow_abbrev=False, epilog=_EPILOG)
         if keys:
             p.add_argument("--config", help="JSON config file")
         for key in keys:

@@ -14,12 +14,14 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .diffusion import EmpiricalScore, bridge, check_time, schedule
-from .model import Dataset, ManifoldModel, _rng, check_sample_count, model_to_config
+from .diffusion import EmpiricalScore, bridge, check_time, log_partitions, schedule
+from .model import (Dataset, ManifoldModel, SampleStream, _rng, check_sample_count,
+                    model_to_config)
 
 
 def model_hash(model: ManifoldModel) -> str:
@@ -50,9 +52,11 @@ class ExperimentRecord:
 def _record(kind: str, t: float, values: np.ndarray, model: ManifoldModel, seed: int,
             n_rep: int | None = None, flags: tuple[str, ...] = ()) -> ExperimentRecord:
     """The record of the mean of the per-draw ``values`` at time t, with its
-    standard error (0 for one draw); ``n_rep`` defaults to the draw count."""
+    standard error (0 for one draw); ``n_rep`` defaults to the draw count.
+    A standard error that overflows is inf, which the record refuses."""
     n = len(values)
-    stderr = float(values.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+    with np.errstate(over="ignore"):  # squares of values past 1e154
+        stderr = float(values.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
     return ExperimentRecord(kind, float(t), float(values.mean()), stderr,
                             n_rep or n, model_hash(model), seed, flags)
 
@@ -190,15 +194,30 @@ def check_crossing(t_grid, n_samples: int, n_noise: int) -> None:
         raise ValueError(f"need at least one noise draw, got n_noise = {n_noise}")
 
 
-def collapse_crossing_experiment(model: ManifoldModel, dataset: Dataset, t_grid,
-                                 n_noise: int, seed: int) -> list[ExperimentRecord]:
+def _first_row_then_the_rest(blocks: Iterator[np.ndarray]) -> Iterator[np.ndarray]:
+    """A copy of the first row of the arrays ``blocks`` yields, then the
+    arrays with that row left out; the first array is let go once the
+    second is asked for, so only the rows still to be read are held."""
+    first = next(blocks)
+    yield first[0].copy()
+    yield first[1:]
+    del first
+    yield from blocks
+
+
+def collapse_crossing_experiment(model: ManifoldModel, dataset: Dataset | SampleStream,
+                                 t_grid, n_noise: int, seed: int) -> list[ExperimentRecord]:
     """Mean of (log Z1 - log Z2) / d along the forward trajectory of x_1.
 
     x_1 is the dataset's first sample and Z1 its weight, log Z1 =
     -||x - a x_1||^2 / (2 h) from the explicit difference; Z2 is the sum
-    over all other samples, the ``EmpiricalScore.log_partition`` of a kernel
-    over the row view x_2..x_n, which copies no sample.  They are reduced in
-    blocks, so memory grows with the block size, not with n_noise x n.
+    over all other samples.  The noise of every grid time is drawn first,
+    time by time from one generator, and then one pass over x_2..x_n
+    (`diffusion.log_partitions`) sums each block of samples into every
+    time's rows, so each sample is read once.  A stored `Dataset` is read
+    in place; a `SampleStream` is drawn block by block and never stored,
+    so memory grows with the block size and the grid times' rows, not
+    with n.  Both give the same bytes.
 
     The gap is negative at large t, where the bulk dominates, and positive
     at small t, where the planted sample does.  When its crossing,
@@ -206,17 +225,17 @@ def collapse_crossing_experiment(model: ManifoldModel, dataset: Dataset, t_grid,
     flagged ``all_one_sign_widen_grid``.
     """
     check_crossing(t_grid, dataset.n, n_noise)
-    x1 = dataset.ambient[0]
-    others = EmpiricalScore(dataset.ambient[1:])
-    rng = _rng(seed)
+    schs = [schedule(float(t)) for t in t_grid]
+    noise = _rng(seed).standard_normal((len(schs), n_noise, model.d))
+    others = _first_row_then_the_rest(dataset.blocks())
+    x1 = next(others)
+    x = np.stack([sch.a * x1[None, :] + np.sqrt(sch.h) * z for sch, z in zip(schs, noise)])
+    log_z2 = log_partitions(x, t_grid, others, dataset.n - 1)
     records = []
-    for t in t_grid:
-        sch = schedule(float(t))
-        x = sch.a * x1[None, :] + np.sqrt(sch.h) * rng.standard_normal((n_noise, model.d))
-        diff = x - sch.a * x1
+    for t, sch, xt, z2 in zip(t_grid, schs, x, log_z2):
+        diff = xt - sch.a * x1
         log_z1 = -np.einsum("bj,bj->b", diff, diff) / (2.0 * sch.h)
-        gap = (log_z1 - others.log_partition(x, float(t))) / model.d
-        records.append(_record("logZ_gap", t, gap, model, seed))
+        records.append(_record("logZ_gap", t, (log_z1 - z2) / model.d, model, seed))
     if threshold_crossing(records, 0.0)[1] != "interpolated":
         records[-1] = replace(records[-1], flags=("all_one_sign_widen_grid",))
     return records

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -193,6 +194,10 @@ class Dataset:
     def labels(self) -> np.ndarray:
         return _labels(slice(0, self.n))
 
+    def blocks(self) -> Iterator[np.ndarray]:
+        """The samples as one block, as `SampleStream.blocks` yields them."""
+        return iter((self.ambient,))
+
 
 def _balanced_slices(n: int, most: int) -> list[slice]:
     """[0, n) in ceil(n / most) contiguous slices, largest first, whose sizes
@@ -205,28 +210,48 @@ def _balanced_slices(n: int, most: int) -> list[slice]:
             for k in range(count)]
 
 
-# most rows of one block of `sample_dataset`, as the kernel's sample blocks
+# most rows of one block of `SampleStream`, as the kernel's sample blocks
 _SAMPLE_ROWS = 8192
 
 
-def sample_dataset(model: ManifoldModel, n: int, seed: int) -> Dataset:
-    """Draw a balanced dataset of n samples.
+@dataclass(frozen=True)
+class SampleStream:
+    """The n samples of `sample_dataset(model, n, seed)`, drawn anew block
+    by block at each `blocks` call and never stored.
 
-    Labels alternate (+1, -1, ...), xi_i ~ N(s_i * mu, rho I_p) and
-    x_i = phi(F xi_i / sqrt(p)).  The samples are embedded into one (n, d)
-    array in the blocks of `_balanced_slices`, at most 8192 rows each, the
-    latents of each drawn in turn from the one generator, so memory is the
-    samples plus one block's temporaries and no latents are kept.  The
-    bytes are those of one (n, p) draw embedded at once.
+    A consumer that reads each sample once, such as the collapse crossing,
+    holds one block at a time instead of the (n, d) array.
     """
-    check_sample_count(n)
-    rng = _rng(seed)
+
+    model: ManifoldModel
+    n: int
+    seed: int
+
+    def __post_init__(self):
+        check_sample_count(self.n)
+
+    def blocks(self) -> Iterator[np.ndarray]:
+        """The samples in order, in the blocks of `_balanced_slices`, at most
+        8192 rows each, the latents of each drawn in turn from one generator.
+        Labels alternate (+1, -1, ...), xi_i ~ N(s_i * mu, rho I_p) and
+        x_i = phi(F xi_i / sqrt(p)).  Nothing is kept between blocks, and
+        the bytes are those of one (n, p) draw embedded at once.
+        """
+        rng, model = _rng(self.seed), self.model
+        for rows in _balanced_slices(self.n, _SAMPLE_ROWS):
+            yield model.embed(_labels(rows)[:, None] * model.mu[None, :]
+                              + np.sqrt(model.rho) * rng.standard_normal(
+                                  (rows.stop - rows.start, model.p)))
+
+
+def sample_dataset(model: ManifoldModel, n: int, seed: int) -> Dataset:
+    """Draw a balanced dataset of n samples: `SampleStream(model, n, seed)`
+    stored in one (n, d) array, block by block, so memory is the samples
+    plus one block's temporaries and no latents are kept."""
+    stream = SampleStream(model, n, seed)
     ambient = np.empty((n, model.d))
-    for rows in _balanced_slices(n, _SAMPLE_ROWS):
-        s = _labels(rows)
-        latents = (s[:, None] * model.mu[None, :]
-                   + np.sqrt(model.rho) * rng.standard_normal((len(s), model.p)))
-        ambient[rows] = model.embed(latents)
+    for rows, block in zip(_balanced_slices(n, _SAMPLE_ROWS), stream.blocks()):
+        ambient[rows] = block
     return Dataset(ambient=ambient)
 
 

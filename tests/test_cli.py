@@ -21,7 +21,7 @@ from manifold_diffusion import model as model_mod
 from manifold_diffusion.activations import make_activation
 from manifold_diffusion.diffusion import EmpiricalScore
 from manifold_diffusion.experiments import ExperimentRecord
-from manifold_diffusion.model import TheoryParams, model_from_config, sample_dataset
+from manifold_diffusion.model import SampleStream, TheoryParams, model_from_config
 
 
 TANH = make_activation("tanh")
@@ -356,7 +356,8 @@ def test_exp_collapse_command(tmp_path):
     assert isinstance(out["t_C_empirical"], float)
     assert out["t_C_empirical_status"] == "interpolated"
     manifest = json.loads((tmp_path / "exp_collapse.manifest.json").read_text())
-    assert set(manifest["timings"]) == {"dataset", "experiment", "theory"}
+    # the training set is drawn inside the experiment's one pass, not stored
+    assert set(manifest["timings"]) == {"experiment", "theory"}
     assert all(v >= 0 for v in manifest["timings"].values())
     # the linear closed form solves no f_star, runs no root-finder and
     # reads no GLM setting
@@ -383,11 +384,11 @@ def test_exp_collapse_manifest_records_theory_work(tmp_path):
 def test_exp_collapse_derives_n_data_from_alpha(tmp_path, monkeypatch):
     sampled = []
 
-    def recording_sample_dataset(model, n, seed):
+    def recording_stream(model, n, seed):
         sampled.append(n)
-        return sample_dataset(model, n, seed)
+        return SampleStream(model, n, seed)
 
-    monkeypatch.setattr(cli, "sample_dataset", recording_sample_dataset)
+    monkeypatch.setattr(cli, "SampleStream", recording_stream)
     # e^(0.25 * 20) = 148.4: the sample count follows alpha, not 22026
     assert run(tmp_path, "exp-collapse", "--d", "20", "--p", "10",
                "--alpha", "0.25", "--n-noise", "10", "--t-min", "0.05",
@@ -418,8 +419,8 @@ def test_exp_collapse_solves_the_theory_before_the_data(tmp_path, capsys, monkey
     # a model with no collapse time in range fails before any data are
     # drawn, and leaves no output directory behind
     sampled = []
-    monkeypatch.setattr(cli, "sample_dataset",
-                        lambda *a: sampled.append(a) or sample_dataset(*a))
+    monkeypatch.setattr(cli, "SampleStream",
+                        lambda *a: sampled.append(a) or SampleStream(*a))
     out = tmp_path / "out"
     assert cli.main(["exp-collapse", "--d", "12", "--p", "6", "--activation",
                      "sigmoid", "--m", "-800", "--n-data", "2000", "--n-noise",
@@ -706,6 +707,7 @@ def test_experiments_check_the_seed_before_any_work(tmp_path, capsys, monkeypatc
     # before the theory is solved or the training set drawn
     monkeypatch.setattr(cli.C, "collapse_time", _no_work)
     monkeypatch.setattr(cli, "sample_dataset", _no_work)
+    monkeypatch.setattr(cli, "SampleStream", _no_work)
     out = tmp_path / "out"
     seed = str((1 << 64) - 1)
     assert cli.main([*argv, "--seed", seed, "--output-dir", str(out)]) == cli.EXIT_CONFIG
@@ -718,6 +720,7 @@ def test_exp_collapse_refuses_an_alpha_past_the_cap_without_a_warning(
         tmp_path, capsys, monkeypatch):
     # e^(alpha d) = e^40000 is not taken: the count is refused in logs
     monkeypatch.setattr(cli, "sample_dataset", _no_work)
+    monkeypatch.setattr(cli, "SampleStream", _no_work)
     out = tmp_path / "out"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -731,6 +734,7 @@ def test_exp_speciation_rejects_non_odd_activation_before_any_work(
         tmp_path, monkeypatch):
     # the training set is not sampled for a run that is then rejected
     monkeypatch.setattr(cli, "sample_dataset", _no_work)
+    monkeypatch.setattr(cli, "SampleStream", _no_work)
     out = tmp_path / "out"
     assert cli.main(["exp-speciation", "--activation", "relu", "--d", "16",
                      "--p", "8", "--n-data", "512",
@@ -783,6 +787,7 @@ def test_no_signal_is_rejected_before_any_output(tmp_path, monkeypatch,
     # at m = 0 the Gamma0 rows are roundoff, not exactly zero: the run is
     # rejected before the training set is drawn or a file written
     monkeypatch.setattr(cli, "sample_dataset", _no_work)
+    monkeypatch.setattr(cli, "SampleStream", _no_work)
     out = tmp_path / "out"
     assert cli.main([command, "--d", "16", "--p", "8", "--m", "0",
                      "--output-dir", str(out)]) == cli.EXIT_CONFIG
@@ -851,12 +856,42 @@ _BAD_GRIDS = {
 @pytest.mark.parametrize("argv", _BAD_GRIDS.values(), ids=_BAD_GRIDS.keys())
 def test_bad_grids_exit_2_before_any_output(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.setattr(cli, "sample_dataset", _no_work)
+    monkeypatch.setattr(cli, "SampleStream", _no_work)
     monkeypatch.setattr(cli.E, "_rng", _no_work)
     out = tmp_path / "out"
     assert cli.main([*argv, "--output-dir", str(out)]) == cli.EXIT_CONFIG
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and json.loads(lines[0])["error"] == "config"
     assert not out.exists()
+
+
+def test_an_overflowing_stderr_is_a_malformed_record_without_a_warning(tmp_path, capsys):
+    # at t = 1e-300 every per-draw value is about -1e297, so the standard
+    # error's squares overflow: the record refuses it, with no warning on
+    # the way (pyproject turns one into an error)
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(["exp-free-energy", "--d", "8", "--p", "4", "--t", "1e-300",
+                         "--n-x", "2", "--output-dir", str(out)])
+    assert code == cli.EXIT_CONFIG and not out.exists() and caught == []
+    assert json.loads(capsys.readouterr().err)["message"] == "malformed experiment record"
+
+
+def test_a_negative_time_in_exponent_form_is_read_with_an_equals_sign(tmp_path, capsys):
+    # argparse takes -1e-3 for a flag; written --t-min=-1e-3 it is read and
+    # reaches the time check, and the help says so
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, "free-energy", "--d", "8", "--p", "4", "--t-min", "-1e-3")
+    assert exc.value.code == 2 and "expected one argument" in capsys.readouterr().err
+    assert run(tmp_path, "free-energy", "--d", "8", "--p", "4",
+               "--t-min=-1e-3") == cli.EXIT_CONFIG
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config" and "0 < t < inf, got -0.001" in err["message"]
+    for argv in (["--help"], ["free-energy", "--help"]):
+        with pytest.raises(SystemExit):
+            cli.main(argv)
+        assert "--t-min=-1e-3" in capsys.readouterr().out
 
 
 def test_collapse_sweep_names_the_rows_that_cover_linear_data(tmp_path, capsys):

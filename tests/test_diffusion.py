@@ -263,6 +263,75 @@ def test_pooled_tiles_equal_one_worker_at_the_crossings_shape(two_workers, monke
     assert diffusion.kernel_workers() == 2
 
 
+def _pieces(samples, sizes):
+    """``samples`` cut into consecutive arrays of the given row counts."""
+    return np.split(samples, np.cumsum(sizes)[:-1])
+
+
+def test_streamed_pass_pools_its_tiles_with_the_stored_bytes(two_workers, monkeypatch):
+    # three times of 200 rows against 20,000 samples handed in uneven
+    # pieces: six tiles per block on one executor, each row with the bytes
+    # of its own stored log_partition call and of one worker
+    rng = np.random.default_rng(41)
+    samples = rng.standard_normal((20_000, 40))
+    ts = [0.5, 0.2, 0.05]
+    x = np.stack([_batch_near(samples, list(range(0, 20_000, 101)), t, seed=41) for t in ts])
+    sizes = [1, 8191, 8193, 3615]
+    got = diffusion.log_partitions(x, ts, _pieces(samples, sizes), 20_000)
+    assert diffusion.kernel_workers() == 2
+    one = _one_worker(monkeypatch, lambda: diffusion.log_partitions(
+        x, ts, _pieces(samples, sizes), 20_000))
+    score = EmpiricalScore(samples)
+    assert np.array_equal(got, one)
+    assert np.array_equal(got, [score.log_partition(xt, t) for xt, t in zip(x, ts)])
+
+
+def test_streamed_passes_from_several_callers_keep_their_bytes(monkeypatch):
+    # three callers make streamed passes at once, on three workers (more
+    # than the cores) with frequent thread switches: one pass at a time
+    # pools, the others run in turn, and each keeps the one-worker bytes
+    setter = diffusion._blas_thread_setter()
+    if setter is None:
+        pytest.skip("numpy's BLAS sets no per-thread thread count")
+    monkeypatch.setattr(diffusion, "_tile_workers", lambda: (3, setter))
+    monkeypatch.setattr(diffusion, "_BLOCK_COLS", 256)
+    rng = np.random.default_rng(14)
+    samples = rng.standard_normal((1000, 16))
+    xs, ts = rng.standard_normal((3, 2, 150, 16)), [0.4, 0.1]  # four tiles each
+
+    def passes(x):
+        return diffusion.log_partitions(x, ts, _pieces(samples, [300, 700]), 1000)
+
+    want = [_one_worker(monkeypatch, lambda x=x: passes(x)) for x in xs]
+    got = [[] for _ in xs]
+
+    def caller(i):
+        for _ in range(5):
+            got[i].append(passes(xs[i]))
+
+    threads = [threading.Thread(target=caller, args=(i,)) for i in range(len(xs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    for calls, logz in zip(got, want):
+        assert len(calls) == 5 and all(np.array_equal(c, logz) for c in calls)
+
+
+def test_streamed_pass_refuses_blocks_of_another_row_count():
+    samples = np.random.default_rng(2).standard_normal((50, 4))
+    x = samples[None, :3]
+    for n, message in ((51, "fewer than 51"), (49, "more than 49")):
+        with pytest.raises(ValueError, match=message):
+            diffusion.log_partitions(x, [0.5], _pieces(samples, [20, 30]), n)
+
+
 def _blas_threads():
     """The thread count of numpy's OpenBLAS as its calling thread sees it."""
     import ctypes
@@ -359,16 +428,16 @@ def test_a_tile_that_raises_leaves_no_worker_behind(two_workers, monkeypatch):
     rng = np.random.default_rng(12)
     score = EmpiricalScore(rng.standard_normal((300, 8)))
     x = rng.standard_normal((200, 8))
-    tile = EmpiricalScore._tile
+    step = diffusion._Tile.step
 
-    def second_tile_raises(self, rows, *args):
-        if rows.start > 0:
+    def second_tile_raises(self, *args):
+        if not np.array_equal(self.x[0], x[0]):  # the second tile
             raise RuntimeError("tile failed")
-        return tile(self, rows, *args)
+        return step(self, *args)
 
     threads, blas = threading.active_count(), _blas_threads()
     with monkeypatch.context() as m:
-        m.setattr(EmpiricalScore, "_tile", second_tile_raises)
+        m.setattr(diffusion._Tile, "step", second_tile_raises)
         with pytest.raises(RuntimeError, match="tile failed"):
             score.log_partition(x, 0.5)
     assert threading.active_count() == threads and _blas_threads() == blas
@@ -385,14 +454,14 @@ def test_a_call_that_finds_the_blas_count_held_does_not_wait(two_workers, monkey
     score = EmpiricalScore(rng.standard_normal((300, 8)))
     x = rng.standard_normal((200, 8))
     s_want, logz_want = _one_worker(monkeypatch, lambda: score(x, 0.5))
-    tile = EmpiricalScore._tile
+    step = diffusion._Tile.step
     ran_on, got = [], []
 
     def recorded(self, *args):
         ran_on.append(threading.get_ident())
-        return tile(self, *args)
+        return step(self, *args)
 
-    monkeypatch.setattr(EmpiricalScore, "_tile", recorded)
+    monkeypatch.setattr(diffusion._Tile, "step", recorded)
     caller = threading.Thread(target=lambda: got.append(score(x, 0.5)), daemon=True)
     assert diffusion._blas_lock.acquire(blocking=False)
     try:

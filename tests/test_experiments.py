@@ -14,7 +14,8 @@ from manifold_diffusion.experiments import (AGREEMENT_LEVEL, ExperimentRecord,
                                             speciation_experiment,
                                             threshold_crossing,
                                             tilted_log_partition)
-from manifold_diffusion.model import _rng, make_model, sample_dataset
+from manifold_diffusion import model as model_mod
+from manifold_diffusion.model import SampleStream, _rng, make_model, sample_dataset
 from manifold_diffusion.speciation import GammaFunctions, gamma0_rows
 
 
@@ -221,20 +222,72 @@ def test_collapse_crossing_gap_where_planted_term_dominates(monkeypatch):
     assert rec.value == pytest.approx(gap.mean(), abs=1e-12)
 
 
-def test_collapse_crossing_copies_no_sample():
-    # Z2's kernel is a row view of x_2..x_n; a copy of the samples, as a
-    # boolean mask would make, takes 61 MiB at n = 200,000 and d = 40
+def _traced_peak(fn) -> int:
+    """The tracemalloc peak, in bytes, of ``fn()``."""
     import tracemalloc
 
-    mdl = make_model(d=40, p=20, activation="tanh", seed=1)
-    ds = sample_dataset(mdl, 200_000, seed=1)
     tracemalloc.start()
     try:
-        collapse_crossing_experiment(mdl, ds, [0.3], n_noise=200, seed=1)
-        peak = tracemalloc.get_traced_memory()[1]
+        fn()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < ds.ambient.nbytes, peak / 2**20
+
+
+def test_collapse_crossing_copies_no_sample(monkeypatch):
+    # on a stored dataset the pass reads row views of x_2..x_n; a copy of
+    # the samples, as a boolean mask would make, takes 61 MiB at n = 200,000
+    # and d = 40.  A stream holds about one block of samples at a time, and
+    # the kernel one (100, 8000) buffer (6.1 MiB) per worker
+    mdl = make_model(d=40, p=20, activation="tanh", seed=1)
+    ds = sample_dataset(mdl, 200_000, seed=1)
+    run = dict(t_grid=[0.3], n_noise=200, seed=1)
+    stored = _traced_peak(lambda: collapse_crossing_experiment(mdl, ds, **run))
+    assert stored < ds.ambient.nbytes, stored / 2**20
+    stream = SampleStream(mdl, 200_000, seed=1)
+    pooled = _traced_peak(lambda: collapse_crossing_experiment(mdl, stream, **run))
+    with monkeypatch.context() as m:
+        m.setattr(diffusion, "_tile_workers", lambda: (1, None))
+        serial = _traced_peak(lambda: collapse_crossing_experiment(mdl, stream, **run))
+    assert serial < ds.ambient.nbytes / 4, serial / 2**20
+    # two tiles of 100 rows: a second worker adds its buffer and no more
+    extra_workers = min(diffusion._tile_workers()[0], 2) - 1
+    assert pooled - serial < extra_workers * 100 * 8000 * 8 + 2**20, (pooled - serial) / 2**20
+
+
+@pytest.mark.parametrize("n", [2, 6, 9, 23, 51])
+def test_streamed_crossing_equals_the_stored_one_bit_for_bit(monkeypatch, n):
+    # blocks of 5 sampled rows are re-cut into kernel blocks of at most 8
+    # columns of x_2..x_n: n = 6 is one past a sampled block, n = 9 puts
+    # x_2..x_n one past a kernel block, and 23 and 51 are multiples of
+    # neither; each row of each time gets the bytes of its own
+    # log_partition call over the stored rows
+    monkeypatch.setattr(model_mod, "_SAMPLE_ROWS", 5)
+    monkeypatch.setattr(diffusion, "_BLOCK_COLS", 8)
+    mdl = make_model(d=12, p=6, activation="tanh", seed=2)
+    ds = sample_dataset(mdl, n, seed=3)
+    t_grid = np.linspace(1.0, 0.02, 5)
+    streamed = collapse_crossing_experiment(mdl, SampleStream(mdl, n, 3), t_grid,
+                                            n_noise=30, seed=7)
+    assert streamed == collapse_crossing_experiment(mdl, ds, t_grid, n_noise=30, seed=7)
+    rng = _rng(7)  # every time's noise, drawn in turn
+    x1, others = ds.ambient[0], EmpiricalScore(ds.ambient[1:])
+    for t, rec in zip(t_grid, streamed):
+        sch = schedule(t)
+        x = sch.a * x1[None, :] + np.sqrt(sch.h) * rng.standard_normal((30, mdl.d))
+        diff = x - sch.a * x1
+        log_z1 = -np.einsum("bj,bj->b", diff, diff) / (2.0 * sch.h)
+        assert rec.value == ((log_z1 - others.log_partition(x, t)) / mdl.d).mean()
+
+
+@pytest.mark.parametrize("n", [8193, 8194, 20_000])
+def test_streamed_crossing_equals_the_stored_one_at_the_real_block_sizes(n):
+    # 8,193 samples are one past a sampled block, and 8,194 put x_2..x_n
+    # one past a kernel block
+    mdl = make_model(d=8, p=4, activation="tanh", seed=2)
+    run = dict(t_grid=[0.8, 0.1], n_noise=150, seed=4)
+    assert (collapse_crossing_experiment(mdl, SampleStream(mdl, n, 3), **run)
+            == collapse_crossing_experiment(mdl, sample_dataset(mdl, n, 3), **run))
 
 
 @pytest.mark.parametrize("t", [0.011, 0.3, 1.0])

@@ -161,6 +161,24 @@ def test_dataset_blocks_keep_the_bytes_of_one_draw(activation, ensemble, d, p):
         assert ds.ambient.tobytes() == want.tobytes(), n
 
 
+@pytest.mark.parametrize("n", [1, 8192, 8193, 20_000])
+def test_sample_dataset_stores_the_streams_blocks(n):
+    # sample_dataset stores what SampleStream yields, block by block, and
+    # a stream yields the same blocks at each pass
+    mdl = make_model(d=10, p=5, activation="tanh", seed=6)
+    stream = model_mod.SampleStream(mdl, n, seed=7)
+    blocks = list(stream.blocks())
+    assert [len(b) for b in blocks] == [s.stop - s.start
+                                        for s in model_mod._balanced_slices(n, 8192)]
+    ds = sample_dataset(mdl, n, seed=7)
+    assert ds.ambient.tobytes() == np.concatenate(blocks).tobytes()
+    assert all(np.array_equal(a, b) for a, b in zip(blocks, stream.blocks()))
+    [whole] = ds.blocks()
+    assert whole is ds.ambient
+    with pytest.raises(ValueError, match="exceeds the 10000000 cap"):
+        model_mod.SampleStream(mdl, model_mod.MAX_SAMPLES + 1, seed=0)
+
+
 @pytest.mark.parametrize("activation", ["tanh", "linear"])
 def test_dataset_memory_is_the_samples_plus_one_block(activation):
     import tracemalloc

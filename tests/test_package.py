@@ -9,7 +9,7 @@ PUBLIC = {
     "Activation", "CollapseResult", "Dataset", "DiffusionSchedule",
     "EmbeddingMatrix", "EmpiricalScore", "ExperimentRecord",
     "FreeEnergyResult", "GammaFunctions", "GepConstants", "ManifoldModel",
-    "TheoryParams", "build_embedding", "collapse_crossing_experiment",
+    "SampleStream", "TheoryParams", "build_embedding", "collapse_crossing_experiment",
     "collapse_method", "collapse_time", "collapse_time_glm",
     "collapse_time_linear_isometry", "collapse_time_linear_rmt", "f_rs",
     "f_star", "free_energy_mc", "gamma0_rows", "gep_constants", "lambdas",
