@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diffusion import _EXP_FLOOR, check_time
-from .model import TheoryParams
+from .model import TheoryParams, check_range
 from .quadrature import std_normal_grid, std_normal_nodes
 
 # settings no caller changes: psi_quadrature_check's outer nodes per axis
@@ -42,8 +42,7 @@ _MINIMIZE_MAXITER = 500
 
 def psi(r: float, m: float, rho: float) -> float:
     """psi(r) = r (m^2 + rho) / 2 - log(1 + r rho) / 2."""
-    if r < 0:
-        raise ValueError("r must be >= 0")
+    check_range("r", r, 0.0, ends="[)")
     return 0.5 * r * (m * m + rho) - 0.5 * np.log1p(r * rho)
 
 
@@ -54,8 +53,7 @@ def psi_quadrature_check(r: float, m: float, rho: float) -> float:
         exp(r w X0 + sqrt(r) w Z0 - r w^2 / 2),
     evaluated with nested Gauss-Hermite quadrature in log space.
     """
-    if r < 0:
-        raise ValueError("r must be >= 0")
+    check_range("r", r, 0.0, ends="[)")
     (u, z0), w_out = std_normal_grid(_CHECK_OUTER, 2)
     x0 = m + np.sqrt(rho) * u
     v, w_in = std_normal_nodes(_CHECK_INNER)
@@ -509,8 +507,7 @@ def collapse_time_glm(params: TheoryParams, alpha: float, n_outer: int = 24,
     A bare (m, rho, beta, activation) tuple, which
     ``perfbench/make_reference.py`` passes, is validated into a record.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    check_range("alpha", alpha, 0.0)
     if not isinstance(params, TheoryParams):
         params = TheoryParams(*params)
     beta = params.beta
@@ -544,10 +541,9 @@ def collapse_time_linear_isometry(alpha: float, beta: float, *,
     t_C solves alpha = beta log(1 + rho eta_t) / 2; the center m is rank
     one and drops out.
     """
-    if alpha <= 0 or not 0 < beta <= 1:
-        raise ValueError("require alpha > 0 and 0 < beta <= 1")
-    if rho <= 0:
-        raise ValueError("rho must be positive")
+    check_range("alpha", alpha, 0.0)
+    check_range("beta", beta, 0.0, 1.0, "(]")
+    check_range("rho", rho, 0.0)
     # past 2 alpha / beta = 709.78 expm1 overflows, and rho / inf = 0 is the limit
     with np.errstate(over="ignore"):
         return 0.5 * np.log1p(rho / np.expm1(2.0 * alpha / beta))
@@ -572,10 +568,8 @@ def mp_logdet(eta: float, beta: float) -> float:
     sqrt(beta))), and x - h/4 adds x (1 - beta) to it: every term is a
     product or sum of positive numbers, which cancels at no eta.
     """
-    if eta <= 0:
-        raise ValueError("eta must be positive")
-    if not 0 < beta <= 1:
-        raise ValueError("beta must lie in (0, 1]")
+    check_range("eta", eta, 0.0)
+    check_range("beta", beta, 0.0, 1.0, "(]")
     x = eta / beta
     ra, rb = _mp_roots(x, beta)
     rx, rz, re = math.sqrt(x), math.sqrt(beta), math.sqrt(eta)
@@ -594,10 +588,9 @@ def collapse_time_linear_rmt(alpha: float, beta: float, t_tol: float = 1e-6,
     of the data covariance rho F F^T / p; eta_t decreases with t so the
     residual is increasing and bisection applies directly.
     """
-    if alpha <= 0 or not 0 < beta <= 1:
-        raise ValueError("require alpha > 0 and 0 < beta <= 1")
-    if rho <= 0:
-        raise ValueError("rho must be positive")
+    check_range("alpha", alpha, 0.0)
+    check_range("beta", beta, 0.0, 1.0, "(]")
+    check_range("rho", rho, 0.0)
 
     def residual(t: float) -> float:
         eta = np.exp(-2.0 * t) / (-np.expm1(-2.0 * t))

@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import Dataset, _balanced_slices
+from .model import Dataset, _balanced_slices, check_range
 
 # most rows of one score tile and most sample columns of one block: a tile's
 # buffer is at most (128, 8192), i.e. 8 MiB, whatever n is
@@ -164,20 +164,18 @@ class DiffusionSchedule:
 
 
 def schedule(t: float) -> DiffusionSchedule:
-    if not 0.0 <= t < np.inf:  # t = 0 is the data itself
-        raise ValueError(f"need t with 0 <= t < inf, got {t}")
+    check_range("t", t, 0.0, ends="[)")  # t = 0 is the data itself
     a = np.exp(-t)
     return DiffusionSchedule(t=float(t), a=float(a), h=float(-np.expm1(-2.0 * t)))
 
 
 def check_time(t, low: float = 0.0, high: float = np.inf) -> None:
-    """Refuse a time t unless low < t < high, which NaN and +-inf never are, and
-    a grid unless non-empty with high > t_0 > t_1 > ... > low; a float is only compared."""
-    if not (isinstance(t, float) and low < t < high):
-        v = np.hstack([high, np.asarray(t, dtype=float), low])
-        if v.size < 3 or not np.all(v[1:] < v[:-1]):
-            raise ValueError(f"need t with {low:g} < t < {high:g}"
-                             f"{', strictly decreasing' if np.ndim(t) else ''}, got {t}")
+    """Refuse a time unless low < t < high, and a grid unless high > t_0 > t_1 > ... > low."""
+    if isinstance(t, float) or np.ndim(t) == 0:
+        return check_range("t", t, low, high)
+    v = np.hstack([high, np.asarray(t, dtype=float), low])
+    if v.size < 3 or not np.all(v[1:] < v[:-1]):
+        raise ValueError(f"need t with {low:g} < t < {high:g}, strictly decreasing, got {t}")
 
 
 def bridge(t: float, s: float) -> tuple[float, float, float]:
@@ -235,7 +233,9 @@ class _Block(NamedTuple):
 
 def _block(start: int, samples: np.ndarray) -> _Block:
     sq_norms = np.einsum("ij,ij->i", samples, samples)
-    return _Block(start, samples, sq_norms, np.sqrt(sq_norms.max()))
+    top = sq_norms.max()  # a NaN sample would make every weight NaN, an inf one e^-700
+    check_range("|x_i|^2", top, 0.0, ends="[)", what="each sample's |x_i|^2")
+    return _Block(start, samples, sq_norms, np.sqrt(top))
 
 
 def _shifted_log_weights(x: np.ndarray, sch: DiffusionSchedule, samples: np.ndarray,
@@ -271,6 +271,7 @@ class _Tile:
                  draws: int = 0, rng: np.random.Generator | None = None):
         self.x, self.sch, self.rng = x, sch, rng
         self.sq = np.einsum("bj,bj->b", x, x)
+        check_range("|x|^2", self.sq.max(), 0.0, ends="[)", what="each point's |x|^2")
         self.xnorm = np.sqrt(self.sq)[:, None]
         self.m = np.full((len(x), 1), -np.inf)
         self.z = np.zeros((len(x), 1))
@@ -394,9 +395,11 @@ class EmpiricalScore:
         check_time(t)
         sch = schedule(t)
         x = np.atleast_2d(np.asarray(x, dtype=float))
+        sq = np.einsum("bj,bj->b", x, x)
+        check_range("|x|^2", sq.max(initial=0.0), 0.0, ends="[)", what="each point's |x|^2")
         g = _shifted_log_weights(x, sch, self.samples,
                                  np.concatenate([b.sq_norms for b in self._blocks]))
-        g -= (np.einsum("bj,bj->b", x, x) / (2.0 * sch.h))[:, None]
+        g -= (sq / (2.0 * sch.h))[:, None]
         return g
 
     def _reduce(self, x: np.ndarray, t: float, with_score: bool, draws: int = 0,

@@ -20,8 +20,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .diffusion import EmpiricalScore, bridge, check_time, log_partitions, schedule
-from .model import (Dataset, ManifoldModel, SampleStream, _rng, check_sample_count,
-                    model_to_config)
+from .model import (Dataset, ManifoldModel, SampleStream, _rng, check_range,
+                    check_sample_count, model_to_config)
 
 
 def model_hash(model: ManifoldModel) -> str:
@@ -223,6 +223,8 @@ def collapse_crossing_experiment(stream: SampleStream, t_grid, n_noise: int,
     ``threshold_crossing(records, 0.0)``, is censored, the last record is
     flagged ``all_one_sign_widen_grid``.
     """
+    if not isinstance(stream, SampleStream):
+        raise TypeError(f"the crossing reads a model.SampleStream, got a {type(stream).__name__}")
     model = stream.model
     check_crossing(t_grid, stream.n, n_noise)
     schs = [schedule(float(t)) for t in t_grid]
@@ -321,8 +323,10 @@ def tilted_log_partition(model: ManifoldModel, dataset: Dataset, t: float,
     samples of x_1's class other than x_1, by blocks.  A class with no such
     sample is rejected.
     """
-    if not 0 < lam < math.inf:  # NaN lies in no interval
-        raise ValueError(f"tilt parameter must lie in (0, inf), got {lam}")
+    check_range("lam", lam, 0.0, what="tilt parameter lam")
+    check_time(t)
+    if n_noise < 1:
+        raise ValueError(f"need at least one noise draw, got n_noise = {n_noise}")
     same = dataset.labels == dataset.labels[0]
     same[0] = False
     if not same.any():

@@ -30,6 +30,16 @@ def _rng(seed: int, stream: int = 0) -> Generator:
     return Generator(Philox(key=int(seed) + (stream << 64)))
 
 
+def check_range(name: str, value, low: float = -math.inf, high: float = math.inf,
+                ends: str = "()", what: str | None = None) -> None:
+    """Refuse a scalar unless low < value < high, with <= at an end ``ends`` closes
+    ("[)", "(]", "[]"), so NaN fails; the error names ``what`` (else ``name``) and the range."""
+    if not ((low <= value if ends[0] == "[" else low < value)
+            and (value <= high if ends[1] == "]" else value < high)):
+        lo, hi = ("<=" if end in "[]" else "<" for end in ends)
+        raise ValueError(f"need {what or name} with {low:g} {lo} {name} {hi} {high:g}, got {value}")
+
+
 @dataclass(frozen=True)
 class EmbeddingMatrix:
     """d x p embedding F; row j is f_j."""
@@ -89,10 +99,9 @@ class TheoryParams:
     ensemble: str = "deterministic_isometry"
 
     def __post_init__(self):
-        if not self.rho > 0:
-            raise ValueError("rho must be positive")
-        if not 0 < self.beta <= 1:
-            raise ValueError(f"beta = p/d must lie in (0, 1], got {self.beta}")
+        check_range("m", self.m)
+        check_range("rho", self.rho, 0.0)
+        check_range("beta", self.beta, 0.0, 1.0, "(]")
         if self.ensemble not in ENSEMBLES:
             raise ValueError(f"unknown ensemble: {self.ensemble!r}")
 
@@ -122,10 +131,9 @@ class ManifoldModel:
         object.__setattr__(self, "mu", mu)
         if not 1 <= self.p <= self.d:
             raise ValueError("require 0 < p <= d")
-        if self.rho <= 0:
-            raise ValueError("rho must be positive")
-        if mu.shape != (self.p,):
-            raise ValueError(f"mu must have length p={self.p}")
+        check_range("rho", self.rho, 0.0)
+        if mu.shape != (self.p,) or not np.isfinite(mu).all():
+            raise ValueError(f"mu must be finite and have length p={self.p}")
         if self.embedding.entries.shape != (self.d, self.p):
             raise ValueError("embedding shape does not match (d, p)")
 
@@ -159,9 +167,10 @@ def make_model(d: int, p: int, **fields) -> ManifoldModel:
 
 
 def sample_count(alpha: float, d: int) -> int:
-    """n = round(e^{alpha d}), at least 1, held to the cap by `check_sample_count`;
+    """n = round(e^{alpha d}), at least 1 as alpha > 0, held to the cap by `check_sample_count`;
     past log(MAX_SAMPLES) n is inf, as e^{alpha d} overflows from alpha d ~ 709.8."""
-    n = max(1, round(math.exp(alpha * d))) if alpha * d <= math.log(MAX_SAMPLES) else math.inf
+    check_range("alpha", alpha, 0.0)
+    n = round(math.exp(alpha * d)) if alpha * d <= math.log(MAX_SAMPLES) else math.inf
     check_sample_count(n)
     return n
 
@@ -345,10 +354,9 @@ def resolve_config(cfg: dict, keys: tuple[str, ...] = CONFIG_KEYS) -> dict:
         d, p = cfg.get("d", 0), cfg.get("p", 0)
         if not 1 <= p <= d:
             raise ValueError(f"config field d/p invalid: need d >= p >= 1, got d={d}, p={p}")
-    # NaN lies in no interval
     for key, low in (("rho", 0.0), ("alpha", 0.0), ("m", -math.inf)):
-        if key in cfg and not low < cfg[key] < math.inf:
-            raise ValueError(f"config field {key} must lie in ({low}, inf)")
+        if key in cfg:
+            check_range(key, cfg[key], low, what=f"config field {key}")
     # a float product overflows to inf without a warning
     m2 = cfg["m"] * cfg["m"] if "m" in cfg else 0.0
     if not math.isfinite(m2):

@@ -20,7 +20,7 @@ import numpy as np
 
 from .activations import Activation
 from .diffusion import check_time
-from .model import ManifoldModel, _rng
+from .model import ManifoldModel, _rng, check_range
 from .quadrature import std_normal_nodes
 
 _PROBE_GRID = np.linspace(-6.0, 6.0, 25)
@@ -43,8 +43,7 @@ class GammaFunctions:
         if not activation.is_odd:
             raise ValueError(f"speciation analysis requires an odd activation, "
                              f"got {activation.kind!r}")
-        if rho <= 0:
-            raise ValueError("rho must be positive")
+        check_range("rho", rho, 0.0)
         self.activation = activation
         self.rho = float(rho)
         n = _GAMMA_NODES
@@ -110,7 +109,9 @@ def gamma0_rows(model: ManifoldModel, gf: GammaFunctions) -> np.ndarray:
     if (gf.activation, gf.rho) != (model.activation, model.rho):
         raise ValueError("GammaFunctions built for another activation or rho")
     g0 = gf.gamma0(lambdas(model))
-    if g0 @ g0 <= 1e-12:
+    s = g0 @ g0
+    check_range("S", s, 0.0, ends="[)")
+    if s <= 1e-12:
         raise ValueError("no speciation signal: sum_j Gamma0(lambda_j)^2 = 0")
     return g0
 
@@ -118,6 +119,7 @@ def gamma0_rows(model: ManifoldModel, gf: GammaFunctions) -> np.ndarray:
 def speciation_time_finite(s: float) -> float:
     """t_S = log(2 S) / 2 at finite d, S = sum_j Gamma0(lambda_j)^2 (the
     squared norm of ``gamma0_rows``)."""
+    check_range("S", s, 0.0)
     return 0.5 * np.log(2.0 * s)
 
 
@@ -145,6 +147,8 @@ def speciation_time_asymptotic(beta: float, d: int, mu_tilde_norm_sq: float,
     isometric ensemble neither rho1 nor the rho*^2 term is derived here;
     only the linear isometric case is checked.
     """
+    check_range("beta", beta, 0.0, 1.0, "(]")
+    check_range("mu_tilde_norm_sq", mu_tilde_norm_sq, 0.0, ends="[)")
     if ensemble == "deterministic_isometry":
         arg = gep.rho1 ** 2 * beta * d * mu_tilde_norm_sq + gep.rho_star_sq
     elif ensemble == "gaussian_iid":
@@ -159,6 +163,7 @@ def speciation_time_asymptotic(beta: float, d: int, mu_tilde_norm_sq: float,
 def potential(q, t: float, gamma0_sq_sum: float):
     """V(q, t) = q^2/2 - 2 S log cosh(e^{-t} q)."""
     check_time(t)
+    check_range("S", gamma0_sq_sum, 0.0, ends="[)")
     q = np.asarray(q, dtype=float)
     # log cosh without overflow for large arguments
     z = np.exp(-t) * q
@@ -170,6 +175,7 @@ def potential(q, t: float, gamma0_sq_sum: float):
 def potential_curvature_at_zero(t: float, gamma0_sq_sum: float) -> float:
     """d^2V/dq^2 at q = 0, i.e. 1 - 2 e^{-2t} S; zero exactly at t_S."""
     check_time(t)
+    check_range("S", gamma0_sq_sum, 0.0, ends="[)")
     return 1.0 - 2.0 * np.exp(-2.0 * t) * gamma0_sq_sum
 
 
@@ -188,8 +194,8 @@ def reduced_sde_simulate(t_start: float, t_end: float, dt: float,
     Returns (times, Q) with Q of shape (n_steps + 1, n_traj).
     """
     check_time([t_start, t_end])
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    check_range("dt", dt, 0.0)
+    check_range("S", gamma0_sq_sum, 0.0, ends="[)")
     s = float(gamma0_sq_sum)
     rng = _rng(seed)
     t = float(t_start)

@@ -723,6 +723,20 @@ def test_score_requires_positive_time_and_valid_data():
         EmpiricalScore(np.empty((0, 2)))
     with pytest.raises(ValueError):
         EmpiricalScore(np.ones(3))
+    # a NaN sample or point would turn every weight NaN, an infinite one get
+    # weight e^-700, and a draw read an index never written
+    for bad in (np.nan, np.inf):
+        samples = np.ones((3, 2))
+        samples[1, 0] = bad
+        with pytest.raises(ValueError, match=r"each sample's \|x_i\|\^2 with 0 <= \|x_i\|\^2 < inf"):
+            EmpiricalScore(samples)
+        for call in (score.log_weights, score, score.log_partition,
+                     lambda x, t: score.draw_indices(x, t, 4, np.random.default_rng(0))):
+            with pytest.raises(ValueError, match=r"each point's \|x\|\^2 with 0 <= \|x\|\^2 < inf"):
+                call(np.array([[0.0, 0.0], [bad, 1.0]]), 0.5)
+    stream = iter([np.ones((2, 2)), np.array([[1.0, 1.0], [np.nan, 0.0]])])
+    with pytest.raises(ValueError, match=r"each sample's \|x_i\|\^2 with 0 <= \|x_i\|\^2 < inf"):
+        diffusion.log_partitions(np.zeros((1, 2, 2)), [0.5], stream, 4)
 
 
 # The reduced scalar SDE is the one backward Euler-Maruyama stepper left; the
@@ -741,5 +755,5 @@ def test_backward_integrator_grid_and_reproducibility():
 
 def test_backward_integrator_validates_times():
     for dt in (0.0, -0.1):
-        with pytest.raises(ValueError, match="dt must be positive"):
+        with pytest.raises(ValueError, match="need dt with 0 < dt < inf"):
             reduced_sde_simulate(1.0, 0.5, dt, 10.0, 2, seed=0)

@@ -341,6 +341,13 @@ def test_collapse_crossing_flags_one_sided_grids():
     assert threshold_crossing(recs, 0.0) == (None, "censored_above")
 
 
+def test_collapse_crossing_names_the_stream_it_needs():
+    # a stored Dataset, the call form before the streamed pass, has no model
+    ds = sample_dataset(make_model(d=8, p=4), 16, seed=0)
+    with pytest.raises(TypeError, match="SampleStream, got a Dataset"):
+        collapse_crossing_experiment(ds, [0.5, 0.1], 2, seed=0)
+
+
 def test_free_energy_mc_guards():
     big = make_model(d=64, p=32)
     with pytest.raises(ValueError, match="p <= 24"):
@@ -359,6 +366,11 @@ def test_single_time_experiments_refuse_a_bad_time(monkeypatch, t):
         free_energy_mc(mdl, t, 2, 10_000, seed=0)
     with pytest.raises(ValueError, match="0 < t < inf"):
         rem_derivative_check(mdl, t, n_rep=10, seed=0)
+    # and before the kernel is built
+    ds = sample_dataset(mdl, 8, seed=0)
+    monkeypatch.setattr(experiments, "EmpiricalScore", lambda *a: pytest.fail("built"))
+    with pytest.raises(ValueError, match="0 < t < inf"):
+        tilted_log_partition(mdl, ds, t, lam=1.0, n_noise=2, seed=0)
 
 
 def test_empty_counts_are_rejected_by_name():
@@ -371,6 +383,9 @@ def test_empty_counts_are_rejected_by_name():
         rem_derivative_check(mdl, 0.5, n_rep=0, seed=0)
     with pytest.raises(ValueError, match="n_noise = 0"):
         check_crossing([0.5, 0.1], 16, 0)
+    with pytest.raises(ValueError, match="n_noise = 0"):
+        tilted_log_partition(mdl, sample_dataset(mdl, 8, seed=0), 0.5, lam=1.0,
+                             n_noise=0, seed=0)
     with pytest.raises(ValueError, match="n_traj = 0"):
         check_speciation([1.0, 0.5], 0, 2)
 
@@ -412,7 +427,7 @@ def test_tilted_log_partition_decreases_with_tilt():
     assert v2 < v1
     # NaN and inf are refused before any draw, as 0 is
     for lam in (0.0, np.nan, np.inf):
-        with pytest.raises(ValueError, match=r"tilt parameter must lie in \(0, inf\)"):
+        with pytest.raises(ValueError, match="need tilt parameter lam with 0 < lam < inf"):
             tilted_log_partition(mdl, ds, 0.4, lam=lam, n_noise=10, seed=0)
     # labels alternate, so at n = 2 x_1 is alone in its class
     with pytest.raises(ValueError, match=r"class \+1 has no other sample"):

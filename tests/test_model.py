@@ -1,15 +1,18 @@
 """Data model: embeddings, sampling, serialization."""
 import json
 import math
+import re
+import types
 import warnings
 
 import numpy as np
 import pytest
 
+from manifold_diffusion import collapse, speciation
 from manifold_diffusion import model as model_mod
 from manifold_diffusion.activations import make_activation
-from manifold_diffusion.model import (EmbeddingMatrix, TheoryParams,
-                                      build_embedding, make_model,
+from manifold_diffusion.model import (EmbeddingMatrix, ManifoldModel, TheoryParams,
+                                      build_embedding, check_range, make_model,
                                       model_from_config, model_to_config,
                                       resolve_config, sample_count,
                                       sample_dataset)
@@ -84,9 +87,10 @@ def test_sample_count_round_and_cap():
 def test_sample_count_meets_the_cap_before_any_exponential():
     # the benchmark's training set is e^(0.3 * 40) = 162754.79 samples;
     # past the cap's log e^(alpha d) is not taken, since it overflows from
-    # alpha d ~ 709.8
+    # alpha d ~ 709.8; an infinite alpha is out of its range (see
+    # test_model_scalars_are_refused_outside_their_range)
     assert sample_count(0.3, 40) == 162_755
-    for log_n in (math.log(model_mod.MAX_SAMPLES) + 1e-9, 709.0, 710.0, 1e4, math.inf):
+    for log_n in (math.log(model_mod.MAX_SAMPLES) + 1e-9, 709.0, 710.0, 1e4, 1e300):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="exceeds the 10000000 cap"):
@@ -269,14 +273,14 @@ def test_resolve_config_types_each_field():
 def test_resolve_config_rejects_non_finite_values():
     for key, value in (("rho", math.nan), ("rho", math.inf), ("alpha", math.nan),
                        ("alpha", math.inf), ("m", math.nan), ("m", -math.inf)):
-        with pytest.raises(ValueError, match=f"config field {key} must lie in"):
+        with pytest.raises(ValueError, match=f"need config field {key} with"):
             resolve_config({"d": 16, "p": 8, key: value})
     with pytest.raises(ValueError, match="mu must be finite"):
         resolve_config({"d": 4, "p": 2, "mu": [1.0, math.nan]})
     with pytest.raises(ValueError, match="mu must hold numbers"):
         resolve_config({"d": 4, "p": 2, "mu": {"a": 1.0}})
     # the sweep's keys are checked the same way
-    with pytest.raises(ValueError, match="alpha must lie in"):
+    with pytest.raises(ValueError, match="need config field alpha with"):
         resolve_config({"alpha": math.inf}, ("alpha", "rho", "m", "seed"))
 
 
@@ -384,3 +388,103 @@ def test_theory_params_from_config_rejects_a_misread_center(tmp_path):
     np.savetxt(mu_path, [1.0, 2.0, 3.0])
     with pytest.raises(ValueError, match="length p=4"):
         TheoryParams.from_config({"d": 8, "p": 4, "mu_file": str(mu_path)})
+
+
+def test_check_range_names_the_interval_and_each_end():
+    check_range("beta", 1.0, 0.0, 1.0, "(]")
+    check_range("r", 0.0, 0.0, ends="[)")
+    check_range("m", -1e300)
+    for args, text in ((("beta", 0.0, 0.0, 1.0, "(]"), "need beta with 0 < beta <= 1, got 0.0"),
+                       (("r", -1.0, 0.0, 2.0, "[]"), "need r with 0 <= r <= 2, got -1.0"),
+                       (("m", math.nan), "need m with -inf < m < inf, got nan")):
+        with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+            check_range(*args)
+    with pytest.raises(ValueError, match=r"^need config field rho with 0 < rho < inf, got inf$"):
+        check_range("rho", math.inf, 0.0, what="config field rho")
+
+
+class _SquaredNorm:
+    """Stands in for a vector whose product with itself is ``s``, so that
+    `gamma0_rows` can be handed an S that no real vector has."""
+
+    def __init__(self, s):
+        self.s = s
+
+    def __matmul__(self, other):
+        return self.s
+
+
+_TANH = make_activation("tanh")
+_EMBEDDING = build_embedding(8, 4, "deterministic_isometry", seed=0)
+_TANH_MODEL = ManifoldModel(8, 4, 1.0, np.ones(4), _TANH, _EMBEDDING)
+
+
+def _rows_of_norm(s):
+    gf = types.SimpleNamespace(activation=_TANH, rho=1.0, gamma0=lambda y: _SquaredNorm(s))
+    return speciation.gamma0_rows(_TANH_MODEL, gf)
+
+
+# (entry point and scalar, its interval, a finite value outside it or None,
+# the call with that scalar set): every scalar a model or theory entry point
+# takes is held to its interval by `check_range`
+_SCALARS = [
+    ("isometry alpha", "0 < alpha < inf", 0.0,
+     lambda v: collapse.collapse_time_linear_isometry(v, 0.5)),
+    ("isometry beta", "0 < beta <= 1", 1.5,
+     lambda v: collapse.collapse_time_linear_isometry(0.5, v)),
+    ("isometry rho", "0 < rho < inf", -1.0,
+     lambda v: collapse.collapse_time_linear_isometry(0.5, 0.5, rho=v)),
+    ("mp_logdet eta", "0 < eta < inf", 0.0, lambda v: collapse.mp_logdet(v, 0.5)),
+    ("mp_logdet beta", "0 < beta <= 1", 0.0, lambda v: collapse.mp_logdet(1.0, v)),
+    ("rmt alpha", "0 < alpha < inf", -0.5,
+     lambda v: collapse.collapse_time_linear_rmt(v, 0.5)),
+    ("rmt rho", "0 < rho < inf", 0.0,
+     lambda v: collapse.collapse_time_linear_rmt(0.5, 0.5, rho=v)),
+    ("glm alpha", "0 < alpha < inf", 0.0,
+     lambda v: collapse.collapse_time_glm(TheoryParams(1.0, 1.0, 0.5, _TANH), v)),
+    ("psi r", "0 <= r < inf", -1e-3, lambda v: collapse.psi(v, 1.0, 1.0)),
+    ("psi_quadrature_check r", "0 <= r < inf", -1.0,
+     lambda v: collapse.psi_quadrature_check(v, 1.0, 1.0)),
+    ("TheoryParams m", "-inf < m < inf", None, lambda v: TheoryParams(v, 1.0, 0.5, _TANH)),
+    ("TheoryParams rho", "0 < rho < inf", 0.0, lambda v: TheoryParams(1.0, v, 0.5, _TANH)),
+    ("TheoryParams beta", "0 < beta <= 1", 2.0, lambda v: TheoryParams(1.0, 1.0, v, _TANH)),
+    ("ManifoldModel rho", "0 < rho < inf", -1.0,
+     lambda v: ManifoldModel(8, 4, v, np.ones(4), _TANH, _EMBEDDING)),
+    ("sample_count alpha", "0 < alpha < inf", -1.0, lambda v: sample_count(v, 40)),
+    ("GammaFunctions rho", "0 < rho < inf", 0.0, lambda v: speciation.GammaFunctions(_TANH, v)),
+    ("gamma0_rows S", "0 <= S < inf", -1.0, _rows_of_norm),
+    ("speciation_time_finite S", "0 < S < inf", 0.0, speciation.speciation_time_finite),
+    ("speciation_time_asymptotic beta", "0 < beta <= 1", 2.0,
+     lambda v: speciation.speciation_time_asymptotic(v, 8, 1.0, speciation.GepConstants(0.5, 0.1))),
+    ("speciation_time_asymptotic mu_tilde_norm_sq", "0 <= mu_tilde_norm_sq < inf", -1.0,
+     lambda v: speciation.speciation_time_asymptotic(0.5, 8, v, speciation.GepConstants(0.5, 0.1))),
+    ("potential S", "0 <= S < inf", -1.0, lambda v: speciation.potential(0.5, 1.0, v)),
+    ("potential_curvature_at_zero S", "0 <= S < inf", -1.0,
+     lambda v: speciation.potential_curvature_at_zero(1.0, v)),
+    ("reduced_sde_simulate dt", "0 < dt < inf", 0.0,
+     lambda v: speciation.reduced_sde_simulate(1.0, 0.5, v, 2.0, 2, seed=0)),
+    ("reduced_sde_simulate S", "0 <= S < inf", -1.0,
+     lambda v: speciation.reduced_sde_simulate(1.0, 0.5, 0.1, v, 2, seed=0)),
+]
+
+
+@pytest.mark.parametrize("interval, value, call", [
+    pytest.param(interval, value, call, id=f"{label} {value}")
+    for label, interval, outside, call in _SCALARS
+    for value in (math.nan, math.inf, -math.inf, outside) if value is not None])
+def test_model_scalars_are_refused_outside_their_range(monkeypatch, interval, value, call):
+    # refused with the one message, before any quadrature, solve or draw
+    # and without a RuntimeWarning (an error under this suite's settings)
+    for module, name in ((collapse, "f_star"), (collapse, "_bisect_time"),
+                         (collapse, "_mp_roots"), (collapse, "std_normal_grid"),
+                         (speciation, "std_normal_nodes"), (speciation, "_rng")):
+        monkeypatch.setattr(module, name, lambda *a, _name=name, **k: pytest.fail(_name))
+    with pytest.raises(ValueError, match=f"^need \\S+ with {re.escape(interval)}, "
+                                         f"got {re.escape(str(value))}$"):
+        call(value)
+
+
+def test_model_refuses_a_non_finite_center():
+    for mu in ([1.0, math.nan, 1.0, 1.0], [math.inf] * 4):
+        with pytest.raises(ValueError, match="mu must be finite"):
+            ManifoldModel(8, 4, 1.0, np.array(mu), _TANH, _EMBEDDING)
