@@ -28,8 +28,8 @@ from . import experiments as E
 from . import speciation as S
 from .activations import make_activation
 from .diffusion import EmpiricalScore, check_time, kernel_workers
-from .model import (CONFIG_KEYS, CONFIG_TYPES, SampleStream, TheoryParams,
-                    check_sample_count, model_from_config, resolve_config, sample_count,
+from .model import (CONFIG_KEYS, CONFIG_TYPES, MAX_SAMPLES, SampleStream, TheoryParams,
+                    check_range, model_from_config, resolve_config, sample_count,
                     sample_dataset)
 
 EXIT_OK = 0
@@ -214,9 +214,8 @@ def cmd_collapse_sweep(args, run: _Run) -> int:
                          f"{args.activations!r}: linear data is covered by the "
                          f"{C.CLOSED_FORM} and {C.RMT} rows")
     acts = [make_activation(a) for a in names]
+    check_range("--beta-points", args.beta_points, 1, ends="[)")
     betas = _grid(args.beta_min, args.beta_max, args.beta_points)
-    if not betas.size:
-        raise ValueError("--beta-points must be at least 1")
     # one linear record per beta, so each beta is checked before any solve
     linear = [TheoryParams(cfg["m"], cfg["rho"], float(beta), lin) for beta in betas]
     solver, rows, glm_rows = C.SWEEP_SOLVER, [], []
@@ -261,7 +260,7 @@ def cmd_exp_speciation(args, run: _Run) -> int:
     model = model_from_config(cfg)
     t_grid = _grid(args.t_max, args.t_min, args.t_points)
     # before the data, so that a run that cannot finish does no work
-    E.check_speciation(t_grid, args.n_traj, args.n_clones)
+    E.check_speciation(t_grid, args.n_data, args.n_traj, args.n_clones)
     with run.phase("theory"):
         direction = S.gamma0_rows(model, S.GammaFunctions(model.activation, model.rho))
         t_s_theory = S.speciation_time_finite(float(direction @ direction))
@@ -290,7 +289,7 @@ def _crossing_sample(d: int, alpha, n_data: int | None) -> tuple[int, float]:
     """
     if alpha is None:
         n = 22026 if n_data is None else n_data
-        check_sample_count(n, 2)
+        check_range("n", n, 2, MAX_SAMPLES, "[]", what="--n-data")
         return n, float(np.log(n) / d)
     n_alpha = sample_count(alpha, d)
     if n_data is not None and n_data != n_alpha:

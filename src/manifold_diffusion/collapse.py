@@ -135,7 +135,9 @@ def psi_big(q: float, t: float, m: float, rho: float, activation,
     # [1, -P] [Y0; 1]: both terms are exact, so each entry is the one
     # rounded difference, and the GEMM writes rows of n_outer^2 where a
     # broadcast subtract would loop over them
-    dist = np.empty((n_inner, n_v, n_outer * n_outer))               # (w, V, W Z)
+    raw = np.empty(n_inner * n_v * n_outer * n_outer + 7)  # a view on a 64-byte boundary,
+    start = -raw.__array_interface__["data"][0] % 64 // 8     # so no heap offset moves the time
+    dist = raw[start:start + raw.size - 7].reshape(n_inner, n_v, -1)  # (w, V, W Z)
     lhs = np.ones((n_v, n_inner, 2))                                  # (V, w, 2)
     lhs[:, :, 1] = -pred.T
     rhs = np.ones((n_v, 2, n_outer * n_outer))                        # (V, 2, W Z)
@@ -312,6 +314,7 @@ def f_star(t: float, params: TheoryParams, n_outer: int = 24,
     ``grid_points`` grid q's plus the minimizer's; a minimizer that does
     not converge raises ArithmeticError.
     """
+    check_range("grid_points", grid_points, 2, ends="[)")
     m, rho = params.m, params.rho
     c = m * m + rho
 
@@ -482,6 +485,8 @@ def _bisect_time(residual, f_hi: float, t_tol: float = 1e-6) -> tuple[float, int
     evaluation each); raises ArithmeticError on a residual that is not
     finite.
     """
+    check_range("t_tol", t_tol, 0.0, ends="[)")
+
     def in_u(u: float) -> float:
         t = math.exp(u)
         value = residual(t)

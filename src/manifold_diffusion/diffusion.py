@@ -346,6 +346,7 @@ def log_partitions(x: np.ndarray, ts, blocks: Iterable[np.ndarray], n: int) -> n
     """
     for t in ts:
         check_time(float(t))
+    check_range("B", x.shape[1], 1, ends="[)", what="rows per time B")
     tiles = [_Tile(x[k][rows], schedule(float(t))) for k, t in enumerate(ts)
              for rows in _balanced_slices(x.shape[1], _TILE_ROWS)]
     cuts = _balanced_slices(n, _BLOCK_COLS)
@@ -414,8 +415,7 @@ class EmpiricalScore:
         """
         check_time(t)
         sch = schedule(t)
-        if x.shape[0] == 0:
-            raise ValueError("empty batch")
+        check_range("B", x.shape[0], 1, ends="[)", what="batch size B")
         tiles = [_Tile(x[rows], sch, with_score, draws, rng)
                  for rows in _balanced_slices(x.shape[0], _TILE_ROWS)]
         _sweep(tiles, self._blocks, len(self._blocks[0].samples))
@@ -455,7 +455,6 @@ class EmpiricalScore:
         loop: one pass over the samples and one block buffer, so memory
         grows with the block size and k, not with B n.
         """
-        if k < 1:
-            raise ValueError("k must be at least 1")
+        check_range("k", k, 1, ends="[)")
         x = np.atleast_2d(np.asarray(x, dtype=float))
         return self._reduce(x, t, False, draws=k, rng=rng)[2]

@@ -20,8 +20,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .diffusion import EmpiricalScore, bridge, check_time, log_partitions, schedule
-from .model import (Dataset, ManifoldModel, SampleStream, _rng, check_range,
-                    check_sample_count, model_to_config)
+from .model import (MAX_SAMPLES, Dataset, ManifoldModel, SampleStream, _rng, check_range,
+                    model_to_config)
 
 
 def model_hash(model: ManifoldModel) -> str:
@@ -91,14 +91,13 @@ def _bridge_draws(score: EmpiricalScore, y: np.ndarray, idx: np.ndarray,
     return mean + np.sqrt(v) * rng.standard_normal(mean.shape)
 
 
-def check_speciation(t_grid, n_traj: int, n_clones: int) -> None:
+def check_speciation(t_grid, n_samples: int, n_traj: int, n_clones: int) -> None:
     """Reject the arguments of a `speciation_experiment` that cannot run; the
-    CLI calls it before it samples the training set."""
+    CLI calls it before it solves the theory or samples the training set."""
     check_time(t_grid, CLONE_T_MIN, CLONE_T_START)
-    if n_traj < 1:
-        raise ValueError(f"need at least one trajectory, got n_traj = {n_traj}")
-    if n_clones < 2:
-        raise ValueError("need at least two clones")
+    check_range("n", n_samples, 1, MAX_SAMPLES, "[]")
+    check_range("n_traj", n_traj, 1, ends="[)")
+    check_range("n_clones", n_clones, 2, ends="[)")
 
 
 def speciation_experiment(model: ManifoldModel, score: EmpiricalScore, direction,
@@ -134,7 +133,7 @@ def speciation_experiment(model: ManifoldModel, score: EmpiricalScore, direction
     The clones are driven by ``score``, the kernel over the training set;
     the caller forms it and ``direction`` once, before the run.
     """
-    check_speciation(t_grid, n_traj, n_clones)
+    check_speciation(t_grid, len(score.samples), n_traj, n_clones)
     rng = _rng(seed + 1)
 
     y = rng.standard_normal((n_traj, model.d))
@@ -189,9 +188,8 @@ def check_crossing(t_grid, n_samples: int, n_noise: int) -> None:
     """Reject the arguments of a `collapse_crossing_experiment` that cannot
     run; the CLI calls it before it samples the training set."""
     check_time(t_grid)
-    check_sample_count(n_samples, 2)  # the planted sample and one to sum over
-    if n_noise < 1:
-        raise ValueError(f"need at least one noise draw, got n_noise = {n_noise}")
+    check_range("n", n_samples, 2, MAX_SAMPLES, "[]")  # the planted sample and one to sum over
+    check_range("n_noise", n_noise, 1, ends="[)")
 
 
 def _first_row_then_the_rest(blocks: Iterator[np.ndarray]) -> Iterator[np.ndarray]:
@@ -255,12 +253,9 @@ def free_energy_mc(model: ManifoldModel, t: float, n_x: int, n_latent: int,
     draws from the (matched or mismatched) cluster prior.  The estimator is
     biased downward by Jensen, hence the permanent flag.
     """
-    if n_x < 1:
-        raise ValueError(f"need at least one outer draw, got n_x = {n_x}")
-    if model.p > 24:
-        raise ValueError("variance guard: free_energy_mc requires p <= 24")
-    if n_latent < 10_000:
-        raise ValueError("inner estimate requires n_latent >= 10^4")
+    check_range("n_x", n_x, 1, ends="[)")
+    check_range("p", model.p, 1, 24, "[]", what="p (variance guard of free_energy_mc)")
+    check_range("n_latent", n_latent, 10_000, ends="[)")
     check_time(t)
     sch = schedule(t)
     rng = _rng(seed)
@@ -300,8 +295,7 @@ def rem_derivative_check(model: ManifoldModel, t: float, n_rep: int,
     """Estimate -g'(1) = E ||x - a_t x_1||^2 / (2 h_t d) by direct sampling:
     ||z||^2 / (2d) for x = a_t x_1 + sqrt(h_t) z, the mean of chi^2_d / (2d),
     1/2 for every model, so criterion 09 checks the normal sampler only."""
-    if n_rep < 1:
-        raise ValueError(f"need at least one draw, got n_rep = {n_rep}")
+    check_range("n_rep", n_rep, 1, ends="[)")
     check_time(t)
     sch = schedule(t)
     rng = _rng(seed)
@@ -325,8 +319,7 @@ def tilted_log_partition(model: ManifoldModel, dataset: Dataset, t: float,
     """
     check_range("lam", lam, 0.0, what="tilt parameter lam")
     check_time(t)
-    if n_noise < 1:
-        raise ValueError(f"need at least one noise draw, got n_noise = {n_noise}")
+    check_range("n_noise", n_noise, 1, ends="[)")
     same = dataset.labels == dataset.labels[0]
     same[0] = False
     if not same.any():

@@ -102,6 +102,8 @@ class TheoryParams:
         check_range("m", self.m)
         check_range("rho", self.rho, 0.0)
         check_range("beta", self.beta, 0.0, 1.0, "(]")
+        m, rho = float(self.m), float(self.rho)  # a float product warns on nothing
+        check_range("rho (m^2 + rho)", rho * (m * m + rho))
         if self.ensemble not in ENSEMBLES:
             raise ValueError(f"unknown ensemble: {self.ensemble!r}")
 
@@ -167,20 +169,12 @@ def make_model(d: int, p: int, **fields) -> ManifoldModel:
 
 
 def sample_count(alpha: float, d: int) -> int:
-    """n = round(e^{alpha d}), at least 1 as alpha > 0, held to the cap by `check_sample_count`;
+    """n = round(e^{alpha d}), at least 1 as alpha > 0 and held to the MAX_SAMPLES cap;
     past log(MAX_SAMPLES) n is inf, as e^{alpha d} overflows from alpha d ~ 709.8."""
     check_range("alpha", alpha, 0.0)
     n = round(math.exp(alpha * d)) if alpha * d <= math.log(MAX_SAMPLES) else math.inf
-    check_sample_count(n)
+    check_range("n", n, 1, MAX_SAMPLES, "[]")
     return n
-
-
-def check_sample_count(n: int, least: int = 1) -> None:
-    """Reject a sample count below ``least`` or past the MAX_SAMPLES cap."""
-    if n < least:
-        raise ValueError(f"n must be at least {least}, got {n}")
-    if n > MAX_SAMPLES:
-        raise ValueError(f"n exceeds the {MAX_SAMPLES} cap")
 
 
 def _labels(rows: slice) -> np.ndarray:
@@ -234,7 +228,7 @@ class SampleStream:
     seed: int
 
     def __post_init__(self):
-        check_sample_count(self.n)
+        check_range("n", self.n, 1, MAX_SAMPLES, "[]")
 
     def blocks(self) -> Iterator[np.ndarray]:
         """The samples in order, in the blocks of `_balanced_slices`, at most

@@ -11,9 +11,12 @@ tensor-grid variant for nested integrals.
 """
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 
 import numpy as np
+
+from .model import check_range
 
 # Halley's iteration stops once its step is below 1e-8: its error is then
 # cubic in the step, far under one ulp of the root
@@ -112,10 +115,10 @@ def _cached_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def std_normal_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes z and weights w with sum(w * f(z)) ~= E_{u~N(0,1)} f(u)."""
-    if n < 2:
-        raise ValueError("quadrature order must be >= 2")
-    return _cached_nodes(int(n))
+    """Nodes z and weights w with sum(w * f(z)) ~= E_{u~N(0,1)} f(u); n is an int >= 2."""
+    n = operator.index(n)
+    check_range("n", n, 2, ends="[)", what="quadrature order n")
+    return _cached_nodes(n)
 
 
 def std_normal_grid(n: int, dims: int) -> tuple[list[np.ndarray], np.ndarray]:

@@ -79,6 +79,10 @@ class GepConstants:
     rho1: float
     rho_star_sq: float
 
+    def __post_init__(self):
+        check_range("rho1", self.rho1)
+        check_range("rho_star_sq", self.rho_star_sq, 0.0, ends="[)")
+
 
 def gep_constants(gf: GammaFunctions) -> GepConstants:
     """Outer standard-normal moments of Gamma0.
@@ -196,6 +200,7 @@ def reduced_sde_simulate(t_start: float, t_end: float, dt: float,
     check_time([t_start, t_end])
     check_range("dt", dt, 0.0)
     check_range("S", gamma0_sq_sum, 0.0, ends="[)")
+    check_range("n_traj", n_traj, 1, ends="[)")
     s = float(gamma0_sq_sum)
     rng = _rng(seed)
     t = float(t_start)

@@ -540,7 +540,7 @@ def test_experiments_refuse_n_data_past_the_cap(tmp_path, capsys, monkeypatch, a
                      "--output-dir", str(out)]) == cli.EXIT_CONFIG
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "config"
-    assert "exceeds the 10000000 cap" in err["message"]
+    assert "n <= 1e+07, got" in err["message"]
     assert not out.exists()
 
 
@@ -727,7 +727,7 @@ def test_exp_collapse_refuses_an_alpha_past_the_cap_without_a_warning(
         code = cli.main(["exp-collapse", "--d", "40", "--p", "20", "--alpha", "1000",
                          "--output-dir", str(out)])
     assert code == cli.EXIT_CONFIG and not out.exists()
-    assert "exceeds the 10000000 cap" in json.loads(capsys.readouterr().err)["message"]
+    assert "n <= 1e+07, got" in json.loads(capsys.readouterr().err)["message"]
 
 
 def test_exp_speciation_rejects_non_odd_activation_before_any_work(

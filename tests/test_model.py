@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from manifold_diffusion import collapse, speciation
+from manifold_diffusion import cli, collapse, diffusion, experiments, quadrature, speciation
 from manifold_diffusion import model as model_mod
 from manifold_diffusion.activations import make_activation
 from manifold_diffusion.model import (EmbeddingMatrix, ManifoldModel, TheoryParams,
@@ -80,7 +80,7 @@ def test_embed_applies_activation_componentwise():
 def test_sample_count_round_and_cap():
     assert sample_count(0.25, 40) == 22026  # round(e^10)
     assert sample_count(1e-9, 4) == 1
-    with pytest.raises(ValueError, match="cap"):
+    with pytest.raises(ValueError, match=r"n <= 1e\+07"):
         sample_count(1.0, 40)
 
 
@@ -93,7 +93,7 @@ def test_sample_count_meets_the_cap_before_any_exponential():
     for log_n in (math.log(model_mod.MAX_SAMPLES) + 1e-9, 709.0, 710.0, 1e4, 1e300):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="exceeds the 10000000 cap"):
+            with pytest.raises(ValueError, match=r"n <= 1e\+07, got"):
                 sample_count(log_n / 40, 40)
 
 
@@ -119,7 +119,7 @@ def test_sample_dataset_refuses_a_count_past_the_cap(monkeypatch):
     # rejected before the generator is made or any array allocated
     mdl = make_model(d=4, p=2)
     monkeypatch.setattr(model_mod, "_rng", lambda *a: pytest.fail("drew samples"))
-    with pytest.raises(ValueError, match="exceeds the 10000000 cap"):
+    with pytest.raises(ValueError, match=r"n <= 1e\+07, got"):
         sample_dataset(mdl, model_mod.MAX_SAMPLES + 1, seed=0)
 
 
@@ -177,7 +177,7 @@ def test_sample_dataset_stores_the_streams_blocks(n):
     ds = sample_dataset(mdl, n, seed=7)
     assert ds.ambient.tobytes() == np.concatenate(blocks).tobytes()
     assert all(np.array_equal(a, b) for a, b in zip(blocks, stream.blocks()))
-    with pytest.raises(ValueError, match="exceeds the 10000000 cap"):
+    with pytest.raises(ValueError, match=r"n <= 1e\+07, got"):
         model_mod.SampleStream(mdl, model_mod.MAX_SAMPLES + 1, seed=0)
 
 
@@ -488,3 +488,121 @@ def test_model_refuses_a_non_finite_center():
     for mu in ([1.0, math.nan, 1.0, 1.0], [math.inf] * 4):
         with pytest.raises(ValueError, match="mu must be finite"):
             ManifoldModel(8, 4, 1.0, np.array(mu), _TANH, _EMBEDDING)
+
+
+_LINEAR = make_activation("linear")
+_SCORE = diffusion.EmpiricalScore(np.zeros((4, 8)))
+_WIDE_MODEL = ManifoldModel(26, 25, 1.0, np.ones(25), _TANH,
+                            build_embedding(26, 25, "gaussian_iid", seed=0))
+
+
+def _crossing(n, n_noise):
+    return experiments.collapse_crossing_experiment(
+        model_mod.SampleStream(_TANH_MODEL, n, 0), [0.5, 0.1], n_noise, seed=0)
+
+
+# (entry point and count, its interval, the values outside it, the call with
+# that count set, or the argv of a command with None for the count): every
+# count, size and solver tolerance is held to its interval by `check_range`
+_COUNTS = [
+    ("glm t_tol", "0 <= t_tol < inf", (-1e-12, -1.0, math.nan, math.inf),
+     lambda v: collapse.collapse_time_glm(TheoryParams(1.0, 1.0, 0.5, _LINEAR), 0.5, t_tol=v)),
+    ("rmt t_tol", "0 <= t_tol < inf", (-1e-12, -1.0, math.nan, math.inf),
+     lambda v: collapse.collapse_time_linear_rmt(0.5, 0.5, t_tol=v)),
+    ("f_star grid_points", "2 <= grid_points < inf", (1,),
+     lambda v: collapse.f_star(0.5, TheoryParams(1.0, 1.0, 0.5, _TANH), grid_points=v)),
+    ("reduced_sde_simulate n_traj", "1 <= n_traj < inf", (0,),
+     lambda v: speciation.reduced_sde_simulate(1.0, 0.5, 0.1, 2.0, v, seed=0)),
+    ("log_partitions B", "1 <= B < inf", (0,),
+     lambda v: diffusion.log_partitions(np.zeros((1, v, 8)), [0.5], [np.ones((2, 8))], 2)),
+    ("std_normal_nodes n", "2 <= n < inf", (1,), quadrature.std_normal_nodes),
+    ("speciation_experiment n_traj", "1 <= n_traj < inf", (0,),
+     lambda v: experiments.speciation_experiment(_TANH_MODEL, _SCORE, np.ones(8),
+                                                 [1.0, 0.5], v, 2, seed=0)),
+    ("speciation_experiment n_clones", "2 <= n_clones < inf", (1,),
+     lambda v: experiments.speciation_experiment(_TANH_MODEL, _SCORE, np.ones(8),
+                                                 [1.0, 0.5], 2, v, seed=0)),
+    ("collapse_crossing_experiment n", "2 <= n <= 1e+07", (1,), lambda v: _crossing(v, 2)),
+    ("collapse_crossing_experiment n_noise", "1 <= n_noise < inf", (0,),
+     lambda v: _crossing(16, v)),
+    ("tilted_log_partition n_noise", "1 <= n_noise < inf", (0,),
+     lambda v: experiments.tilted_log_partition(_TANH_MODEL, model_mod.Dataset(np.zeros((4, 8))),
+                                                0.5, 1.0, v, seed=0)),
+    ("free_energy_mc n_x", "1 <= n_x < inf", (0,),
+     lambda v: experiments.free_energy_mc(_TANH_MODEL, 0.5, v, 10_000, seed=0)),
+    ("free_energy_mc n_latent", "10000 <= n_latent < inf", (9_999,),
+     lambda v: experiments.free_energy_mc(_TANH_MODEL, 0.5, 2, v, seed=0)),
+    ("free_energy_mc p", "1 <= p <= 24", (25,),
+     lambda v: experiments.free_energy_mc(_WIDE_MODEL, 0.5, 2, 10_000, seed=0)),
+    ("rem_derivative_check n_rep", "1 <= n_rep < inf", (0,),
+     lambda v: experiments.rem_derivative_check(_TANH_MODEL, 0.5, v, seed=0)),
+    ("EmpiricalScore B", "1 <= B < inf", (0,), lambda v: _SCORE(np.zeros((v, 8)), 0.5)),
+    ("draw_indices k", "1 <= k < inf", (0,),
+     lambda v: _SCORE.draw_indices(np.zeros((2, 8)), 0.5, v, np.random.default_rng(0))),
+    ("SampleStream n", "1 <= n <= 1e+07", (0, model_mod.MAX_SAMPLES + 1),
+     lambda v: model_mod.SampleStream(_TANH_MODEL, v, 0)),
+    ("collapse-sweep --beta-points", "1 <= --beta-points < inf", (0,),
+     ["collapse-sweep", "--beta-points", None, "--activations", "tanh"]),
+    ("exp-collapse --n-data", "2 <= n <= 1e+07", (1,),
+     ["exp-collapse", "--d", "8", "--p", "4", "--n-data", None]),
+    # checked with the other counts, before the theory
+    ("exp-speciation --n-data", "1 <= n <= 1e+07", (0,),
+     ["exp-speciation", "--d", "8", "--p", "4", "--n-data", None]),
+]
+
+
+@pytest.mark.parametrize("interval, value, call", [
+    pytest.param(interval, value, call, id=f"{label} {value}")
+    for label, interval, values, call in _COUNTS for value in values])
+def test_counts_are_refused_outside_their_range(monkeypatch, tmp_path, capsys,
+                                                interval, value, call):
+    # refused with the one message, before any solve, quadrature, draw or
+    # kernel pass and without a RuntimeWarning (an error under this suite's
+    # settings)
+    for module, name in ((collapse, "f_rs"), (collapse, "_mp_roots"), (collapse, "_brent_root"),
+                         (collapse, "collapse_time"), (speciation, "_rng"),
+                         (speciation, "GammaFunctions"), (experiments, "_rng"),
+                         (experiments, "log_partitions"), (experiments, "EmpiricalScore"),
+                         (diffusion, "_sweep"), (diffusion, "_Tile"),
+                         (quadrature, "_cached_nodes"), (cli, "sample_dataset"),
+                         (cli, "SampleStream")):
+        monkeypatch.setattr(module, name, lambda *a, _name=name, **k: pytest.fail(_name))
+    message = f"^need .+ with {re.escape(interval)}, got {re.escape(str(value))}$"
+    if isinstance(call, list):  # a command: exit 2 and no output
+        out = tmp_path / "out"
+        argv = [str(value) if arg is None else arg for arg in call]
+        assert cli.main([*argv, "--output-dir", str(out)]) == cli.EXIT_CONFIG
+        assert re.match(message, json.loads(capsys.readouterr().err)["message"])
+        assert not out.exists()
+    else:
+        with pytest.raises(ValueError, match=message):
+            call(value)
+
+
+def test_a_quadrature_order_must_be_an_integer(monkeypatch):
+    # a float order was rounded down to the next rule (96.7 to 96)
+    monkeypatch.setattr(quadrature, "_cached_nodes", lambda n: pytest.fail("built"))
+    for n in (96.7, 2.5, 3.0):
+        with pytest.raises(TypeError, match="integer"):
+            quadrature.std_normal_nodes(n)
+    monkeypatch.undo()
+    assert quadrature.std_normal_nodes(np.int64(8))[0].shape == (8,)
+
+
+@pytest.mark.parametrize("m, rho", [(1e160, 1.0), (1.0, 1e300), (1e154, 1e154)])
+def test_theory_params_refuse_a_scale_that_overflows(m, rho):
+    # rho (m^2 + rho) past the float range: the config's rule, on a
+    # hand-built record, so that no solve meets it as NaN or overflow
+    with pytest.raises(ValueError, match=r"^need rho \(m\^2 \+ rho\) with -inf < "
+                                         r"rho \(m\^2 \+ rho\) < inf, got inf$"):
+        TheoryParams(m, rho, 0.5, _TANH)
+    TheoryParams(1e76, 1e76, 0.5, _TANH)
+
+
+@pytest.mark.parametrize("rho1, rho_star_sq, name", [
+    (math.nan, 0.1, "rho1"), (math.inf, 0.1, "rho1"), (0.5, -0.1, "rho_star_sq"),
+    (0.5, math.nan, "rho_star_sq"), (0.5, math.inf, "rho_star_sq")])
+def test_gep_constants_are_held_to_their_range(rho1, rho_star_sq, name):
+    with pytest.raises(ValueError, match=f"^need {name} with "):
+        speciation.GepConstants(rho1, rho_star_sq)
+    speciation.GepConstants(-0.5, 0.0)
