@@ -134,6 +134,9 @@ def speciation_experiment(model: ManifoldModel, score: EmpiricalScore, direction
     the caller forms it and ``direction`` once, before the run.
     """
     check_speciation(t_grid, len(score.samples), n_traj, n_clones)
+    direction = np.asarray(direction, dtype=float)
+    if direction.shape != (model.d,) or not np.isfinite(direction).all():
+        raise ValueError(f"need a finite direction of shape ({model.d},), got {direction}")
     rng = _rng(seed + 1)
 
     y = rng.standard_normal((n_traj, model.d))

@@ -24,7 +24,8 @@ MAX_SAMPLES = 10_000_000
 def _rng(seed: int, stream: int = 0) -> Generator:
     """Counter-based generator of ``seed`` on ``stream``: the Philox key's
     low word is the seed and its high word the stream, so two streams never
-    share a draw.  The embedding F is drawn on stream 1, all else on 0."""
+    share a draw.  The embedding F is drawn on stream 1, the training set on
+    2, all else on 0."""
     if not 0 <= seed < 1 << 64:
         raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
     return Generator(Philox(key=int(seed) + (stream << 64)))
@@ -237,7 +238,7 @@ class SampleStream:
         x_i = phi(F xi_i / sqrt(p)).  Nothing is kept between blocks, and
         the bytes are those of one (n, p) draw embedded at once.
         """
-        rng, model = _rng(self.seed), self.model
+        rng, model = _rng(self.seed, stream=2), self.model
         for rows in _balanced_slices(self.n, _SAMPLE_ROWS):
             yield model.embed(_labels(rows)[:, None] * model.mu[None, :]
                               + np.sqrt(model.rho) * rng.standard_normal(

@@ -6,8 +6,8 @@ All Gaussian expectations in this package reduce to
 
 with (z_i, w_i) the Gauss rule of the weight exp(-u^2 / 2) / sqrt(2 pi):
 z_i the roots of the probabilists' Hermite polynomial He_n and w_i the
-Christoffel numbers.  The helpers below return that rule, plus a
-tensor-grid variant for nested integrals.
+Christoffel numbers.  The helpers below return that rule, its tensor grid
+for nested integrals, and the moments of f(mean + sqrt(var) u) on it.
 """
 from __future__ import annotations
 
@@ -119,6 +119,15 @@ def std_normal_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     n = operator.index(n)
     check_range("n", n, 2, ends="[)", what="quadrature order n")
     return _cached_nodes(n)
+
+
+def normal_moments(f, mean, var, n: int):
+    """(E f(X), E f(X) U, E f(X)^2) with X = mean + sqrt(var) U, U ~ N(0, 1),
+    on the n-node rule of `std_normal_nodes`, for each entry of the broadcast
+    ``mean`` and ``var``; ``f`` maps an array entry-wise."""
+    u, w = std_normal_nodes(n)
+    vals = f(np.sqrt(var)[..., None] * u + np.asarray(mean, dtype=float)[..., None])
+    return vals @ w, (vals * u) @ w, (vals * vals) @ w
 
 
 def std_normal_grid(n: int, dims: int) -> tuple[list[np.ndarray], np.ndarray]:

@@ -21,7 +21,7 @@ import numpy as np
 from .activations import Activation
 from .diffusion import check_time
 from .model import ManifoldModel, _rng, check_range
-from .quadrature import std_normal_nodes
+from .quadrature import normal_moments
 
 _PROBE_GRID = np.linspace(-6.0, 6.0, 25)
 # GammaFunctions' first node count, the change of the probe values below
@@ -50,25 +50,17 @@ class GammaFunctions:
         # all three moments, not Gamma0 alone: on Gamma0 alone tanh at rho 2
         # and 3 stops at 128 nodes instead of 256, and at rho 3 Gamma0 then
         # moves by up to 5e-9 on y in [-6, 6] and t_S by 2e-9
-        probe = self._raw(_PROBE_GRID, n)
+        probe = normal_moments(activation, _PROBE_GRID, self.rho, n)
         while n < _GAMMA_MAX_NODES:
-            probe2 = self._raw(_PROBE_GRID, 2 * n)
+            probe2 = normal_moments(activation, _PROBE_GRID, self.rho, 2 * n)
             if max(np.abs(a - b).max() for a, b in zip(probe, probe2)) < _GAMMA_TOL:
                 break
             n *= 2
             probe = probe2
         self.node_count = n
 
-    def _raw(self, y: np.ndarray, n: int):
-        """(Gamma0, Gamma1, Gamma^(2)) at the points y on n nodes."""
-        u, w = std_normal_nodes(n)
-        vals = self.activation(np.sqrt(self.rho) * u[None, :] + np.asarray(y, float)[:, None])
-        return vals @ w, (vals * u[None, :]) @ w, (vals * vals) @ w
-
     def gamma0(self, y):
-        u, w = std_normal_nodes(self.node_count)
-        ys = np.atleast_1d(np.asarray(y, dtype=float))
-        out = self.activation(np.sqrt(self.rho) * u[None, :] + ys[:, None]) @ w
+        out = normal_moments(self.activation, np.atleast_1d(y), self.rho, self.node_count)[0]
         return float(out[0]) if np.ndim(y) == 0 else out
 
 
@@ -91,10 +83,8 @@ def gep_constants(gf: GammaFunctions) -> GepConstants:
     at zero when the quadrature leaves it within -1e-10 of zero.  Gamma0 is
     odd, so its mean E[Gamma0(u)] is zero and drops out.
     """
-    u, w = std_normal_nodes(_GEP_NODES)
-    g0 = gf.gamma0(u)
-    rho1 = float(w @ (g0 * u))
-    star = float(w @ (g0 * g0)) - rho1 ** 2
+    _, g1, g2 = normal_moments(gf.gamma0, 0.0, 1.0, _GEP_NODES)
+    rho1, star = float(g1), float(g2) - float(g1) ** 2
     if star < -1e-10:
         raise ArithmeticError(f"negative rho_star^2 = {star:.3e}: quadrature failure")
     return GepConstants(rho1=rho1, rho_star_sq=max(star, 0.0))
@@ -120,17 +110,27 @@ def gamma0_rows(model: ManifoldModel, gf: GammaFunctions) -> np.ndarray:
     return g0
 
 
+def _speciation_time(s: float) -> float:
+    """t_S = log(2 S) / 2, the zero of the curvature 1 - 2 e^{-2t} S at the
+    origin; with 2 S <= 1 the curvature stays positive at every t >= 0, so
+    there is no speciation time and RuntimeError is raised."""
+    if 2.0 * s <= 1.0:
+        raise RuntimeError(f"no speciation time t > 0: 2 S = {2.0 * s:.6g} <= 1")
+    return 0.5 * np.log(2.0 * s)
+
+
 def speciation_time_finite(s: float) -> float:
     """t_S = log(2 S) / 2 at finite d, S = sum_j Gamma0(lambda_j)^2 (the
-    squared norm of ``gamma0_rows``)."""
+    squared norm of ``gamma0_rows``); RuntimeError when 2 S <= 1."""
     check_range("S", s, 0.0)
-    return 0.5 * np.log(2.0 * s)
+    return _speciation_time(s)
 
 
 def speciation_time_asymptotic(beta: float, d: int, mu_tilde_norm_sq: float,
                                gep: GepConstants,
                                ensemble: str = "deterministic_isometry") -> float:
-    """Large-p speciation time log(2 S_asy) / 2 for the embedding ensemble.
+    """Large-p speciation time log(2 S_asy) / 2 for the embedding ensemble;
+    RuntimeError when 2 S_asy <= 1.
 
     S_asy approximates S = sum_j Gamma0(lambda_j)^2, lambda_j = f_j^T mu /
     sqrt(p).  Given mu, lambda_j is centred Gaussian with variance
@@ -161,7 +161,7 @@ def speciation_time_asymptotic(beta: float, d: int, mu_tilde_norm_sq: float,
         raise ValueError(f"unknown ensemble: {ensemble!r}")
     if arg <= 0:
         raise ValueError("no speciation signal: asymptotic argument <= 0")
-    return 0.5 * np.log(2.0 * arg)
+    return _speciation_time(arg)
 
 
 def potential(q, t: float, gamma0_sq_sum: float):

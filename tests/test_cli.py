@@ -467,8 +467,8 @@ _CENSORED = [
       "--t-min", "2.5", "--t-points", "2"], "exp_speciation", "t_S", "censored_below"),
     (["exp-collapse", "--d", "16", "--p", "8", "--n-data", "500", "--t-max", "0.03",
       "--t-min", "0.02", "--t-points", "2"], "exp_collapse", "t_C", "censored_above"),
-    (["exp-speciation", "--d", "16", "--p", "8", "--n-data", "256", "--t-max", "0.5",
-      "--t-min", "0.2", "--t-points", "2"], "exp_speciation", "t_S", "censored_above"),
+    (["exp-speciation", "--d", "16", "--p", "8", "--n-data", "256", "--t-max", "0.3",
+      "--t-min", "0.1", "--t-points", "2"], "exp_speciation", "t_S", "censored_above"),
 ]
 
 
@@ -745,7 +745,7 @@ def test_exp_speciation_rejects_non_odd_activation_before_any_work(
 def test_speciation_rejects_non_odd_activation_before_the_quadrature(
         tmp_path, monkeypatch):
     # relu's Gamma quadrature would double to 2048 nodes before rejection
-    monkeypatch.setattr(cli.S, "std_normal_nodes", _no_work)
+    monkeypatch.setattr(cli.S, "normal_moments", _no_work)
     out = tmp_path / "out"
     assert cli.main(["speciation", "--activation", "relu", "--d", "16",
                      "--p", "8", "--output-dir", str(out)]) == cli.EXIT_CONFIG
@@ -1179,6 +1179,11 @@ _FAILURES = {
     "speciation-potential": (["speciation", "--d", "16", "--p", "8",
                               "--potential-csv"],
                              cli.EXIT_SOLVER, "potential failed"),
+    # S = 0.02: the curvature of the potential never changes sign
+    "speciation-m-0.05": (["speciation", "--d", "16", "--p", "8", "--m", "0.05"],
+                          cli.EXIT_SOLVER, "no speciation time t > 0: 2 S = 0.04 <= 1"),
+    "exp-speciation-m-0.05": (["exp-speciation", "--d", "16", "--p", "8", "--m", "0.05"],
+                              cli.EXIT_SOLVER, "no speciation time t > 0: 2 S = 0.04 <= 1"),
 }
 
 

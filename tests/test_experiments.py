@@ -122,6 +122,18 @@ def test_speciation_experiment_validates_inputs():
             speciation_experiment(mdl, score, direction, t_grid, 2, 2, seed=0)
 
 
+def test_speciation_experiment_refuses_a_bad_direction(monkeypatch):
+    # a NaN direction would count every clone as one class (agreement 1.0),
+    # and a wrong length would fail only after two kernel passes
+    mdl = make_model(d=8, p=4)
+    score = EmpiricalScore(sample_dataset(mdl, 64, 0))
+    monkeypatch.setattr(EmpiricalScore, "draw_indices",
+                        lambda *a, **k: pytest.fail("draw_indices ran"))
+    for direction in (np.full(8, np.nan), np.r_[np.ones(7), np.inf], np.ones(9)):
+        with pytest.raises(ValueError, match=r"need a finite direction of shape \(8,\)"):
+            speciation_experiment(mdl, score, direction, [1.0, 0.5], 4, 3, seed=0)
+
+
 def test_threshold_crossing_interpolates():
     recs = [_record(2.0, 0.5), _record(1.0, 0.9), _record(0.5, 1.0)]
     # linear interpolation between (1.0, 0.9) and (0.5, 1.0) at level 0.95

@@ -145,6 +145,19 @@ def test_dataset_latent_means_follow_labels():
     assert np.allclose(minus, -mdl.mu, atol=0.05)
 
 
+def test_noise_and_the_next_seeds_training_set_share_no_draw():
+    # the experiments draw the noise of seed s from _rng(s + 1); the training
+    # set of seed s + 1 is on its own stream, so no draw is shared.  The
+    # latent normals are read back through a linear isometric model
+    mdl = make_model(d=8, p=4, activation="linear", seed=0)
+    ds = sample_dataset(mdl, 500, seed=6)
+    latents = ds.ambient @ mdl.embedding.entries / np.sqrt(mdl.p)
+    normals = (latents - ds.labels[:, None] * mdl.mu) / np.sqrt(mdl.rho)
+    assert np.abs(normals - model_mod._rng(6, stream=2).standard_normal((500, 4))).max() < 1e-12
+    noise = model_mod._rng(5 + 1).standard_normal(normals.size)
+    assert np.abs(np.subtract.outer(normals.ravel(), noise)).min() > 1e-9
+
+
 @pytest.mark.parametrize("activation", ["linear", "tanh", "relu", "sigmoid"])
 @pytest.mark.parametrize("ensemble", model_mod.ENSEMBLES)
 @pytest.mark.parametrize("d,p", [(40, 20), (12, 6)])
@@ -159,7 +172,7 @@ def test_dataset_blocks_keep_the_bytes_of_one_draw(activation, ensemble, d, p):
     for n in sizes:
         labels = np.where(np.arange(n) % 2 == 0, 1, -1)
         want = mdl.embed(labels[:, None] * mdl.mu
-                         + np.sqrt(mdl.rho) * model_mod._rng(5).standard_normal((n, p)))
+                         + np.sqrt(mdl.rho) * model_mod._rng(5, stream=2).standard_normal((n, p)))
         ds = sample_dataset(mdl, n, seed=5)
         assert np.array_equal(ds.labels, labels)
         assert ds.ambient.tobytes() == want.tobytes(), n
@@ -477,7 +490,7 @@ def test_model_scalars_are_refused_outside_their_range(monkeypatch, interval, va
     # and without a RuntimeWarning (an error under this suite's settings)
     for module, name in ((collapse, "f_star"), (collapse, "_bisect_time"),
                          (collapse, "_mp_roots"), (collapse, "std_normal_grid"),
-                         (speciation, "std_normal_nodes"), (speciation, "_rng")):
+                         (speciation, "normal_moments"), (speciation, "_rng")):
         monkeypatch.setattr(module, name, lambda *a, _name=name, **k: pytest.fail(_name))
     with pytest.raises(ValueError, match=f"^need \\S+ with {re.escape(interval)}, "
                                          f"got {re.escape(str(value))}$"):

@@ -3,8 +3,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 from scipy.special import roots_hermite
+from scipy.stats import norm
 
-from manifold_diffusion.quadrature import std_normal_grid, std_normal_nodes
+from manifold_diffusion.activations import make_activation
+from manifold_diffusion.quadrature import normal_moments, std_normal_grid, std_normal_nodes
 
 
 def test_nodes_reproduce_low_moments():
@@ -67,3 +69,51 @@ def test_grid_three_dimensional():
     assert a.shape == (8**3,)
     assert abs(w @ (a**2 + b**2 + c**2) - 3.0) < 1e-11
 
+
+
+# rows of (mean, var): each row is averaged at its own mean and variance
+_MEAN = np.array([[-2.0], [0.0], [0.7]])
+_VAR = np.array([0.25, 1.0, 3.0, 7.5])
+
+
+def test_moments_of_linear_rows_in_closed_form():
+    g0, g1, g2 = normal_moments(make_activation("linear"), _MEAN, _VAR, 16)
+    assert g0.shape == g1.shape == g2.shape == (3, 4)
+    assert np.abs(g0 - _MEAN).max() <= 1e-12
+    assert np.abs(g1 - np.sqrt(_VAR)).max() <= 1e-12
+    assert np.abs(g2 - (_MEAN ** 2 + _VAR)).max() <= 1e-12
+
+
+def test_mean_of_relu_rows_in_closed_form():
+    # E max(X, 0) = m Phi(m / s) + s phi(m / s).  The kink at 0 leaves the
+    # Gauss-Hermite rule algebraic convergence only: at 1024 nodes these rows
+    # are off by up to 2.3e-4 (1.6e-4 at 2048), so 1e-3 checks which row has
+    # which (mean, var), not a digit count.  With the kink beyond every node
+    # (50 / sqrt(7.5) = 18.3 > 14.9, the largest of 64) the rule is exact
+    m, s = _MEAN, np.sqrt(_VAR)
+    want = m * norm.cdf(m / s) + s * norm.pdf(m / s)
+    assert np.abs(normal_moments(make_activation("relu"), m, _VAR, 1024)[0] - want).max() <= 1e-3
+    far = normal_moments(make_activation("relu"), 50.0, _VAR, 64)[0]
+    assert np.abs(far - 50.0).max() <= 1e-12
+
+
+@pytest.mark.parametrize("kind", ["tanh", "sigmoid"])
+def test_moments_of_smooth_rows_against_monte_carlo(kind):
+    phi, mean, var = make_activation(kind), np.array([-1.5, 0.3, 2.0]), np.array([0.5, 1.0, 3.0])
+    got = normal_moments(phi, mean, var, 128)
+    u = np.random.default_rng(3).standard_normal(1_000_000)
+    vals = phi(mean[:, None] + np.sqrt(var)[:, None] * u)
+    for moment, draws in zip(got, (vals, vals * u, vals * vals)):
+        stderr = draws.std(axis=1) / np.sqrt(u.size)
+        assert np.all(np.abs(moment - draws.mean(axis=1)) <= 5 * stderr), kind
+
+
+@pytest.mark.parametrize("kind", ["linear", "tanh", "sigmoid"])
+def test_moments_at_one_variance_keep_the_bytes_of_the_row_sum(kind):
+    # the expression the speciation theory summed by hand before the rule
+    phi, rho, y = make_activation(kind), 0.7, np.linspace(-6.0, 6.0, 25)
+    u, w = std_normal_nodes(128)
+    vals = phi(np.sqrt(rho) * u[None, :] + y[:, None])
+    want = (vals @ w, (vals * u[None, :]) @ w, (vals * vals) @ w)
+    got = normal_moments(phi, y, rho, 128)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))

@@ -18,7 +18,7 @@ from manifold_diffusion.speciation import (GammaFunctions, GepConstants,
                                            speciation_time_asymptotic,
                                            speciation_time_finite)
 from manifold_diffusion.activations import make_activation
-from manifold_diffusion.quadrature import std_normal_nodes
+from manifold_diffusion.quadrature import normal_moments, std_normal_nodes
 
 # E[tanh(u + 1)] and friends for u ~ N(0,1), frozen from a 30-digit
 # adaptive quadrature of the defining integrals
@@ -31,7 +31,7 @@ RHO_STAR_SQ_TANH = 0.005584049800487
 def _moments(gf, y):
     """(Gamma0, Gamma1, Gamma^(2)) at the points y: the three moments the
     node-doubling test watches."""
-    return gf._raw(np.atleast_1d(y), gf.node_count)
+    return normal_moments(gf.activation, np.atleast_1d(y), gf.rho, gf.node_count)
 
 
 def test_linear_gamma_closed_forms():
@@ -153,6 +153,18 @@ def test_speciation_time_requires_odd_and_signal():
         assert 0 < rows @ rows <= 1e-12
         with pytest.raises(ValueError, match="no speciation signal"):
             _s(mdl)
+
+
+def test_no_speciation_time_when_2s_is_at_most_one():
+    # with 2 S <= 1 the curvature 1 - 2 e^{-2t} S is positive at every t >= 0
+    for s in (0.02, 0.5):
+        with pytest.raises(RuntimeError, match="no speciation time t > 0: 2 S = "):
+            speciation_time_finite(s)
+    # S_asy = rho1^2 beta d |mu~|^2 = 0.2, and d (rho1^2 |mu~|^2 + rho*^2) = 0.4
+    for ensemble in ("deterministic_isometry", "gaussian_iid"):
+        with pytest.raises(RuntimeError, match="no speciation time t > 0: 2 S = "):
+            speciation_time_asymptotic(0.5, 8, 0.05, GepConstants(1.0, 0.0), ensemble)
+    assert speciation_time_finite(0.6) == pytest.approx(0.5 * np.log(1.2), rel=1e-15)
 
 
 def test_gamma0_rows_needs_the_models_quadrature():
