@@ -36,6 +36,12 @@ _BLOCK_COLS = 8192
 # term, which is exactly 1, so a sum over n <= 10^7 terms moves by at most
 # 1e-297 relative.
 _EXP_FLOOR = -700.0
+# a tile folds a block in by its factored step (`_Tile`, which derives the
+# margins) when low - max(m, 0) >= -_FACTOR_LOW and U - m <= _FACTOR_SHIFT
+# in every row, and the block's largest sample norm is at most _FACTOR_RADIUS
+_FACTOR_LOW = 690.0
+_FACTOR_SHIFT = 650.0
+_FACTOR_RADIUS = 1e4
 
 
 def _shifted_exp(a: np.ndarray, m: np.ndarray, floor: bool = True) -> np.ndarray:
@@ -238,41 +244,65 @@ def _block(start: int, samples: np.ndarray) -> _Block:
     return _Block(start, samples, sq_norms, np.sqrt(top))
 
 
-def _shifted_log_weights(x: np.ndarray, sch: DiffusionSchedule, samples: np.ndarray,
-                         sq_norms: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """(a/h) <x, x_i> - (a^2 / 2h) ||x_i||^2 for the ``samples`` x_i.
-
-    This is the log kernel weight plus ||x||^2 / (2 h).  The (B, d)
-    operand is scaled rather than the (B, n) product.  ``out`` is an
-    optional (B, columns) buffer to write into.
-    """
-    g = np.matmul(x * (sch.a / sch.h), samples.T, out=out)
-    g -= (sch.a * sch.a / (2.0 * sch.h)) * sq_norms
-    return g
-
-
 class _Tile:
     """A tile of rows x at one time on its way through a kernel's sample
     blocks: `step` folds one block into an online logsumexp (Milakov &
-    Gimelshein 2018) of each row's shifted log weights.
+    Gimelshein 2018) of each row's shifted log weights
+    g_i = (a/h) <x, x_i> - (a^2/2h) |x_i|^2, the log weight plus
+    U = |x|^2 / 2h.
 
-    Each row keeps its running max ``m``, the sum ``z`` of its weights
-    scaled by e^-m and, ``with_score``, their weighted sample sum, and
-    rescales both when the max grows; the exponentials are taken in place
-    with the exponent floored at -700 (see ``_EXP_FLOOR``) wherever a bound
-    on the block's log weights lets one fall below it.  With ``draws`` = k
+    Each row keeps a shift ``m``, the sum ``z`` of its weights scaled by
+    e^-m and, ``with_score``, their weighted sample sum.  With ``draws`` = k
     each row also keeps k sample indices, one reservoir step per block
-    (`_reservoir_step`) with uniforms from ``rng``.  The row term
-    ||x||^2 / (2 h), which cancels in the softmax, is restored in the
-    log-normalizer only.
+    (`_reservoir_step`) with uniforms from ``rng``.  U, which cancels in the
+    softmax, is restored in the log-normalizer only.  A block is folded in
+    one of two ways, all of whose exponentials are taken in place in the
+    (rows, block) buffer:
+
+    - *exact*, on a tile's first block and wherever the bound below fails:
+      the GEMM, then g_i, the row max, which becomes ``m`` and rescales
+      ``z`` and the score's sum when it grows, and e^(g_i - m) with the
+      exponent floored at -700 (see ``_EXP_FLOOR``) wherever the
+      Cauchy-Schwarz bound low = -(a/h)|x| R - (a^2/2h) R^2 <= g_i, R the
+      block's largest sample norm, lets one fall below it;
+    - *factored*, once a tile has its shift: e^(g_i - m) =
+      e^((a/h) <x, x_i>) v_i e^-m with v_i = e^(-(a^2/2h) |x_i|^2), so the
+      step is one GEMM of the scaled rows x a/h against the block, exp in
+      place, and one GEMV against v, scaled per row by e^-m.  The score's
+      sum is the buffer times v_i x_i, and the reservoir's weights are the
+      buffer times v.  ``m`` stays, and no max, shift or subtract pass is
+      made.
+
+    The factored step is taken when, for every row, low - max(m, 0) >=
+    -690, U - m <= 650 and R <= 10^4 (``_FACTOR_LOW``, ``_FACTOR_SHIFT``,
+    ``_FACTOR_RADIUS``); a first block, whose m is -inf, fails the second.
+    Then no weight, factor or sum of weights leaves the normal double range:
+    - |(a/h) <x, x_i>| and (a^2/2h) |x_i|^2 are at most -low <= 690, so
+      each factor and each product e^(g_i) lies in [e^-690, e^690];
+    - -650 <= U - 650 <= m <= low + 690 <= 690, so e^-m lies in
+      [e^-690, e^650], and each term e^(g_i - m) is at least
+      e^(low - max(m, 0)) >= e^-690;
+    - the GEMV sums at most 8192 products, below e^700, and the score's
+      GEMM also multiplies by a coordinate of at most R <= 10^4, below
+      e^708.2, under the overflow at e^709.78;
+    - g_i <= U, so each term is at most e^(U - m) <= e^650: ``z`` over
+      n <= 10^7 samples stays below e^667 and the score's sum below e^676.
+    The margin 690 sits 10 below ``_EXP_FLOOR``'s 700 for the GEMV: at
+    700, 8192 terms of e^700 would come within 0.8 of the overflow.  A
+    single-block kernel (n <= 8192) takes only the exact step, so its
+    outputs keep their bytes.  A multi-block one moves by rounding, since
+    the factored step rounds e^((a/h) <x, x_i>) and v_i apart rather than
+    the sum of their exponents.
     """
 
     def __init__(self, x: np.ndarray, sch: DiffusionSchedule, with_score: bool = False,
                  draws: int = 0, rng: np.random.Generator | None = None):
         self.x, self.sch, self.rng = x, sch, rng
-        self.sq = np.einsum("bj,bj->b", x, x)
-        check_range("|x|^2", self.sq.max(), 0.0, ends="[)", what="each point's |x|^2")
-        self.xnorm = np.sqrt(self.sq)[:, None]
+        sq = np.einsum("bj,bj->b", x, x)
+        check_range("|x|^2", sq.max(), 0.0, ends="[)", what="each point's |x|^2")
+        self.xs = x * (sch.a / sch.h)
+        self.xnorm = np.sqrt(sq)[:, None]
+        self.u = (sq / (2.0 * sch.h))[:, None]
         self.m = np.full((len(x), 1), -np.inf)
         self.z = np.zeros((len(x), 1))
         self.wsum = np.zeros(x.shape) if with_score else None
@@ -281,20 +311,39 @@ class _Tile:
     def step(self, block: _Block, buf: np.ndarray) -> None:
         """Fold ``block`` in, with ``buf`` as the (rows, columns) buffer."""
         sch, r, w = self.sch, len(self.x), len(block.samples)
-        g = _shifted_log_weights(self.x, sch, block.samples, block.sq_norms,
-                                 out=buf[:r * w].reshape(r, w))
+        c = sch.a * sch.a / (2.0 * sch.h)
+        g = np.matmul(self.xs, block.samples.T, out=buf[:r * w].reshape(r, w))
+        # by Cauchy-Schwarz no shifted log weight of the block is below low
+        low = -block.radius * (sch.a / sch.h * self.xnorm + c * block.radius)
+        if (block.radius <= _FACTOR_RADIUS
+                and np.all(low - np.maximum(self.m, 0.0) >= -_FACTOR_LOW)
+                and np.all(self.u - self.m <= _FACTOR_SHIFT)):
+            v = np.exp(-c * block.sq_norms)
+            np.exp(g, out=g)
+            scale = np.exp(-self.m)
+            mass = (g @ v)[:, None] * scale
+            self.z = self.z + mass
+            if self.wsum is not None:
+                self.wsum = self.wsum + (g @ (v[:, None] * block.samples)) * scale
+            if self.picks is not None:
+                g *= v
+                _reservoir_step(g, mass / self.z, self.rng.random(self.picks.shape),
+                                block.start, self.picks)
+            return
+        g -= c * block.sq_norms
         m_new = np.maximum(self.m, g.max(axis=1, keepdims=True))
-        # by Cauchy-Schwarz each shifted log weight of the block is at least
-        # -(a/h)|x| R - (a^2/2h) R^2, R its largest sample norm; within 700
-        # of the row max the floor is a no-op
-        low = -block.radius * (sch.a / sch.h * self.xnorm
-                               + sch.a * sch.a / (2.0 * sch.h) * block.radius)
+        # within 700 of the row max the floor is a no-op
         _shifted_exp(g, m_new, floor=bool(np.any(low - m_new < _EXP_FLOOR)))
-        rescale = np.exp(self.m - m_new)  # 0 on a tile's first block
         mass = g.sum(axis=1, keepdims=True)
-        self.z = self.z * rescale + mass
-        if self.wsum is not None:
-            self.wsum = self.wsum * rescale + g @ block.samples
+        # a rescale after the max jumps by more than 708, and a floored
+        # weight e^-700 times a coordinate below 0.02, underflow; both are
+        # far below the row's largest term, of weight 1, as numpy's default
+        # also takes them to be
+        with np.errstate(under="ignore"):
+            rescale = np.exp(self.m - m_new)  # 0 on a tile's first block
+            self.z = self.z * rescale + mass
+            if self.wsum is not None:
+                self.wsum = self.wsum * rescale + g @ block.samples
         if self.picks is not None:
             # a tile's first block has share 1: every draw is made
             _reservoir_step(g, mass / self.z, self.rng.random(self.picks.shape),
@@ -302,7 +351,7 @@ class _Tile:
         self.m = m_new
 
     def log_partition(self) -> np.ndarray:
-        return (self.m + np.log(self.z)).ravel() - self.sq / (2.0 * self.sch.h)
+        return (self.m + np.log(self.z) - self.u).ravel()
 
     def score(self) -> np.ndarray:
         """The score, with the weighted mean normalised on the (rows, d) sum."""
@@ -366,18 +415,23 @@ class EmpiricalScore:
     one pass (`_sweep`, the one pass the streamed `log_partitions` makes
     too) through one (rows, block) buffer per worker, so memory does not
     grow with n.  Each tile folds each block in turn into an online
-    logsumexp (`_Tile.step`).  A call with more than one tile and no draws
-    runs its tiles on worker threads, one BLAS thread per worker, a block
-    at a time.  The tiles depend only on B, so the log-normalizer's bytes
-    do not depend on the worker count; a score row's can, in the last bit,
-    where the caller's BLAS splits the (rows, block) x (block, d) weighted
-    sum over several threads (10 of 200 rows at n 162,754, d 40, t 1).  No
+    logsumexp (`_Tile.step`): a tile's first block by the exact step (row
+    max, shift, floored exp), and each later one, where a bound keeps every
+    weight in the normal range, by the factored step (GEMM, exp and one
+    GEMV against the block's sample factors; see `_Tile`).  A call with
+    more than one tile and no draws runs its tiles on worker threads, one
+    BLAS thread per worker, a block at a time.  The tiles depend only on B,
+    so the log-normalizer's bytes do not depend on the worker count; a
+    score row's can, in the last bit, where the caller's BLAS splits the
+    (rows, block) x (block, d) weighted sum over several threads (10 of 200
+    rows at n 162,754, d 40, t 1).  No
     tile is a single row unless B is 1, so each row gets the arithmetic of
     an untiled call wherever the BLAS rounds a row of a product the same at
     any row count (OpenBLAS does outside its small-matrix kernels, i.e.
     once a tile's rows x n x d passes about 1e6).  With n <= 8192 there is
-    one block and the arithmetic is that of a single softmax over all
-    samples.  Instances are read-only and safe to share across workers.
+    one block, which only the exact step folds in, and the arithmetic is
+    that of a single softmax over all samples.  Instances are read-only
+    and safe to share across workers.
     """
 
     def __init__(self, data: Dataset | np.ndarray):
@@ -398,8 +452,8 @@ class EmpiricalScore:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         sq = np.einsum("bj,bj->b", x, x)
         check_range("|x|^2", sq.max(initial=0.0), 0.0, ends="[)", what="each point's |x|^2")
-        g = _shifted_log_weights(x, sch, self.samples,
-                                 np.concatenate([b.sq_norms for b in self._blocks]))
+        g = (x * (sch.a / sch.h)) @ self.samples.T
+        g -= (sch.a * sch.a / (2.0 * sch.h)) * np.concatenate([b.sq_norms for b in self._blocks])
         g -= (sq / (2.0 * sch.h))[:, None]
         return g
 

@@ -346,7 +346,10 @@ def resolve_config(cfg: dict, keys: tuple[str, ...] = CONFIG_KEYS) -> dict:
             raise ValueError("config fields mu and mu_file both give the center; give one")
         cfg["mu"] = np.loadtxt(mu_file).ravel().tolist()
     if "p" in keys:
-        d, p = cfg.get("d", 0), cfg.get("p", 0)
+        missing = [key for key in ("d", "p") if key not in cfg]
+        if missing:
+            raise ValueError(f"config fields d and p are required; missing: {', '.join(missing)}")
+        d, p = cfg["d"], cfg["p"]
         if not 1 <= p <= d:
             raise ValueError(f"config field d/p invalid: need d >= p >= 1, got d={d}, p={p}")
     for key, low in (("rho", 0.0), ("alpha", 0.0), ("m", -math.inf)):

@@ -559,6 +559,21 @@ def test_exp_collapse_checks_n_data_before_reading_it(tmp_path, capsys, monkeypa
     assert json.loads(capsys.readouterr().err)["error"] == "config"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["speciation", "--activation", "sigmoid"], "config fields d and p are required; missing: d, p"),
+    (["speciation"], "config fields d and p are required; missing: d, p"),
+    (["exp-collapse", "--d", "40"], "config fields d and p are required; missing: p"),
+    (["exp-collapse", "--p", "20"], "config fields d and p are required; missing: d"),
+    (["exp-collapse", "--d", "20", "--p", "40"],
+     "config field d/p invalid: need d >= p >= 1, got d=20, p=40"),
+])
+def test_a_missing_or_invalid_d_or_p_is_named(argv, message, tmp_path, capsys):
+    # a missing field is named as missing, not reported as a value of 0
+    out = tmp_path / "out"
+    assert run(out, *argv) == cli.EXIT_CONFIG and not out.exists()
+    assert json.loads(capsys.readouterr().err) == {"error": "config", "message": message}
+
+
 def test_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "model.json"
     cfg.write_text(json.dumps({"d": 16, "p": 8, "rho": 0.3, "m": 2.0}))

@@ -739,6 +739,151 @@ def test_score_requires_positive_time_and_valid_data():
         diffusion.log_partitions(np.zeros((1, 2, 2)), [0.5], stream, 4)
 
 
+@functools.cache
+def _three_block_data(kind):
+    """n 20,000 samples at d 40, three kernel blocks: tanh data, or Gaussian
+    data with every 16th sample scaled by 6."""
+    if kind == "tanh":
+        return sample_dataset(make_model(40, 20, activation="tanh", seed=1), 20_000, seed=2).ambient
+    samples = np.random.default_rng(6).standard_normal((20_000, 40))
+    samples[::16] *= 6
+    return samples
+
+
+_FACTOR_TIMES = np.geomspace(0.002, 5.0, 12)
+
+
+def _factor_batch(samples, t):
+    """Points near a sample of each block, plus a far point.  None is near
+    a scaled sample: at t 0.002 the kernel's expanded square (a/h) <x, x_i>
+    is 7e5 there, and log Z about -26, so rounding alone is 3e-12 relative."""
+    return _batch_near(samples, [3, 161, 10_001, 19_000], t, seed=int(1e4 * t))
+
+
+def _binned_counts(draws, p, runs=10, least=20):
+    """(observed, expected) counts of the draws from p: a bin for each sample
+    expected at least ``least`` times, the others cut into ``runs`` runs of
+    consecutive indices, and the runs expected fewer times in one bin, which
+    joins the largest bin while it is still expected fewer times."""
+    k = len(draws)
+    counts = np.bincount(draws, minlength=len(p))
+    own = p * k >= least
+    run = np.arange(len(p)) * runs // len(p)
+    obs = [counts[own]] + [[counts[~own & (run == j)].sum()] for j in range(runs)]
+    exp = [k * p[own]] + [[k * p[~own & (run == j)].sum()] for j in range(runs)]
+    obs, exp = np.concatenate(obs), np.concatenate(exp)
+    small = exp < least
+    obs, exp = np.append(obs[~small], obs[small].sum()), np.append(exp[~small], exp[small].sum())
+    if exp[-1] < least:
+        top = np.argmax(exp[:-1])
+        obs[top] += obs[-1]
+        exp[top] += exp[-1]
+        obs, exp = obs[:-1], exp[:-1]
+    return obs, exp
+
+
+@pytest.mark.parametrize("kind", ["tanh", "far_samples"])
+def test_factored_steps_match_explicit_differences(kind):
+    # past a tile's first block the kernel folds a block in as GEMM, exp and
+    # GEMV where its bound holds; log Z, the score and the draws must match
+    # the kernel weights -|x - a x_i|^2 / 2h from explicit differences
+    samples = _three_block_data(kind)
+    score = EmpiricalScore(samples)
+    assert len(score._blocks) == 3
+    rng = np.random.default_rng(8)
+    pvalues = []
+    for t in _FACTOR_TIMES:
+        sch = schedule(t)
+        x = _factor_batch(samples, t)
+        s, logz = score(x, t)
+        assert np.array_equal(score.log_partition(x, t), logz)
+        draws = score.draw_indices(x, t, 20_000, rng)
+        for row, s_row, logz_row, draws_row in zip(x, s, logz, draws):
+            diff = row - sch.a * samples
+            lw = -np.einsum("ij,ij->i", diff, diff) / (2.0 * sch.h)
+            logz_ref = logsumexp(lw)
+            p = np.exp(lw - logz_ref)
+            s_ref = (sch.a * (p @ samples) - row) / sch.h
+            assert logz_row == pytest.approx(logz_ref, rel=1e-12, abs=0)
+            assert np.linalg.norm(s_row - s_ref) <= 1e-12 * np.linalg.norm(s_ref)
+            obs, exp = _binned_counts(draws_row, p)
+            if len(obs) > 1:  # else every draw falls in the one bin
+                pvalues.append(chisquare(obs, exp).pvalue)
+    # at most 60 tests: one in 100 such runs would fail one of them at 1e-4
+    assert len(pvalues) >= 20 and min(pvalues) > 1e-4
+
+
+def _record_paths(monkeypatch):
+    """Spy on `_Tile.step`: one (first block, exact) pair per step, where a
+    step is exact when it makes the shift-and-exp pass (`_shifted_exp`)."""
+    steps, shifts = [], []
+    real_step, real_exp = diffusion._Tile.step, diffusion._shifted_exp
+
+    def step(tile, block, buf):
+        first, before = bool(np.all(np.isneginf(tile.m))), len(shifts)
+        real_step(tile, block, buf)
+        steps.append((first, len(shifts) > before))
+
+    def shifted_exp(*args, **kwargs):
+        shifts.append(1)
+        return real_exp(*args, **kwargs)
+
+    monkeypatch.setattr(diffusion._Tile, "step", step)
+    monkeypatch.setattr(diffusion, "_shifted_exp", shifted_exp)
+    return steps
+
+
+@pytest.mark.parametrize("kind", ["tanh", "far_samples"])
+def test_both_steps_run_and_a_first_block_is_exact(kind, monkeypatch):
+    steps = _record_paths(monkeypatch)
+    samples = _three_block_data(kind)
+    score = EmpiricalScore(samples)
+    for t in _FACTOR_TIMES:
+        x = _factor_batch(samples, t)
+        score(x, t)
+        score.draw_indices(x, t, 5, np.random.default_rng(0))
+        diffusion.log_partitions(x[None], [t], [samples], len(samples))
+    assert len(steps) == 3 * 3 * len(_FACTOR_TIMES)
+    assert all(exact for first, exact in steps if first)
+    later = [exact for first, exact in steps if not first]
+    assert any(later) and not all(later)
+
+
+@pytest.mark.parametrize("kind", ["tanh", "far_samples"])
+def test_factored_and_exact_steps_raise_no_floating_point_error(kind):
+    samples = _three_block_data(kind)
+    score = EmpiricalScore(samples)
+    with np.errstate(all="raise"):
+        for t in _FACTOR_TIMES:
+            x = _factor_batch(samples, t)
+            score(x, t)
+            score.draw_indices(x, t, 5, np.random.default_rng(0))
+            diffusion.log_partitions(x[None], [t], [samples], len(samples))
+
+
+def test_a_block_far_below_the_shift_takes_the_exact_step(monkeypatch):
+    # at t 1 a first block at +R e_1 and later ones at -R e_1 put the row's
+    # shift m at (a/h)|x| R - (a^2/2h) R^2 = 300 and every later weight at
+    # e^-800 relative to it, while low = -500 passes the bound on its own:
+    # e^-m times the block's sum would underflow, so the bound takes
+    # max(m, 0) and the step stays exact
+    monkeypatch.setattr(diffusion, "_BLOCK_COLS", 4)
+    sch = schedule(1.0)
+    radius = np.sqrt(100.0 * 2.0 * sch.h) / sch.a
+    samples = np.zeros((12, 2))
+    samples[:, 0] = np.repeat([radius, -radius, -radius], 4)
+    x = np.array([[400.0 * sch.h / (sch.a * radius), 0.0]])
+    steps = _record_paths(monkeypatch)
+    score = EmpiricalScore(samples)
+    with np.errstate(all="raise"):
+        s, logz = score(x, 1.0)
+        draws = score.draw_indices(x, 1.0, 1_000, np.random.default_rng(0))
+    assert steps == [(True, True), (False, True), (False, True)] * 2
+    lw = score.log_weights(x, 1.0)[0]
+    assert logz[0] == pytest.approx(logsumexp(lw), rel=1e-14, abs=0)
+    assert np.all(draws < 4)  # the later blocks carry e^-800 of the mass
+
+
 # The reduced scalar SDE is the one backward Euler-Maruyama stepper left; the
 # ambient backward process runs on exact bridges.
 def test_backward_integrator_grid_and_reproducibility():
